@@ -137,7 +137,7 @@ class RingmasterMember:
 
     def _emit_lookup(self, op: str, name: str, found: bool) -> None:
         sim = self.runtime.sim
-        if sim.bus.active:
+        if "bind.lookup" in sim.bus.wanted:
             process = self.runtime.process
             sim.bus.emit(obs_events.BindingLookup(
                 t=sim.now, host=process.host, proc=process.name, op=op,
@@ -146,7 +146,7 @@ class RingmasterMember:
     def _emit_member(self, op: str, name: str, new_id: TroupeId,
                      members: int, old_id: TroupeId = 0) -> None:
         sim = self.runtime.sim
-        if sim.bus.active:
+        if "bind.member" in sim.bus.wanted:
             process = self.runtime.process
             sim.bus.emit(obs_events.MembershipChanged(
                 t=sim.now, host=process.host, proc=process.name, op=op,

@@ -50,7 +50,7 @@ class ReplaceableModule(ExportedModule):
         # Read-only by construction: externalize must not mutate.
         state = self.externalize()
         sim = ctx.runtime.sim
-        if sim.bus.active:
+        if "bind.get_state" in sim.bus.wanted:
             sim.bus.emit(obs_events.StateTransferred(
                 t=sim.now, module=self.name, size=len(state)))
         return state

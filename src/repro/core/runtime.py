@@ -337,7 +337,7 @@ class TroupeRuntime:
                     and header.dest_troupe_id != self.troupe_id):
                 # §6.2: stale destination troupe ID — reject so the client
                 # rebinds; never execute a call meant for an old incarnation.
-                if self.sim.bus.active:
+                if "rpc.stale" in self.sim.bus.wanted:
                     self.sim.bus.emit(obs_events.StaleCallRejected(
                         t=self.sim.now, host=self.process.host,
                         proc=self.process.name,
@@ -371,7 +371,7 @@ class TroupeRuntime:
                 expected = self._expected_callers(header)
                 group = _ManyToOneCall(key, header, msg.call_number, expected)
                 self._groups[key] = group
-                if self.sim.bus.active:
+                if "rpc.gather" in self.sim.bus.wanted:
                     self.sim.bus.emit(obs_events.GatherStarted(
                         t=self.sim.now, host=self.process.host,
                         proc=self.process.name,
@@ -438,7 +438,7 @@ class TroupeRuntime:
     def _run_group(self, group: _ManyToOneCall):
         header = group.header
         key = group.key
-        if self.sim.bus.active:
+        if "rpc.exec_start" in self.sim.bus.wanted:
             self.sim.bus.emit(obs_events.ExecutionStarted(
                 t=self.sim.now, host=self.process.host,
                 proc=self.process.name, thread_id=str(header.thread_id),
@@ -484,7 +484,7 @@ class TroupeRuntime:
         except RemoteError as exc:
             exec_outcome = exc.kind
             payload = encode_error(exc.kind, exc.detail)
-        if self.sim.bus.active:
+        if "rpc.exec_end" in self.sim.bus.wanted:
             self.sim.bus.emit(obs_events.ExecutionFinished(
                 t=self.sim.now, host=self.process.host,
                 proc=self.process.name, thread_id=str(header.thread_id),
@@ -509,7 +509,7 @@ class TroupeRuntime:
         if group.expected is not None:
             recipients |= set(group.expected)
         recipients = sorted(recipients)
-        if self.sim.bus.active:
+        if "rpc.return" in self.sim.bus.wanted:
             self.sim.bus.emit(obs_events.ReturnSent(
                 t=self.sim.now, host=self.process.host,
                 proc=self.process.name,
@@ -567,7 +567,7 @@ class TroupeRuntime:
         if call_number is None:
             call_number = self.threads.next_call_number()
         bus = self.sim.bus
-        if bus.active:
+        if "rpc.call_start" in bus.wanted:
             bus.emit(obs_events.CallStarted(
                 t=self.sim.now, host=self.process.host,
                 proc=self.process.name, thread_id=str(thread_id),
@@ -589,7 +589,7 @@ class TroupeRuntime:
                     raise StaleBindingError(troupe.name) from exc
                 raise
         except BaseException as exc:
-            if bus.active:
+            if "rpc.call_end" in bus.wanted:
                 bus.emit(obs_events.CallCompleted(
                     t=self.sim.now, host=self.process.host,
                     proc=self.process.name, thread_id=str(thread_id),
@@ -600,7 +600,7 @@ class TroupeRuntime:
                         t=self.sim.now, host=self.process.host,
                         proc=self.process.name, troupe=troupe.name))
             raise
-        if bus.active:
+        if "rpc.call_end" in bus.wanted:
             bus.emit(obs_events.CallCompleted(
                 t=self.sim.now, host=self.process.host,
                 proc=self.process.name, thread_id=str(thread_id),
@@ -677,7 +677,7 @@ class TroupeRuntime:
                 # joins with None).  The reply's fate is unknowable.
                 raise CallerCrashed(troupe.name)
             status, data = value
-            if bus.active:
+            if "rpc.result" in bus.wanted:
                 bus.emit(obs_events.ReplicaResult(
                     t=self.sim.now, host=self.process.host,
                     proc=self.process.name, thread_id=tid,
@@ -690,7 +690,7 @@ class TroupeRuntime:
             try:
                 done, early = collator.add(member, data)
             except CollationError:
-                if bus.active:
+                if "rpc.collate" in bus.wanted:
                     bus.emit(self._collation_event(
                         tid, call_number, troupe, "disagreement", responses))
                 raise
@@ -699,7 +699,7 @@ class TroupeRuntime:
                 result = early
                 break
         if decided:
-            if bus.active:
+            if "rpc.collate" in bus.wanted:
                 bus.emit(self._collation_event(
                     tid, call_number, troupe, "decided_early", responses))
             # Tell the endpoint to drop the stragglers' returns.
@@ -712,11 +712,11 @@ class TroupeRuntime:
         try:
             final = collator.finish()
         except CollationError:
-            if bus.active:
+            if "rpc.collate" in bus.wanted:
                 bus.emit(self._collation_event(
                     tid, call_number, troupe, "failed", responses))
             raise
-        if bus.active:
+        if "rpc.collate" in bus.wanted:
             bus.emit(self._collation_event(
                 tid, call_number, troupe, "agreed", responses))
         return final

@@ -42,7 +42,11 @@ class OsProcess:
         #: per-syscall accumulated kernel CPU (ms) — the execution profile.
         self.syscall_times: Dict[str, float] = {}
         self.syscall_counts: Dict[str, int] = {}
-        self._threads: List[Process] = []
+        #: live threads, in spawn order; a thread leaves when it exits
+        #: (``Process.group``), so the table does not grow with run length.
+        self._threads: Dict[Process, None] = {}
+        #: threads ever spawned — default names count these, not the table.
+        self._spawned = 0
         self._sockets: List[UdpSocket] = []
         # The single 4.2BSD interval timer, multiplexed (§4.2.4).  Each
         # re-arm charges a setitimer without advancing the clock (the
@@ -69,9 +73,11 @@ class OsProcess:
         """Start a thread of control inside this process."""
         self._require_alive()
         full_name = "%s/%s/%s" % (self.machine.name, self.name,
-                                  name or "thread%d" % len(self._threads))
+                                  name or "thread%d" % self._spawned)
+        self._spawned += 1
         thread = self.sim.spawn(gen, name=full_name, daemon=daemon)
-        self._threads.append(thread)
+        thread.group = self._threads
+        self._threads[thread] = None
         return thread
 
     def exit(self) -> None:
@@ -84,11 +90,10 @@ class OsProcess:
             return
         self.alive = False
         self.timers.cancel_all()
-        for thread in self._threads:
-            if thread.alive:
-                thread.kill(MachineCrashed("%s crashed" % self.machine.name)
-                            if crashed else None)
-        self._threads = []
+        for thread in list(self._threads):
+            thread.kill(MachineCrashed("%s crashed" % self.machine.name)
+                        if crashed else None)
+        self._threads = {}
         for sock in self._sockets:
             sock.close()
         self._sockets = []

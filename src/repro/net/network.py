@@ -248,7 +248,7 @@ class Network:
 
     def _transmit(self, datagram: Datagram) -> None:
         bus = self.sim.bus
-        if bus.active:
+        if "net.send" in bus.wanted:
             bus.emit(obs_events.PacketSent(
                 t=self.sim.now, src=datagram.src, dst=datagram.dst,
                 payload=datagram.payload))
@@ -271,7 +271,7 @@ class Network:
         if self.rng.chance(self.config.duplicate_probability):
             copies = 2
             self.packets_duplicated += 1
-            if bus.active:
+            if "net.dup" in bus.wanted:
                 bus.emit(obs_events.PacketDuplicated(
                     t=self.sim.now, src=datagram.src, dst=datagram.dst))
         # Link-fault windows.  When no faults are installed this loop makes
@@ -288,7 +288,7 @@ class Network:
                     and self.rng.chance(fault.duplicate):
                 copies = 2
                 self.packets_duplicated += 1
-                if bus.active:
+                if "net.dup" in bus.wanted:
                     bus.emit(obs_events.PacketDuplicated(
                         t=self.sim.now, src=datagram.src, dst=datagram.dst))
             extra_delay += fault.extra_delay
@@ -301,7 +301,7 @@ class Network:
 
     def _drop(self, datagram: Datagram, reason: str) -> None:
         self.packets_dropped += 1
-        if self.sim.bus.active:
+        if "net.drop" in self.sim.bus.wanted:
             self.sim.bus.emit(obs_events.PacketDropped(
                 t=self.sim.now, src=datagram.src, dst=datagram.dst,
                 reason=reason))
@@ -323,7 +323,7 @@ class Network:
             self._drop(datagram, "no-port")
             return
         self.packets_delivered += 1
-        if self.sim.bus.active:
+        if "net.deliver" in self.sim.bus.wanted:
             self.sim.bus.emit(obs_events.PacketDelivered(
                 t=self.sim.now, src=datagram.src, dst=datagram.dst,
                 size=datagram.size))

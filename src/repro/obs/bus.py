@@ -5,52 +5,83 @@ message endpoints, the replicated call runtime, the transaction machinery
 and the Ringmaster — emits typed events (:mod:`repro.obs.events`) to the
 bus hanging off its :class:`~repro.sim.kernel.Simulator`.  Observers
 (metrics collectors, call tracers, the MSC packet trace) subscribe with
-an optional kind filter.
+an optional kind filter, or with one handler per kind.
 
-Zero overhead when unobserved
------------------------------
+Zero overhead when unobserved, and none for kinds nobody asked for
+-----------------------------------------------------------------
 
-Emission sites are guarded by the :attr:`EventBus.active` flag::
+Emission sites test their own *kind* against :attr:`EventBus.wanted`::
 
     bus = self.sim.bus
-    if bus.active:
+    if "net.send" in bus.wanted:
         bus.emit(events.PacketSent(t=self.sim.now, ...))
 
-When nothing is subscribed, observing a run costs exactly one attribute
-load and one branch per event site: no event object is ever constructed.
+``wanted`` is a frozenset of event kinds, rebuilt on every (un)subscribe
+by resolving each subscription against the event vocabulary
+(:data:`repro.obs.events.ALL_EVENTS`).  With nothing attached it is
+empty, so observing costs one attribute load and one membership test per
+site and no event object is ever constructed; with only a ``"net."``
+subscriber attached the ``sim``/``pm``/``rpc`` sites still cost exactly
+that.  While a causal-clock stamper is installed every kind is wanted:
+happens-before edges run through events (``pm.send`` → ``pm.deliver``)
+that no monitor subscribes to.
+
+To add an emission site, guard it with the literal kind of the event it
+constructs.  To add an event kind, define the dataclass in
+:mod:`repro.obs.events` *and* list it in ``ALL_EVENTS`` — a kind outside
+the vocabulary is never in ``wanted`` (``emit`` itself still delivers
+it, which is what tests' synthetic events rely on).
+
 Subscribers never perturb virtual time — they run synchronously inside
 the emitting callback and must not touch the simulation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
+                    Optional, Tuple, Union)
+
+from repro.obs.events import KINDS, MonitorError
 
 #: An event handler: called synchronously with each matching event.
 Handler = Callable[[object], None]
 
 
 class Subscription:
-    """A live subscription; pass back to :meth:`EventBus.unsubscribe`."""
+    """A live subscription; pass back to :meth:`EventBus.unsubscribe`.
 
-    __slots__ = ("handler", "prefixes")
+    Either one ``handler`` behind a prefix filter (``prefixes``; None:
+    every event) or, with ``handler`` None, one handler per exact kind.
+    ``handlers`` is kind -> handler either way: given, or the prefixes
+    resolved against the vocabulary once, here, so that re-indexing the
+    bus is a walk over dictionaries rather than prefix tests.
+    """
 
-    def __init__(self, handler: Handler,
-                 prefixes: Optional[Tuple[str, ...]]):
+    __slots__ = ("handler", "prefixes", "handlers")
+
+    def __init__(self, handler: Optional[Handler],
+                 prefixes: Optional[Tuple[str, ...]],
+                 handlers: Optional[Dict[str, Handler]] = None):
         self.handler = handler
-        self.prefixes = prefixes  # None: every event
+        self.prefixes = prefixes
+        if handlers is None:
+            handlers = {kind: handler for kind in KINDS
+                        if prefixes is None or kind.startswith(prefixes)}
+        self.handlers = handlers
 
-    def matches(self, kind: str) -> bool:
-        if self.prefixes is None:
-            return True
-        for prefix in self.prefixes:
-            if kind.startswith(prefix):
-                return True
-        return False
+    def handler_for(self, kind: str) -> Optional[Handler]:
+        """The handler this subscription runs for ``kind`` (which need
+        not be in the vocabulary), or None."""
+        if self.handler is None:
+            return self.handlers.get(kind)
+        if self.prefixes is None or kind.startswith(self.prefixes):
+            return self.handler
+        return None
 
     def __repr__(self) -> str:
         return "<Subscription %s>" % (
-            "*" if self.prefixes is None else ",".join(self.prefixes))
+            "*" if self.prefixes is None and self.handler is not None
+            else ",".join(self.prefixes or self.handlers))
 
 
 class EventBus:
@@ -61,25 +92,39 @@ class EventBus:
     exactly one kind, and ``None`` everything.
     """
 
-    __slots__ = ("active", "_subs", "stamper", "_by_kind")
+    __slots__ = ("wanted", "_subs", "_stamper", "_by_kind")
 
     def __init__(self):
-        #: True iff at least one subscriber is attached.  Emission sites
-        #: check this flag before constructing an event — the
-        #: no-subscriber fast path.
-        self.active = False
+        #: The kinds of the vocabulary somebody is listening for (all of
+        #: them while a stamper is installed).  Emission sites test their
+        #: kind against this set before constructing an event — the
+        #: nobody-wants-it fast path.
+        self.wanted: FrozenSet[str] = frozenset()
         self._subs: List[Subscription] = []
-        #: Optional causal-clock stamper (repro.obs.clocks.ClockDomain):
-        #: ``stamper.stamp(event)`` runs once per emitted event, before
-        #: dispatch, but only past the no-subscriber fast path — with
-        #: nothing attached, no clock is ever touched.
-        self.stamper = None
-        #: kind -> [matching subscriptions, in subscription order]; built
-        #: lazily per kind on first emit, invalidated on (un)subscribe.
-        #: Event kinds are a small fixed vocabulary, so this stays tiny
-        #: while emit() stops copying and prefix-scanning the full
-        #: subscriber list for every event.
-        self._by_kind: dict = {}
+        self._stamper = None
+        #: kind -> (handlers to run, in subscription order): the one
+        #: dispatch table.  Rebuilt on (un)subscribe for every kind a
+        #: subscription resolved to; filled lazily for any other kind on
+        #: its first emit.
+        self._by_kind: Dict[str, Tuple[Handler, ...]] = {}
+
+    @property
+    def active(self) -> bool:
+        """True iff anything is attached (read-only; emission sites test
+        their own kind against :attr:`wanted` instead)."""
+        return bool(self._subs)
+
+    @property
+    def stamper(self):
+        """Optional causal-clock stamper (repro.obs.clocks.ClockDomain):
+        ``stamper.stamp(event)`` runs once per emitted event, before
+        dispatch.  Installing one makes every kind wanted."""
+        return self._stamper
+
+    @stamper.setter
+    def stamper(self, stamper) -> None:
+        self._stamper = stamper
+        self._reindex()
 
     def subscribe(self, handler: Handler,
                   kinds: Union[None, str, Iterable[str]] = None
@@ -91,10 +136,17 @@ class EventBus:
             prefixes = None
         else:
             prefixes = tuple(kinds)
-        sub = Subscription(handler, prefixes)
+        return self._attach(Subscription(handler, prefixes))
+
+    def subscribe_kinds(self, handlers: Mapping[str, Handler]
+                        ) -> Subscription:
+        """Attach one handler per *exact* kind under a single token, so a
+        subscriber that dispatches by kind lets the bus do it."""
+        return self._attach(Subscription(None, None, dict(handlers)))
+
+    def _attach(self, sub: Subscription) -> Subscription:
         self._subs.append(sub)
-        self._by_kind = {}
-        self.active = True
+        self._reindex()
         return sub
 
     def unsubscribe(self, subscription: Subscription) -> None:
@@ -102,9 +154,24 @@ class EventBus:
         try:
             self._subs.remove(subscription)
         except ValueError:
-            pass
-        self._by_kind = {}
-        self.active = bool(self._subs)
+            return
+        self._reindex()
+
+    def _reindex(self) -> None:
+        # A fresh table of fresh tuples, not an update: an emit in
+        # progress keeps delivering against the tuple it already fetched.
+        table: Dict[str, List[Handler]] = {}
+        for sub in self._subs:
+            for kind, handler in sub.handlers.items():
+                table.setdefault(kind, []).append(handler)
+        # (Only the vocabulary: a synthetic kind named by subscribe_kinds
+        # may also match prefix subscriptions, which emit resolves lazily.)
+        self._by_kind = {kind: tuple(found) for kind, found in table.items()
+                         if kind in KINDS}
+        if self._stamper is not None and self._subs:
+            self.wanted = KINDS
+        else:
+            self.wanted = frozenset(self._by_kind)
 
     def emit(self, event) -> None:
         """Deliver ``event`` (anything with a ``kind`` attribute) to every
@@ -119,45 +186,44 @@ class EventBus:
         """
         if not self._subs:
             return
-        if self.stamper is not None:
+        kind = event.kind
+        stamper = self._stamper
+        if stamper is not None:
             # The stamper is an observer too: a raising stamp() must be
             # contained exactly like a raising handler, not allowed to
             # unwind into protocol code (the event just goes unstamped).
             try:
-                self.stamper.stamp(event)
+                stamper.stamp(event)
             except Exception as exc:   # noqa: BLE001 — isolation
-                if event.kind != "mon.error":
-                    from repro.obs import events as _events
-                    self.emit(_events.MonitorError(
-                        t=getattr(event, "t", 0.0),
-                        handler=repr(self.stamper),
-                        event_kind=event.kind,
-                        error="%s: %s" % (type(exc).__name__, exc)))
-        kind = event.kind
-        by_kind = self._by_kind
-        matched = by_kind.get(kind)
-        if matched is None:
-            matched = [s for s in self._subs if s.matches(kind)]
-            by_kind[kind] = matched
+                self._contain(event, stamper, exc)
+        handlers = self._by_kind.get(kind)
+        if handlers is None:
+            # A kind outside the vocabulary, or one only the stamper
+            # wanted: resolved on first emit, kept until the next reindex.
+            found = (sub.handler_for(kind) for sub in self._subs)
+            handlers = self._by_kind[kind] = tuple(
+                handler for handler in found if handler is not None)
         failures = None
-        # ``matched`` is a stable snapshot: a handler that (un)subscribes
-        # mid-emit replaces the index, and this delivery finishes against
-        # the membership that existed when the event was emitted (the same
-        # semantics the previous per-emit list copy gave).
-        for sub in matched:
+        # ``handlers`` is a stable snapshot: a handler that (un)subscribes
+        # mid-emit replaces the table, and this delivery finishes against
+        # the membership that existed when the event was emitted.
+        for handler in handlers:
             try:
-                sub.handler(event)
+                handler(event)
             except Exception as exc:   # noqa: BLE001 — isolation
                 if failures is None:
                     failures = []
-                failures.append((sub, exc))
-        if failures and kind != "mon.error":
-            from repro.obs import events as _events
-            t = getattr(event, "t", 0.0)
-            for sub, exc in failures:
-                self.emit(_events.MonitorError(
-                    t=t, handler=repr(sub.handler), event_kind=kind,
-                    error="%s: %s" % (type(exc).__name__, exc)))
+                failures.append((handler, exc))
+        if failures:
+            for handler, exc in failures:
+                self._contain(event, handler, exc)
+
+    def _contain(self, event, observer, exc: Exception) -> None:
+        if event.kind != "mon.error":
+            self.emit(MonitorError(
+                t=getattr(event, "t", 0.0), handler=repr(observer),
+                event_kind=event.kind,
+                error="%s: %s" % (type(exc).__name__, exc)))
 
     def subscriber_count(self) -> int:
         return len(self._subs)

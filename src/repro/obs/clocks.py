@@ -45,13 +45,16 @@ message identity is the paired message protocol.
 
 Zero overhead when unobserved: the stamper runs inside
 :meth:`EventBus.emit`, *after* the no-subscriber fast path, so with
-monitors detached no clock is ever touched.
+monitors detached no clock is ever touched.  While a domain is installed
+(and anything is subscribed) the bus wants *every* kind — the edges
+above run through events no monitor subscribes to.
 """
 
 from __future__ import annotations
 
 import collections
-from typing import Any, Dict, Optional, Tuple
+import operator
+from typing import Any, Callable, Dict, Optional, Tuple
 
 #: A vector clock: node name -> event count.  Plain dicts keep stamping
 #: cheap; use the module helpers to compare.
@@ -121,24 +124,56 @@ def host_of(addr) -> str:
 _host_of = host_of
 
 
+class _Clock:
+    """One node's clocks.  ``vc`` is mutated in place (events get copies)."""
+
+    __slots__ = ("node", "vc", "lamport")
+
+    def __init__(self, node: str):
+        self.node = node
+        self.vc: VC = {}
+        self.lamport = 0
+
+
 class ClockDomain:
     """Per-simulation clock state; install on a bus with :meth:`install`.
 
     One domain serves one simulation world.  Nodes (and their vector
     clock entries) are created lazily the first time they emit.
+
+    Stamping is O(1) in the size of the taxonomy: the first event of a
+    kind resolves a *plan* — how to find its node's clocks, which
+    incoming happens-before edge it merges (if any) and which outgoing
+    edge it records (if any) — and every later event of that kind just
+    runs it.  Nodes are memoised per ``(address, proc)`` / ``(host,
+    proc)``, so naming one is a dict hit, not string formatting.
     """
 
     def __init__(self, inflight_cap: int = 8192):
-        #: node -> its current vector clock (shared, mutated in place;
-        #: events get copies).
-        self._vc: Dict[str, VC] = {}
-        self._lamport: Dict[str, int] = {}
-        #: endpoint address string -> node, learned from pm.* events so
-        #: wire events can be attributed to the owning process.
-        self._addr_node: Dict[str, str] = {}
+        self._clocks: Dict[str, _Clock] = {}
+        #: endpoint address -> node, learned from pm.* events so wire
+        #: events can be attributed to the owning process.
+        self._addr_clock: Dict[Any, _Clock] = {}
+        self._pm_clocks: Dict[Tuple[Any, str], _Clock] = {}
+        self._proc_clocks: Dict[Tuple[str, str], _Clock] = {}
         self._pm_edges = _Bounded(inflight_cap)
         self._call_edges = _Bounded(inflight_cap)
         self._return_edges = _Bounded(inflight_cap)
+        #: kind -> (clock_of, incoming or None, outgoing or None)
+        self._plans: Dict[str, Tuple[Callable, Optional[Callable],
+                                     Optional[Callable]]] = {}
+        self._incoming = {
+            "pm.deliver": self._in_pm_deliver,
+            "rpc.exec_start": self._in_exec_start,
+            "rpc.result": self._in_result,
+            "mon.violation": self._in_violation,
+        }
+        self._outgoing = {
+            "pm.send": self._out_pm_send,
+            "pm.retransmit": self._out_pm_send,
+            "rpc.call_start": self._out_call_start,
+            "rpc.return": self._out_return,
+        }
         self.stamped = 0
         self._bus = None
 
@@ -156,10 +191,11 @@ class ClockDomain:
         self._bus = None
 
     def nodes(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._vc))
+        return tuple(sorted(self._clocks))
 
     def clock_of(self, node: str) -> VC:
-        return dict(self._vc.get(node, {}))
+        clock = self._clocks.get(node)
+        return dict(clock.vc) if clock is not None else {}
 
     # -- stamping ----------------------------------------------------------
 
@@ -167,121 +203,154 @@ class ClockDomain:
         """Attach ``node`` / ``lamport`` / ``vc`` to ``event``, merging
         any incoming happens-before edge and recording outgoing ones."""
         kind = event.kind
-        node = self._node_of(event, kind)
-        vc = self._vc.get(node)
-        if vc is None:
-            vc = self._vc[node] = {}
-        lamport = self._lamport.get(node, 0)
-        incoming = self._incoming(event, kind)
+        plan = self._plans.get(kind)
+        if plan is None:
+            plan = self._plans[kind] = (
+                self._clock_plan(kind), self._incoming.get(kind),
+                self._outgoing.get(kind))
+        clock_of, incoming, outgoing = plan
+        clock = clock_of(event)
+        node = clock.node
+        vc = clock.vc
+        lamport = clock.lamport
         if incoming is not None:
-            src_vc, src_lamport = incoming
-            vc_merge(vc, src_vc)
-            if src_lamport > lamport:
-                lamport = src_lamport
+            edge = incoming(event)
+            if edge is not None:
+                src_vc, src_lamport = edge
+                vc_merge(vc, src_vc)
+                if src_lamport > lamport:
+                    lamport = src_lamport
         vc[node] = vc.get(node, 0) + 1
-        lamport += 1
-        self._lamport[node] = lamport
+        clock.lamport = lamport = lamport + 1
         event.node = node
         event.lamport = lamport
-        event.vc = dict(vc)
+        # One snapshot serves the event and any edge recorded from it:
+        # neither is ever mutated afterwards (edge merges copy).
+        event.vc = snapshot = vc.copy()
         self.stamped += 1
-        self._outgoing(event, kind, vc, lamport)
+        if outgoing is not None:
+            outgoing(event, snapshot, lamport)
 
     # -- node attribution --------------------------------------------------
 
-    def _node_of(self, event, kind: str) -> str:
+    def _clock(self, node: str) -> _Clock:
+        clock = self._clocks.get(node)
+        if clock is None:
+            clock = self._clocks[node] = _Clock(node)
+        return clock
+
+    def _clock_plan(self, kind: str) -> Callable[[Any], _Clock]:
         if kind.startswith("pm."):
-            endpoint = event.endpoint
-            proc = getattr(event, "proc", "")
-            if proc:
-                node = "%s/%s" % (_host_of(endpoint), proc)
-            else:
-                node = str(endpoint)
-            self._addr_node[str(endpoint)] = node
-            return node
+            return self._pm_clock
         if kind.startswith(("rpc.", "txn.")):
-            host = getattr(event, "host", "")
-            if host:
-                return "%s/%s" % (host, event.proc)
             # lock-table events (txn.lock_wait/_grant, txn.deadlock)
             # carry no process identity; attribute them to the world
             # rather than refuse to stamp.
-            return "world"
+            return self._process_clock("world")
         if kind.startswith("bind."):
-            host = getattr(event, "host", "")
-            if host:
-                return "%s/%s" % (host, event.proc)
-            return "ringmaster"
+            return self._process_clock("ringmaster")
         if kind.startswith("net."):
-            if kind in ("net.deliver", "net.dup"):
-                addr = event.dst
-            else:
-                addr = event.src
-            mapped = self._addr_node.get(str(addr))
-            if mapped is not None:
-                return mapped
-            return "wire:%s" % (_host_of(addr) if addr is not None else "?")
-        if kind.startswith("sim."):
-            return "kernel"
+            return self._wire_clock(
+                "dst" if kind in ("net.deliver", "net.dup") else "src")
         if kind == "mon.violation":
-            return "monitor:%s" % event.monitor
-        if kind.startswith("mon."):
-            return "monitor"
-        return "world"
+            return lambda event: self._clock("monitor:%s" % event.monitor)
+        fixed = self._clock("kernel" if kind.startswith("sim.") else
+                            "monitor" if kind.startswith("mon.") else "world")
+        return lambda event: fixed
+
+    def _pm_clock(self, event) -> _Clock:
+        endpoint = event.endpoint
+        proc = getattr(event, "proc", "")
+        clock = self._pm_clocks.get((endpoint, proc))
+        if clock is None:
+            clock = self._pm_clocks[(endpoint, proc)] = self._clock(
+                "%s/%s" % (_host_of(endpoint), proc) if proc
+                else str(endpoint))
+        self._addr_clock[endpoint] = clock
+        return clock
+
+    def _process_clock(self, anonymous: str) -> Callable[[Any], _Clock]:
+        clocks = self._proc_clocks
+
+        def clock_of(event) -> _Clock:
+            host = getattr(event, "host", "")
+            if not host:
+                return self._clock(anonymous)
+            key = (host, event.proc)
+            clock = clocks.get(key)
+            if clock is None:
+                clock = clocks[key] = self._clock("%s/%s" % key)
+            return clock
+        return clock_of
+
+    def _wire_clock(self, end: str) -> Callable[[Any], _Clock]:
+        addr_clock = self._addr_clock
+        addr_of = operator.attrgetter(end)
+
+        def clock_of(event) -> _Clock:
+            addr = addr_of(event)
+            clock = addr_clock.get(addr)
+            if clock is None:
+                clock = self._clock(
+                    "wire:%s" % (_host_of(addr) if addr is not None else "?"))
+            return clock
+        return clock_of
 
     # -- happens-before edges ---------------------------------------------
 
-    def _incoming(self, event, kind: str) -> Optional[Stamp]:
-        if kind == "pm.deliver":
-            # The sender recorded under its own (endpoint, peer) roles;
-            # swap them to look the edge up from the receiving side.
-            return self._pm_edges.pop(
-                (str(event.peer), event.msg_type, event.call_number,
-                 str(event.endpoint)), None)
-        if kind == "rpc.exec_start":
-            return self._call_edges.get(
-                (event.thread_id, event.call_number, event.troupe_id))
-        if kind == "rpc.result":
-            return self._return_edges.get(
-                (event.thread_id, event.call_number))
-        if kind == "mon.violation":
-            frontier: VC = {}
-            lamport = 0
-            for cause in getattr(event, "evidence", ()):
-                cause_vc = getattr(cause, "vc", None)
-                if cause_vc:
-                    vc_merge(frontier, cause_vc)
-                lamport = max(lamport, getattr(cause, "lamport", 0))
-            if frontier:
-                return frontier, lamport
-        return None
+    def _in_pm_deliver(self, event) -> Optional[Stamp]:
+        # The sender recorded under its own (endpoint, peer) roles;
+        # swap them to look the edge up from the receiving side.
+        return self._pm_edges.pop(
+            (event.peer, event.msg_type, event.call_number,
+             event.endpoint), None)
 
-    def _outgoing(self, event, kind: str, vc: VC, lamport: int) -> None:
-        if kind in ("pm.send", "pm.retransmit"):
-            # A retransmission refreshes the edge: the delivery that
-            # finally completes the message has seen the latest segment.
-            self._pm_edges.put(
-                (str(event.endpoint), event.msg_type, event.call_number,
-                 str(event.peer)),
-                (dict(vc), lamport))
-        elif kind == "rpc.call_start":
-            key = (event.thread_id, event.call_number, event.troupe_id)
-            prior = self._call_edges.get(key)
-            stamp = (dict(vc), lamport)
-            if prior is not None:
-                # Many-to-many: every client troupe member records; the
-                # execution depends on the whole calling frontier.
-                stamp = (vc_merge(prior[0], stamp[0]),
-                         max(prior[1], lamport))
-            self._call_edges.put(key, stamp)
-        elif kind == "rpc.return":
-            key = (event.thread_id, event.call_number)
-            prior = self._return_edges.get(key)
-            stamp = (dict(vc), lamport)
-            if prior is not None:
-                stamp = (vc_merge(prior[0], stamp[0]),
-                         max(prior[1], lamport))
-            self._return_edges.put(key, stamp)
+    def _in_exec_start(self, event) -> Optional[Stamp]:
+        return self._call_edges.get(
+            (event.thread_id, event.call_number, event.troupe_id))
+
+    def _in_result(self, event) -> Optional[Stamp]:
+        return self._return_edges.get((event.thread_id, event.call_number))
+
+    @staticmethod
+    def _in_violation(event) -> Optional[Stamp]:
+        frontier: VC = {}
+        lamport = 0
+        for cause in getattr(event, "evidence", ()):
+            cause_vc = getattr(cause, "vc", None)
+            if cause_vc:
+                vc_merge(frontier, cause_vc)
+            lamport = max(lamport, getattr(cause, "lamport", 0))
+        return (frontier, lamport) if frontier else None
+
+    def _out_pm_send(self, event, snapshot: VC, lamport: int) -> None:
+        # A retransmission refreshes the edge: the delivery that
+        # finally completes the message has seen the latest segment.
+        self._pm_edges.put(
+            (event.endpoint, event.msg_type, event.call_number, event.peer),
+            (snapshot, lamport))
+
+    def _out_call_start(self, event, snapshot: VC, lamport: int) -> None:
+        # Many-to-many: every client troupe member records; the
+        # execution depends on the whole calling frontier.
+        _join_edge(self._call_edges,
+                   (event.thread_id, event.call_number, event.troupe_id),
+                   snapshot, lamport)
+
+    def _out_return(self, event, snapshot: VC, lamport: int) -> None:
+        _join_edge(self._return_edges,
+                   (event.thread_id, event.call_number), snapshot, lamport)
+
+
+def _join_edge(table: _Bounded, key, snapshot: VC, lamport: int) -> None:
+    """Record ``snapshot`` under ``key``, merged with what is already
+    there (into a fresh dict: recorded snapshots are shared with the
+    events they were taken for)."""
+    prior = table.get(key)
+    if prior is not None:
+        snapshot = vc_merge(dict(prior[0]), snapshot)
+        lamport = max(prior[1], lamport)
+    table.put(key, (snapshot, lamport))
 
 
 def stamp_of(event) -> Optional[Stamp]:

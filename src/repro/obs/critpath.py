@@ -145,9 +145,10 @@ class CritPathAnalyzer:
         #: observability-overhead proxy reads this).
         self.milestones = 0
         self._paths: Optional[List[CallPath]] = None
-        self._sub = sim.bus.subscribe(
-            self._on_event, kinds=(ev.MessageSent.kind,
-                                   ev.SegmentRetransmitted.kind))
+        self._sub = sim.bus.subscribe_kinds({
+            ev.MessageSent.kind: self._on_send,
+            ev.SegmentRetransmitted.kind: self._on_retransmit,
+        })
 
     def close(self) -> None:
         self.sim.bus.unsubscribe(self._sub)
@@ -162,20 +163,21 @@ class CritPathAnalyzer:
 
     # -- timeline capture --------------------------------------------------
 
-    def _on_event(self, event) -> None:
-        key = (host_of(event.endpoint), event.proc, event.call_number,
-               event.msg_type)
+    def _on_send(self, event) -> None:
         self._paths = None
-        if event.kind == ev.MessageSent.kind:
-            bucket = self._sends[key]
-            if len(bucket) < _TIMELINE_CAP:
-                bucket.append((event.t, host_of(event.peer)))
-                self.milestones += 1
-        else:
-            bucket = self._retransmits[key]
-            if len(bucket) < _TIMELINE_CAP:
-                bucket.append(event.t)
-                self.milestones += 1
+        bucket = self._sends[(host_of(event.endpoint), event.proc,
+                              event.call_number, event.msg_type)]
+        if len(bucket) < _TIMELINE_CAP:
+            bucket.append((event.t, host_of(event.peer)))
+            self.milestones += 1
+
+    def _on_retransmit(self, event) -> None:
+        self._paths = None
+        bucket = self._retransmits[(host_of(event.endpoint), event.proc,
+                                    event.call_number, event.msg_type)]
+        if len(bucket) < _TIMELINE_CAP:
+            bucket.append(event.t)
+            self.milestones += 1
 
     # -- analysis ----------------------------------------------------------
 

@@ -26,11 +26,34 @@ are cheap to serialize.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, ClassVar, Optional, Tuple
+import sys
+from typing import Any, ClassVar, Dict, Optional, Tuple
+
+#: Events are slotted where the interpreter can do it (``slots=True``
+#: needs 3.10): no per-event ``__dict__``, so a flight-recorder ring of
+#: them is smaller and the collector has half as many objects to visit.
+#: On 3.9 they are ordinary dataclasses; nothing else differs.  (Spelled
+#: as keyword arguments to the real decorator, so type checkers — and the
+#: mypyc build of ``sim/kernel.py``, which constructs two of these — still
+#: see dataclasses.)
+_SLOTS: Dict[str, bool] = (
+    {"slots": True} if sys.version_info >= (3, 10) else {})
 
 
-@dataclasses.dataclass
-class ObsEvent:
+class _Stamped:
+    """The causal stamp a :class:`~repro.obs.clocks.ClockDomain` sets at
+    emission time.  Slots rather than fields: an event that was never
+    stamped has none of them (``getattr(event, "vc", None)``)."""
+
+    __slots__ = ("node", "lamport", "vc")
+
+    node: str
+    lamport: int
+    vc: Dict[str, int]
+
+
+@dataclasses.dataclass(**_SLOTS)
+class ObsEvent(_Stamped):
     """Base class: a kind tag plus the virtual time of emission."""
 
     kind: ClassVar[str] = "event"
@@ -41,14 +64,14 @@ class ObsEvent:
 # sim.* — the discrete-event kernel
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class ProcessSpawned(ObsEvent):
     kind: ClassVar[str] = "sim.spawn"
     name: str = ""
     daemon: bool = False
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class ProcessExited(ObsEvent):
     kind: ClassVar[str] = "sim.exit"
     name: str = ""
@@ -56,7 +79,7 @@ class ProcessExited(ObsEvent):
     failed: bool = False     # terminated by an unhandled exception
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class TimerFired(ObsEvent):
     kind: ClassVar[str] = "sim.timer"
     due: int = 0             # timers dispatched by this alarm
@@ -66,7 +89,7 @@ class TimerFired(ObsEvent):
 # net.* — the simulated wire
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class PacketSent(ObsEvent):
     """One datagram handed to the wire (multicast emits one per
     destination, mirroring per-recipient delivery)."""
@@ -81,7 +104,7 @@ class PacketSent(ObsEvent):
         return len(self.payload)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class PacketDelivered(ObsEvent):
     kind: ClassVar[str] = "net.deliver"
     src: Any = None
@@ -89,7 +112,7 @@ class PacketDelivered(ObsEvent):
     size: int = 0
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class PacketDropped(ObsEvent):
     kind: ClassVar[str] = "net.drop"
     src: Any = None
@@ -99,7 +122,7 @@ class PacketDropped(ObsEvent):
     reason: str = "loss"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class PacketDuplicated(ObsEvent):
     kind: ClassVar[str] = "net.dup"
     src: Any = None
@@ -110,7 +133,7 @@ class PacketDuplicated(ObsEvent):
 # pm.* — the paired message protocol (§4.2)
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class MessageSent(ObsEvent):
     """A call/return message began transmission (all initial segments)."""
 
@@ -124,7 +147,7 @@ class MessageSent(ObsEvent):
     proc: str = ""           # owning process name (causal attribution)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class SegmentRetransmitted(ObsEvent):
     kind: ClassVar[str] = "pm.retransmit"
     endpoint: Any = None
@@ -135,7 +158,7 @@ class SegmentRetransmitted(ObsEvent):
     proc: str = ""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class DuplicateSuppressed(ObsEvent):
     """A segment of an already-delivered message arrived again (§4.2.4)."""
 
@@ -147,7 +170,7 @@ class DuplicateSuppressed(ObsEvent):
     proc: str = ""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class ExplicitAckReceived(ObsEvent):
     kind: ClassVar[str] = "pm.ack_explicit"
     endpoint: Any = None
@@ -158,7 +181,7 @@ class ExplicitAckReceived(ObsEvent):
     proc: str = ""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class ImplicitAck(ObsEvent):
     """A data segment served as the acknowledgment of an earlier
     transfer: a return acks its call, a call acks earlier returns."""
@@ -171,7 +194,7 @@ class ImplicitAck(ObsEvent):
     proc: str = ""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class ProbeSent(ObsEvent):
     kind: ClassVar[str] = "pm.probe"
     endpoint: Any = None
@@ -180,7 +203,7 @@ class ProbeSent(ObsEvent):
     proc: str = ""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class PeerCrashDeclared(ObsEvent):
     kind: ClassVar[str] = "pm.crash"
     endpoint: Any = None
@@ -190,7 +213,7 @@ class PeerCrashDeclared(ObsEvent):
     proc: str = ""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class TransferTimedOut(ObsEvent):
     kind: ClassVar[str] = "pm.timeout"
     endpoint: Any = None
@@ -199,7 +222,7 @@ class TransferTimedOut(ObsEvent):
     proc: str = ""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class MessageDelivered(ObsEvent):
     """A fully reassembled message was handed to the layer above."""
 
@@ -216,7 +239,7 @@ class MessageDelivered(ObsEvent):
 # rpc.* — replicated procedure calls (§4.3)
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class CallStarted(ObsEvent):
     """One-to-many multicast begins: the client half of a replicated
     call.  ``(thread_id, call_number)`` is the propagated trace context —
@@ -234,7 +257,7 @@ class CallStarted(ObsEvent):
     procedure: int = 0
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class ReplicaResult(ObsEvent):
     """One member's return message arrived at (or crash was declared to)
     the calling client."""
@@ -248,7 +271,7 @@ class ReplicaResult(ObsEvent):
     status: str = "ok"       # 'ok' | 'crashed'
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class Collated(ObsEvent):
     """The collator's verdict over the result set."""
 
@@ -265,7 +288,7 @@ class Collated(ObsEvent):
     responses: int = 0
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class CallCompleted(ObsEvent):
     kind: ClassVar[str] = "rpc.call_end"
     host: str = ""
@@ -278,7 +301,7 @@ class CallCompleted(ObsEvent):
     outcome: str = "ok"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class GatherStarted(ObsEvent):
     """Server half: the first call message of a replicated call arrived
     and the many-to-one gather began (§4.3.2)."""
@@ -291,7 +314,7 @@ class GatherStarted(ObsEvent):
     expected: int = -1       # -1: client troupe membership unknown
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class ExecutionStarted(ObsEvent):
     kind: ClassVar[str] = "rpc.exec_start"
     host: str = ""
@@ -305,7 +328,7 @@ class ExecutionStarted(ObsEvent):
     group_complete: bool = True
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class ExecutionFinished(ObsEvent):
     kind: ClassVar[str] = "rpc.exec_end"
     host: str = ""
@@ -317,7 +340,7 @@ class ExecutionFinished(ObsEvent):
     outcome: str = "ok"      # 'ok' | the RemoteError kind
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class ReturnSent(ObsEvent):
     """Many-to-one completion: results go to the client troupe."""
 
@@ -329,7 +352,7 @@ class ReturnSent(ObsEvent):
     recipients: int = 0
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class StaleCallRejected(ObsEvent):
     """A member rejected a call bearing a stale destination troupe ID
     (§6.2) — the server side of binding invalidation."""
@@ -345,7 +368,7 @@ class StaleCallRejected(ObsEvent):
 # txn.* — transactions (Chapter 5)
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class LockWait(ObsEvent):
     kind: ClassVar[str] = "txn.lock_wait"
     txn: str = ""
@@ -354,7 +377,7 @@ class LockWait(ObsEvent):
     holders: Tuple[str, ...] = ()
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class LockGranted(ObsEvent):
     """A blocked acquisition finally succeeded; ``waited`` is the time
     spent in the queue (ms)."""
@@ -366,14 +389,14 @@ class LockGranted(ObsEvent):
     waited: float = 0.0
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class DeadlockDetected(ObsEvent):
     kind: ClassVar[str] = "txn.deadlock"
     cycle: Tuple[str, ...] = ()
     victim: str = ""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class CommitVote(ObsEvent):
     """One server member's ready_to_commit vote, as seen by the
     coordinator (§5.3)."""
@@ -386,7 +409,7 @@ class CommitVote(ObsEvent):
     ready: bool = True
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class CommitOutcome(ObsEvent):
     kind: ClassVar[str] = "txn.commit"
     host: str = ""
@@ -401,7 +424,7 @@ class CommitOutcome(ObsEvent):
 # bind.* — the Ringmaster binding agent (Chapter 6)
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class BindingLookup(ObsEvent):
     kind: ClassVar[str] = "bind.lookup"
     host: str = ""
@@ -411,7 +434,7 @@ class BindingLookup(ObsEvent):
     found: bool = True
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class MembershipChanged(ObsEvent):
     kind: ClassVar[str] = "bind.member"
     host: str = ""
@@ -423,7 +446,7 @@ class MembershipChanged(ObsEvent):
     old_id: int = 0          # incarnation being replaced (0: fresh)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class StaleBindingInvalidated(ObsEvent):
     """Client side: a cached binding was discovered stale and must be
     refreshed via rebind (§6.1)."""
@@ -434,7 +457,7 @@ class StaleBindingInvalidated(ObsEvent):
     troupe: str = ""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class StateTransferred(ObsEvent):
     """A get_state call externalized a member's state for a joining
     replica (§6.4.1)."""
@@ -448,7 +471,7 @@ class StateTransferred(ObsEvent):
 # mon.* — the invariant monitors (repro.obs.monitor)
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class InvariantViolation(ObsEvent):
     """An online monitor caught the protocol breaking one of the paper's
     correctness claims.  ``evidence`` holds the bus events (in emission
@@ -465,7 +488,7 @@ class InvariantViolation(ObsEvent):
     evidence: Tuple[Any, ...] = ()
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class MonitorError(ObsEvent):
     """A bus subscriber raised; the exception was contained by the bus
     instead of unwinding into (and killing) the emitting protocol code."""
@@ -476,7 +499,7 @@ class MonitorError(ObsEvent):
     error: str = ""          # repr of the exception
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class MonitorWarning(ObsEvent):
     """Degraded observability, announced on the bus itself — e.g. the
     flight-recorder ring overflowed, so the eventual post-mortem only
@@ -488,7 +511,10 @@ class MonitorWarning(ObsEvent):
     dropped: int = 0         # events lost so far, when applicable
 
 
-#: every event class, keyed by kind — for documentation and validation.
+#: every event class, keyed by kind: the event *vocabulary*.  The bus
+#: resolves subscription prefixes against it to build the per-kind guard
+#: (``EventBus.wanted``), so a new event class must be listed here or its
+#: emission site's guard can never be true.
 ALL_EVENTS = {
     cls.kind: cls
     for cls in (
@@ -506,3 +532,6 @@ ALL_EVENTS = {
         InvariantViolation, MonitorError, MonitorWarning,
     )
 }
+
+#: the vocabulary's kinds, as the bus sees them.
+KINDS = frozenset(ALL_EVENTS)

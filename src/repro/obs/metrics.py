@@ -15,9 +15,9 @@ and bounded), so percentiles are exact rather than bucketed estimates.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs import events as ev
 from repro.obs.bus import EventBus
 
 
@@ -176,26 +176,109 @@ class MetricsRegistry:
         return "\n".join(lines)
 
 
+class Handles(dict):
+    """Label values -> instrument, resolved through a registry's
+    ``counter``/``gauge``/``histogram`` on first use and kept, so the
+    per-event path is a dict hit instead of rendering and sorting a label
+    set.  Keyed by the bare value for one label field, a tuple for
+    several, ``()`` for none.  Lazy: an instrument exists only once an
+    event has touched it."""
+
+    __slots__ = ("make", "name", "fields")
+
+    def __init__(self, make, name: str, *fields: str):
+        self.make = make
+        self.name = name
+        self.fields = fields
+
+    def __missing__(self, key):
+        values = key if len(self.fields) != 1 else (key,)
+        handle = self[key] = self.make(
+            self.name, **dict(zip(self.fields, values)))
+        return handle
+
+
+#: kind -> (counter name, label fields): the events that are simply
+#: counted, labelled by the event fields of the same names.
+_COUNTED = {
+    "sim.spawn": ("sim.processes_spawned", ()),
+    "sim.exit": ("sim.processes_exited", ()),
+    "sim.timer": ("sim.timer_fires", ()),
+    "net.deliver": ("net.packets_delivered", ()),
+    "net.drop": ("net.packets_dropped", ("reason",)),
+    "net.dup": ("net.packets_duplicated", ()),
+    "pm.retransmit": ("pm.retransmits", ("endpoint",)),
+    "pm.dup": ("pm.duplicates_suppressed", ("endpoint",)),
+    "pm.ack_explicit": ("pm.explicit_acks", ("endpoint",)),
+    "pm.ack_implicit": ("pm.implicit_acks", ("endpoint", "by")),
+    "pm.probe": ("pm.probes", ("endpoint",)),
+    "pm.crash": ("pm.crashes_declared", ("endpoint",)),
+    "pm.timeout": ("pm.send_timeouts", ("endpoint",)),
+    "pm.deliver": ("pm.messages_delivered", ("endpoint",)),
+    "rpc.result": ("rpc.replica_results", ("status",)),
+    "rpc.collate": ("rpc.collations", ("verdict",)),
+    "rpc.gather": ("rpc.gathers", ("host",)),
+    "rpc.return": ("rpc.returns_sent", ("host",)),
+    "rpc.stale": ("rpc.stale_calls_rejected", ("host",)),
+    "txn.lock_wait": ("txn.lock_waits", ()),
+    "txn.deadlock": ("txn.deadlocks", ()),
+    "txn.commit": ("txn.commit_decisions", ("decision",)),
+    "bind.lookup": ("bind.lookups", ("op",)),
+    "bind.member": ("bind.membership_changes", ("op",)),
+    "bind.stale": ("bind.stale_bindings", ()),
+    "bind.get_state": ("bind.state_transfers", ()),
+}
+
+
 class MetricsCollector:
     """The standard event-to-metric aggregation.
 
-    Subscribes to the whole bus and maintains the metric names documented
-    in ``docs/OBSERVABILITY.md``: packet counters per drop reason,
-    paired-message counters per endpoint, replicated-call counters and
-    latency histograms per troupe, transaction and binding counters.
+    Maintains the metric names documented in ``docs/OBSERVABILITY.md``:
+    packet counters per drop reason, paired-message counters per
+    endpoint, replicated-call counters and latency histograms per troupe,
+    transaction and binding counters.  One bus handler per event kind;
+    each resolves its instrument once per distinct label values and keeps
+    the handle, so the per-event path is a dict hit and an add.
 
     Usable as a context manager; :meth:`close` detaches from the bus.
     """
 
     def __init__(self, bus: EventBus, registry: Optional[MetricsRegistry] = None):
         self.bus = bus
-        self.registry = registry or MetricsRegistry()
+        self.registry = reg = registry or MetricsRegistry()
         #: open call start times keyed (host, proc, thread_id,
         #: call_number) — the issuing process disambiguates nested and
         #: many-to-many calls that reuse the (thread, call number) context.
         self._call_started: Dict[Tuple[str, str, str, int], float] = {}
         self._exec_started: Dict[Tuple[str, str, str, int], float] = {}
-        self._sub = bus.subscribe(self._on_event)
+        counter, histogram = reg.counter, reg.histogram
+        self._packets_sent = Handles(counter, "net.packets_sent")
+        self._bytes_sent = Handles(counter, "net.bytes_sent")
+        self._messages_sent = Handles(counter, "pm.messages_sent", "endpoint")
+        self._segments_sent = Handles(counter, "pm.segments_sent", "endpoint")
+        self._calls_started = Handles(counter, "rpc.calls_started", "troupe")
+        self._calls_completed = Handles(counter, "rpc.calls_completed",
+                                        "troupe", "outcome")
+        self._call_ms = Handles(histogram, "rpc.call_ms", "troupe")
+        self._incomplete_gathers = Handles(
+            counter, "rpc.incomplete_gathers", "host")
+        self._executions = Handles(counter, "rpc.executions",
+                                   "host", "outcome")
+        self._exec_ms = Handles(histogram, "rpc.exec_ms", "host")
+        self._lock_wait_ms = Handles(histogram, "txn.lock_wait_ms")
+        handlers = {kind: self._counting(name, fields)
+                    for kind, (name, fields) in _COUNTED.items()}
+        handlers.update({
+            "net.send": self._on_net_send,
+            "pm.send": self._on_pm_send,
+            "rpc.call_start": self._on_call_start,
+            "rpc.call_end": self._on_call_end,
+            "rpc.exec_start": self._on_exec_start,
+            "rpc.exec_end": self._on_exec_end,
+            "txn.lock_grant": self._on_lock_grant,
+            "txn.vote": self._on_vote,
+        })
+        self._sub = bus.subscribe_kinds(handlers)
 
     def close(self) -> None:
         self.bus.unsubscribe(self._sub)
@@ -206,189 +289,58 @@ class MetricsCollector:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- event dispatch ----------------------------------------------------
+    def _counting(self, name: str, fields: Tuple[str, ...]):
+        handles = Handles(self.registry.counter, name, *fields)
+        if not fields:
+            def handle(event) -> None:
+                handles[()].value += 1
+        else:
+            values = operator.attrgetter(*fields)
 
-    def _on_event(self, event) -> None:
-        handler = self._HANDLERS.get(event.kind)
-        if handler is not None:
-            handler(self, event)
+            def handle(event) -> None:
+                handles[values(event)].value += 1
+        return handle
 
-    # sim.*
-    def _on_spawn(self, event):
-        self.registry.counter("sim.processes_spawned").inc()
+    # -- the kinds that do more than count one ------------------------------
 
-    def _on_exit(self, event):
-        self.registry.counter("sim.processes_exited").inc()
-
-    def _on_timer(self, event):
-        self.registry.counter("sim.timer_fires").inc()
-
-    # net.*
     def _on_net_send(self, event):
-        self.registry.counter("net.packets_sent").inc()
-        self.registry.counter("net.bytes_sent").inc(len(event.payload))
+        self._packets_sent[()].value += 1
+        self._bytes_sent[()].value += len(event.payload)
 
-    def _on_net_deliver(self, event):
-        self.registry.counter("net.packets_delivered").inc()
-
-    def _on_net_drop(self, event):
-        self.registry.counter("net.packets_dropped", reason=event.reason).inc()
-
-    def _on_net_dup(self, event):
-        self.registry.counter("net.packets_duplicated").inc()
-
-    # pm.*
     def _on_pm_send(self, event):
-        self.registry.counter("pm.messages_sent",
-                              endpoint=event.endpoint).inc()
-        self.registry.counter("pm.segments_sent",
-                              endpoint=event.endpoint).inc(event.segments)
+        endpoint = event.endpoint
+        self._messages_sent[endpoint].value += 1
+        self._segments_sent[endpoint].value += event.segments
 
-    def _on_pm_retransmit(self, event):
-        self.registry.counter("pm.retransmits", endpoint=event.endpoint).inc()
-
-    def _on_pm_dup(self, event):
-        self.registry.counter("pm.duplicates_suppressed",
-                              endpoint=event.endpoint).inc()
-
-    def _on_pm_ack_explicit(self, event):
-        self.registry.counter("pm.explicit_acks",
-                              endpoint=event.endpoint).inc()
-
-    def _on_pm_ack_implicit(self, event):
-        self.registry.counter("pm.implicit_acks", endpoint=event.endpoint,
-                              by=event.by).inc()
-
-    def _on_pm_probe(self, event):
-        self.registry.counter("pm.probes", endpoint=event.endpoint).inc()
-
-    def _on_pm_crash(self, event):
-        self.registry.counter("pm.crashes_declared",
-                              endpoint=event.endpoint).inc()
-
-    def _on_pm_timeout(self, event):
-        self.registry.counter("pm.send_timeouts",
-                              endpoint=event.endpoint).inc()
-
-    def _on_pm_deliver(self, event):
-        self.registry.counter("pm.messages_delivered",
-                              endpoint=event.endpoint).inc()
-
-    # rpc.*
     def _on_call_start(self, event):
-        self.registry.counter("rpc.calls_started", troupe=event.troupe).inc()
+        self._calls_started[event.troupe].value += 1
         self._call_started[(event.host, event.proc, event.thread_id,
                             event.call_number)] = event.t
 
-    def _on_result(self, event):
-        self.registry.counter("rpc.replica_results",
-                              status=event.status).inc()
-
-    def _on_collate(self, event):
-        self.registry.counter("rpc.collations", verdict=event.verdict).inc()
-
     def _on_call_end(self, event):
-        self.registry.counter("rpc.calls_completed", troupe=event.troupe,
-                              outcome=event.outcome).inc()
+        self._calls_completed[event.troupe, event.outcome].value += 1
         started = self._call_started.pop(
             (event.host, event.proc, event.thread_id, event.call_number),
             None)
         if started is not None:
-            self.registry.histogram("rpc.call_ms",
-                                    troupe=event.troupe).observe(
-                event.t - started)
-
-    def _on_gather(self, event):
-        self.registry.counter("rpc.gathers", host=event.host).inc()
+            self._call_ms[event.troupe].observe(event.t - started)
 
     def _on_exec_start(self, event):
         key = (event.host, event.proc, event.thread_id, event.call_number)
         self._exec_started[key] = event.t
         if not event.group_complete:
-            self.registry.counter("rpc.incomplete_gathers",
-                                  host=event.host).inc()
+            self._incomplete_gathers[event.host].value += 1
 
     def _on_exec_end(self, event):
-        self.registry.counter("rpc.executions", host=event.host,
-                              outcome=event.outcome).inc()
+        self._executions[event.host, event.outcome].value += 1
         key = (event.host, event.proc, event.thread_id, event.call_number)
         started = self._exec_started.pop(key, None)
         if started is not None:
-            self.registry.histogram("rpc.exec_ms",
-                                    host=event.host).observe(
-                event.t - started)
-
-    def _on_return(self, event):
-        self.registry.counter("rpc.returns_sent", host=event.host).inc()
-
-    def _on_rpc_stale(self, event):
-        self.registry.counter("rpc.stale_calls_rejected",
-                              host=event.host).inc()
-
-    # txn.*
-    def _on_lock_wait(self, event):
-        self.registry.counter("txn.lock_waits").inc()
+            self._exec_ms[event.host].observe(event.t - started)
 
     def _on_lock_grant(self, event):
-        self.registry.histogram("txn.lock_wait_ms").observe(event.waited)
-
-    def _on_deadlock(self, event):
-        self.registry.counter("txn.deadlocks").inc()
+        self._lock_wait_ms[()].observe(event.waited)
 
     def _on_vote(self, event):
         self.registry.counter(
             "txn.votes", ready="true" if event.ready else "false").inc()
-
-    def _on_commit(self, event):
-        self.registry.counter("txn.commit_decisions",
-                              decision=event.decision).inc()
-
-    # bind.*
-    def _on_lookup(self, event):
-        self.registry.counter("bind.lookups", op=event.op).inc()
-
-    def _on_member(self, event):
-        self.registry.counter("bind.membership_changes", op=event.op).inc()
-
-    def _on_stale(self, event):
-        self.registry.counter("bind.stale_bindings").inc()
-
-    def _on_get_state(self, event):
-        self.registry.counter("bind.state_transfers").inc()
-
-    _HANDLERS = {
-        ev.ProcessSpawned.kind: _on_spawn,
-        ev.ProcessExited.kind: _on_exit,
-        ev.TimerFired.kind: _on_timer,
-        ev.PacketSent.kind: _on_net_send,
-        ev.PacketDelivered.kind: _on_net_deliver,
-        ev.PacketDropped.kind: _on_net_drop,
-        ev.PacketDuplicated.kind: _on_net_dup,
-        ev.MessageSent.kind: _on_pm_send,
-        ev.SegmentRetransmitted.kind: _on_pm_retransmit,
-        ev.DuplicateSuppressed.kind: _on_pm_dup,
-        ev.ExplicitAckReceived.kind: _on_pm_ack_explicit,
-        ev.ImplicitAck.kind: _on_pm_ack_implicit,
-        ev.ProbeSent.kind: _on_pm_probe,
-        ev.PeerCrashDeclared.kind: _on_pm_crash,
-        ev.TransferTimedOut.kind: _on_pm_timeout,
-        ev.MessageDelivered.kind: _on_pm_deliver,
-        ev.CallStarted.kind: _on_call_start,
-        ev.ReplicaResult.kind: _on_result,
-        ev.Collated.kind: _on_collate,
-        ev.CallCompleted.kind: _on_call_end,
-        ev.GatherStarted.kind: _on_gather,
-        ev.ExecutionStarted.kind: _on_exec_start,
-        ev.ExecutionFinished.kind: _on_exec_end,
-        ev.ReturnSent.kind: _on_return,
-        ev.StaleCallRejected.kind: _on_rpc_stale,
-        ev.LockWait.kind: _on_lock_wait,
-        ev.LockGranted.kind: _on_lock_grant,
-        ev.DeadlockDetected.kind: _on_deadlock,
-        ev.CommitVote.kind: _on_vote,
-        ev.CommitOutcome.kind: _on_commit,
-        ev.BindingLookup.kind: _on_lookup,
-        ev.MembershipChanged.kind: _on_member,
-        ev.StaleBindingInvalidated.kind: _on_stale,
-        ev.StateTransferred.kind: _on_get_state,
-    }

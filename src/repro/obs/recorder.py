@@ -81,38 +81,34 @@ class FlightRecorder:
         self.context: Dict[str, Any] = {}
         self._overflow_warned = False
         self._warning_inflight = False
-        self._sub = bus.subscribe(self._record)
+        # The catch-all handler only feeds the ring; the three kinds with
+        # bookkeeping of their own get it from the bus's per-kind dispatch.
+        self._subs = [
+            bus.subscribe(self._record),
+            bus.subscribe_kinds({
+                "mon.violation": self.violations.append,
+                "mon.error": self.monitor_errors.append,
+                "bind.member": self._on_membership,
+            })]
 
     def detach(self) -> None:
-        if self._sub is not None:
-            self.bus.unsubscribe(self._sub)
-            self._sub = None
+        for sub in self._subs:
+            self.bus.unsubscribe(sub)
+        self._subs = []
 
     def _record(self, event) -> None:
+        ring = self.ring
+        if len(ring) != self.capacity:
+            ring.append(event)
+            return
         if self._warning_inflight and event.kind == "mon.warn":
             # Our own overflow warning coming back around the bus: other
             # subscribers should see it, but recording it here would
             # evict one more real event and inflate the drop count.
             return
-        overflowed = len(self.ring) == self.capacity
-        if overflowed:
-            self.dropped += 1
-        self.ring.append(event)
-        kind = event.kind
-        if kind == "mon.violation":
-            self.violations.append(event)
-        elif kind == "mon.error":
-            self.monitor_errors.append(event)
-        elif kind == "bind.member":
-            self.membership.append({
-                "t": event.t,
-                "name": event.name,
-                "op": event.op,
-                "old_id": event.old_id,
-                "new_id": event.new_id,
-                "members": event.members,
-            })
-        if overflowed and not self._overflow_warned:
+        self.dropped += 1
+        ring.append(event)
+        if not self._overflow_warned:
             # Truncated post-mortems are self-announcing: the first drop
             # puts a mon.warn on the bus (once).
             self._overflow_warned = True
@@ -125,6 +121,16 @@ class FlightRecorder:
                     dropped=self.dropped))
             finally:
                 self._warning_inflight = False
+
+    def _on_membership(self, event) -> None:
+        self.membership.append({
+            "t": event.t,
+            "name": event.name,
+            "op": event.op,
+            "old_id": event.old_id,
+            "new_id": event.new_id,
+            "members": event.members,
+        })
 
     def record_crash(self, exc: BaseException, t: float = 0.0) -> None:
         """Note an unexpected simulation crash (an exception escaping

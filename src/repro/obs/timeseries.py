@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import events as ev
 from repro.obs.bus import EventBus
-from repro.obs.metrics import LabelSet, _labelset, _render_key
+from repro.obs.metrics import Handles, LabelSet, _labelset, _render_key
 
 #: Default bucket width in virtual ms.
 DEFAULT_BUCKET_MS = 10.0
@@ -54,11 +54,14 @@ DEFAULT_CAPACITY = 512
 class _WindowedSeries:
     """Shared ring mechanics: bucket index -> cell, bounded, evicting."""
 
-    __slots__ = ("width", "capacity", "cells", "evicted", "updates")
+    __slots__ = ("width", "capacity", "cells", "evicted", "updates",
+                 "on_new_bucket")
 
-    def __init__(self, width: float, capacity: int):
+    def __init__(self, width: float, capacity: int, on_new_bucket=None):
         self.width = width
         self.capacity = capacity
+        #: called with the bucket index whenever this series opens one.
+        self.on_new_bucket = on_new_bucket
         #: bucket index -> cell, insertion-ordered (buckets only move
         #: forward in virtual time, so order == bucket order).
         self.cells: "collections.OrderedDict[int, Any]" = \
@@ -73,11 +76,18 @@ class _WindowedSeries:
         cell = self.cells.get(index)
         if cell is None:
             cell = self.cells[index] = self._new_cell()
-            while len(self.cells) > self.capacity:
-                self.cells.popitem(last=False)
-                self.evicted += 1
+            self._opened(index)
         self.updates += 1
         return cell
+
+    def _opened(self, index: int) -> None:
+        """Bucket ``index`` was just created: evict past the ring capacity
+        and tell the registry (its wall-clock anchor hangs off this)."""
+        while len(self.cells) > self.capacity:
+            self.cells.popitem(last=False)
+            self.evicted += 1
+        if self.on_new_bucket is not None:
+            self.on_new_bucket(index)
 
     def _new_cell(self):
         raise NotImplementedError
@@ -109,11 +119,11 @@ class WindowedCounter(_WindowedSeries):
     def inc(self, t: float, n: int = 1) -> None:
         index = int(t // self.width)
         current = self.cells.get(index)
+        self.updates += 1
         if current is None:
-            self._cell(t)
             self.cells[index] = n
+            self._opened(index)
         else:
-            self.updates += 1
             self.cells[index] = current + n
 
     def total(self) -> int:
@@ -245,7 +255,7 @@ class TimeSeriesRegistry:
         key = (name, _labelset(labels))
         series = self._series.get(key)
         if series is None:
-            series = cls(self.bucket_ms, self.capacity)
+            series = cls(self.bucket_ms, self.capacity, self._anchor_bucket)
             self._series[key] = series
         elif not isinstance(series, cls):
             raise TypeError("series %r is a %s, not a %s" % (
@@ -263,7 +273,11 @@ class TimeSeriesRegistry:
 
     def anchor(self, t: float) -> None:
         """Record the wall-clock co-timestamp for ``t``'s bucket."""
-        index = int(t // self.bucket_ms)
+        self._anchor_bucket(int(t // self.bucket_ms))
+
+    def _anchor_bucket(self, index: int) -> None:
+        # Reached once per bucket a series opens, never per event: the
+        # first event to land in a bucket necessarily opens it somewhere.
         if index not in self.wall_anchors:
             self.wall_anchors[index] = self._wall_clock()
 
@@ -327,17 +341,36 @@ class TimeSeriesCollector:
         self.registry = registry or TimeSeriesRegistry(bucket_ms, capacity)
         self._open_calls = 0
         self._call_started: Dict[Tuple[str, str, str, int], float] = {}
-        # The unlabelled hot-path series, resolved once: packet events
-        # outnumber everything else, so the per-event registry lookup
-        # (labelset + dict get) is worth skipping.
+        # Series handles are resolved once (once per distinct label
+        # values for the labelled ones) and kept: the per-event path
+        # never renders or sorts a label set.
         reg = self.registry
-        self._packets_sent = reg.counter("net.packets_sent")
-        self._packets_dropped = reg.counter("net.packets_dropped")
-        self._retransmits = reg.counter("pm.retransmits")
-        self._crashes_declared = reg.counter("pm.crashes_declared")
+        self._calls_started = Handles(reg.counter, "rpc.calls_started",
+                                      "troupe")
+        self._calls_completed = Handles(reg.counter, "rpc.calls_completed",
+                                        "troupe", "outcome")
+        self._call_ms = Handles(reg.histogram, "rpc.call_ms", "troupe")
+        self._commit_decisions = Handles(
+            reg.counter, "txn.commit_decisions", "decision")
+        self._violations = Handles(reg.counter, "mon.violations",
+                                   "invariant")
         self._open_gauge = reg.gauge("rpc.open_calls")
-        self._sub = bus.subscribe(self._on_event,
-                                  kinds=tuple(self._HANDLERS))
+        handlers = {
+            ev.CallStarted.kind: self._on_call_start,
+            ev.CallCompleted.kind: self._on_call_end,
+            ev.CommitOutcome.kind: self._on_commit,
+            ev.InvariantViolation.kind: self._on_violation,
+        }
+        # The unlabelled series exist from the start (their keys are in
+        # every snapshot) and packet events outnumber everything else:
+        # their handlers are the bare increment.
+        for kind, name in ((ev.PacketSent.kind, "net.packets_sent"),
+                           (ev.PacketDropped.kind, "net.packets_dropped"),
+                           (ev.SegmentRetransmitted.kind, "pm.retransmits"),
+                           (ev.PeerCrashDeclared.kind,
+                            "pm.crashes_declared")):
+            handlers[kind] = self._counting(reg.counter(name))
+        self._sub = bus.subscribe_kinds(handlers)
 
     def close(self) -> None:
         self.bus.unsubscribe(self._sub)
@@ -348,62 +381,35 @@ class TimeSeriesCollector:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- event dispatch ----------------------------------------------------
+    # -- one bus handler per kind -------------------------------------------
 
-    def _on_event(self, event) -> None:
-        handler = self._HANDLERS.get(event.kind)
-        if handler is not None:
-            self.registry.anchor(event.t)
-            handler(self, event)
+    @staticmethod
+    def _counting(series: WindowedCounter):
+        inc = series.inc
+
+        def handle(event) -> None:
+            inc(event.t)
+        return handle
 
     def _on_call_start(self, event):
-        reg = self.registry
-        reg.counter("rpc.calls_started", troupe=event.troupe).inc(event.t)
+        self._calls_started[event.troupe].inc(event.t)
         self._call_started[(event.host, event.proc, event.thread_id,
                             event.call_number)] = event.t
         self._open_calls += 1
         self._open_gauge.set(event.t, self._open_calls)
 
     def _on_call_end(self, event):
-        reg = self.registry
-        reg.counter("rpc.calls_completed", troupe=event.troupe,
-                    outcome=event.outcome).inc(event.t)
+        self._calls_completed[event.troupe, event.outcome].inc(event.t)
         self._open_calls = max(0, self._open_calls - 1)
         self._open_gauge.set(event.t, self._open_calls)
         started = self._call_started.pop(
             (event.host, event.proc, event.thread_id, event.call_number),
             None)
         if started is not None:
-            reg.histogram("rpc.call_ms", troupe=event.troupe).observe(
-                event.t, event.t - started)
-
-    def _on_net_send(self, event):
-        self._packets_sent.inc(event.t)
-
-    def _on_net_drop(self, event):
-        self._packets_dropped.inc(event.t)
-
-    def _on_retransmit(self, event):
-        self._retransmits.inc(event.t)
-
-    def _on_pm_crash(self, event):
-        self._crashes_declared.inc(event.t)
+            self._call_ms[event.troupe].observe(event.t, event.t - started)
 
     def _on_commit(self, event):
-        self.registry.counter("txn.commit_decisions",
-                              decision=event.decision).inc(event.t)
+        self._commit_decisions[event.decision].inc(event.t)
 
     def _on_violation(self, event):
-        self.registry.counter("mon.violations",
-                              invariant=event.invariant).inc(event.t)
-
-    _HANDLERS = {
-        ev.CallStarted.kind: _on_call_start,
-        ev.CallCompleted.kind: _on_call_end,
-        ev.PacketSent.kind: _on_net_send,
-        ev.PacketDropped.kind: _on_net_drop,
-        ev.SegmentRetransmitted.kind: _on_retransmit,
-        ev.PeerCrashDeclared.kind: _on_pm_crash,
-        ev.CommitOutcome.kind: _on_commit,
-        ev.InvariantViolation.kind: _on_violation,
-    }
+        self._violations[event.invariant].inc(event.t)

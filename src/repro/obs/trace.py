@@ -113,67 +113,73 @@ class CallTracer:
         #: every execution span ever opened, in start order.
         self.execs: List[ExecSpan] = []
         self._returns: List[ev.ReturnSent] = []
-        self._sub = sim.bus.subscribe(self._on_event, kinds=("rpc.",))
+        self._sub = sim.bus.subscribe_kinds({
+            ev.CallStarted.kind: self._on_call_start,
+            ev.ReplicaResult.kind: self._on_result,
+            ev.Collated.kind: self._on_collate,
+            ev.CallCompleted.kind: self._on_call_end,
+            ev.ExecutionStarted.kind: self._on_exec_start,
+            ev.ExecutionFinished.kind: self._on_exec_end,
+            ev.ReturnSent.kind: self._returns.append,
+        })
 
     def close(self) -> None:
         self.sim.bus.unsubscribe(self._sub)
 
-    # -- event handling ----------------------------------------------------
+    # -- event handling (one bus handler per kind) -------------------------
 
-    def _on_event(self, event) -> None:
-        kind = event.kind
-        if kind == ev.CallStarted.kind:
-            span = CallSpan(event)
-            self._open_calls[span.key] = span
-            self.calls.append(span)
-            parent = self._enclosing_exec(event.thread_id, event.host,
-                                          event.proc)
-            if parent is not None:
-                parent.calls.append(span)
-            else:
-                self.roots.append(span)
-        elif kind == ev.ReplicaResult.kind:
-            span = self._open_calls.get(
-                (event.host, event.proc, event.thread_id, event.call_number))
-            if span is not None:
-                span.results.append((event.t, str(event.member),
-                                     event.status))
-        elif kind == ev.Collated.kind:
-            span = self._open_calls.get(
-                (event.host, event.proc, event.thread_id, event.call_number))
-            if span is not None:
-                span.collation = (event.t, event.verdict, event.responses)
-        elif kind == ev.CallCompleted.kind:
-            span = self._open_calls.pop(
-                (event.host, event.proc, event.thread_id, event.call_number),
-                None)
-            if span is not None:
-                span.end = event.t
-                span.outcome = event.outcome
-        elif kind == ev.ExecutionStarted.kind:
-            span = ExecSpan(event)
-            key = ((event.thread_id, event.call_number),
-                   event.host, event.proc)
-            self._open_execs[key] = span
-            self.execs.append(span)
-            # Attach under every open client half of this call: the target
-            # troupe ID separates the call to this troupe from an outer or
-            # nested call sharing the same (thread, call number) context;
-            # in a many-to-many call each calling member's span gets it.
-            for call in self._open_calls.values():
-                if (call.thread_id == event.thread_id
-                        and call.call_number == event.call_number
-                        and call.troupe_id == event.troupe_id):
-                    call.execs.append(span)
-        elif kind == ev.ExecutionFinished.kind:
-            key = ((event.thread_id, event.call_number),
-                   event.host, event.proc)
-            span = self._open_execs.pop(key, None)
-            if span is not None:
-                span.end = event.t
-                span.outcome = event.outcome
-        elif kind == ev.ReturnSent.kind:
-            self._returns.append(event)
+    def _on_call_start(self, event) -> None:
+        span = CallSpan(event)
+        self._open_calls[span.key] = span
+        self.calls.append(span)
+        parent = self._enclosing_exec(event.thread_id, event.host,
+                                      event.proc)
+        if parent is not None:
+            parent.calls.append(span)
+        else:
+            self.roots.append(span)
+
+    def _on_result(self, event) -> None:
+        span = self._open_calls.get(
+            (event.host, event.proc, event.thread_id, event.call_number))
+        if span is not None:
+            span.results.append((event.t, str(event.member), event.status))
+
+    def _on_collate(self, event) -> None:
+        span = self._open_calls.get(
+            (event.host, event.proc, event.thread_id, event.call_number))
+        if span is not None:
+            span.collation = (event.t, event.verdict, event.responses)
+
+    def _on_call_end(self, event) -> None:
+        span = self._open_calls.pop(
+            (event.host, event.proc, event.thread_id, event.call_number),
+            None)
+        if span is not None:
+            span.end = event.t
+            span.outcome = event.outcome
+
+    def _on_exec_start(self, event) -> None:
+        span = ExecSpan(event)
+        key = ((event.thread_id, event.call_number), event.host, event.proc)
+        self._open_execs[key] = span
+        self.execs.append(span)
+        # Attach under every open client half of this call: the target
+        # troupe ID separates the call to this troupe from an outer or
+        # nested call sharing the same (thread, call number) context;
+        # in a many-to-many call each calling member's span gets it.
+        for call in self._open_calls.values():
+            if (call.thread_id == event.thread_id
+                    and call.call_number == event.call_number
+                    and call.troupe_id == event.troupe_id):
+                call.execs.append(span)
+
+    def _on_exec_end(self, event) -> None:
+        key = ((event.thread_id, event.call_number), event.host, event.proc)
+        span = self._open_execs.pop(key, None)
+        if span is not None:
+            span.end = event.t
+            span.outcome = event.outcome
 
     def _enclosing_exec(self, thread_id: str, host: str,
                         proc: str) -> Optional[ExecSpan]:

@@ -170,7 +170,7 @@ class _OutgoingTransfer:
     def fail(self) -> None:
         if not self.done.fired:
             sim = self.endpoint.sim
-            if sim.bus.active:
+            if "pm.timeout" in sim.bus.wanted:
                 sim.bus.emit(obs_events.TransferTimedOut(
                     t=sim.now, endpoint=self.endpoint.addr, peer=self.peer,
                     call_number=self.call_number,
@@ -351,7 +351,7 @@ class PairedEndpoint:
                                  self.config.max_segment_data)
         transfer = _OutgoingTransfer(self, peer, msg_type, call_number, segs)
         self._sends[key] = transfer
-        if self.sim.bus.active:
+        if "pm.send" in self.sim.bus.wanted:
             self.sim.bus.emit(obs_events.MessageSent(
                 t=self.sim.now, endpoint=self.addr, peer=peer,
                 msg_type=msg_type, call_number=call_number,
@@ -382,7 +382,7 @@ class PairedEndpoint:
             retries = 0
             sent_once = False
             while segment.segment_number in transfer.unacked:
-                if sent_once and self.sim.bus.active:
+                if sent_once and "pm.retransmit" in self.sim.bus.wanted:
                     self.sim.bus.emit(obs_events.SegmentRetransmitted(
                         t=self.sim.now, endpoint=self.addr,
                         peer=transfer.peer, msg_type=transfer.msg_type,
@@ -427,7 +427,7 @@ class PairedEndpoint:
                                          segs)
             self._sends[key] = transfer
             transfers.append(transfer)
-            if self.sim.bus.active:
+            if "pm.send" in self.sim.bus.wanted:
                 self.sim.bus.emit(obs_events.MessageSent(
                     t=self.sim.now, endpoint=self.addr, peer=peer,
                     msg_type=msg_type, call_number=call_number,
@@ -580,7 +580,7 @@ class PairedEndpoint:
         self.counters["retransmit_rounds"] += 1
         yield from self.process.sigblock()
         for segment in outstanding:
-            if self.sim.bus.active:
+            if "pm.retransmit" in self.sim.bus.wanted:
                 self.sim.bus.emit(obs_events.SegmentRetransmitted(
                     t=self.sim.now, endpoint=self.addr,
                     peer=transfer.peer, msg_type=transfer.msg_type,
@@ -641,7 +641,7 @@ class PairedEndpoint:
             silence = self.sim.now - self._last_heard.get(peer, started)
             if silence >= config.crash_timeout:
                 self._return_waiters.pop(key, None)
-                if self.sim.bus.active:
+                if "pm.crash" in self.sim.bus.wanted:
                     self.sim.bus.emit(obs_events.PeerCrashDeclared(
                         t=self.sim.now, endpoint=self.addr, peer=peer,
                         silence=silence, call_number=call_number,
@@ -650,7 +650,7 @@ class PairedEndpoint:
                 raise PeerCrashed(peer)
             if silence >= config.probe_interval:
                 probe = seg.make_probe(call_number)
-                if self.sim.bus.active:
+                if "pm.probe" in self.sim.bus.wanted:
                     self.sim.bus.emit(obs_events.ProbeSent(
                         t=self.sim.now, endpoint=self.addr, peer=peer,
                         call_number=call_number, proc=self.process.name))
@@ -676,7 +676,7 @@ class PairedEndpoint:
         self._require_open()
         sent_at = self.sim.now
         probe = seg.make_probe(0)
-        if self.sim.bus.active:
+        if "pm.probe" in self.sim.bus.wanted:
             self.sim.bus.emit(obs_events.ProbeSent(
                 t=self.sim.now, endpoint=self.addr, peer=peer,
                 call_number=0, proc=self.process.name))
@@ -736,7 +736,7 @@ class PairedEndpoint:
     def _handle_explicit_ack(self, src: ProcessAddress, segment: Segment) -> None:
         transfer = self._sends.get((src, segment.msg_type, segment.call_number))
         if transfer is not None:
-            if self.sim.bus.active:
+            if "pm.ack_explicit" in self.sim.bus.wanted:
                 self.sim.bus.emit(obs_events.ExplicitAckReceived(
                     t=self.sim.now, endpoint=self.addr, peer=src,
                     msg_type=segment.msg_type,
@@ -750,7 +750,8 @@ class PairedEndpoint:
         if segment.msg_type == MSG_RETURN:
             call_xfer = self._sends.get((src, MSG_CALL, segment.call_number))
             if call_xfer is not None:
-                if not call_xfer.done.fired and self.sim.bus.active:
+                if (not call_xfer.done.fired
+                        and "pm.ack_implicit" in self.sim.bus.wanted):
                     self.sim.bus.emit(obs_events.ImplicitAck(
                         t=self.sim.now, endpoint=self.addr, peer=src,
                         call_number=segment.call_number, by="return",
@@ -760,7 +761,8 @@ class PairedEndpoint:
             for key, transfer in list(self._sends.items()):
                 if (key[0] == src and key[1] == MSG_RETURN
                         and key[2] < segment.call_number):
-                    if not transfer.done.fired and self.sim.bus.active:
+                    if (not transfer.done.fired
+                            and "pm.ack_implicit" in self.sim.bus.wanted):
                         self.sim.bus.emit(obs_events.ImplicitAck(
                             t=self.sim.now, endpoint=self.addr, peer=src,
                             call_number=key[2], by="call",
@@ -769,7 +771,7 @@ class PairedEndpoint:
 
         # Duplicate suppression for messages already delivered upward.
         if self._already_delivered(src, segment):
-            if self.sim.bus.active:
+            if "pm.dup" in self.sim.bus.wanted:
                 self.sim.bus.emit(obs_events.DuplicateSuppressed(
                     t=self.sim.now, endpoint=self.addr, peer=src,
                     msg_type=segment.msg_type,
@@ -812,7 +814,7 @@ class PairedEndpoint:
     def _deliver(self, assembly: _IncomingAssembly, requested_ack: bool) -> None:
         src = assembly.peer
         key = (src, assembly.msg_type, assembly.call_number)
-        if self.sim.bus.active:
+        if "pm.deliver" in self.sim.bus.wanted:
             self.sim.bus.emit(obs_events.MessageDelivered(
                 t=self.sim.now, endpoint=self.addr, peer=src,
                 msg_type=assembly.msg_type,

@@ -58,6 +58,7 @@ from typing import (
     Any,
     Callable,
     Deque,
+    Dict,
     Generator,
     Iterator,
     List,
@@ -238,8 +239,8 @@ class Process:
     """
 
     __slots__ = ("sim", "gen", "name", "alive", "result", "exception",
-                 "killed", "daemon", "observed", "_joiners", "_wait_cancel",
-                 "_step", "_stop_on_exit")
+                 "killed", "daemon", "observed", "group", "_joiners",
+                 "_wait_cancel", "_step", "_stop_on_exit")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str):
         self.sim = sim
@@ -259,6 +260,9 @@ class Process:
         self.daemon = False
         # Set by run_process: failures are re-raised there, not by run().
         self.observed = False
+        #: a dict this process is a key of and leaves when it exits (an
+        #: OsProcess's thread table), besides the simulator's own.
+        self.group: Optional[Dict["Process", None]] = None
         #: run_process sets this so _finish can stop the event loop
         #: without a per-callback stop_when() poll.
         self._stop_on_exit = False
@@ -322,7 +326,12 @@ class Process:
         self.result = result
         self.exception = exception
         self.killed = killed
-        if sim.bus.active:
+        # Retire: a finished process is reachable only through whoever
+        # still holds it (a joiner, run_process), not through the tables.
+        sim._processes.pop(self, None)
+        if self.group is not None:
+            self.group.pop(self, None)
+        if "sim.exit" in sim.bus.wanted:
             sim.bus.emit(obs_events.ProcessExited(
                 t=sim.now, name=self.name, killed=killed,
                 failed=exception is not None and not killed))
@@ -449,7 +458,8 @@ class Simulator:
         #: heap in run() — batched dispatch skips the heap entirely.
         self._ready: Deque[Tuple[float, int, _ScheduledCall]] = deque()
         self._seq: Iterator[int] = itertools.count()
-        self._processes: List[Process] = []
+        #: live processes, in spawn order (a dict so exit is O(1)).
+        self._processes: Dict[Process, None] = {}
         self._failures: List[Tuple[Process, BaseException]] = []
         self._proc_names = itertools.count()
         #: recycled _ScheduledCall handles (see module docstring).
@@ -603,9 +613,9 @@ class Simulator:
             name = "proc-%d" % next(self._proc_names)
         proc = Process(self, gen, name)
         proc.daemon = daemon
-        self._processes.append(proc)
+        self._processes[proc] = None
         self._schedule_now(proc._step_send, None)
-        if self.bus.active:
+        if "sim.spawn" in self.bus.wanted:
             self.bus.emit(obs_events.ProcessSpawned(
                 t=self.now, name=name, daemon=daemon))
         return proc
@@ -804,7 +814,7 @@ class Simulator:
             return entry[0]
 
     def live_processes(self) -> List[Process]:
-        return [p for p in self._processes if p.alive]
+        return list(self._processes)
 
     def perf_snapshot(self) -> dict:
         """Machine-independent kernel work counters (deterministic)."""

@@ -279,7 +279,7 @@ class ShardNetwork(Network):
         # differences are the per-link rng and the ownership routing at
         # the bottom.  Keep the structures in sync.
         bus = self.sim.bus
-        if bus.active:
+        if "net.send" in bus.wanted:
             bus.emit(obs_events.PacketSent(
                 t=self.sim.now, src=datagram.src, dst=datagram.dst,
                 payload=datagram.payload))
@@ -302,7 +302,7 @@ class ShardNetwork(Network):
         if rng.chance(self.config.duplicate_probability):
             copies = 2
             self.packets_duplicated += 1
-            if bus.active:
+            if "net.dup" in bus.wanted:
                 bus.emit(obs_events.PacketDuplicated(
                     t=self.sim.now, src=datagram.src, dst=datagram.dst))
         extra_delay = 0.0
@@ -316,7 +316,7 @@ class ShardNetwork(Network):
                     and rng.chance(fault.duplicate):
                 copies = 2
                 self.packets_duplicated += 1
-                if bus.active:
+                if "net.dup" in bus.wanted:
                     bus.emit(obs_events.PacketDuplicated(
                         t=self.sim.now, src=datagram.src, dst=datagram.dst))
             extra_delay += fault.extra_delay

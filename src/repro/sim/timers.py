@@ -116,7 +116,7 @@ class TimerService:
         self._alarm_deadline = None
         now = self.sim.now
         due = [t for t in self._timers if t.deadline <= now]
-        if due and self.sim.bus.active:
+        if due and "sim.timer" in self.sim.bus.wanted:
             self.sim.bus.emit(obs_events.TimerFired(t=now, due=len(due)))
         for timer in due:
             timer.active = False

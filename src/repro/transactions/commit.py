@@ -99,13 +99,13 @@ class CommitCoordinator:
             serial, ready = decode_vote(raw)
             votes.append(ready)
             serials.append(serial)
-            if sim.bus.active:
+            if "txn.vote" in sim.bus.wanted:
                 sim.bus.emit(obs_events.CommitVote(
                     t=sim.now, host=process.host, proc=process.name,
                     peer=peer, serial=serial, ready=ready))
         ok = ctx.group_complete and all(votes)
         self.decisions["commit" if ok else "abort"] += 1
-        if sim.bus.active:
+        if "txn.commit" in sim.bus.wanted:
             sim.bus.emit(obs_events.CommitOutcome(
                 t=sim.now, host=process.host, proc=process.name,
                 decision="commit" if ok else "abort", votes=len(votes),

@@ -118,7 +118,7 @@ class DeadlockDetector:
             return None
         victim = max(cycle, key=self.age_fn)
         self.deadlocks_broken += 1
-        if self.sim.bus.active:
+        if "txn.deadlock" in self.sim.bus.wanted:
             self.sim.bus.emit(obs_events.DeadlockDetected(
                 t=self.sim.now, cycle=tuple(str(n) for n in cycle),
                 victim=str(victim)))

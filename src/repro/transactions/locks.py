@@ -89,7 +89,7 @@ class LockTable:
         while not self._grantable(lock, txn, mode):
             if wait_started is None:
                 wait_started = self.sim.now
-                if self.sim.bus.active:
+                if "txn.lock_wait" in self.sim.bus.wanted:
                     self.sim.bus.emit(obs_events.LockWait(
                         t=self.sim.now, txn=str(txn), key=repr(key),
                         mode=mode,
@@ -104,7 +104,8 @@ class LockTable:
                 raise TransactionAborted(txn, "aborted while waiting for %r"
                                          % (key,))
         self._grant(lock, txn, mode)
-        if wait_started is not None and self.sim.bus.active:
+        if (wait_started is not None
+                and "txn.lock_grant" in self.sim.bus.wanted):
             self.sim.bus.emit(obs_events.LockGranted(
                 t=self.sim.now, txn=str(txn), key=repr(key), mode=mode,
                 waited=self.sim.now - wait_started))

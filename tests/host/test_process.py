@@ -169,3 +169,60 @@ def test_dead_process_rejects_syscalls():
     from repro.host import MachineCrashed
     with pytest.raises(MachineCrashed):
         sim.run_process(body())
+
+
+def test_finished_threads_are_retired_from_both_tables():
+    """A long run must not retain its finished threads: every replicated
+    call spawns (and finishes) an ``await-*`` thread per member, and both
+    the kernel's process table and the OS process's thread table used to
+    keep all of them — ~1.7 KiB per call, forever."""
+    from repro.core import ExportedModule
+    from repro.harness import World
+
+    def echo_module():
+        def echo(ctx, args):
+            return args
+            yield
+        return ExportedModule("echo", {0: echo})
+
+    world = World(machines=3, seed=3)
+    troupe, _ = world.make_troupe("echo", echo_module, degree=2)
+    client = world.make_client()
+    sim = world.sim
+
+    def tables():
+        threads = [t for runtime in world.runtimes
+                   for t in runtime.process._threads]
+        return list(sim._processes), threads
+
+    def body(calls):
+        for _ in range(calls):
+            yield from client.call_troupe(troupe, 0, 0, b"x")
+
+    world.run(body(50))
+    settled = tuple(len(table) for table in tables())
+    world.run(body(5000))
+    processes, threads = tables()
+    # Bounded by what is alive — not by how long the world has run.
+    assert all(p.alive for p in processes) and all(t.alive for t in threads)
+    assert processes == sim.live_processes()
+    assert (len(processes), len(threads)) == settled
+    assert len(processes) < 40
+
+
+def test_default_thread_names_count_spawns_not_live_threads():
+    """Names (and so every sim.spawn event and digest) must not depend on
+    how many earlier threads have already exited."""
+    sim, _net, proc, _other = make_proc()
+
+    def brief():
+        yield from proc.compute(1.0)
+
+    first = proc.spawn(brief())
+    sim.run()
+    assert not first.alive and first not in proc._threads
+    named = proc.spawn(brief(), name="worker")
+    third = proc.spawn(brief())
+    assert first.name.endswith("/thread0")
+    assert named.name.endswith("/worker")
+    assert third.name.endswith("/thread2")     # not thread1, nor thread0

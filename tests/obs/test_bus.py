@@ -1,10 +1,14 @@
 """Tests for the observability event bus (repro.obs.bus)."""
 
+import collections
+import contextlib
 import dataclasses
 
-from repro.core import ExportedModule
+import pytest
+
+from repro.core import CollationError, ExportedModule
 from repro.harness import World
-from repro.obs import EventBus, events
+from repro.obs import EventBus, MonitorSuite, events
 
 
 def _event(kind_cls, **kw):
@@ -14,14 +18,21 @@ def _event(kind_cls, **kw):
 
 def test_inactive_until_subscribed():
     bus = EventBus()
-    assert not bus.active
+    assert not bus.active and not bus.wanted
     assert bus.subscriber_count() == 0
     sub = bus.subscribe(lambda e: None)
     assert bus.active
+    assert bus.wanted == events.KINDS          # None: everything
     assert bus.subscriber_count() == 1
     bus.unsubscribe(sub)
-    assert not bus.active
+    assert not bus.active and not bus.wanted
     assert bus.subscriber_count() == 0
+
+
+def test_active_is_derived_and_read_only():
+    bus = EventBus()
+    with pytest.raises(AttributeError):
+        bus.active = True
 
 
 def test_unsubscribe_is_idempotent():
@@ -29,7 +40,7 @@ def test_unsubscribe_is_idempotent():
     sub = bus.subscribe(lambda e: None)
     bus.unsubscribe(sub)
     bus.unsubscribe(sub)          # second detach is a no-op
-    assert not bus.active
+    assert not bus.wanted
 
 
 def test_emit_without_subscribers_is_a_no_op():
@@ -76,7 +87,7 @@ def test_inactive_bus_emit_builds_no_kind_index():
     bus.unsubscribe(sub)
     # Detaching the last subscriber drops the index with it.
     assert bus._by_kind == {}
-    assert not bus.active
+    assert not bus.wanted
 
 
 def test_kind_index_is_invalidated_on_subscribe():
@@ -106,7 +117,7 @@ def test_handler_may_unsubscribe_during_emit():
     bus.emit(_event(events.TimerFired, due=1))
     bus.emit(_event(events.TimerFired, due=2))
     assert len(got) == 1
-    assert not bus.active
+    assert not bus.wanted
 
 
 def test_raising_handler_does_not_abort_emission():
@@ -211,18 +222,204 @@ def _one_call_world():
     return world, body
 
 
-def test_full_stack_run_with_no_subscribers_emits_nothing(monkeypatch):
+@pytest.fixture
+def constructed(monkeypatch):
+    """Counts every event *constructed*, by kind — the guard's promise is
+    about construction, not delivery."""
+    counts = collections.Counter()
+    for kind, cls in events.ALL_EVENTS.items():
+        def counting_init(self, *args, _init=cls.__init__, _kind=kind, **kw):
+            counts[_kind] += 1
+            _init(self, *args, **kw)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    return counts
+
+
+def test_full_stack_run_with_no_subscribers_constructs_nothing(constructed):
     world, body = _one_call_world()
-    emitted = []
-    original = EventBus.emit
-    monkeypatch.setattr(
-        EventBus, "emit",
-        lambda self, e: (emitted.append(e), original(self, e)))
-    assert not world.sim.bus.active
+    assert not world.sim.bus.wanted
     world.run(body())
-    # Every emission site checks bus.active first, so an unobserved run
-    # never constructs a single event object.
-    assert emitted == []
+    # Every emission site tests its kind against bus.wanted first, so an
+    # unobserved run never constructs a single event object.
+    assert not constructed
+
+
+def test_net_only_subscriber_costs_the_other_layers_nothing(constructed):
+    world, body = _one_call_world()
+    seen = []
+    world.sim.bus.subscribe(seen.append, "net.")
+    assert world.sim.bus.wanted == {
+        "net.send", "net.deliver", "net.drop", "net.dup"}
+    world.run(body())
+    assert constructed and all(k.startswith("net.") for k in constructed)
+    # ... and the subscriber still saw every packet.
+    assert len(seen) == sum(constructed.values())
+    assert constructed["net.send"] == world.net.packets_sent
+    assert constructed["net.deliver"] == world.net.packets_delivered
+
+
+def test_wanted_resolves_prefixes_against_the_vocabulary():
+    bus = EventBus()
+    sub = bus.subscribe(lambda e: None, "rpc.call")
+    assert bus.wanted == {"rpc.call_start", "rpc.call_end"}
+    other = bus.subscribe(lambda e: None, ("pm.send", "txn.vote", "no.such"))
+    assert bus.wanted == {"rpc.call_start", "rpc.call_end",
+                          "pm.send", "txn.vote"}
+    bus.unsubscribe(sub)
+    assert bus.wanted == {"pm.send", "txn.vote"}
+    bus.unsubscribe(other)
+    assert bus.wanted == frozenset()
+
+
+def test_subscribe_kinds_runs_one_handler_per_exact_kind():
+    bus = EventBus()
+    starts, ends, everything = [], [], []
+    bus.subscribe(everything.append)
+    sub = bus.subscribe_kinds({"rpc.call_start": starts.append,
+                               "rpc.call_end": ends.append})
+    start = _event(events.CallStarted)
+    end = _event(events.CallCompleted)
+    for e in (start, end, _event(events.Collated)):
+        bus.emit(e)
+    assert (starts, ends) == ([start], [end])
+    assert len(everything) == 3
+    bus.unsubscribe(sub)
+    bus.emit(_event(events.CallStarted))
+    assert starts == [start]
+
+
+def test_synthetic_kinds_outside_the_vocabulary_still_dispatch():
+    class Synthetic:
+        kind = "test.synthetic"
+        t = 0.0
+
+    bus = EventBus()
+    by_prefix, everything, exact = [], [], []
+    bus.subscribe(by_prefix.append, "test.")
+    bus.subscribe(everything.append)
+    bus.subscribe_kinds({"test.synthetic": exact.append})
+    assert "test.synthetic" not in bus.wanted      # not in the vocabulary
+    event = Synthetic()
+    bus.emit(event)                                # ... but emit delivers
+    assert by_prefix == everything == exact == [event]
+
+
+def test_handler_may_subscribe_during_emit():
+    bus = EventBus()
+    late = []
+
+    def recruiting(event):
+        if not late:
+            bus.subscribe(late.append)
+
+    bus.subscribe(recruiting)
+    first = _event(events.TimerFired, due=1)
+    bus.emit(first)               # delivered to the membership at emit time
+    assert late == []
+    second = _event(events.TimerFired, due=2)
+    bus.emit(second)
+    assert late == [second]
+
+
+def test_every_event_class_is_in_the_vocabulary():
+    """The guard is resolved against ALL_EVENTS: an event class left out
+    of it could never be constructed by a guarded site."""
+    declared = {cls for cls in vars(events).values()
+                if isinstance(cls, type)
+                and issubclass(cls, events.ObsEvent)
+                and cls is not events.ObsEvent}
+    assert declared == set(events.ALL_EVENTS.values())
+    assert events.KINDS == set(events.ALL_EVENTS)
+
+
+def test_installed_stamper_wants_every_kind(constructed):
+    """A MonitorSuite with no recorder subscribes to a handful of kinds,
+    but its clocks need every pm.send -> pm.deliver edge: while the
+    stamper is installed everything is constructed and stamped."""
+    world, body = _one_call_world()
+    bus = world.sim.bus
+    suite = MonitorSuite(world.sim)
+    assert bus.wanted == events.KINDS
+    world.run(body())
+    for kind in ("sim.spawn", "net.send", "net.deliver", "pm.send",
+                 "pm.deliver", "rpc.call_start", "rpc.exec_start"):
+        assert constructed[kind], kind
+    assert suite.clocks.stamped == sum(constructed.values())
+    # The execution's clock covers the client's call through the pm edge.
+    (server, *_rest) = [n for n in suite.clocks.nodes() if "echo" in n]
+    assert any("client" in n for n in suite.clocks.clock_of(server))
+    # Uninstalling narrows wanted back to what the monitors subscribe to.
+    suite.clocks.uninstall()
+    assert bus.wanted == {
+        "rpc.exec_start", "rpc.call_start", "rpc.result", "rpc.collate",
+        "txn.vote", "txn.commit", "pm.crash", "pm.retransmit", "pm.probe",
+        "bind.member"}
+    suite.detach()
+    assert not bus.wanted
+
+
+def test_violation_frontier_is_the_same_with_and_without_a_recorder():
+    """The recorder subscribes to everything, the bare suite to ten
+    kinds; the stamps (and so a violation's causal frontier) must not
+    depend on which one is attached."""
+    def _corrupt_replica_world():
+        world = World(machines=4, seed=5, troupe_id_base=100)
+        built = []
+
+        def factory():
+            index = len(built)
+            built.append(index)
+
+            def echo(ctx, args):
+                yield from ctx.compute(1.0)
+                return (b"corrupt:" if index == 1 else b"echo:") + args
+            return ExportedModule("echo", {0: echo})
+
+        troupe, _ = world.make_troupe("echo", factory, degree=3)
+        client = world.make_client()
+
+        def body():
+            with contextlib.suppress(CollationError):
+                yield from client.call_troupe(troupe, 0, 0, b"poison")
+        return world, body
+
+    def frontier(attach):
+        world, body = _corrupt_replica_world()
+        with attach(world) as probe:
+            world.run(body())
+        (violation,) = probe.violations
+        return violation.lamport, dict(violation.vc)
+
+    class BareSuite:
+        def __init__(self, world):
+            self.world = world
+
+        def __enter__(self):
+            self.suite = MonitorSuite(self.world.sim)
+            return self.suite
+
+        def __exit__(self, *exc_info):
+            self.suite.detach()
+
+    assert frontier(BareSuite) == frontier(lambda world: world.watch())
+
+
+def test_wanted_is_empty_again_after_watch_and_observe_exit():
+    world, body = _one_call_world()
+    bus = world.sim.bus
+    with world.watch(trace=True):
+        with world.observe():
+            assert bus.wanted == events.KINDS
+            world.run(body())
+        assert bus.wanted == events.KINDS      # the stamper is still in
+    assert not bus.wanted
+    assert bus.stamper is None
+    assert bus.subscriber_count() == 0
+    with world.observe():
+        # No stamper: only what the three collectors handle (no mon.*
+        # except the violations series).
+        assert "net.send" in bus.wanted and "mon.error" not in bus.wanted
+    assert not bus.wanted
 
 
 def test_full_stack_run_publishes_every_layer():
