@@ -7,7 +7,7 @@
 Thin CLI wrapper: the comparison logic lives in
 ``repro.bench.compare`` so that ``repro perf --compare`` runs the exact
 same gate locally in one command.  See that module for the semantics
-(table/row matching, gate_columns, --require-all).
+(table/row matching, --require-all).
 """
 
 from __future__ import annotations

@@ -5,7 +5,11 @@
   Table 4.3, and the series of Figure 4.8, plus the paper's reference
   values for side-by-side comparison;
 - :mod:`repro.bench.report` — registered paper-vs-measured tables,
-  printed in the benchmark run's terminal summary.
+  printed in the benchmark run's terminal summary;
+- :mod:`repro.bench.scenarios` — the canned scenarios the CLI and the
+  gated tables run;
+- :mod:`repro.bench.gated` — the deterministic work tables CI gates
+  against ``BENCH_PERF.json``, one spec each.
 
 The experiment drivers for Eq 5.1, Eq 6.1/6.2, the §4.4.2 multicast
 analysis, and the ablations live in the ``benchmarks/`` suite itself.

@@ -10,9 +10,8 @@ Used from two front doors with identical semantics:
 
 Both baselines hold the ``{"tables": [Table.to_dict(), ...]}`` shape.
 Tables are matched by title and rows by their first column (the
-workload label); every shared numeric cell gets a delta.  A table's
-``gate_columns`` (when present) restricts which columns can fail the
-gate — the rest are reported informationally.
+workload label); every shared numeric cell gets a delta and can fail
+the gate.
 
 The simulation is deterministic, so most columns should match the
 baseline exactly; drift means the protocol's behaviour changed, which
@@ -22,23 +21,18 @@ is exactly what a PR reviewer wants surfaced.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-#: title -> (columns, {row_label -> row}, gate_columns)
-TableIndex = Dict[str, Tuple[List[str], Dict[str, list], Optional[List[str]]]]
+#: title -> (columns, {row_label -> row})
+TableIndex = Dict[str, Tuple[List[str], Dict[str, list]]]
 
 
 def index_payload(payload: dict) -> TableIndex:
-    """Index a ``{"tables": [...]}`` payload for comparison.
-
-    ``gate_columns`` is ``None`` when the table gates every numeric
-    column (the default), else the subset of column names the gate
-    enforces — the rest are reported informationally."""
+    """Index a ``{"tables": [...]}`` payload for comparison."""
     tables: TableIndex = {}
     for table in payload.get("tables", []):
         rows = {str(row[0]): row for row in table.get("rows", []) if row}
-        tables[table["title"]] = (table.get("columns", []), rows,
-                                  table.get("gate_columns"))
+        tables[table["title"]] = (table.get("columns", []), rows)
     return tables
 
 
@@ -64,13 +58,13 @@ def compare(baseline: TableIndex, results: TableIndex, threshold: float,
     benchmark cannot silently pass)."""
     regressions = []
     lines = []
-    for title, (columns, base_rows, gate_columns) in sorted(baseline.items()):
+    for title, (columns, base_rows) in sorted(baseline.items()):
         if title not in results:
             lines.append("MISSING table in results: %s" % title)
             if require_all:
                 regressions.append((title, None, None, None, None, None))
             continue
-        _new_columns, new_rows, _ = results[title]
+        _new_columns, new_rows = results[title]
         header_shown = False
         for label, base_row in base_rows.items():
             new_row = new_rows.get(label)
@@ -92,9 +86,8 @@ def compare(baseline: TableIndex, results: TableIndex, threshold: float,
                     lines.append(title)
                     header_shown = True
                 column = columns[i] if i < len(columns) else "col%d" % i
-                gated = gate_columns is None or column in gate_columns
-                flag = "" if gated else "  (informational, not gated)"
-                if gated and threshold and abs(delta) > threshold:
+                flag = ""
+                if threshold and abs(delta) > threshold:
                     flag = "  <-- exceeds %.0f%%" % threshold
                     regressions.append((title, label, column, b, n, delta))
                 lines.append("  %-20s %-18s %12g -> %-12g %+8.2f%%%s"

@@ -25,8 +25,7 @@ class Table:
 
     def __init__(self, title: str, columns: Sequence[str],
                  notes: Optional[str] = None,
-                 formats: Optional[Sequence[Optional[str]]] = None,
-                 gate_columns: Optional[Sequence[str]] = None):
+                 formats: Optional[Sequence[Optional[str]]] = None):
         self.title = title
         self.columns = list(columns)
         self.rows: List[List[Any]] = []
@@ -35,17 +34,6 @@ class Table:
             raise ValueError("formats has %d entries; table has %d columns"
                              % (len(formats), len(self.columns)))
         self.formats = list(formats) if formats is not None else None
-        if gate_columns is not None:
-            unknown = set(gate_columns) - set(self.columns)
-            if unknown:
-                raise ValueError("gate_columns not in table: %s"
-                                 % ", ".join(sorted(unknown)))
-        #: When set, ``benchmarks/compare.py`` only fails the perf gate
-        #: on these columns; the rest are reported informationally (how
-        #: a wall-clock column can ride in a gated table).  ``None``
-        #: keeps the default: every numeric column gates.
-        self.gate_columns = list(gate_columns) \
-            if gate_columns is not None else None
 
     def add_row(self, *values: Any) -> None:
         if len(values) != len(self.columns):
@@ -85,15 +73,12 @@ class Table:
 
     def to_dict(self) -> Dict[str, Any]:
         """The table as plain JSON-serializable data (``--bench-json``)."""
-        out = {
+        return {
             "title": self.title,
             "columns": self.columns,
             "rows": [list(row) for row in self.rows],
             "notes": self.notes,
         }
-        if self.gate_columns is not None:
-            out["gate_columns"] = self.gate_columns
-        return out
 
 
 _REGISTRY: Dict[str, Table] = {}

@@ -39,6 +39,12 @@ from repro.bench.echo import (
     run_udp_echo,
 )
 from repro.bench.report import Table
+from repro.bench.scenarios import (
+    circus as _scenario_circus,
+    lossy as _scenario_lossy,
+    protocol_trace as _scenario_protocol_trace,
+    quickstart as _scenario_quickstart,
+)
 
 
 def cmd_table41(args) -> None:
@@ -145,140 +151,66 @@ def cmd_availability(args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Observability scenarios (repro trace / repro metrics)
+# Shared input handling: scenario names and JSON files
 # ---------------------------------------------------------------------------
 
-def _echo_module():
-    from repro.core import ExportedModule
-
-    def echo(ctx, args):
-        yield from ctx.compute(1.0)
-        return b"echo:" + args
-
-    return ExportedModule("echo", {0: echo})
+class CliError(Exception):
+    """Bad user input; :func:`main` prints it as ``repro: <message>`` on
+    stderr and exits 2."""
 
 
-def _scenario_quickstart():
-    """The examples/quickstart.py scenario: a 3-member echo troupe
-    answering replicated calls while its machines crash underneath it."""
-    from repro.core import TroupeFailure
-    from repro.harness import World
-
-    world = World(machines=5, seed=42)
-    troupe, _members = world.make_troupe("echo-service", _echo_module,
-                                         degree=3)
-    client = world.make_client()
-
-    def body():
-        yield from client.call_troupe(troupe, 0, 0, b"hello")
-        world.machine(troupe.members[0].process.host).crash()
-        yield from client.call_troupe(troupe, 0, 0, b"still there?")
-        world.machine(troupe.members[1].process.host).crash()
-        yield from client.call_troupe(troupe, 0, 0, b"last one?")
-        world.machine(troupe.members[2].process.host).crash()
-        try:
-            yield from client.call_troupe(troupe, 0, 0, b"anyone?")
-        except TroupeFailure:
-            pass
-
-    return world, body
-
-
-def _scenario_protocol_trace():
-    """The examples/protocol_trace.py scenario: one replicated call to a
-    2-member troupe."""
-    from repro.harness import World
-
-    world = World(machines=3, seed=5,
-                  machine_names=["client", "server-1", "server-2"])
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=2,
-                                  on_machines=["server-1", "server-2"])
-    client = world.make_client("client")
-
-    def body():
-        yield from client.call_troupe(troupe, 0, 0, b"hi")
-
-    return world, body
-
-
-def _scenario_circus(iterations: int):
-    """``iterations`` sequential replicated calls to a 3-member troupe —
-    the Table 4.1 Circus(3) shape, with the bus attached."""
-    from repro.harness import World
-
-    world = World(machines=4, seed=7)
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=3)
-    client = world.make_client()
-
-    def body():
-        for i in range(iterations):
-            yield from client.call_troupe(troupe, 0, 0, b"ping %d" % i)
-
-    return world, body
-
-
-def _scenario_lossy():
-    """A 3-member troupe under a lossy, duplicating wire plus a machine
-    crash mid-run: every recovery path (retransmission, duplicate
-    suppression, crash declaration) exercises under the monitors.  The
-    seed is fixed so the run — and its silence — is reproducible."""
-    from repro.core import TroupeFailure
-    from repro.harness import World
-    from repro.net.network import NetworkConfig
-
-    world = World(machines=5, seed=1234,
-                  net_config=NetworkConfig(loss_probability=0.05,
-                                           duplicate_probability=0.02))
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=3)
-    client = world.make_client()
-
-    def body():
-        for i in range(10):
-            yield from client.call_troupe(troupe, 0, 0, b"lossy %d" % i)
-        world.machine(troupe.members[0].process.host).crash()
-        try:
-            for i in range(5):
-                yield from client.call_troupe(troupe, 0, 0, b"after %d" % i)
-        except TroupeFailure:
-            pass
-
-    return world, body
-
-
-#: target name -> scenario factory (callable of no args).
-TRACE_SCENARIOS = {
-    "quickstart": _scenario_quickstart,
-    "protocol_trace": _scenario_protocol_trace,
-}
-
-#: scenarios ``repro check`` can monitor; the circus and lossy shapes
-#: join the traceable ones.
+#: every canned scenario (all four are ``repro check`` targets).
 CHECK_SCENARIOS = {
     "quickstart": _scenario_quickstart,
     "protocol_trace": _scenario_protocol_trace,
-    "circus": None,          # parameterized by --iterations
+    "circus": _scenario_circus,          # parameterized by --iterations
     "lossy": _scenario_lossy,
 }
 
+#: the ones ``repro trace`` accepts (it has no --iterations) ...
+TRACE_SCENARIOS = ("quickstart", "protocol_trace")
+#: ... and the ``bench`` argument of metrics / critpath / top.
+BENCH_SCENARIOS = TRACE_SCENARIOS + ("circus",)
 
-def _resolve_scenario(target: str):
-    name = target.replace("\\", "/").rstrip("/")
+
+def _scenario(target: str, names, iterations: int = 30):
+    """Resolve a scenario argument — a bare name or a path such as
+    ``examples/quickstart.py`` — against ``names`` and build it; returns
+    ``(name, world, body)``."""
+    name = target.replace("\\", "/").rstrip("/").rsplit("/", 1)[-1]
     if name.endswith(".py"):
         name = name[:-3]
-    if "/" in name:
-        name = name.rsplit("/", 1)[1]
-    if name not in TRACE_SCENARIOS:
-        raise SystemExit(
-            "unknown scenario %r (choose from: %s)"
-            % (target, ", ".join(sorted(TRACE_SCENARIOS))))
-    return name, TRACE_SCENARIOS[name]
+    if name not in names:
+        raise SystemExit("unknown scenario %r (choose from: %s)"
+                         % (target, ", ".join(sorted(names))))
+    factory = CHECK_SCENARIOS[name]
+    world, body = (factory(iterations) if factory is _scenario_circus
+                   else factory())
+    return name, world, body
+
+
+def _load_json(path: str, parse=None):
+    """Read a user-supplied JSON file and hand its content to ``parse``;
+    a missing file, malformed JSON or the wrong shape all become one
+    :class:`CliError` naming the path."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        return data if parse is None else parse(data)
+    except OSError as exc:
+        raise CliError("%s: %s" % (path, exc.strerror)) from None
+    except json.JSONDecodeError as exc:
+        raise CliError("%s: not JSON (%s)" % (path, exc)) from None
+    except KeyError as exc:
+        raise CliError("%s: missing field %s" % (path, exc)) from None
+    except (TypeError, ValueError) as exc:
+        raise CliError("%s: %s" % (path, exc)) from None
 
 
 def cmd_trace(args) -> None:
     from repro.obs import trace_calls
 
-    name, factory = _resolve_scenario(args.target)
-    world, body = factory()
+    name, world, body = _scenario(args.target, TRACE_SCENARIOS)
     with trace_calls(world.sim) as tracer:
         world.run(body())
     out = args.out or ("%s_trace.json" % name)
@@ -294,17 +226,12 @@ def cmd_trace(args) -> None:
 
 
 def cmd_metrics(args) -> int:
-    from repro.bench.report import Table
     from repro.obs import (SCHEMA_VERSION, CritPathAnalyzer,
                            MetricsCollector, TimeSeriesCollector,
                            openmetrics)
 
-    bench = args.bench
-    if bench == "circus":
-        world, body = _scenario_circus(args.iterations)
-    else:
-        _name, factory = _resolve_scenario(bench)
-        world, body = factory()
+    _name, world, body = _scenario(args.bench, BENCH_SCENARIOS,
+                                   args.iterations)
     want_om = getattr(args, "openmetrics", False)
     with MetricsCollector(world.sim.bus) as collector:
         if want_om:
@@ -323,7 +250,7 @@ def cmd_metrics(args) -> int:
         # diff metrics snapshots with the same tooling as benchmarks —
         # schema-versioned and key-sorted, so two same-seed runs are
         # byte-identical.
-        table = Table("metrics: %s" % bench, ["metric", "value"])
+        table = Table("metrics: %s" % args.bench, ["metric", "value"])
         for key, value in collector.registry.snapshot().items():
             table.add_row(key, value)
         print(json.dumps({"schema_version": SCHEMA_VERSION,
@@ -338,18 +265,14 @@ def cmd_critpath(args) -> int:
     """Critical-path latency attribution over a canned scenario."""
     from repro.obs import SCHEMA_VERSION, CritPathAnalyzer
 
-    bench = args.bench
-    if bench == "circus":
-        world, body = _scenario_circus(args.iterations)
-    else:
-        _name, factory = _resolve_scenario(bench)
-        world, body = factory()
+    _name, world, body = _scenario(args.bench, BENCH_SCENARIOS,
+                                   args.iterations)
     with CritPathAnalyzer(world.sim) as critpath:
         world.run(body())
     report = critpath.report()
     if args.json:
         payload = {"schema_version": SCHEMA_VERSION,
-                   "workload": bench,
+                   "workload": args.bench,
                    "report": report}
         if args.per_call:
             payload["calls"] = [p.to_dict() for p in critpath.paths()]
@@ -370,12 +293,8 @@ def cmd_top(args) -> int:
     """Live per-troupe rates, stage breakdown, and task progress."""
     from repro.obs.top import live_top
 
-    bench = args.bench
-    if bench == "circus":
-        world, body = _scenario_circus(args.iterations)
-    else:
-        _name, factory = _resolve_scenario(bench)
-        world, body = factory()
+    _name, world, body = _scenario(args.bench, BENCH_SCENARIOS,
+                                   args.iterations)
     final = live_top(world, body(), slice_ms=args.slice,
                      max_frames=args.frames,
                      use_curses=not args.plain)
@@ -394,10 +313,7 @@ def _check_one(name: str, iterations: int, dump_dir: str) -> int:
     from repro.obs.monitor import watch
     from repro.obs.recorder import render_postmortem
 
-    if name == "circus":
-        world, body = _scenario_circus(iterations)
-    else:
-        world, body = CHECK_SCENARIOS[name]()
+    name, world, body = _scenario(name, CHECK_SCENARIOS, iterations)
     crashed = None
     with watch(world.sim, trace=True) as probe:
         try:
@@ -423,24 +339,11 @@ def _check_one(name: str, iterations: int, dump_dir: str) -> int:
 
 def cmd_check(args) -> int:
     names = sorted(CHECK_SCENARIOS) if args.scenario == "all" \
-        else [_check_scenario_name(args.scenario)]
+        else [args.scenario]
     failures = 0
     for name in names:
         failures += _check_one(name, args.iterations, args.dump_dir)
     return 1 if failures else 0
-
-
-def _check_scenario_name(target: str) -> str:
-    name = target.replace("\\", "/").rstrip("/")
-    if name.endswith(".py"):
-        name = name[:-3]
-    if "/" in name:
-        name = name.rsplit("/", 1)[1]
-    if name not in CHECK_SCENARIOS:
-        raise SystemExit(
-            "unknown scenario %r (choose from: all, %s)"
-            % (target, ", ".join(sorted(CHECK_SCENARIOS))))
-    return name
 
 
 def cmd_shard(args) -> int:
@@ -549,126 +452,45 @@ def cmd_elastic(args) -> int:
 
 
 def cmd_perf(args) -> int:
-    """Wall-clock throughput plus the deterministic proxy metric.
+    """The deterministic work-per-call tables (``repro.bench.gated``).
 
-    ``--compare [BASELINE]`` instead rebuilds every CI-gated table and
-    runs the BENCH_PERF.json drift gate locally (per-column deltas plus
-    the 5% verdict) — the one-command equivalent of the pytest
-    ``--bench-json`` + ``benchmarks/compare.py`` pipeline CI runs.
+    ``--compare [BASELINE]`` holds them to BENCH_PERF.json (per-column
+    deltas plus the 5% verdict) — the one-command equivalent of the
+    pytest ``--bench-json`` + ``benchmarks/compare.py`` pipeline CI runs.
+    No wall clock is read: host-time numbers are ``python3 -m
+    wallbench``'s job, and two runs of ``--json`` are byte-identical.
 
     ``--profile PATH`` additionally runs the circus workload under
     cProfile and writes a pstats dump for ``snakeviz``/``pstats``.
     """
     from repro import accel
-    from repro.bench import perf
+    from repro.bench import gated
+    from repro.bench.compare import index_payload, run_compare
+    from repro.obs.export import SCHEMA_VERSION
 
-    if getattr(args, "compare", None) is not None:
-        from repro.bench import gated
-        from repro.bench.compare import (index_payload, load_tables,
-                                         run_compare)
+    baseline = None if args.compare is None \
+        else _load_json(args.compare, index_payload)
+    tables = gated.all_gated_tables(args.iterations)
+    payload = {"tables": [table.to_dict() for table in tables]}
+    if baseline is not None:
         print("build: %s" % accel.describe())
-        print("rebuilding the %d gated tables (iterations=%d)..."
-              % (len(gated.GATED_BUILDERS), args.iterations))
-        tables = gated.all_gated_tables(iterations=args.iterations)
-        results = index_payload({"tables": [t.to_dict() for t in tables]})
-        baseline = load_tables(args.compare)
-        status = run_compare(baseline, results, threshold=args.threshold,
-                             require_all=True, baseline_name=args.compare)
+        status = run_compare(baseline, index_payload(payload),
+                             threshold=args.threshold, require_all=True,
+                             baseline_name=args.compare)
         print("verdict: %s (threshold %.0f%%)"
               % ("FAIL" if status else "PASS", args.threshold))
         return status
-
-    tables = []
-
-    metrics = perf.proxy_metrics(iterations=args.iterations)
-    seed = perf.SEED_PROXY["circus-200"]
-    proxy_table = Table(
-        "Kernel hot-path proxy metric (work per replicated call)",
-        ["workload", "callbacks/call", "allocs/call",
-         "proxy (callbacks+allocs)"],
-        formats=[None, "%.2f", "%.2f", "%.2f"],
-        notes="Deterministic; the CI gate compares the circus row "
-              "against BENCH_PERF.json.")
-    proxy_table.add_row("circus-200 (seed)", seed["callbacks_per_call"],
-                        seed["allocs_per_call"], seed["proxy"])
-    proxy_table.add_row("circus-%d" % args.iterations,
-                        metrics["callbacks_per_call"],
-                        metrics["allocs_per_call"], metrics["proxy"])
-    tables.append(proxy_table)
-
-    path_metrics = perf.message_path_metrics(iterations=args.iterations)
-    path_seed = perf.SEED_MESSAGE_PATH["circus-200"]
-    path_table = Table(
-        "Message-path proxy metric (work per replicated call)",
-        ["workload", "encodes/call", "daemons/call", "packets/call",
-         "msg proxy (encodes+daemons)"],
-        formats=[None, "%.2f", "%.2f", "%.2f", "%.2f"],
-        notes="Deterministic; the CI gate compares the circus row "
-              "against BENCH_PERF.json.  packets/call is pinned to the "
-              "seed: the optimizations change per-packet work, not what "
-              "goes on the wire.")
-    path_table.add_row("circus-200 (seed)", path_seed["encodes_per_call"],
-                       path_seed["daemons_per_call"],
-                       path_seed["packets_per_call"], path_seed["msg_proxy"])
-    path_table.add_row("circus-%d" % args.iterations,
-                       path_metrics["encodes_per_call"],
-                       path_metrics["daemons_per_call"],
-                       path_metrics["packets_per_call"],
-                       path_metrics["msg_proxy"])
-    tables.append(path_table)
-
-    kernel_table = Table(
-        "Wall-clock: kernel events/sec (this machine)",
-        ["workload", "events/sec"], formats=[None, "%.0f"])
-    for kind in ("timer", "pingpong", "select"):
-        rate, _snapshot = perf.kernel_events_per_sec(kind)
-        kernel_table.add_row(kind, rate)
-    tables.append(kernel_table)
-
-    plain, watched, ratio = perf.monitor_overhead_ratio(
-        iterations=min(args.iterations, 100))
-    calls_table = Table(
-        "Wall-clock: replicated calls/sec (this machine)",
-        ["configuration", "calls/sec", "overhead ratio"],
-        formats=[None, "%.0f", "%.2f"])
-    calls_table.add_row("unobserved", plain, 1.0)
-    calls_table.add_row("with-monitors", watched, ratio)
-    tables.append(calls_table)
-
-    obs_work = perf.obs_work_metrics(iterations=args.iterations)
-    _plain, active, observed, obs_ratio = perf.observability_overhead_ratio(
-        iterations=min(args.iterations, 100))
-    obs_table = Table(
-        "Observability telemetry (work per replicated call + overhead)",
-        ["workload", "events/call", "ts updates/call", "milestones/call",
-         "attributed %", "residual %", "overhead ratio (wall)"],
-        formats=[None, "%.2f", "%.2f", "%.2f", "%.2f", "%.2f", "%.3f"],
-        notes="Time-series + critical-path subscribers on the circus "
-              "workload; the wall ratio is telemetry time over "
-              "active-bus time per call (this machine).")
-    obs_table.add_row("circus-%d" % args.iterations,
-                      obs_work["events_per_call"],
-                      obs_work["ts_updates_per_call"],
-                      obs_work["milestones_per_call"],
-                      obs_work["attributed_pct"],
-                      obs_work["residual_pct"], obs_ratio)
-    tables.append(obs_table)
-
-    if getattr(args, "json", False):
-        from repro.obs.export import SCHEMA_VERSION
+    if args.json:
         print(json.dumps({"schema_version": SCHEMA_VERSION,
-                          "build": accel.status(),
-                          "tables": [t.to_dict() for t in tables]},
+                          "build": accel.status(), **payload},
                          indent=2, sort_keys=True))
     else:
         print("build: %s" % accel.describe())
         for table in tables:
             print(table.render())
-
     if args.profile:
         import cProfile
 
-        from repro.cli import _scenario_circus
         world, body = _scenario_circus(args.iterations)
         profiler = cProfile.Profile()
         profiler.enable()
@@ -683,10 +505,9 @@ def cmd_perf(args) -> int:
 
 def _fuzz_seeds(args):
     if args.seed_file:
-        with open(args.seed_file) as fh:
-            data = json.load(fh)
-        seeds = data["seeds"] if isinstance(data, dict) else data
-        return [int(s) for s in seeds]
+        return _load_json(args.seed_file, lambda data: [
+            int(s) for s in (data["seeds"] if isinstance(data, dict)
+                             else data)])
     return list(range(args.base_seed, args.base_seed + args.seeds))
 
 
@@ -726,8 +547,10 @@ def cmd_fuzz(args) -> int:
         return 0
 
     if args.replay:
-        result = explore.replay_file(args.replay, budget=args.budget,
-                                     oracles=oracles)
+        schedule = _load_json(args.replay, explore.FaultSchedule.from_dict)
+        result = explore.run(schedule.scenario, schedule.seed,
+                             schedule=schedule, budget=args.budget,
+                             oracles=oracles)
         print("replay %s: %s" % (args.replay, result.summary()))
         print("digest: %s" % result.digest())
         if not result.ok and result.postmortem is not None:
@@ -822,8 +645,7 @@ def cmd_fuzz(args) -> int:
 def cmd_postmortem(args) -> int:
     from repro.obs.recorder import render_postmortem
 
-    with open(args.dump) as fh:
-        report = json.load(fh)
+    report = _load_json(args.dump)
     print(render_postmortem(report))
     return 1 if (report.get("violations") or report.get("crash")) else 0
 
@@ -833,7 +655,7 @@ def cmd_lincheck(args) -> int:
     from repro.obs.history import OperationHistory, format_operation
     from repro.obs.lincheck import check_history
 
-    history = OperationHistory.load(args.history)
+    history = _load_json(args.history, OperationHistory.from_dict)
     result = check_history(history, semantics=args.semantics or None)
     if args.json:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
@@ -855,7 +677,8 @@ def cmd_lincheck(args) -> int:
     return 1
 
 
-COMMANDS = {
+#: the paper's experiments (``repro all`` runs every one) ...
+EXPERIMENTS = {
     "table41": cmd_table41,
     "table42": cmd_table42,
     "table43": cmd_table43,
@@ -866,6 +689,19 @@ COMMANDS = {
 }
 
 
+def cmd_all(args) -> None:
+    for name in sorted(EXPERIMENTS):
+        EXPERIMENTS[name](args)
+
+
+#: ... and every subcommand :func:`main` dispatches.
+COMMANDS = dict(
+    EXPERIMENTS, all=cmd_all, trace=cmd_trace, metrics=cmd_metrics,
+    critpath=cmd_critpath, top=cmd_top, check=cmd_check,
+    postmortem=cmd_postmortem, fuzz=cmd_fuzz, lincheck=cmd_lincheck,
+    perf=cmd_perf, shard=cmd_shard, elastic=cmd_elastic)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -873,8 +709,7 @@ def main(argv=None) -> int:
                     "Programs' (Cooper, 1985).")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
-    experiments = sorted(COMMANDS) + ["all"]
-    for name in experiments:
+    for name in sorted(EXPERIMENTS) + ["all"]:
         cmd = sub.add_parser(name, help="run the %s experiment" % name
                              if name != "all" else "run every experiment")
         cmd.add_argument("--iterations", type=int, default=30,
@@ -1004,11 +839,11 @@ def main(argv=None) -> int:
     lincheck_cmd.add_argument("--json", action="store_true",
                               help="emit the CheckResult as JSON")
     perf_cmd = sub.add_parser(
-        "perf", help="measure simulator throughput: wall-clock events/sec "
-                     "and the deterministic proxy metric")
+        "perf", help="the deterministic work-per-call tables CI gates "
+                     "(wall-clock numbers: python3 -m wallbench)")
     perf_cmd.add_argument("--iterations", type=int, default=200,
-                          help="circus calls for the proxy metric "
-                               "(default 200, the gated row)")
+                          help="circus calls behind the circus rows "
+                               "(default 200, the gated rows)")
     perf_cmd.add_argument("--json", action="store_true",
                           help="emit {\"tables\": [...]} JSON")
     perf_cmd.add_argument("--profile", default=None, metavar="PATH",
@@ -1016,8 +851,7 @@ def main(argv=None) -> int:
                                "a pstats dump to PATH")
     perf_cmd.add_argument("--compare", nargs="?", const="BENCH_PERF.json",
                           default=None, metavar="BASELINE",
-                          help="rebuild every CI-gated table and run the "
-                               "drift gate against BASELINE (default "
+                          help="run the drift gate against BASELINE (default "
                                "BENCH_PERF.json): per-column deltas plus "
                                "the 5%% verdict; exit 1 on regression")
     perf_cmd.add_argument("--threshold", type=float, default=5.0,
@@ -1085,34 +919,11 @@ def main(argv=None) -> int:
                                   "(byte-identical across reruns of the "
                                   "same seed)")
     args = parser.parse_args(argv)
-    if args.command == "trace":
-        cmd_trace(args)
-    elif args.command == "metrics":
-        return cmd_metrics(args)
-    elif args.command == "critpath":
-        return cmd_critpath(args)
-    elif args.command == "top":
-        return cmd_top(args)
-    elif args.command == "check":
-        return cmd_check(args)
-    elif args.command == "postmortem":
-        return cmd_postmortem(args)
-    elif args.command == "fuzz":
-        return cmd_fuzz(args)
-    elif args.command == "lincheck":
-        return cmd_lincheck(args)
-    elif args.command == "perf":
-        return cmd_perf(args)
-    elif args.command == "shard":
-        return cmd_shard(args)
-    elif args.command == "elastic":
-        return cmd_elastic(args)
-    elif args.command == "all":
-        for name in sorted(COMMANDS):
-            COMMANDS[name](args)
-    else:
-        COMMANDS[args.command](args)
-    return 0
+    try:
+        return COMMANDS[args.command](args) or 0
+    except CliError as exc:
+        print("repro: %s" % exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -264,11 +264,12 @@ class Network:
         if not self.reachable(datagram.src.host, datagram.dst.host):
             self._drop(datagram, "partition")
             return
-        if self.rng.chance(self.config.loss_probability):
+        rng = self._link_rng(datagram.src.host, datagram.dst.host)
+        if rng.chance(self.config.loss_probability):
             self._drop(datagram, "loss")
             return
         copies = 1
-        if self.rng.chance(self.config.duplicate_probability):
+        if rng.chance(self.config.duplicate_probability):
             copies = 2
             self.packets_duplicated += 1
             if "net.dup" in bus.wanted:
@@ -281,23 +282,32 @@ class Network:
         for fault in self._faults:
             if not fault.matches(datagram.src.host, datagram.dst.host):
                 continue
-            if fault.loss and self.rng.chance(fault.loss):
+            if fault.loss and rng.chance(fault.loss):
                 self._drop(datagram, "fault-loss")
                 return
             if copies == 1 and fault.duplicate \
-                    and self.rng.chance(fault.duplicate):
+                    and rng.chance(fault.duplicate):
                 copies = 2
                 self.packets_duplicated += 1
                 if "net.dup" in bus.wanted:
                     bus.emit(obs_events.PacketDuplicated(
                         t=self.sim.now, src=datagram.src, dst=datagram.dst))
             extra_delay += fault.extra_delay
-            if fault.reorder and self.rng.chance(fault.reorder):
-                extra_delay += self.rng.uniform(0.0, fault.reorder_hold)
+            if fault.reorder and rng.chance(fault.reorder):
+                extra_delay += rng.uniform(0.0, fault.reorder_hold)
         for _ in range(copies):
-            delay = extra_delay + self.config.transit_time(
-                datagram.size, self.rng)
-            self.sim.schedule(delay, self._deliver, datagram)
+            self._carry(datagram, extra_delay + self.config.transit_time(
+                datagram.size, rng))
+
+    def _link_rng(self, src: str, dst: str) -> RandomStream:
+        """The stream every draw for a ``src -> dst`` datagram comes from:
+        one for the whole wire.  (:class:`repro.sim.sharded.ShardNetwork`
+        keeps one per directed link.)"""
+        return self.rng
+
+    def _carry(self, datagram: Datagram, delay: float) -> None:
+        """The datagram survived the wire and arrives after ``delay``."""
+        self.sim.schedule(delay, self._deliver, datagram)
 
     def _drop(self, datagram: Datagram, reason: str) -> None:
         self.packets_dropped += 1

@@ -23,7 +23,7 @@ Wall-clock co-timestamps
 Each bucket additionally records the wall-clock instant
 (``time.perf_counter()``) at which its first event landed, kept in a
 side table (:attr:`TimeSeriesRegistry.wall_anchors`) so throughput
-plots can line virtual-time series up with ``bench_wallclock``'s
+plots can line virtual-time series up with ``wallbench``'s
 wall-clock rates.  Wall anchors never participate in snapshots or
 digests — everything deterministic stays deterministic.
 

@@ -240,7 +240,7 @@ class PairedEndpoint:
         self._last_heard: Dict[ProcessAddress, float] = {}
         self._pending_control: List[Tuple[Segment, ProcessAddress]] = []
         #: deterministic message-path work counters, surfaced by
-        #: :meth:`stats` and aggregated by ``repro.bench.perf``.
+        #: :meth:`stats` and aggregated by ``repro.bench.gated``.
         self.counters: Dict[str, int] = {
             "segment_encodes": 0,    # plain wires materialized (one join)
             "wire_patches": 0,       # marked wires materialized (one join)

@@ -470,9 +470,8 @@ class Simulator:
         self._dead = 0
         #: set by Process._finish for run_process; checked by run().
         self._stop = False
-        # -- machine-independent perf counters (benchmarks/bench_wallclock
-        # and `repro perf` read these; they are deterministic because the
-        # simulation is).
+        # -- machine-independent perf counters (repro.bench.gated reads
+        # these; they are deterministic because the simulation is).
         #: callbacks executed by run() over this simulator's lifetime.
         self.callbacks_run = 0
         #: _ScheduledCall objects constructed (freelist misses).

@@ -71,7 +71,6 @@ from repro.core.runtime import RuntimeConfig
 from repro.harness import World
 from repro.net.addresses import ProcessAddress
 from repro.net.network import Datagram, Network, NetworkConfig
-from repro.obs import events as obs_events
 from repro.sim.rng import RandomStream
 
 #: Troupe IDs in every shard replica are allocated from this base so the
@@ -274,65 +273,14 @@ class ShardNetwork(Network):
             self._link_rngs[key] = rng
         return rng
 
-    def _transmit(self, datagram: Datagram) -> None:
-        # Mirrors Network._transmit decision-for-decision; the two
-        # differences are the per-link rng and the ownership routing at
-        # the bottom.  Keep the structures in sync.
-        bus = self.sim.bus
-        if "net.send" in bus.wanted:
-            bus.emit(obs_events.PacketSent(
-                t=self.sim.now, src=datagram.src, dst=datagram.dst,
-                payload=datagram.payload))
-        src_host = self.hosts.get(datagram.src.host)
-        dst_host = self.hosts.get(datagram.dst.host)
-        if src_host is None or dst_host is None:
-            self._drop(datagram, "no-host")
-            return
-        if not src_host.up:
-            self._drop(datagram, "host-down")
-            return
-        if not self.reachable(datagram.src.host, datagram.dst.host):
-            self._drop(datagram, "partition")
-            return
-        rng = self._link_rng(datagram.src.host, datagram.dst.host)
-        if rng.chance(self.config.loss_probability):
-            self._drop(datagram, "loss")
-            return
-        copies = 1
-        if rng.chance(self.config.duplicate_probability):
-            copies = 2
-            self.packets_duplicated += 1
-            if "net.dup" in bus.wanted:
-                bus.emit(obs_events.PacketDuplicated(
-                    t=self.sim.now, src=datagram.src, dst=datagram.dst))
-        extra_delay = 0.0
-        for fault in self._faults:
-            if not fault.matches(datagram.src.host, datagram.dst.host):
-                continue
-            if fault.loss and rng.chance(fault.loss):
-                self._drop(datagram, "fault-loss")
-                return
-            if copies == 1 and fault.duplicate \
-                    and rng.chance(fault.duplicate):
-                copies = 2
-                self.packets_duplicated += 1
-                if "net.dup" in bus.wanted:
-                    bus.emit(obs_events.PacketDuplicated(
-                        t=self.sim.now, src=datagram.src, dst=datagram.dst))
-            extra_delay += fault.extra_delay
-            if fault.reorder and rng.chance(fault.reorder):
-                extra_delay += rng.uniform(0.0, fault.reorder_hold)
-        local = self.owned is None or datagram.dst.host in self.owned
-        for _ in range(copies):
-            delay = extra_delay + self.config.transit_time(
-                datagram.size, rng)
-            if local:
-                self.sim.schedule(delay, self._deliver, datagram)
-            else:
-                self.cross_shard_sent += 1
-                self.outbox.append(Envelope(
-                    self.sim.now + delay, datagram.src, datagram.dst,
-                    datagram.payload))
+    def _carry(self, datagram: Datagram, delay: float) -> None:
+        if self.owned is None or datagram.dst.host in self.owned:
+            self.sim.schedule(delay, self._deliver, datagram)
+        else:
+            self.cross_shard_sent += 1
+            self.outbox.append(Envelope(
+                self.sim.now + delay, datagram.src, datagram.dst,
+                datagram.payload))
 
     def take_outbox(self) -> List[Envelope]:
         out = self.outbox
@@ -652,16 +600,31 @@ def _run_sharded_processes(builder: WorldBuilder, *, machines: int,
     config = net_config or NetworkConfig()
     lookahead = config.latency
 
-    def _recv(conn):
-        message = conn.recv()
+    def _died(index):
+        procs[index].join(timeout=5)
+        return RuntimeError("shard %d child died (exit code %s)"
+                            % (index, procs[index].exitcode))
+
+    def _send(index, message):
+        try:
+            pipes[index].send(message)
+        except OSError:
+            raise _died(index) from None
+
+    def _recv(index):
+        try:
+            message = pipes[index].recv()
+        except EOFError:
+            raise _died(index) from None
         if message[0] == "error":
-            raise RuntimeError("shard child failed: %s" % message[1])
+            raise RuntimeError("shard %d child failed: %s"
+                               % (index, message[1]))
         return message
 
     try:
         times: List[Optional[float]] = [None] * shards
-        for index, conn in enumerate(pipes):
-            _, times[index] = _recv(conn)
+        for index in range(shards):
+            _, times[index] = _recv(index)
         #: earliest not-yet-delivered envelope per shard (clock floor).
         pending_floor: List[Optional[float]] = [None] * shards
         inboxes: List[List[bytes]] = [[] for _ in range(shards)]
@@ -671,22 +634,26 @@ def _run_sharded_processes(builder: WorldBuilder, *, machines: int,
             if not live:
                 break
             bound = min(live) + lookahead
-            for index, conn in enumerate(pipes):
-                conn.send(("window", bound, b"".join(inboxes[index])))
+            for index in range(shards):
+                _send(index, ("window", bound, b"".join(inboxes[index])))
                 inboxes[index] = []
                 pending_floor[index] = None
-            for index, conn in enumerate(pipes):
-                _, times[index], batches = _recv(conn)
+            for index in range(shards):
+                _, times[index], batches = _recv(index)
                 for dst, (floor, blob) in batches.items():
                     inboxes[dst].append(blob)
                     if pending_floor[dst] is None \
                             or floor < pending_floor[dst]:
                         pending_floor[dst] = floor
-        summaries = []
-        for conn in pipes:
-            conn.send(("finish",))
-        for conn in pipes:
-            summaries.append(_recv(conn)[1])
+        for index in range(shards):
+            _send(index, ("finish",))
+        summaries = [_recv(index)[1] for index in range(shards)]
+    except BaseException:
+        # Each child inherited its own pipe's parent end, so closing ours
+        # is no EOF to it: stop the survivors rather than wait them out.
+        for proc in procs:
+            proc.terminate()
+        raise
     finally:
         for conn in pipes:
             conn.close()
@@ -694,5 +661,6 @@ def _run_sharded_processes(builder: WorldBuilder, *, machines: int,
             proc.join(timeout=30)
             if proc.is_alive():
                 proc.terminate()
+                proc.join()
     wall = _time.perf_counter() - start
     return _merge_summaries(summaries, shards, "process", horizon, wall)

@@ -232,7 +232,7 @@ def test_delayed_acks_deliver_correctly_and_coalesce():
 
 
 def test_delayed_acks_send_fewer_packets_than_immediate():
-    from repro.bench.perf import lossy_transfer_metrics
+    from repro.bench.gated import lossy_transfer_metrics
 
     off = lossy_transfer_metrics(delayed_acks=False, transfers=4)
     on = lossy_transfer_metrics(delayed_acks=True, transfers=4)

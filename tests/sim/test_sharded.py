@@ -7,6 +7,7 @@ shard count and either coordinator mode.
 """
 
 import multiprocessing
+import os
 
 import pytest
 
@@ -182,13 +183,35 @@ def test_link_fault_across_shard_boundary():
         assert result.network == reference.network
 
 
-def test_process_mode_matches_inproc():
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("fork start method unavailable")
-    inproc = _run(2)
-    forked = _run(2, mode="process")
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable")
+
+
+@needs_fork
+@pytest.mark.parametrize("shards", (2, 4))
+def test_process_mode_matches_inproc(shards):
+    inproc = _run(shards)
+    forked = _run(shards, mode="process")
     assert forked.mode == "process"
     assert forked.to_json_dict() == inproc.to_json_dict()
+
+
+@needs_fork
+def test_dead_shard_child_is_a_named_error():
+    """A child that dies mid-window (here: hard exit, no Python
+    exception to report) must surface as an error naming the shard and
+    its exit code, and the surviving children must be reaped."""
+    def dying_builder(world):
+        _small_builder()(world)
+        if world.shard_index == 1:
+            # Well past the first window (lookahead is the link latency).
+            world.sim.schedule(200.0, os._exit, 3)
+
+    with pytest.raises(RuntimeError,
+                       match=r"shard 1 child died \(exit code 3\)"):
+        _run(2, mode="process", builder=dying_builder)
+    assert multiprocessing.active_children() == []
 
 
 # -- guard rails ------------------------------------------------------------

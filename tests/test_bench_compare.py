@@ -102,57 +102,13 @@ def test_committed_perf_baseline_matches_itself(capsys):
     assert "no deltas" in capsys.readouterr().out
 
 
-def _gated_payload(ms, packets, gate=("ms/call",)):
-    return {"tables": [{
-        "title": "demo table",
-        "columns": ["workload", "ms/call", "packets"],
-        "rows": [["alpha", ms, packets]],
-        "notes": "",
-        "gate_columns": list(gate),
-    }]}
-
-
-def test_gate_columns_excludes_informational_drift(tmp_path, capsys):
-    base = _write(tmp_path / "base.json", _gated_payload(1.0, 10))
-    new = _write(tmp_path / "new.json", _gated_payload(1.0, 20))
-    # packets doubled, but only ms/call is gated: reported, not failed.
-    assert compare.main([new, "--baseline", base,
-                         "--threshold", "25"]) == 0
-    out = capsys.readouterr().out
-    assert "packets" in out
-    assert "(informational, not gated)" in out
-
-
-def test_gate_columns_still_fails_on_gated_drift(tmp_path, capsys):
-    base = _write(tmp_path / "base.json", _gated_payload(1.0, 10))
-    new = _write(tmp_path / "new.json", _gated_payload(2.0, 10))
-    assert compare.main([new, "--baseline", base,
-                         "--threshold", "25"]) == 1
-    assert "exceeds 25%" in capsys.readouterr().out
-
-
-def test_tables_without_gate_columns_gate_everything(tmp_path):
+def test_every_numeric_column_gates(tmp_path):
     base = _write(tmp_path / "base.json", _payload(1.0))
-    new = _write(tmp_path / "new.json", _payload(1.0))
-    # Mutate the ungated column of the ungated payload: still a failure.
     payload = _payload(1.0)
     payload["tables"][0]["rows"][0][2] = 20
     new = _write(tmp_path / "new.json", payload)
     assert compare.main([new, "--baseline", base,
                          "--threshold", "25"]) == 1
-
-
-def test_report_table_gate_columns_round_trip():
-    import sys
-    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
-    from repro.bench.report import Table
-
-    table = Table("t", ["w", "a", "b"], gate_columns=["a"])
-    table.add_row("x", 1, 2)
-    assert table.to_dict()["gate_columns"] == ["a"]
-    assert "gate_columns" not in Table("t", ["w"]).to_dict()
-    with pytest.raises(ValueError):
-        Table("t", ["w"], gate_columns=["nope"])
 
 
 def test_percent_delta_edge_cases():

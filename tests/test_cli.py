@@ -194,3 +194,23 @@ def test_top_plain_renders_frames_and_summary(capsys):
     assert "repro top" in out
     assert "echo" in out
     assert "final:" in out
+
+
+@pytest.mark.parametrize("argv, content, complaint", [
+    (["postmortem", "PATH"], "not json", "not JSON"),
+    (["postmortem", "PATH"], None, "No such file"),
+    (["lincheck", "PATH"], '{"nope": 1}', "not an operation history"),
+    (["fuzz", "--replay", "PATH"], '{"nope": 1}', "missing field 'scenario'"),
+    (["fuzz", "--seed-file", "PATH"], '{"nope": 1}', "missing field 'seeds'"),
+])
+def test_bad_input_file_is_a_message_not_a_traceback(
+        argv, content, complaint, capsys, tmp_path):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    assert main([str(path) if arg == "PATH" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro: %s: " % path)
+    assert complaint in captured.err
+    assert "Traceback" not in captured.err
