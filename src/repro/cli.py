@@ -378,11 +378,8 @@ def cmd_shard(args) -> int:
         sys.stdout.write("\n")
     else:
         calls = result.counters.get("calls_completed", 0)
-        wall = result.wall_seconds or 1e-9
-        print("shards-%d (%s): %d calls to t=%.0f ms in %.2f s wall "
-              "(%.0f calls/sec)"
-              % (result.shards, result.mode, calls, result.horizon,
-                 result.wall_seconds, calls / wall))
+        print("shards-%d (%s): %d calls to t=%.0f ms"
+              % (result.shards, result.mode, calls, result.horizon))
         print("  digest          %s" % result.digest)
         print("  net events      %d   sync windows %d" %
               (result.events, result.windows))

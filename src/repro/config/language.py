@@ -26,8 +26,10 @@ from __future__ import annotations
 import re
 from typing import Any, Dict, List, Sequence
 
+from repro.located import LocatedError, TokenCursor
 
-class ConfigParseError(Exception):
+
+class ConfigParseError(LocatedError):
     """The specification text is not well-formed."""
 
 
@@ -141,38 +143,14 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-def _tokenize(text: str) -> List[str]:
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise ConfigParseError("unexpected character %r" % match.group())
-        tokens.append(match.group())
-    return tokens
+class _Parser(TokenCursor):
+    token_re = _TOKEN_RE
+    error_type = ConfigParseError
+    is_a = "specification"
 
-
-class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        super().__init__(text)
         self.variables: List[str] = []
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        if self.pos >= len(self.tokens):
-            raise ConfigParseError("unexpected end of specification")
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect(self, literal):
-        token = self.next()
-        if token != literal:
-            raise ConfigParseError("expected %r, found %r" % (literal, token))
 
     def parse(self) -> TroupeSpecification:
         self.expect("troupe")
@@ -180,9 +158,9 @@ class _Parser:
         while True:
             var = self.next()
             if not re.match(r"[A-Za-z]", var):
-                raise ConfigParseError("bad variable name %r" % var)
+                raise self.error("bad variable name %r" % var)
             if var in self.variables:
-                raise ConfigParseError("duplicate variable %r" % var)
+                raise self.error("duplicate variable %r" % var)
             self.variables.append(var)
             if self.peek() != ",":
                 break
@@ -191,7 +169,7 @@ class _Parser:
         self.expect("where")
         formula = self._disjunction()
         if self.peek() is not None:
-            raise ConfigParseError("trailing tokens: %r" % self.peek())
+            raise self.error("trailing tokens: %r" % self.next())
         return TroupeSpecification(self.variables, formula)
 
     def _disjunction(self):
@@ -222,11 +200,11 @@ class _Parser:
             return inner
         var = self.next()
         if var not in self.variables:
-            raise ConfigParseError("unknown variable %r" % var)
+            raise self.error("unknown variable %r" % var)
         self.expect(".")
         attr = self.next()
         if not re.match(r"[A-Za-z]", attr):
-            raise ConfigParseError("bad attribute name %r" % attr)
+            raise self.error("bad attribute name %r" % attr)
         if self.peek() in _Comparison.OPS:
             op = self.next()
             literal = self._literal()
@@ -242,7 +220,7 @@ class _Parser:
                 return float(token)
             return int(token)
         except ValueError:
-            raise ConfigParseError("bad literal %r" % token)
+            raise self.error("bad literal %r" % token)
 
 
 def parse_specification(text: str) -> TroupeSpecification:

@@ -219,9 +219,15 @@ class World:
 
     def endpoint_stats(self) -> Dict[str, float]:
         """Sum the paired-endpoint stats/counters across every runtime
-        this world created (the message-path proxy metrics)."""
+        this world created on a machine it owns (the message-path proxy
+        metrics).  A sharded world's ghost replicas never run, but their
+        endpoints exist and count their construction-time daemon spawn;
+        every runtime is owned by exactly one shard, so the per-shard
+        sums add up to the single-process totals."""
         totals: Dict[str, float] = {}
         for runtime in self.runtimes:
+            if not self.owns(runtime.process.machine.name):
+                continue
             for key, value in runtime.endpoint.stats().items():
                 totals[key] = totals.get(key, 0) + value
         return totals

@@ -17,16 +17,6 @@ flavours exist:
   (count, sum, min, max, and power-of-two bins), cheap enough to keep
   per window where the exact global histogram would not be.
 
-Wall-clock co-timestamps
-------------------------
-
-Each bucket additionally records the wall-clock instant
-(``time.perf_counter()``) at which its first event landed, kept in a
-side table (:attr:`TimeSeriesRegistry.wall_anchors`) so throughput
-plots can line virtual-time series up with ``wallbench``'s
-wall-clock rates.  Wall anchors never participate in snapshots or
-digests — everything deterministic stays deterministic.
-
     registry = TimeSeriesRegistry(bucket_ms=10.0)
     with TimeSeriesCollector(world.sim.bus, registry):
         world.run(body())
@@ -38,7 +28,6 @@ from __future__ import annotations
 
 import collections
 import math
-import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import events as ev
@@ -54,14 +43,11 @@ DEFAULT_CAPACITY = 512
 class _WindowedSeries:
     """Shared ring mechanics: bucket index -> cell, bounded, evicting."""
 
-    __slots__ = ("width", "capacity", "cells", "evicted", "updates",
-                 "on_new_bucket")
+    __slots__ = ("width", "capacity", "cells", "evicted", "updates")
 
-    def __init__(self, width: float, capacity: int, on_new_bucket=None):
+    def __init__(self, width: float, capacity: int):
         self.width = width
         self.capacity = capacity
-        #: called with the bucket index whenever this series opens one.
-        self.on_new_bucket = on_new_bucket
         #: bucket index -> cell, insertion-ordered (buckets only move
         #: forward in virtual time, so order == bucket order).
         self.cells: "collections.OrderedDict[int, Any]" = \
@@ -76,18 +62,15 @@ class _WindowedSeries:
         cell = self.cells.get(index)
         if cell is None:
             cell = self.cells[index] = self._new_cell()
-            self._opened(index)
+            self._evict()
         self.updates += 1
         return cell
 
-    def _opened(self, index: int) -> None:
-        """Bucket ``index`` was just created: evict past the ring capacity
-        and tell the registry (its wall-clock anchor hangs off this)."""
+    def _evict(self) -> None:
+        """A bucket was just created: drop those past the ring capacity."""
         while len(self.cells) > self.capacity:
             self.cells.popitem(last=False)
             self.evicted += 1
-        if self.on_new_bucket is not None:
-            self.on_new_bucket(index)
 
     def _new_cell(self):
         raise NotImplementedError
@@ -122,7 +105,7 @@ class WindowedCounter(_WindowedSeries):
         self.updates += 1
         if current is None:
             self.cells[index] = n
-            self._opened(index)
+            self._evict()
         else:
             self.cells[index] = current + n
 
@@ -245,17 +228,12 @@ class TimeSeriesRegistry:
         self.bucket_ms = bucket_ms
         self.capacity = capacity
         self._series: Dict[Tuple[str, LabelSet], _WindowedSeries] = {}
-        #: bucket index -> wall-clock perf_counter() of the first event
-        #: that landed in it (any series).  Side data only: never part
-        #: of snapshots, so determinism checks are unaffected.
-        self.wall_anchors: Dict[int, float] = {}
-        self._wall_clock = time.perf_counter
 
     def _get(self, cls, name: str, labels: Dict[str, Any]):
         key = (name, _labelset(labels))
         series = self._series.get(key)
         if series is None:
-            series = cls(self.bucket_ms, self.capacity, self._anchor_bucket)
+            series = cls(self.bucket_ms, self.capacity)
             self._series[key] = series
         elif not isinstance(series, cls):
             raise TypeError("series %r is a %s, not a %s" % (
@@ -270,16 +248,6 @@ class TimeSeriesRegistry:
 
     def histogram(self, name: str, **labels) -> WindowedHistogram:
         return self._get(WindowedHistogram, name, labels)
-
-    def anchor(self, t: float) -> None:
-        """Record the wall-clock co-timestamp for ``t``'s bucket."""
-        self._anchor_bucket(int(t // self.bucket_ms))
-
-    def _anchor_bucket(self, index: int) -> None:
-        # Reached once per bucket a series opens, never per event: the
-        # first event to land in a bucket necessarily opens it somewhere.
-        if index not in self.wall_anchors:
-            self.wall_anchors[index] = self._wall_clock()
 
     # -- reading -----------------------------------------------------------
 
@@ -302,17 +270,11 @@ class TimeSeriesRegistry:
 
     def snapshot(self) -> Dict[str, Any]:
         """Deterministic JSON-friendly mapping: rendered key ->
-        series dict.  Wall anchors are deliberately excluded."""
+        series dict."""
         out: Dict[str, Any] = {}
         for (name, labels), series in sorted(self._series.items()):
             out[_render_key(name, labels)] = series.to_dict()
         return out
-
-    def wall_points(self) -> List[Tuple[float, float]]:
-        """``[(virtual_ms, wall_seconds), ...]`` co-timestamp pairs for
-        lining virtual-time series up against wall-clock plots."""
-        return [(index * self.bucket_ms, wall)
-                for index, wall in sorted(self.wall_anchors.items())]
 
 
 class TimeSeriesCollector:

@@ -778,11 +778,12 @@ class Simulator:
         """Timestamp of the earliest live pending event, or ``None`` when
         the queue is drained.
 
-        The sharded driver (:mod:`repro.sim.sharded`) uses this to advance
-        a shard kernel up to — but not past — a conservative lookahead
-        bound.  Cancelled entries at the head are discarded here exactly
-        as run() would discard them (recycled to the freelist, ``_dead``
-        settled), so peeking never reports a tombstone's time."""
+        The sharded driver (:mod:`repro.sim.sharded`) computes each
+        conservative lookahead bound from what every shard kernel reports
+        here after a window.  Cancelled entries at the head are discarded
+        here exactly as run() would discard them (recycled to the
+        freelist, ``_dead`` settled), so peeking never reports a
+        tombstone's time."""
         queue = self._queue
         ready = self._ready
         free = self._free

@@ -52,24 +52,33 @@ exact cross-host float-time ties have measure zero — the digest is
 multiset-canonical over (time, kind, src, dst, payload), so same-time
 reorderings of independent events do not change it anyway.
 
-Two coordinator modes share one window algorithm: ``inproc`` steps the
-shard kernels round-robin in this process (used by the deterministic
-CI-gated tables and the tests), ``process`` forks one OS process per
-shard and exchanges envelope batches over pipes (wall-clock speedup on
-multi-core hosts; byte-identical results).
+One window loop, two kinds of port
+----------------------------------
+
+:meth:`Shard.step` is one shard's half of a window (inject the inbox,
+run to the bound, group the outbox by owning shard) and
+:func:`run_sharded` holds the other half: the only coordinator loop.  It
+drives a list of *ports* — ``begin(bound, inbox)`` / ``finish()`` /
+``summary()`` / ``close(failed)`` — and never looks inside a batch.  With
+``mode="inproc"`` the port is the :class:`Shard` itself (a direct call;
+batches are lists of ``(deliver_at, src, dst, payload)`` tuples); with
+``mode="process"`` it is a :class:`_ForkedShard`, a pipe to a forked
+child running that same ``step`` (each batch pickled once by the source
+child, forwarded as opaque bytes, unpickled once by the destination
+child).  Every window begins on all ports before any is collected, so
+forked shards compute concurrently; results are byte-identical either
+way.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import struct
-import time as _time
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.runtime import RuntimeConfig
 from repro.harness import World
-from repro.net.addresses import ProcessAddress
 from repro.net.network import Datagram, Network, NetworkConfig
 from repro.sim.rng import RandomStream
 
@@ -108,78 +117,9 @@ def partition_hosts(names: Sequence[str], shards: int) -> List[List[str]]:
 
 def shard_of_host(names: Sequence[str], shards: int) -> Dict[str, int]:
     """host name -> owning shard index, for the same partition."""
-    owner = {}
-    for index, block in enumerate(partition_hosts(names, shards)):
-        for name in block:
-            owner[name] = index
-    return owner
-
-
-# ---------------------------------------------------------------------------
-# cross-shard envelopes and their wire codec
-# ---------------------------------------------------------------------------
-
-class Envelope(tuple):
-    """A datagram crossing a shard boundary: the delivery time computed
-    on the source shard plus the unmodified wire payload."""
-
-    __slots__ = ()
-
-    def __new__(cls, deliver_at: float, src: ProcessAddress,
-                dst: ProcessAddress, payload: bytes):
-        return tuple.__new__(cls, (deliver_at, src, dst, payload))
-
-    deliver_at = property(lambda self: self[0])
-    src = property(lambda self: self[1])
-    dst = property(lambda self: self[2])
-    payload = property(lambda self: self[3])
-
-
-#: record header: deliver_at, src host len, src port, dst host len,
-#: dst port, payload len.
-_ENV_HEADER = struct.Struct("!dHIHII")
-
-
-def encode_envelope(env: Envelope) -> bytes:
-    """One length-delimited record.  The payload rides verbatim — it is
-    already the zero-copy wire encoding the endpoints produced; the
-    codec frames it, it never re-serializes it."""
-    src_host = env[1].host.encode("utf-8")
-    dst_host = env[2].host.encode("utf-8")
-    payload = env[3]
-    return b"".join((
-        _ENV_HEADER.pack(env[0], len(src_host), env[1].port,
-                         len(dst_host), env[2].port, len(payload)),
-        src_host, dst_host, payload))
-
-
-def encode_envelopes(envelopes: Sequence[Envelope]) -> bytes:
-    """A batch: concatenated records (the per-window pipe message)."""
-    return b"".join(encode_envelope(env) for env in envelopes)
-
-
-def decode_envelopes(blob: bytes) -> List[Envelope]:
-    """Decode a batch.  Host names and payloads are sliced out of one
-    memoryview over the blob; payloads are materialized as bytes once
-    (the pipe transfer already copied them into this buffer)."""
-    view = memoryview(blob)
-    offset = 0
-    out = []
-    header = _ENV_HEADER
-    size = header.size
-    while offset < len(blob):
-        deliver_at, src_len, src_port, dst_len, dst_port, pay_len = \
-            header.unpack_from(view, offset)
-        offset += size
-        src_host = str(view[offset:offset + src_len], "utf-8")
-        offset += src_len
-        dst_host = str(view[offset:offset + dst_len], "utf-8")
-        offset += dst_len
-        payload = bytes(view[offset:offset + pay_len])
-        offset += pay_len
-        out.append(Envelope(deliver_at, ProcessAddress(src_host, src_port),
-                            ProcessAddress(dst_host, dst_port), payload))
-    return out
+    return {name: index
+            for index, block in enumerate(partition_hosts(names, shards))
+            for name in block}
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +137,10 @@ class PacketDigest:
     between sharded and single-process runs); payloads enter by hash."""
 
     def __init__(self, sim):
-        self._bus = sim.bus
-        self._sub = sim.bus.subscribe(self._on_event, "net.")
-        self._sum = 0
+        sim.bus.subscribe(self._on_event, "net.")
+        #: the raw running sum: what shards ship and :func:`merge_digests`
+        #: adds up.
+        self.partial = 0
         self.events = 0
 
     def _on_event(self, event) -> None:
@@ -216,21 +157,10 @@ class PacketDigest:
             extra = ""
         line = "%r %s %s>%s %s" % (event.t, kind, event.src, event.dst,
                                    extra)
-        self._sum = (self._sum + int.from_bytes(
+        self.partial = (self.partial + int.from_bytes(
             hashlib.sha256(line.encode("utf-8")).digest(), "big")) \
             & _DIGEST_MASK
         self.events += 1
-
-    def close(self) -> None:
-        self._bus.unsubscribe(self._sub)
-
-    @property
-    def partial(self) -> int:
-        """The raw running sum, for cross-process merging."""
-        return self._sum
-
-    def digest(self) -> str:
-        return "%064x" % self._sum
 
 
 def merge_digests(partials: Sequence[int]) -> str:
@@ -246,7 +176,9 @@ class ShardNetwork(Network):
 
     Draws come from per-link RNG streams (see the module docstring);
     datagrams for non-owned destinations leave through :attr:`outbox`
-    as time-stamped envelopes instead of being scheduled locally.
+    as envelopes — ``(deliver_at, src, dst, payload)``, the delivery time
+    computed here plus the unmodified wire payload — instead of being
+    scheduled locally.
     ``owned=None`` owns everything — that configuration is the
     single-process reference run."""
 
@@ -259,9 +191,8 @@ class ShardNetwork(Network):
                 "sharded simulation needs positive link latency for "
                 "lookahead (got %r)" % self.config.latency)
         self.owned = owned
-        self.outbox: List[Envelope] = []
+        self.outbox: List[tuple] = []
         self.cross_shard_sent = 0
-        self.cross_shard_received = 0
         self._seed = seed
         self._link_rngs: Dict[Tuple[str, str], RandomStream] = {}
 
@@ -278,20 +209,13 @@ class ShardNetwork(Network):
             self.sim.schedule(delay, self._deliver, datagram)
         else:
             self.cross_shard_sent += 1
-            self.outbox.append(Envelope(
-                self.sim.now + delay, datagram.src, datagram.dst,
-                datagram.payload))
+            self.outbox.append((self.sim.now + delay, datagram.src,
+                                datagram.dst, datagram.payload))
 
-    def take_outbox(self) -> List[Envelope]:
-        out = self.outbox
-        self.outbox = []
-        return out
-
-    def inject(self, env: Envelope) -> None:
+    def inject(self, env: tuple) -> None:
         """Schedule delivery of an envelope received from another shard.
         The lookahead protocol guarantees the delivery time has not
         passed; a violation here is a coordinator bug, not recoverable."""
-        self.cross_shard_received += 1
         if env[0] < self.sim.now:
             raise RuntimeError(
                 "lookahead violated: envelope for t=%r arrived at t=%r"
@@ -317,31 +241,18 @@ class ShardedWorld(World):
         super().__init__(machines=machines, seed=seed, **kwargs)
 
     def _make_network(self, seed, net_config, machine_names):
+        #: host name -> owning shard index, for every host of the world.
+        self.owner = shard_of_host(machine_names, self.shard_count)
         owned = None
         if self.shard_count > 1:
-            owned = frozenset(
-                partition_hosts(machine_names,
-                                self.shard_count)[self.shard_index])
+            owned = frozenset(name for name, shard in self.owner.items()
+                              if shard == self.shard_index)
         return ShardNetwork(self.sim, seed=seed, config=net_config,
                             owned=owned)
 
     def owns(self, host: str) -> bool:
         owned = self.net.owned
         return owned is None or host in owned
-
-    def endpoint_stats(self) -> Dict[str, float]:
-        """Owned runtimes only: ghost replicas never run, but their
-        endpoints exist (and count their construction-time daemon spawn),
-        so summing them across shards would overcount.  Every runtime is
-        owned by exactly one shard, so the per-shard sums add up to the
-        single-process totals."""
-        totals: Dict[str, float] = {}
-        for runtime in self.runtimes:
-            if not self.owns(runtime.process.machine.name):
-                continue
-            for key, value in runtime.endpoint.stats().items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
 
 
 # ---------------------------------------------------------------------------
@@ -355,46 +266,67 @@ WorldBuilder = Callable[[World], None]
 
 
 class Shard:
-    """One shard: a full world replica plus its digest collector."""
+    """One shard: a full world replica plus its digest collector.  It is
+    also the in-process coordinator port (``begin`` is the direct call)."""
 
     def __init__(self, index: int, count: int, builder: WorldBuilder,
                  machines: int, seed: int,
                  net_config: Optional[NetworkConfig],
                  runtime_config: Optional[RuntimeConfig],
                  horizon: float):
-        self.index = index
         self.horizon = horizon
         self.world = ShardedWorld(
             machines=machines, seed=seed, shard_index=index,
             shard_count=count, net_config=net_config,
             runtime_config=runtime_config)
         self.digest = PacketDigest(self.world.sim)
-        self.windows = 0
         builder(self.world)
+        #: what :meth:`finish` hands the coordinator next; before the
+        #: first window, just the first event time.
+        self._done = (self.world.sim.next_event_time(), {})
 
-    def next_time(self) -> Optional[float]:
-        return self.world.sim.next_event_time()
+    def step(self, bound: float, inbox: Sequence[Sequence[tuple]]):
+        """One window: inject the batches other shards sent here, process
+        every event strictly before ``bound`` (and within the horizon),
+        and group the envelopes generated for other shards by owner.
+        Returns ``(next_time, {dst_shard: (floor, batch)})`` — ``floor``
+        is the batch's earliest delivery time, so the coordinator can
+        bound the next window without looking inside."""
+        world = self.world
+        net = world.net
+        for batch in inbox:
+            for env in batch:
+                net.inject(env)
+        # "strictly before bound" as an inclusive limit: the last float
+        # below it.  An event at exactly the horizon still runs.
+        world.sim.run(until=min(math.nextafter(bound, -math.inf),
+                                self.horizon))
+        owner = world.owner
+        batches: Dict[int, List[tuple]] = {}
+        for env in net.outbox:
+            batches.setdefault(owner[env[2].host], []).append(env)
+        net.outbox = []
+        return world.sim.next_event_time(), {
+            dst: (min(env[0] for env in batch), batch)
+            for dst, batch in batches.items()}
 
-    def advance(self, bound: float) -> List[Envelope]:
-        """Process every event strictly before ``bound`` (and within the
-        horizon); return the envelopes generated for other shards."""
-        sim = self.world.sim
-        horizon = self.horizon
-        while True:
-            t = sim.next_event_time()
-            if t is None or t >= bound or t > horizon:
-                break
-            sim.run(until=t)
-        self.windows += 1
-        return self.world.net.take_outbox()
+    def begin(self, bound: float, inbox) -> None:
+        self._done = self.step(bound, inbox)
+
+    def finish(self):
+        return self._done
+
+    def close(self, failed: bool) -> None:
+        pass
 
     def summary(self) -> dict:
+        """This shard's share of the run; every leaf adds across shards
+        (numbers sum, sample lists concatenate)."""
         world = self.world
         net = world.net
         return {
             "digest_partial": self.digest.partial,
             "events": self.digest.events,
-            "windows": self.windows,
             "counters": dict(world.counters),
             "samples": {k: list(v) for k, v in world.samples.items()},
             "endpoint_stats": world.endpoint_stats(),
@@ -407,15 +339,98 @@ class Shard:
                 "multicasts_sent": net.multicasts_sent,
             },
             "cross_shard_sent": net.cross_shard_sent,
-            "cross_shard_received": net.cross_shard_received,
         }
+
+
+def _shard_child(conn, *shard_args) -> None:
+    """Forked child body: build the shard, then serve the coordinator.
+    Every reply is ``(error, value)``; requests are ``(bound, inbox)``
+    for a window and ``None`` for the summary, after which it exits."""
+    import pickle
+    try:
+        shard = Shard(*shard_args)
+        reply = shard.finish()
+        while True:
+            conn.send((None, reply))
+            request = conn.recv()
+            if request is None:
+                conn.send((None, shard.summary()))
+                return
+            bound, inbox = request
+            next_time, batches = shard.step(
+                bound, [pickle.loads(blob) for blob in inbox])
+            reply = (next_time, {
+                dst: (floor, pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
+                for dst, (floor, batch) in batches.items()})
+    except BaseException as exc:  # noqa: BLE001 — report, then die
+        try:
+            conn.send(("%s: %s" % (type(exc).__name__, exc), None))
+        except Exception:
+            pass
+        raise
+
+
+class _ForkedShard:
+    """Coordinator port to a forked child running :meth:`Shard.step`."""
+
+    def __init__(self, index: int, *shard_args):
+        import multiprocessing
+        ctx = multiprocessing.get_context("fork")
+        self.index = index
+        self._conn, child_conn = ctx.Pipe()
+        self._proc = ctx.Process(
+            target=_shard_child, args=(child_conn, index) + shard_args,
+            daemon=True)
+        self._proc.start()
+        child_conn.close()
+
+    def _died(self) -> RuntimeError:
+        self._proc.join(timeout=5)
+        return RuntimeError("shard %d child died (exit code %s)"
+                            % (self.index, self._proc.exitcode))
+
+    def _send(self, request) -> None:
+        try:
+            self._conn.send(request)
+        except OSError:
+            raise self._died() from None
+
+    def _recv(self):
+        try:
+            error, value = self._conn.recv()
+        except EOFError:
+            raise self._died() from None
+        if error is not None:
+            raise RuntimeError("shard %d child failed: %s"
+                               % (self.index, error))
+        return value
+
+    def begin(self, bound: float, inbox) -> None:
+        self._send((bound, inbox))
+
+    def finish(self):
+        return self._recv()
+
+    def summary(self) -> dict:
+        self._send(None)
+        return self._recv()
+
+    def close(self, failed: bool) -> None:
+        # The child inherited its own pipe's parent end, so closing ours
+        # is no EOF to it: stop a survivor rather than wait it out.
+        if failed:
+            self._proc.terminate()
+        self._conn.close()
+        self._proc.join(timeout=30)
+        if self._proc.is_alive():
+            self._proc.terminate()
+            self._proc.join()
 
 
 @dataclasses.dataclass
 class ShardedRunResult:
-    """Merged outcome of a sharded run — every field except
-    ``wall_seconds`` (and ``mode``) is deterministic and identical for
-    any shard count on the same seed."""
+    """Merged outcome of a sharded run — every field except ``mode`` is
+    deterministic and identical for any shard count on the same seed."""
 
     shards: int
     mode: str
@@ -428,7 +443,6 @@ class ShardedRunResult:
     samples: Dict[str, List[float]]
     endpoint_stats: Dict[str, float]
     network: Dict[str, float]
-    wall_seconds: float
 
     def percentile(self, key: str, q: float) -> float:
         values = sorted(self.samples.get(key, ()))
@@ -438,8 +452,8 @@ class ShardedRunResult:
 
     def to_json_dict(self) -> dict:
         """Deterministic fields only — two runs of the same seed must
-        serialize byte-identically (the CI shard-smoke contract), so the
-        wall clock stays out."""
+        serialize byte-identically in either mode (the CI shard-smoke
+        contract), so ``mode`` stays out."""
         return {
             "shards": self.shards,
             "horizon": self.horizon,
@@ -447,38 +461,49 @@ class ShardedRunResult:
             "events": self.events,
             "windows": self.windows,
             "cross_shard_messages": self.cross_shard_messages,
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
-            "endpoint_stats": {k: self.endpoint_stats[k]
-                               for k in sorted(self.endpoint_stats)},
-            "network": {k: self.network[k] for k in sorted(self.network)},
+            "counters": dict(sorted(self.counters.items())),
+            "endpoint_stats": dict(sorted(self.endpoint_stats.items())),
+            "network": dict(sorted(self.network.items())),
         }
 
 
-def _merge_summaries(summaries: List[dict], shards: int, mode: str,
-                     horizon: float, wall: float) -> ShardedRunResult:
-    counters: Dict[str, float] = {}
-    samples: Dict[str, List[float]] = {}
-    endpoint: Dict[str, float] = {}
-    network: Dict[str, float] = {}
-    for summary in summaries:
-        for key, value in summary["counters"].items():
-            counters[key] = counters.get(key, 0) + value
-        for key, values in summary["samples"].items():
-            samples.setdefault(key, []).extend(values)
-        for key, value in summary["endpoint_stats"].items():
-            endpoint[key] = endpoint.get(key, 0) + value
-        for key, value in summary["network"].items():
-            network[key] = network.get(key, 0) + value
-    for values in samples.values():
-        values.sort()
-    return ShardedRunResult(
-        shards=shards, mode=mode, horizon=horizon,
-        digest=merge_digests([s["digest_partial"] for s in summaries]),
-        events=sum(s["events"] for s in summaries),
-        windows=max(s["windows"] for s in summaries),
-        cross_shard_messages=sum(s["cross_shard_sent"] for s in summaries),
-        counters=counters, samples=samples, endpoint_stats=endpoint,
-        network=network, wall_seconds=wall)
+def _add_into(total: dict, part: dict) -> None:
+    """``total += part``, leaf by leaf through nested dicts."""
+    for key, value in part.items():
+        if isinstance(value, dict):
+            _add_into(total.setdefault(key, {}), value)
+        else:
+            total[key] = total[key] + value if key in total else value
+
+
+def _run_windows(ports: Sequence, horizon: float, lookahead: float) -> int:
+    """The conservative-lookahead loop; returns the windows run.
+
+    Collect what every port's last window produced, route the batches,
+    and open the next window up to ``bound = (earliest pending event or
+    undelivered envelope anywhere) + lookahead`` on all ports at once."""
+    count = len(ports)
+    times: List[Optional[float]] = [None] * count
+    #: per shard: earliest envelope routed to it but not yet injected.
+    floors: List[Optional[float]] = [None] * count
+    inboxes: List[list] = [[] for _ in range(count)]
+    windows = 0
+    while True:
+        for index, port in enumerate(ports):
+            times[index], batches = port.finish()
+            for dst, (floor, batch) in batches.items():
+                inboxes[dst].append(batch)
+                if floors[dst] is None or floor < floors[dst]:
+                    floors[dst] = floor
+        live = [t for t in times + floors if t is not None and t <= horizon]
+        if not live:
+            return windows
+        bound = min(live) + lookahead
+        windows += 1
+        for index, port in enumerate(ports):
+            port.begin(bound, inboxes[index])
+            inboxes[index] = []
+            floors[index] = None
 
 
 def run_sharded(builder: WorldBuilder, *, machines: int, horizon: float,
@@ -489,178 +514,42 @@ def run_sharded(builder: WorldBuilder, *, machines: int, horizon: float,
     """Run ``builder``'s workload to the virtual-time ``horizon`` across
     ``shards`` kernels and merge the results.
 
-    ``mode="inproc"`` steps the shards round-robin in this process;
+    ``mode="inproc"`` steps the shards in this process;
     ``mode="process"`` forks one OS process per shard (falling back to
-    inproc where fork is unavailable).  Both produce identical results;
-    only the wall clock differs."""
+    inproc where fork is unavailable).  Both go through the same window
+    loop and produce identical results."""
     if mode not in ("inproc", "process"):
         raise ValueError("mode must be 'inproc' or 'process' (got %r)"
                          % mode)
     if horizon <= 0:
         raise ValueError("horizon must be positive (got %r)" % horizon)
-    config = net_config or NetworkConfig()
-    if mode == "process" and shards > 1:
+    if mode == "process":
+        # Imported here (and in the port): ~30 ms no in-process run pays.
         import multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            return _run_sharded_processes(
-                builder, machines=machines, horizon=horizon, shards=shards,
-                seed=seed, net_config=net_config,
-                runtime_config=runtime_config)
-        mode = "inproc"  # fall back: identical results, no parallelism
-    start = _time.perf_counter()
-    shard_objs = [Shard(i, shards, builder, machines, seed, net_config,
-                        runtime_config, horizon) for i in range(shards)]
-    names = ["host%d" % i for i in range(machines)]
-    owner = shard_of_host(names, shards)
-    lookahead = config.latency
-    while True:
-        times = [t for t in (s.next_time() for s in shard_objs)
-                 if t is not None and t <= horizon]
-        if not times:
-            break
-        bound = min(times) + lookahead
-        outbound: List[Envelope] = []
-        for shard in shard_objs:
-            outbound.extend(shard.advance(bound))
-        for env in outbound:
-            shard_objs[owner[env[2].host]].world.net.inject(env)
-    wall = _time.perf_counter() - start
-    return _merge_summaries([s.summary() for s in shard_objs], shards,
-                            "inproc", horizon, wall)
-
-
-# -- the multiprocess coordinator -------------------------------------------
-
-def _shard_child(conn, index: int, count: int, builder: WorldBuilder,
-                 machines: int, seed: int,
-                 net_config: Optional[NetworkConfig],
-                 runtime_config: Optional[RuntimeConfig],
-                 horizon: float) -> None:
-    """Child body: build the shard, then serve coordinator windows.
-    Protocol (parent -> child / child -> parent):
-
-    - ``("window", bound, blob)`` -> ``("done", next_time, {dst: blob})``
-    - ``("finish",)`` -> ``("result", summary)``
-    """
+        if shards == 1 \
+                or "fork" not in multiprocessing.get_all_start_methods():
+            mode = "inproc"  # identical results, no parallelism to be had
+    make_port = _ForkedShard if mode == "process" else Shard
+    ports = [make_port(index, shards, builder, machines, seed, net_config,
+                       runtime_config, horizon) for index in range(shards)]
+    failed = True
     try:
-        shard = Shard(index, count, builder, machines, seed, net_config,
-                      runtime_config, horizon)
-        names = ["host%d" % i for i in range(machines)]
-        owner = shard_of_host(names, count)
-        conn.send(("ready", shard.next_time()))
-        while True:
-            message = conn.recv()
-            if message[0] == "finish":
-                conn.send(("result", shard.summary()))
-                return
-            _, bound, blob = message
-            if blob:
-                for env in decode_envelopes(blob):
-                    shard.world.net.inject(env)
-            outbound = shard.advance(bound)
-            batches: Dict[int, List[Envelope]] = {}
-            for env in outbound:
-                batches.setdefault(owner[env[2].host], []).append(env)
-            # (floor, blob) per destination: the floor spares the parent
-            # from decoding every envelope just to learn the clock bound.
-            conn.send(("done", shard.next_time(),
-                       {dst: (min(env[0] for env in envs),
-                              encode_envelopes(envs))
-                        for dst, envs in batches.items()}))
-    except BaseException as exc:  # noqa: BLE001 — report, then die
-        try:
-            conn.send(("error", "%s: %s" % (type(exc).__name__, exc)))
-        except Exception:
-            pass
-        raise
-
-
-def _run_sharded_processes(builder: WorldBuilder, *, machines: int,
-                           horizon: float, shards: int, seed: int,
-                           net_config: Optional[NetworkConfig],
-                           runtime_config: Optional[RuntimeConfig]
-                           ) -> ShardedRunResult:
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    start = _time.perf_counter()
-    pipes = []
-    procs = []
-    for index in range(shards):
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(
-            target=_shard_child,
-            args=(child_conn, index, shards, builder, machines, seed,
-                  net_config, runtime_config, horizon),
-            daemon=True)
-        proc.start()
-        child_conn.close()
-        pipes.append(parent_conn)
-        procs.append(proc)
-    config = net_config or NetworkConfig()
-    lookahead = config.latency
-
-    def _died(index):
-        procs[index].join(timeout=5)
-        return RuntimeError("shard %d child died (exit code %s)"
-                            % (index, procs[index].exitcode))
-
-    def _send(index, message):
-        try:
-            pipes[index].send(message)
-        except OSError:
-            raise _died(index) from None
-
-    def _recv(index):
-        try:
-            message = pipes[index].recv()
-        except EOFError:
-            raise _died(index) from None
-        if message[0] == "error":
-            raise RuntimeError("shard %d child failed: %s"
-                               % (index, message[1]))
-        return message
-
-    try:
-        times: List[Optional[float]] = [None] * shards
-        for index in range(shards):
-            _, times[index] = _recv(index)
-        #: earliest not-yet-delivered envelope per shard (clock floor).
-        pending_floor: List[Optional[float]] = [None] * shards
-        inboxes: List[List[bytes]] = [[] for _ in range(shards)]
-        while True:
-            live = [t for pair in zip(times, pending_floor) for t in pair
-                    if t is not None and t <= horizon]
-            if not live:
-                break
-            bound = min(live) + lookahead
-            for index in range(shards):
-                _send(index, ("window", bound, b"".join(inboxes[index])))
-                inboxes[index] = []
-                pending_floor[index] = None
-            for index in range(shards):
-                _, times[index], batches = _recv(index)
-                for dst, (floor, blob) in batches.items():
-                    inboxes[dst].append(blob)
-                    if pending_floor[dst] is None \
-                            or floor < pending_floor[dst]:
-                        pending_floor[dst] = floor
-        for index in range(shards):
-            _send(index, ("finish",))
-        summaries = [_recv(index)[1] for index in range(shards)]
-    except BaseException:
-        # Each child inherited its own pipe's parent end, so closing ours
-        # is no EOF to it: stop the survivors rather than wait them out.
-        for proc in procs:
-            proc.terminate()
-        raise
+        windows = _run_windows(
+            ports, horizon, (net_config or NetworkConfig()).latency)
+        summaries = [port.summary() for port in ports]
+        failed = False
     finally:
-        for conn in pipes:
-            conn.close()
-        for proc in procs:
-            proc.join(timeout=30)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
-    wall = _time.perf_counter() - start
-    return _merge_summaries(summaries, shards, "process", horizon, wall)
+        for port in ports:
+            port.close(failed)
+    total: dict = {}
+    for summary in summaries:
+        _add_into(total, summary)
+    for values in total["samples"].values():
+        values.sort()
+    return ShardedRunResult(
+        shards=shards, mode=mode, horizon=horizon,
+        digest=merge_digests([s["digest_partial"] for s in summaries]),
+        events=total["events"], windows=windows,
+        cross_shard_messages=total["cross_shard_sent"],
+        counters=total["counters"], samples=total["samples"],
+        endpoint_stats=total["endpoint_stats"], network=total["network"])

@@ -29,6 +29,7 @@ import dataclasses
 import re
 from typing import Dict, List, Optional, Tuple
 
+from repro.located import LocatedError, TokenCursor
 from repro.stubs.types import (
     ArrayType,
     BooleanType,
@@ -46,7 +47,7 @@ from repro.stubs.types import (
 )
 
 
-class ParseError(Exception):
+class ParseError(LocatedError):
     """The interface text is not well-formed."""
 
 
@@ -102,22 +103,13 @@ _KEYWORDS = {
 }
 
 
-def _tokenize(text: str) -> List[Tuple[str, str]]:
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind in ("ws", "comment"):
-            continue
-        if kind == "bad":
-            raise ParseError("unexpected character %r" % match.group())
-        tokens.append((kind, match.group()))
-    return tokens
+class _Parser(TokenCursor):
+    token_re = _TOKEN_RE
+    error_type = ParseError
+    is_a = "interface"
 
-
-class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+        super().__init__(text)
         self.types: Dict[str, TypeNode] = {}
         self.errors: Dict[str, int] = {}
         self.procedures: Dict[str, ProcedureSpec] = {}
@@ -125,33 +117,16 @@ class _Parser:
 
     # -- token helpers -----------------------------------------------------
 
-    def peek(self) -> Optional[str]:
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos][1]
-        return None
-
-    def next(self) -> str:
-        if self.pos >= len(self.tokens):
-            raise ParseError("unexpected end of interface")
-        token = self.tokens[self.pos][1]
-        self.pos += 1
-        return token
-
-    def expect(self, literal: str) -> None:
-        token = self.next()
-        if token != literal:
-            raise ParseError("expected %r, found %r" % (literal, token))
-
     def expect_number(self) -> int:
         token = self.next()
         if not token.isdigit():
-            raise ParseError("expected a number, found %r" % token)
+            raise self.error("expected a number, found %r" % token)
         return int(token)
 
     def expect_name(self) -> str:
         token = self.next()
         if not re.match(r"[A-Za-z]", token):
-            raise ParseError("expected a name, found %r" % token)
+            raise self.error("expected a name, found %r" % token)
         return token
 
     # -- grammar ---------------------------------------------------------
@@ -212,7 +187,7 @@ class _Parser:
         try:
             const_type.check(value)
         except Exception as exc:
-            raise ParseError("constant does not fit its type: %s" % exc)
+            raise self.error("constant does not fit its type: %s" % exc)
         return value
 
     def _procedure(self, name: str) -> ProcedureSpec:
@@ -230,7 +205,7 @@ class _Parser:
         self.expect(";")
         for report in reports:
             if report not in self.errors:
-                raise ParseError("undeclared error %r in REPORTS of %s"
+                raise self.error("undeclared error %r in REPORTS of %s"
                                  % (report, name))
         return ProcedureSpec(name, number, args, results, reports)
 
@@ -278,7 +253,7 @@ class _Parser:
                 return LongCardinalType()
             if sub == "INTEGER":
                 return LongIntegerType()
-            raise ParseError("LONG must be followed by CARDINAL or INTEGER")
+            raise self.error("LONG must be followed by CARDINAL or INTEGER")
         if token == "ENUMERATION":
             return self._enumeration()
         if token == "ARRAY":
@@ -294,11 +269,11 @@ class _Parser:
             self.expect("OF")
             return self._choice()
         if token in _KEYWORDS:
-            raise ParseError("unexpected keyword %r in type" % token)
+            raise self.error("unexpected keyword %r in type" % token)
         # A reference to a previously declared type.
         if token in self.types:
             return self.types[token]
-        raise ParseError("unknown type name %r" % token)
+        raise self.error("unknown type name %r" % token)
 
     def _enumeration(self) -> EnumerationType:
         self.expect("{")

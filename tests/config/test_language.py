@@ -122,6 +122,22 @@ def test_parse_errors():
             parse_specification(bad)
 
 
+@pytest.mark.parametrize("text, line, column, problem", [
+    # an unexpected character: where the character is
+    ("troupe(x) where\n  x.a @ 3", 2, 7, "unexpected character '@'"),
+    # an unexpected end: just past the last token
+    ("troupe(x) where x.a >\n", 1, 22, "unexpected end of specification"),
+    # expected X, found Y: where Y is
+    ("troupe(x)\n x.a", 2, 2, "expected 'where', found 'x'"),
+])
+def test_parse_errors_are_located(text, line, column, problem):
+    with pytest.raises(ConfigParseError) as caught:
+        parse_specification(text)
+    error = caught.value
+    assert (error.line, error.column) == (line, column)
+    assert str(error) == "%d:%d: %s" % (line, column, problem)
+
+
 def test_wrong_cardinality_not_satisfied():
     spec = parse_specification("troupe(x, y) where x.memory >= 0 "
                                "and y.memory >= 0")

@@ -95,26 +95,11 @@ def test_registry_get_or_create_and_type_conflict():
         reg.gauge("net.packets_sent")
 
 
-def test_registry_snapshot_excludes_wall_anchors():
+def test_registry_snapshot_is_points_per_series():
     reg = TimeSeriesRegistry(bucket_ms=10.0)
     reg.counter("calls").inc(5.0)
-    reg.anchor(5.0)
-    assert reg.wall_anchors            # side table populated...
     snap = reg.snapshot()
-    assert "calls" in snap
     assert snap["calls"]["points"] == [[0.0, 1]]
-    # ...but nothing wall-clock-dependent reaches the snapshot.
-    assert "wall_anchors" not in str(sorted(snap))
-
-
-def test_registry_wall_points_pair_virtual_with_wall():
-    reg = TimeSeriesRegistry(bucket_ms=10.0)
-    reg.anchor(3.0)
-    reg.anchor(7.0)                    # same bucket: first anchor wins
-    reg.anchor(25.0)
-    points = reg.wall_points()
-    assert [t for t, _ in points] == [0.0, 20.0]
-    assert all(isinstance(w, float) for _, w in points)
 
 
 # -- the collector over a real run -----------------------------------------

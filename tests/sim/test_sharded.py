@@ -6,19 +6,17 @@ digests, equal endpoint counters, equal workload counters — for any
 shard count and either coordinator mode.
 """
 
+import math
 import multiprocessing
 import os
 
 import pytest
 
 from repro.bench.workloads import capacity_builder
-from repro.net.addresses import ProcessAddress
 from repro.net.network import LinkFault, NetworkConfig
 from repro.sim.kernel import Simulator
 from repro.sim.sharded import (
-    Envelope,
-    decode_envelopes,
-    encode_envelopes,
+    Shard,
     merge_digests,
     partition_hosts,
     run_sharded,
@@ -72,24 +70,7 @@ def test_shard_of_host_covers_every_host_once():
     assert set(owner.values()) == {0, 1, 2}
 
 
-# -- envelope codec ---------------------------------------------------------
-
-def test_envelope_codec_roundtrip():
-    envs = [
-        Envelope(12.5, ProcessAddress("host0", 7), ProcessAddress("host5", 9),
-                 b"payload"),
-        Envelope(13.0, ProcessAddress("a", 1), ProcessAddress("b", 2), b""),
-        Envelope(99.25, ProcessAddress("host10", 65535),
-                 ProcessAddress("host2", 0), bytes(range(256))),
-    ]
-    decoded = decode_envelopes(encode_envelopes(envs))
-    assert decoded == envs
-    assert decoded[0].deliver_at == 12.5
-    assert decoded[0].src == ProcessAddress("host0", 7)
-    assert decoded[0].dst == ProcessAddress("host5", 9)
-    assert decoded[0].payload == b"payload"
-    assert decode_envelopes(b"") == []
-
+# -- digests ----------------------------------------------------------------
 
 def test_merge_digests_is_order_insensitive():
     parts = [3, 5, (1 << 256) - 2]
@@ -183,13 +164,37 @@ def test_link_fault_across_shard_boundary():
         assert result.network == reference.network
 
 
+def test_shard_step_window_boundaries():
+    """``step(bound, inbox)`` runs events strictly before ``bound`` and
+    up to and including the horizon — the ``nextafter`` contract."""
+    horizon = 50.0
+    fired = []
+
+    def builder(world):
+        for t in (10.0, 20.0, horizon, math.nextafter(horizon, math.inf)):
+            world.sim.schedule_at(t, fired.append, t)
+
+    shard = Shard(0, 1, builder, 2, 0, None, None, horizon)
+    assert shard.finish() == (10.0, {})
+    # An event at exactly the bound waits for the next window...
+    assert shard.step(20.0, []) == (20.0, {})
+    assert fired == [10.0]
+    # ...where it runs; one at exactly the horizon runs too...
+    next_time, batches = shard.step(1000.0, [])
+    assert fired == [10.0, 20.0, horizon]
+    # ...and one an ulp past the horizon never does.
+    assert next_time == math.nextafter(horizon, math.inf) and not batches
+    assert shard.step(2000.0, [])[0] == next_time
+    assert fired == [10.0, 20.0, horizon]
+
+
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
     reason="fork start method unavailable")
 
 
 @needs_fork
-@pytest.mark.parametrize("shards", (2, 4))
+@pytest.mark.parametrize("shards", (2, 3, 4))   # 3: uneven blocks of 3/3/2
 def test_process_mode_matches_inproc(shards):
     inproc = _run(shards)
     forked = _run(shards, mode="process")

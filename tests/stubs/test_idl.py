@@ -118,6 +118,25 @@ def test_unknown_type_rejected():
         """)
 
 
+@pytest.mark.parametrize("text, line, column, problem", [
+    # an unexpected character: where the character is
+    ("X: PROGRAM 1 VERSION 1 =\nBEGIN\n    T: TYPE = @;\nEND.",
+     3, 15, "unexpected character '@'"),
+    # an unexpected end: just past the last token
+    ("X: PROGRAM 1 VERSION 1 =\nBEGIN\n", 2, 6,
+     "unexpected end of interface"),
+    # expected X, found Y: where Y is
+    ("X: PROGRAM 1 VERSION 1 =\nBEGIN\n  E: ERROR 3;\nEND.",
+     3, 12, "expected '=', found '3'"),
+])
+def test_parse_errors_are_located(text, line, column, problem):
+    with pytest.raises(ParseError) as caught:
+        parse_interface(text)
+    error = caught.value
+    assert (error.line, error.column) == (line, column)
+    assert str(error) == "%d:%d: %s" % (line, column, problem)
+
+
 def test_garbage_rejected():
     with pytest.raises(ParseError):
         parse_interface("not an interface at all @@@")

@@ -214,3 +214,25 @@ def test_bad_input_file_is_a_message_not_a_traceback(
     assert captured.err.startswith("repro: %s: " % path)
     assert complaint in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_shard_is_deterministic_in_either_mode(capsys):
+    """``repro shard --json`` carries no mode and no wall clock, so two
+    runs — and the forked coordinator — print the same bytes."""
+    import multiprocessing
+
+    argv = ["shard", "--machines", "8", "--shards", "2", "--cells", "4",
+            "--sessions", "12", "--calls", "2", "--degree", "2"]
+
+    def run(*extra):
+        assert main(argv + list(extra)) == 0
+        return capsys.readouterr().out
+
+    first = run("--json")
+    assert '"digest"' in first
+    assert run("--json") == first
+    if "fork" in multiprocessing.get_all_start_methods():
+        assert run("--mode", "process", "--json") == first
+    text = run()
+    assert text.startswith("shards-2 (inproc): ")
+    assert "wall" not in text
