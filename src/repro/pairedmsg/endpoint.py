@@ -34,6 +34,9 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import itertools
+from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.host.process import OsProcess
@@ -50,6 +53,9 @@ from repro.pairedmsg.segments import (
 )
 from repro.sim.events import Condition, Event, Queue
 from repro.sim.kernel import AnyOf, Sleep
+
+#: sort key: the order transfers came under the scheduler's watch.
+_watch_order = attrgetter("watch_seq")
 
 
 @dataclasses.dataclass
@@ -131,9 +137,9 @@ class _OutgoingTransfer:
         self.unacked: Dict[int, Segment] = {s.segment_number: s for s in segs}
         self.done = Event(endpoint.sim, "xfer-done")
         self.retries = 0
-        #: virtual time of the next retransmission round, maintained by
-        #: the endpoint's retransmit scheduler.
-        self.next_due = 0.0
+        #: position in the endpoint's watch order, assigned when the
+        #: retransmit scheduler takes the transfer on; 0 until then.
+        self.watch_seq = 0
         #: True while an ephemeral worker process owns this transfer's
         #: current retransmission round.
         self.worker_active = False
@@ -165,7 +171,7 @@ class _OutgoingTransfer:
         self.unacked = {}
         if not self.done.fired:
             self.done.fire("acked")
-            self.endpoint._transfer_finished()
+            self.endpoint._transfer_finished(self)
 
     def fail(self) -> None:
         if not self.done.fired:
@@ -176,7 +182,7 @@ class _OutgoingTransfer:
                     call_number=self.call_number,
                     proc=self.endpoint.process.name))
             self.done.fire("timeout")
-            self.endpoint._transfer_finished()
+            self.endpoint._transfer_finished(self)
 
     def cancel(self) -> None:
         """Abandon silently: the peer was declared crashed (§4.2.3), so
@@ -185,7 +191,7 @@ class _OutgoingTransfer:
         self.unacked = {}
         if not self.done.fired:
             self.done.fire("crashed")
-            self.endpoint._transfer_finished()
+            self.endpoint._transfer_finished(self)
 
 
 class _IncomingAssembly:
@@ -262,9 +268,18 @@ class PairedEndpoint:
         #: the single preallocated header buffer all of this endpoint's
         #: encodes pack into (zero per-encode header objects).
         self._header_scratch = bytearray(seg.HEADER_SIZE)
-        #: transfers under watch by the per-endpoint retransmit scheduler.
-        self._watched: Dict[Tuple[ProcessAddress, int, int],
-                            _OutgoingTransfer] = {}
+        #: transfers under watch by the per-endpoint retransmit scheduler,
+        #: by ``watch_seq`` — so in watch order, which is the order the
+        #: scheduler spawns helpers in and therefore decides timestamps.
+        self._watched: Dict[int, _OutgoingTransfer] = {}
+        self._watch_seq = itertools.count(1)
+        #: watched transfers whose ``done`` has fired and that no round
+        #: worker owns: what the scheduler reaps on its next pass.
+        self._finished: List[_OutgoingTransfer] = []
+        #: ``(next_due, watch_seq)`` per scheduled retransmission round.
+        #: Invalidated lazily: an entry whose transfer has finished since
+        #: is skipped when it surfaces.
+        self._due: List[Tuple[float, int]] = []
         self._sched_wake = Condition(self.sim, "pm-sched-wake")
         self._scheduler = None
         #: coalesced explicit acks (config.delayed_acks): the highest
@@ -486,9 +501,17 @@ class PairedEndpoint:
 
     def _watch(self, transfer: _OutgoingTransfer) -> None:
         """Place a transfer under the retransmit scheduler's watch."""
-        transfer.next_due = self.sim.now + self.config.retransmit_interval
-        self._watched[transfer.key] = transfer
+        transfer.watch_seq = next(self._watch_seq)
+        self._watched[transfer.watch_seq] = transfer
+        self._schedule_round(transfer)
+        if transfer.done.fired:
+            # Acknowledged while its segments were still going out.
+            self._finished.append(transfer)
         self._ensure_scheduler()
+
+    def _schedule_round(self, transfer: _OutgoingTransfer) -> None:
+        heappush(self._due, (self.sim.now + self.config.retransmit_interval,
+                             transfer.watch_seq))
 
     def _ensure_scheduler(self) -> None:
         if self._scheduler is None or not self._scheduler.alive:
@@ -497,41 +520,61 @@ class PairedEndpoint:
         else:
             self._sched_wake.signal()
 
-    def _transfer_finished(self) -> None:
+    def _transfer_finished(self, transfer: _OutgoingTransfer) -> None:
         """A transfer's ``done`` fired: wake the scheduler so it cancels
         the retransmission timer and drops the sender-side state at the
-        completion time, exactly as the per-transfer daemon did."""
+        completion time, exactly as the per-transfer daemon did.  (A
+        transfer not yet watched is reported by :meth:`_watch`, one whose
+        round is still running by :meth:`_round_worker`.)"""
+        if transfer.watch_seq and not transfer.worker_active:
+            self._finished.append(transfer)
         if self._scheduler is not None and self._scheduler.alive:
             self._sched_wake.signal()
 
     def _scheduler_loop(self):
+        watched = self._watched
+        due_heap = self._due
         while True:
             # Finished transfers first: charge the timer-cancel setitimer
             # and drop the _sends entry (the old daemon's epilogue).
-            finished = [t for t in self._watched.values()
-                        if t.done.fired and not t.worker_active]
+            finished = self._finished
             if finished:
+                self._finished = []
                 for transfer in finished:
-                    del self._watched[transfer.key]
+                    del watched[transfer.watch_seq]
                 if len(finished) == 1:
                     yield from self._cancel_timer(finished[0])
                 else:
                     # Simultaneous completions (e.g. _abandon_peer) were
-                    # reaped by concurrent daemons; keep that concurrency.
+                    # reaped by concurrent daemons; keep that concurrency,
+                    # in watch order (they were reported in completion
+                    # order).
+                    finished.sort(key=_watch_order)
                     for transfer in finished:
                         self._spawn_helper(self._cancel_timer(transfer),
                                            name="pm-reap")
                 continue
             now = self.sim.now
-            due = [t for t in self._watched.values()
-                   if not t.worker_active and not t.done.fired
-                   and t.next_due <= now]
+            # Surface the rounds that are due.  What stays on top of the
+            # heap afterwards is the earliest round, in the future, of a
+            # transfer still in progress: the next deadline.
+            due = []
+            while due_heap:
+                transfer = watched.get(due_heap[0][1])
+                if transfer is None or transfer.done.fired:
+                    heappop(due_heap)   # finished since it was scheduled
+                elif due_heap[0][0] <= now:
+                    heappop(due_heap)
+                    due.append(transfer)
+                else:
+                    break
             if due:
-                if len(due) == 1 and len(self._watched) == 1:
+                if len(due) == 1 and len(watched) == 1:
                     # The only watched transfer: nothing else can come
                     # due mid-round, so run it inline with no spawn.
                     yield from self._retransmit_round(due[0])
                 else:
+                    due.sort(key=_watch_order)
                     for transfer in due:
                         transfer.worker_active = True
                         self._spawn_helper(self._round_worker(transfer),
@@ -541,15 +584,11 @@ class PairedEndpoint:
                     and self._ack_flush_at <= now):
                 yield from self._flush_held_acks()
                 continue
-            deadlines = [t.next_due for t in self._watched.values()
-                         if not t.worker_active and not t.done.fired]
-            if self._ack_flush_at is not None:
-                deadlines.append(self._ack_flush_at)
-            if not deadlines:
+            wake = self._ack_flush_at
+            if due_heap and (wake is None or due_heap[0][0] < wake):
+                wake = due_heap[0][0]
+            if wake is None:
                 yield self._sched_wake
-                continue
-            wake = min(deadlines)
-            if wake <= now:
                 continue
             yield AnyOf(self._sched_wake, Sleep(wake - now))
 
@@ -590,13 +629,15 @@ class PairedEndpoint:
             yield from self._transmit(self._wire_marked(segment),
                                       transfer.peer)
         yield from self.process.sigsetmask()
-        transfer.next_due = self.sim.now + config.retransmit_interval
+        self._schedule_round(transfer)
 
     def _round_worker(self, transfer: _OutgoingTransfer):
         try:
             yield from self._retransmit_round(transfer)
         finally:
             transfer.worker_active = False
+            if transfer.done.fired:
+                self._finished.append(transfer)
             self._sched_wake.signal()
 
     def _flush_held_acks(self):
@@ -939,6 +980,7 @@ class PairedEndpoint:
             if self._scheduler is not None and self._scheduler.alive:
                 self._scheduler.kill()
             self._watched.clear()
+            del self._finished[:], self._due[:]
             self._held_acks.clear()
             self._ack_flush_at = None
             self.sock.close()

@@ -177,30 +177,37 @@ class _JoinWait:
 
 class _AnyOfWait:
     """Live state for a multi-waitable AnyOf: first fire wins, cancels
-    the losers, and resumes the process with ``(index, value)``."""
+    the losers, and resumes the process with ``(index, value)``.
 
-    __slots__ = ("resume", "cancels", "done")
+    Deciding the wait (a fire or a cancel) drops ``resume`` and
+    ``cancels`` — ``None`` *is* the decided state.  ``cancels`` holds the
+    branch handles, each of which leads back here (handle -> branch ->
+    wait), and ``resume`` is the waiting process's bound method: letting
+    go of both is what lets the wait, its branches and their handles die
+    by reference counting instead of waiting for the cyclic collector."""
 
-    def __init__(self, resume: Callable[[Any], None]):
-        self.resume = resume
-        self.cancels: List[Any] = []
-        self.done = False
+    __slots__ = ("resume", "cancels")
+
+    def __init__(self, resume: Callable[[Any], None], cancels: List[Any]):
+        self.resume: Optional[Callable[[Any], None]] = resume
+        self.cancels: Optional[List[Any]] = cancels
 
     def _fire(self, index: int, value: Any) -> None:
-        if self.done:
+        cancels, resume = self.cancels, self.resume
+        if cancels is None or resume is None:
             return
-        self.done = True
-        cancels = self.cancels
+        self.cancels = self.resume = None
         for i in range(len(cancels)):
             if i != index:
                 cancels[i].cancel()
-        self.resume((index, value))
+        resume((index, value))
 
     def cancel(self) -> None:
-        if self.done:
+        cancels = self.cancels
+        if cancels is None:
             return
-        self.done = True
-        for canceller in self.cancels:
+        self.cancels = self.resume = None
+        for canceller in cancels:
             canceller.cancel()
 
 
@@ -266,8 +273,10 @@ class Process:
         #: run_process sets this so _finish can stop the event loop
         #: without a per-callback stop_when() poll.
         self._stop_on_exit = False
-        # One bound method for every resume, instead of one per wait.
-        self._step = self._step_send
+        # One bound method for every resume, instead of one per wait.  It
+        # refers back to this process, so _finish drops it (None means
+        # finished): a dead process is reclaimed by reference counting.
+        self._step: Optional[Callable[[Any], None]] = self._step_send
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else "dead"
@@ -298,6 +307,10 @@ class Process:
         else:
             # The generator swallowed the kill and yielded again; close it.
             self.gen.close()
+        # The throw hung this frame and the generator's on the traceback;
+        # recorded as the cause, that is process -> exception -> frames ->
+        # process.  A kill is delivered, not raised: there is no "where".
+        exc.__traceback__ = None
         self._finish(result=None, exception=exc, killed=True)
 
     def interrupt(self, cause: Any = None) -> None:
@@ -326,6 +339,7 @@ class Process:
         self.result = result
         self.exception = exception
         self.killed = killed
+        self._step = None
         # Retire: a finished process is reachable only through whoever
         # still holds it (a joiner, run_process), not through the tables.
         sim._processes.pop(self, None)
@@ -355,7 +369,8 @@ class Process:
                 sim._record_failure(self, exception)
 
     def _step_send(self, value: Any) -> None:
-        if not self.alive:
+        step = self._step
+        if step is None:
             return
         self._wait_cancel = None
         try:
@@ -374,21 +389,22 @@ class Process:
             free = sim._free
             if free:
                 call = free.pop()
-                call.fn = self._step
+                call.fn = step
                 call.args = _RESUME_NONE
                 call.cancelled = False
             else:
                 sim.calls_allocated += 1
-                call = _ScheduledCall(self._step, _RESUME_NONE, sim)
+                call = _ScheduledCall(step, _RESUME_NONE, sim)
             heappush(sim._queue,
                      (sim.now + waitable.delay, next(sim._seq), call))
             sim._live += 1
             self._wait_cancel = call
             return
-        self._wait_cancel = self._arm(waitable, self._step)
+        self._wait_cancel = self._arm(waitable, step)
 
     def _step_throw(self, exc: BaseException) -> None:
-        if not self.alive:
+        step = self._step
+        if step is None:
             return
         self._wait_cancel = None
         try:
@@ -399,7 +415,7 @@ class Process:
         except BaseException as raised:
             self._finish(result=None, exception=raised)
             return
-        self._wait_cancel = self._arm(waitable, self._step)
+        self._wait_cancel = self._arm(waitable, step)
 
     def _arm(self, waitable: Any, resume: Callable[[Any], None]):
         """Arrange for ``resume(value)`` when ``waitable`` fires; returns
@@ -425,8 +441,8 @@ class Process:
             # Degenerate AnyOf: subscribe the sole waitable directly with
             # an index-tagging resume; its own handle is the canceller.
             return self._arm(waitables[0], _IndexZero(resume))
-        wait = _AnyOfWait(resume)
-        cancels = wait.cancels
+        cancels: List[Any] = []
+        wait = _AnyOfWait(resume, cancels)
         for i, sub in enumerate(waitables):
             cancels.append(self._arm(sub, _AnyOfBranch(wait, i)))
         return wait

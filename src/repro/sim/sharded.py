@@ -72,10 +72,12 @@ way.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import hashlib
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.runtime import RuntimeConfig
 from repro.harness import World
@@ -126,6 +128,14 @@ def shard_of_host(names: Sequence[str], shards: int) -> Dict[str, int]:
 # the canonical packet-event digest
 # ---------------------------------------------------------------------------
 
+class _AddressText(dict):
+    """address -> ``str(address)``, formatted once per distinct address."""
+
+    def __missing__(self, address) -> str:
+        text = self[address] = str(address)
+        return text
+
+
 class PacketDigest:
     """Order-insensitive canonical digest over ``net.*`` bus events.
 
@@ -142,21 +152,23 @@ class PacketDigest:
         #: adds up.
         self.partial = 0
         self.events = 0
+        self._text = _AddressText()
 
     def _on_event(self, event) -> None:
         kind = event.kind
         if kind == "net.send":
             payload = event.payload
-            extra = "%d:%s" % (len(payload), hashlib.sha256(
-                bytes(payload)).hexdigest()[:16])
+            extra = "%d:%s" % (len(payload),
+                               hashlib.sha256(payload).hexdigest()[:16])
         elif kind == "net.deliver":
             extra = str(event.size)
         elif kind == "net.drop":
             extra = event.reason
         else:
             extra = ""
-        line = "%r %s %s>%s %s" % (event.t, kind, event.src, event.dst,
-                                   extra)
+        text = self._text
+        line = "%r %s %s>%s %s" % (event.t, kind, text[event.src],
+                                   text[event.dst], extra)
         self.partial = (self.partial + int.from_bytes(
             hashlib.sha256(line.encode("utf-8")).digest(), "big")) \
             & _DIGEST_MASK
@@ -506,6 +518,31 @@ def _run_windows(ports: Sequence, horizon: float, lookahead: float) -> int:
             floors[index] = None
 
 
+@contextlib.contextmanager
+def _collector_held() -> Iterator[None]:
+    """Keep the cyclic collector off while :func:`run_sharded` owns a
+    world.  It builds one, runs it to the horizon, summarises it and drops
+    it inside one call, and what the kernel allocates in between is
+    reclaimed by reference counting — whereas every full pass the
+    collector starts walks the whole world (hundreds of thousands of
+    objects at 1,000 hosts, growing in flight) to free nothing
+    (docs/PERFORMANCE.md, "The capacity gap, explained").
+
+    Re-enabled on the way out only if it was on at entry, so nested use
+    and a caller's own ``gc.disable()`` are left alone; forked shard
+    children inherit the suspended state and exit when done.  This is the
+    only place in ``repro`` that touches ``gc``
+    (tests/test_no_wall_clock.py).
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def run_sharded(builder: WorldBuilder, *, machines: int, horizon: float,
                 shards: int = 1, seed: int = 0,
                 net_config: Optional[NetworkConfig] = None,
@@ -517,7 +554,10 @@ def run_sharded(builder: WorldBuilder, *, machines: int, horizon: float,
     ``mode="inproc"`` steps the shards in this process;
     ``mode="process"`` forks one OS process per shard (falling back to
     inproc where fork is unavailable).  Both go through the same window
-    loop and produce identical results."""
+    loop and produce identical results.
+
+    The cyclic collector is held off (:func:`_collector_held`) from before
+    the first shard is built until the merged result exists."""
     if mode not in ("inproc", "process"):
         raise ValueError("mode must be 'inproc' or 'process' (got %r)"
                          % mode)
@@ -530,26 +570,29 @@ def run_sharded(builder: WorldBuilder, *, machines: int, horizon: float,
                 or "fork" not in multiprocessing.get_all_start_methods():
             mode = "inproc"  # identical results, no parallelism to be had
     make_port = _ForkedShard if mode == "process" else Shard
-    ports = [make_port(index, shards, builder, machines, seed, net_config,
-                       runtime_config, horizon) for index in range(shards)]
-    failed = True
-    try:
-        windows = _run_windows(
-            ports, horizon, (net_config or NetworkConfig()).latency)
-        summaries = [port.summary() for port in ports]
-        failed = False
-    finally:
-        for port in ports:
-            port.close(failed)
-    total: dict = {}
-    for summary in summaries:
-        _add_into(total, summary)
-    for values in total["samples"].values():
-        values.sort()
-    return ShardedRunResult(
-        shards=shards, mode=mode, horizon=horizon,
-        digest=merge_digests([s["digest_partial"] for s in summaries]),
-        events=total["events"], windows=windows,
-        cross_shard_messages=total["cross_shard_sent"],
-        counters=total["counters"], samples=total["samples"],
-        endpoint_stats=total["endpoint_stats"], network=total["network"])
+    with _collector_held():
+        ports = [make_port(index, shards, builder, machines, seed,
+                           net_config, runtime_config, horizon)
+                 for index in range(shards)]
+        failed = True
+        try:
+            windows = _run_windows(
+                ports, horizon, (net_config or NetworkConfig()).latency)
+            summaries = [port.summary() for port in ports]
+            failed = False
+        finally:
+            for port in ports:
+                port.close(failed)
+        total: dict = {}
+        for summary in summaries:
+            _add_into(total, summary)
+        for values in total["samples"].values():
+            values.sort()
+        return ShardedRunResult(
+            shards=shards, mode=mode, horizon=horizon,
+            digest=merge_digests([s["digest_partial"] for s in summaries]),
+            events=total["events"], windows=windows,
+            cross_shard_messages=total["cross_shard_sent"],
+            counters=total["counters"], samples=total["samples"],
+            endpoint_stats=total["endpoint_stats"],
+            network=total["network"])

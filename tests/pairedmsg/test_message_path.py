@@ -2,6 +2,8 @@
 the per-endpoint retransmit scheduler, shared multicast segments, and
 opt-in delayed-ack coalescing."""
 
+import dataclasses
+
 import pytest
 
 from repro.host import Machine
@@ -14,6 +16,7 @@ from repro.pairedmsg import (
 )
 from repro.pairedmsg.segments import PLEASE_ACK, Segment, decode, split_message
 from repro.sim import Simulator, Sleep
+from repro.sim.sharded import PacketDigest, merge_digests
 
 
 def make_world(n_machines=2, seed=0, **net_config):
@@ -151,6 +154,99 @@ def test_scheduler_survives_abandon_peer_and_close():
         assert client.counters["packets_sent"] == packets
 
     sim.run_process(body())
+
+
+def test_busy_scheduler_keeps_every_decision():
+    """A hot server under 10% loss: 240 clients' three-segment calls
+    leave one endpoint watching over 200 return transfers at once, rounds
+    come due together (concurrent workers, some still running when an
+    implicit ack completes their transfer), and 30 calls to a dead peer
+    are abandoned in one ``_abandon_peer`` sweep.  The scheduler
+    decides in watch order — which helper spawns first decides every later
+    timestamp — so the counts, syscalls and packet digest below, captured
+    from the scanning scheduler this one replaced, move if any decision or
+    wake-up does."""
+    sim = Simulator()
+    net = Network(sim, seed=5, config=NetworkConfig(loss_probability=0.10))
+    digest = PacketDigest(sim)
+    machines = [Machine(sim, net, "m%d" % i) for i in range(6)]
+    procs = [m.spawn_process() for m in machines]
+    config = PairedMessageConfig(max_segment_data=512,
+                                 retransmit_interval=2000.0, max_retries=64,
+                                 probe_interval=3000.0, crash_timeout=15000.0)
+    hub = PairedEndpoint(procs[0], port=500, config=config)
+    dead = PairedEndpoint(procs[5], port=500, config=config)
+    # The saturated hub goes quiet for seconds; only it declares crashes.
+    patient = dataclasses.replace(config, crash_timeout=1e6)
+    clients = [PairedEndpoint(proc, config=patient)
+               for proc in procs[1:5] for _ in range(60)]
+    outcomes = {"echoed": 0, "crashed": 0}
+    most_watched = [0]
+
+    def reply(msg):
+        yield from hub.send_return(msg.peer, msg.call_number, msg.data)
+        most_watched[0] = max(most_watched[0],
+                              hub.stats()["watched_transfers"])
+
+    def serve():
+        while True:
+            msg = yield from hub.next_call()
+            procs[0].spawn(reply(msg), daemon=True)
+
+    def client_calls(client, index):
+        for number in (1, 2):
+            data = bytes([index % 251, number]) * 750       # 3 segments
+            assert (yield from client.call(hub.addr, number, data)) == data
+            outcomes["echoed"] += 1
+
+    def doomed_call(number):
+        with pytest.raises(PeerCrashed):
+            yield from hub.call(dead.addr, number, b"d" * 1500)
+        outcomes["crashed"] += 1
+
+    def main():
+        procs[0].spawn(serve(), daemon=True)
+        machines[5].crash()
+        threads = [client.process.spawn(client_calls(client, index))
+                   for index, client in enumerate(clients)]
+        threads += [procs[0].spawn(doomed_call(number))
+                    for number in range(1, 31)]
+        for thread in threads:
+            yield thread
+
+    sim.run_process(main())
+    assert outcomes == {"echoed": 480, "crashed": 30}
+    assert most_watched[0] >= 200
+    assert sim.now == 48407.050644766874
+    assert hub.stats() == {
+        "outgoing_transfers": 2, "incoming_assemblies": 0,
+        "buffered_returns": 0, "peers_heard": 241,
+        "delivered_call_memory": 480, "watched_transfers": 2,
+        "held_acks": 0, "segment_encodes": 3575, "wire_patches": 604,
+        "wire_cache_hits": 2431, "packets_sent": 6610,
+        "daemons_spawned": 3067, "retransmit_rounds": 3035,
+        "acks_queued": 1925, "acks_sent": 1925, "acks_coalesced": 0,
+        "bytes_copied": 1826132}
+    assert sum(c.stats()["packets_sent"] for c in clients) == 6200
+    assert [p.syscall_counts for p in procs[:5]] == [
+        {"gettimeofday": 510, "recvmsg": 5609, "select": 5610,
+         "sendmsg": 6610, "setitimer": 1018, "sigblock": 8644,
+         "sigsetmask": 8644},
+        {"gettimeofday": 240, "recvmsg": 1343, "select": 1403,
+         "sendmsg": 1502, "setitimer": 240, "sigblock": 1783,
+         "sigsetmask": 1783},
+        {"gettimeofday": 240, "recvmsg": 1388, "select": 1448,
+         "sendmsg": 1534, "setitimer": 240, "sigblock": 1814,
+         "sigsetmask": 1814},
+        {"gettimeofday": 240, "recvmsg": 1449, "select": 1508,
+         "sendmsg": 1618, "setitimer": 240, "sigblock": 1936,
+         "sigsetmask": 1936},
+        {"gettimeofday": 240, "recvmsg": 1387, "select": 1447,
+         "sendmsg": 1546, "setitimer": 240, "sigblock": 1855,
+         "sigsetmask": 1855}]
+    assert digest.events == 25618
+    assert merge_digests([digest.partial]) == (
+        "14ccacbbff2c646aea8ab3554894c1b5406ffa28909665d363a87f885eefd86a")
 
 
 def test_retransmission_timeout_still_fires():

@@ -385,3 +385,79 @@ def test_many_processes_deterministic():
         return log
 
     assert run_once() == run_once()
+
+
+def test_finished_processes_and_waits_leave_no_cyclic_garbage():
+    """Process and wait state dies by reference counting: with the cyclic
+    collector off, a world exercising join, multi-way AnyOf (each branch
+    winning), kill, interrupt and a replicated parallel call leaves
+    nothing of the kernel's for a collection to find."""
+    import gc
+    import types
+
+    from repro.core import ExportedModule
+    from repro.core.runtime import RuntimeConfig
+    from repro.harness import World
+    from repro.sim import events, kernel
+
+    def scenario():
+        world = World(machines=4, seed=3)
+        sim = world.sim
+        troupe, _ = world.make_troupe(
+            "echo", lambda: ExportedModule(
+                "echo", {0: lambda ctx, args: args}), degree=3)
+        client = world.make_client(
+            runtime_config=RuntimeConfig(execution="parallel"))
+        event = Event(sim, "second-branch")
+
+        def child(delay):
+            yield Sleep(delay)
+            return delay
+
+        def sleeper():
+            try:
+                yield AnyOf(Event(sim, "never"), Sleep(1e6))
+            except Interrupted:
+                pass
+
+        def main():
+            for _ in range(3):
+                assert (yield from client.call_troupe(
+                    troupe, 0, 0, b"x")) == b"x"
+            assert (yield sim.spawn(child(1.0))) == 1.0
+            slow = sim.spawn(child(50.0))
+            sim.schedule(2.0, event.fire, "v")
+            # each branch of a three-way AnyOf wins once
+            assert (yield AnyOf(Sleep(1.0), event, slow))[0] == 0
+            assert (yield AnyOf(Sleep(5.0), event, slow)) == (1, "v")
+            assert (yield AnyOf(Sleep(100.0), Event(sim, "never"),
+                                slow)) == (2, 50.0)
+            victim, interrupted = sim.spawn(sleeper()), sim.spawn(sleeper())
+            yield Sleep(1.0)
+            victim.kill()
+            interrupted.interrupt("stop")
+            yield interrupted
+
+        world.run(main())
+        return world
+
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        # Collect while the world is still referenced: a dropped world
+        # is itself cyclic and would take its live daemons with it.
+        world = scenario()
+        gc.collect()
+        kernel_types = (kernel.Process, types.GeneratorType,
+                        kernel._AnyOfWait, kernel._AnyOfBranch,
+                        kernel._JoinWait, kernel._ScheduledCall,
+                        events._Waiter)
+        found = [obj for obj in gc.garbage if isinstance(obj, kernel_types)]
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[:]
+        if was_enabled:
+            gc.enable()
+    assert not found, sorted({type(obj).__name__ for obj in found})

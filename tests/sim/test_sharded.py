@@ -6,6 +6,7 @@ digests, equal endpoint counters, equal workload counters — for any
 shard count and either coordinator mode.
 """
 
+import gc
 import math
 import multiprocessing
 import os
@@ -217,6 +218,50 @@ def test_dead_shard_child_is_a_named_error():
                        match=r"shard 1 child died \(exit code 3\)"):
         _run(2, mode="process", builder=dying_builder)
     assert multiprocessing.active_children() == []
+    assert gc.isenabled()
+
+
+# -- the collector hold -----------------------------------------------------
+
+def test_collector_is_held_while_the_world_lives_and_restored_after():
+    held = []
+
+    def watching_builder(world):
+        held.append(not gc.isenabled())
+        _small_builder()(world)
+
+    assert gc.isenabled()
+    _run(2, builder=watching_builder)
+    assert held == [True, True]
+    assert gc.isenabled()
+
+
+def test_collector_is_restored_when_the_builder_raises():
+    def failing_builder(world):
+        raise RuntimeError("no world today")
+
+    with pytest.raises(RuntimeError, match="no world today"):
+        _run(1, builder=failing_builder)
+    assert gc.isenabled()
+
+
+def test_collector_hold_nests_and_leaves_a_disabled_collector_alone():
+    after_inner = []
+
+    def nesting_builder(world):
+        _run(1)     # a whole sharded run inside another one's hold
+        after_inner.append(gc.isenabled())
+        _small_builder()(world)
+
+    _run(1, builder=nesting_builder)
+    assert after_inner == [False]
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        _run(1)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 # -- guard rails ------------------------------------------------------------
