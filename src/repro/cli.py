@@ -529,7 +529,7 @@ def cmd_fuzz(args) -> int:
     import os
 
     from repro import explore
-    from repro.obs.export import PROGRESS, SCHEMA_VERSION
+    from repro.obs.export import SCHEMA_VERSION
     from repro.obs.recorder import render_postmortem
 
     oracles = _fuzz_oracles(args)
@@ -558,12 +558,11 @@ def cmd_fuzz(args) -> int:
     seeds = _fuzz_seeds(args)
     results = []
     failures = []
-    for done, seed in enumerate(seeds, 1):
-        result = explore.run(scenario, seed, budget=args.budget,
-                             oracles=oracles,
-                             artifacts=bool(args.artifacts))
+    for result in explore.sweep(scenario, seeds, jobs=args.jobs,
+                                budget=args.budget, oracles=oracles,
+                                artifacts=bool(args.artifacts)):
         entry = {
-            "seed": seed,
+            "seed": result.seed,
             "ok": result.ok,
             "digest": result.digest(),
             "actions": len(result.schedule.actions),
@@ -575,10 +574,6 @@ def cmd_fuzz(args) -> int:
             if not args.json:
                 print(result.summary())
         results.append(entry)
-        PROGRESS.publish("fuzz.%s" % scenario.name, done=done,
-                         total=len(seeds), failures=len(failures),
-                         seed=seed)
-    PROGRESS.finish("fuzz.%s" % scenario.name)
 
     for result, entry in failures:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -790,6 +785,11 @@ def main(argv=None) -> int:
     fuzz_cmd.add_argument("--seed-file", default=None, metavar="PATH",
                           help="JSON seed corpus ([..] or {\"seeds\": "
                                "[..]}); overrides --seeds/--base-seed")
+    fuzz_cmd.add_argument("--jobs", type=int, default=None, metavar="N",
+                          help="forked workers to sweep on (default: one "
+                               "per available CPU; 1 stays in this "
+                               "process); the output is the same for "
+                               "every N")
     fuzz_cmd.add_argument("--budget", type=float, default=None,
                           help="virtual-time budget per run (ms; default: "
                                "the scenario's)")

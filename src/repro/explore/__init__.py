@@ -25,7 +25,10 @@ docs/TESTING.md for the workflow.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+import os
+import sys
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.explore.driver import ScheduleDriver
 from repro.explore.schedule import (
@@ -75,6 +78,7 @@ __all__ = [
     "SCHEDULE_FORMAT",
     "Scenario",
     "ScheduleDriver",
+    "SweepWorkerDied",
     "digest_of",
     "generate",
     "get_scenario",
@@ -160,9 +164,12 @@ def run(scenario, seed: int, *,
     :class:`Scenario`.  Without an explicit ``schedule`` the seed derives
     one (``generate``).  ``oracles`` selects monitors by invariant slug;
     ``monitors`` passes monitor classes/instances directly and wins over
-    ``oracles``; by default every monitor runs.  ``budget`` caps virtual
-    time — a workload still unfinished then is recorded as
-    ``"budget-exhausted"``, not a crash.
+    ``oracles``; by default every monitor runs.  A class is instantiated
+    fresh for this run; an *instance* is attached as it is and keeps its
+    state (``violations``, what it has already fired on) afterwards, so
+    pass classes unless carrying state from run to run is the point.
+    ``budget`` caps virtual time — a workload still unfinished then is
+    recorded as ``"budget-exhausted"``, not a crash.
 
     Runs are call-traced (``watch(trace=True)``) so failure post-mortems
     embed each violating call's critical-path stage breakdown; bus
@@ -282,28 +289,173 @@ def run(scenario, seed: int, *,
                      capacity=capacity))
 
 
-def sweep(scenario, seeds: Iterable[int],
-          progress=None, **kwargs) -> List[ExploreResult]:
-    """Run many seeds; returns every result (``.ok`` filters).
+class SweepWorkerDied(RuntimeError):
+    """A forked :func:`sweep` worker exited without answering for the
+    seed it was running (killed, out of memory, ``os._exit``)."""
+
+
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _must_stay_here(kwargs: Dict[str, Any]) -> bool:
+    """Would the caller be able to tell forked workers from this process?
+
+    Yes when it passed a monitor *instance* (the state it will read lives
+    here), when a profiler, debugger or coverage tool follows this thread
+    (none of them follows a fork), and — trivially — when this process
+    cannot fork or may not have children."""
+    if any(not isinstance(spec, type)
+           for spec in kwargs.get("monitors") or ()):
+        return True
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        return True
+    # 3.12+: cProfile, pdb and coverage register here, not with setprofile
+    monitoring = getattr(sys, "monitoring", None)
+    if monitoring is not None and any(
+            monitoring.get_tool(tool) is not None
+            for tool in (monitoring.DEBUGGER_ID, monitoring.COVERAGE_ID,
+                         monitoring.PROFILER_ID)):
+        return True
+    import multiprocessing
+    return "fork" not in multiprocessing.get_all_start_methods() \
+        or multiprocessing.current_process().daemon
+
+
+def _sweep_worker(conn, scenario, kwargs) -> None:
+    """Forked child body: run each seed the parent sends and answer a
+    pickled ``(result, error)``; ``None`` ends it."""
+    import pickle
+    import signal
+
+    # A terminal's Ctrl-C goes to the whole process group; the parent
+    # handles it and stops the workers, which should not each die with a
+    # traceback of their own.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for seed in iter(conn.recv, None):
+        # Pickled inside the ``try`` so that a result no pickle takes (a
+        # monitor class defined inside a function, say) reaches the
+        # caller as that error instead of as a dead worker.
+        try:
+            answer = pickle.dumps((run(scenario, seed, **kwargs), None))
+        except Exception as exc:  # noqa: BLE001 — re-raised by the parent
+            answer = pickle.dumps((None, exc))
+        conn.send_bytes(answer)
+
+
+def _forked_runs(scenario, seeds: List[int], jobs: int,
+                 kwargs: Dict[str, Any]) -> Iterator[ExploreResult]:
+    """``run(scenario, seed, **kwargs)`` for every seed, in seed order,
+    computed by ``jobs`` forked workers.
+
+    The scenario and ``kwargs`` hold closures no pickle takes, so they
+    reach the workers by being in memory at ``fork`` — which also hands
+    down the hash seed, so set and dict iteration order, and hence every
+    digest, is this process's.  Only seeds go down the pipes and results
+    come back.  A worker gets its next seed when it answers for the last
+    one: seeds differ 10x in cost, and a static split would idle a core.
+    An exception out of ``run`` is raised here when its seed's turn
+    comes, as in-process.  Every worker is stopped and reaped when the
+    generator finishes or is closed.
+    """
+    import multiprocessing
+    import pickle
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    workers = {}                 # connection -> process, every one started
+    running = {}                 # connection -> turn of the seed it has
+    answers = {}                 # turn -> (result, error), not yet its turn
+    todo = iter(enumerate(seeds))
+
+    def hand_out(conn) -> None:
+        turn, seed = next(todo, (None, None))
+        conn.send(seed)          # ``None`` once the seeds are out
+        if seed is None:
+            del running[conn]
+        else:
+            running[conn] = turn
+
+    try:
+        for _ in range(jobs):
+            conn, theirs = ctx.Pipe()
+            workers[conn] = ctx.Process(
+                target=_sweep_worker, args=(theirs, scenario, kwargs),
+                daemon=True)
+            workers[conn].start()
+            theirs.close()
+            hand_out(conn)
+        for turn in range(len(seeds)):
+            while turn not in answers:
+                for conn in wait(list(running)):
+                    try:
+                        answers[running[conn]] = pickle.loads(
+                            conn.recv_bytes())
+                        hand_out(conn)
+                    except (EOFError, OSError):
+                        workers[conn].join(timeout=5)
+                        raise SweepWorkerDied(
+                            "sweep worker died running seed %d (exit code "
+                            "%s)" % (seeds[running[conn]],
+                                     workers[conn].exitcode)) from None
+            result, error = answers.pop(turn)
+            if error is not None:
+                raise error
+            yield result
+    finally:
+        # Workers told ``None`` are exiting on their own; anything still
+        # holding a seed (an error, an early close) is stopped.
+        for conn, proc in workers.items():
+            if conn in running:
+                proc.terminate()
+            conn.close()
+            proc.join()
+
+
+def sweep(scenario, seeds: Iterable[int], progress=None,
+          jobs: Optional[int] = None, **kwargs) -> List[ExploreResult]:
+    """Run many seeds; returns every result, in seed order (``.ok``
+    filters).
+
+    A seed is a world of its own, so the seeds run on ``jobs`` forked
+    workers — by default one per CPU available to this process, never
+    more than there are seeds — and every result, digest and progress
+    row is the one an in-process sweep produces.  The sweep stays in this
+    process whenever the caller could observe the difference
+    (:func:`_must_stay_here`): notably a monitor *instance* in
+    ``monitors=`` is attached to every seed's world in turn and keeps its
+    ``violations`` across them — one violation fails every later seed —
+    so pass classes unless that shared state is the point.  No worker
+    outlives the call.
 
     Progress is published per seed through ``progress`` (default: the
     shared :data:`repro.obs.export.PROGRESS` channel), so a concurrent
-    ``repro top`` — or any listener — can watch the sweep advance.
+    ``repro top`` — or any listener — can watch the sweep advance; the
+    row is dropped when the sweep ends, however it ends.
     """
     if progress is None:
         from repro.obs.export import PROGRESS as progress
     seeds = list(seeds)
     name = scenario.name if isinstance(scenario, Scenario) else str(scenario)
     task = "fuzz.%s" % name
+    jobs = min(_available_cpus() if jobs is None else jobs, len(seeds))
+    if jobs > 1 and not _must_stay_here(kwargs):
+        runs = _forked_runs(scenario, seeds, jobs, kwargs)
+    else:
+        runs = (run(scenario, seed, **kwargs) for seed in seeds)
     results: List[ExploreResult] = []
     failures = 0
-    for seed in seeds:
-        result = run(scenario, seed, **kwargs)
-        results.append(result)
-        failures += 0 if result.ok else 1
-        progress.publish(task, done=len(results), total=len(seeds),
-                         failures=failures, seed=seed)
-    progress.finish(task)
+    try:
+        for seed, result in zip(seeds, runs):
+            results.append(result)
+            failures += 0 if result.ok else 1
+            progress.publish(task, done=len(results), total=len(seeds),
+                             failures=failures, seed=seed)
+    finally:
+        runs.close()
+        progress.finish(task)
     return results
 
 
