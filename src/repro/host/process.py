@@ -100,11 +100,12 @@ class OsProcess:
 
     # -- CPU accounting ----------------------------------------------------
 
-    def syscall(self, name: str):
-        """Generator: perform a system call — charge its kernel CPU cost
-        and advance the simulated clock by the same amount.
-
-        ``yield from proc.syscall('sendmsg')``
+    def charge(self, name: str) -> Sleep:
+        """Account one system call — its kernel CPU cost, charged in full
+        as it starts — and return the ``Sleep`` that advances the clock
+        by the same amount: ``yield proc.charge('sendmsg')``.  A caller
+        fusing back-to-back syscalls into one wake-up reads each cost off
+        the returned ``Sleep.delay``.
         """
         self._require_alive()
         model = self.machine.cost_model
@@ -122,7 +123,12 @@ class OsProcess:
         times[name] = times.get(name, 0.0) + cost
         counts = self.syscall_counts
         counts[name] = counts.get(name, 0) + 1
-        yield entry[1]
+        return entry[1]
+
+    def syscall(self, name: str):
+        """Generator: perform a system call (``yield from`` spelling of
+        :meth:`charge`)."""
+        yield self.charge(name)
 
     def compute(self, ms: float):
         """Generator: user-mode computation for ``ms`` milliseconds."""
@@ -163,13 +169,13 @@ class OsProcess:
     def sendmsg(self, sock: UdpSocket, payload: bytes,
                 dst: ProcessAddress):
         """Generator: charge a sendmsg, then transmit the datagram."""
-        yield from self.syscall("sendmsg")
+        yield self.charge("sendmsg")
         sock.sendto(payload, dst)
 
     def sendmsg_multicast(self, sock: UdpSocket, payload: bytes,
                           destinations):
         """Generator: one hardware multicast costs one sendmsg (§4.3.3)."""
-        yield from self.syscall("sendmsg")
+        yield self.charge("sendmsg")
         sock.multicast(payload, destinations)
 
     def recvmsg(self, sock: UdpSocket, timeout: Optional[float] = None):
@@ -186,7 +192,7 @@ class OsProcess:
             if index == 1:
                 return None
             datagram = value
-        yield from self.syscall("recvmsg")
+        yield self.charge("recvmsg")
         return datagram
 
     def select(self, socks: List[UdpSocket],
@@ -196,8 +202,7 @@ class OsProcess:
         Returns the list of readable sockets ([] on timeout).  Charges one
         select syscall, as the Circus event loop does.
         """
-        self._require_alive()
-        yield from self.syscall("select")
+        yield self.charge("select")
         ready = [s for s in socks if s.pending() > 0]
         if ready:
             return ready
@@ -216,16 +221,16 @@ class OsProcess:
 
     def gettimeofday(self):
         """Generator: the simulated wall-clock time (charged: 0.7 ms)."""
-        yield from self.syscall("gettimeofday")
+        yield self.charge("gettimeofday")
         return self.sim.now
 
     def sigblock(self):
         """Generator: enter a critical region (mask software interrupts)."""
-        yield from self.syscall("sigblock")
+        yield self.charge("sigblock")
 
     def sigsetmask(self):
         """Generator: leave a critical region."""
-        yield from self.syscall("sigsetmask")
+        yield self.charge("sigsetmask")
 
     def _require_alive(self) -> None:
         if not self.alive:

@@ -25,8 +25,9 @@ serve as the implicit acknowledgment (§4.2.4).
 server with a special control segment; silence beyond a timeout raises
 :class:`PeerCrashed` (§4.2.3).
 
-Every packet transmission and reception goes through the owning process's
-syscall wrappers, so the Table 4.3 execution profile falls out of running
+Every packet transmission and reception is charged to the owning process
+(its syscall wrappers, or ``charge`` where the receive loop sleeps through
+two calls at once), so the Table 4.3 execution profile falls out of running
 this code.
 """
 
@@ -52,7 +53,7 @@ from repro.pairedmsg.segments import (
     SegmentFormatError,
 )
 from repro.sim.events import Condition, Event, Queue
-from repro.sim.kernel import AnyOf, Sleep
+from repro.sim.kernel import AnyOf, Sleep, SleepUntil
 
 #: sort key: the order transfers came under the scheduler's watch.
 _watch_order = attrgetter("watch_seq")
@@ -375,13 +376,13 @@ class PairedEndpoint:
         # Protocol processing in user mode, then a timestamp and the
         # retransmission timer (the setitimer traffic of Table 4.3).
         yield from self.process.compute(self.config.user_cost_send)
-        yield from self.process.syscall("setitimer")
+        yield self.process.charge("setitimer")
         if self.config.stop_and_wait and len(segs) > 1:
             yield from self._send_stop_and_wait(transfer)
         else:
             for segment in segs:
                 yield from self._transmit(self._wire(segment), peer)
-        yield from self.process.syscall("gettimeofday")
+        yield self.process.charge("gettimeofday")
         self._watch(transfer)
         return transfer
 
@@ -449,12 +450,12 @@ class PairedEndpoint:
                     segments=len(segs), size=len(data),
                     proc=self.process.name))
         yield from self.process.compute(self.config.user_cost_send)
-        yield from self.process.syscall("setitimer")
+        yield self.process.charge("setitimer")
         for segment in segs:
             self.counters["packets_sent"] += 1
             yield from self.process.sendmsg_multicast(
                 self.sock, self._wire(segment), peers)
-        yield from self.process.syscall("gettimeofday")
+        yield self.process.charge("gettimeofday")
         for transfer in transfers:
             self._watch(transfer)
         return transfers
@@ -475,7 +476,7 @@ class PairedEndpoint:
         key = (peer, call_number)
         if self._completed_returns.pop(key, None) is not None:
             return
-        waiter = self._return_waiters.pop(key, None)
+        self._return_waiters.pop(key, None)
         self._discarded_returns.add(key)
 
     def send_call(self, peer: ProcessAddress, call_number: int, data: bytes):
@@ -594,7 +595,7 @@ class PairedEndpoint:
 
     def _cancel_timer(self, transfer: _OutgoingTransfer):
         # Cancelling the retransmission timer is one more setitimer.
-        yield from self.process.syscall("setitimer")
+        yield self.process.charge("setitimer")
         self._sends.pop(transfer.key, None)
 
     def _retransmit_round(self, transfer: _OutgoingTransfer):
@@ -670,7 +671,7 @@ class PairedEndpoint:
                 data = self._completed_returns.pop(key)
                 self._return_waiters.pop(key, None)
                 yield from self.process.compute(config.user_cost_receive)
-                yield from self.process.syscall("gettimeofday")
+                yield self.process.charge("gettimeofday")
                 return data
             waiter = self._return_waiters.get(key)
             if waiter is None or waiter.fired:
@@ -744,23 +745,38 @@ class PairedEndpoint:
     # ------------------------------------------------------------------
 
     def _receive_loop(self):
+        """select → recvmsg → sigblock → handle → sigsetmask, per datagram
+        (§4.4.1) — with each run of back-to-back syscalls charged as it
+        begins and slept through in one wake-up, at the float the chain
+        of single sleeps reaches: ``(now + c1) + c2``, in that order."""
+        sim, sock, charge = self.sim, self.sock, self.process.charge
+        pending = self._pending_control
+        yield charge("select")
         while not self.closed and self.process.alive:
-            yield from self.process.select([self.sock])
-            datagram = yield from self.process.recvmsg(self.sock)
-            yield from self.process.sigblock()
+            datagram = sock.recv_nowait()
+            if datagram is None:
+                datagram = yield sock.recv()
+            yield SleepUntil((sim.now + charge("recvmsg").delay)
+                             + charge("sigblock").delay)
             try:
                 segment = seg.decode(datagram.payload)
             except SegmentFormatError:
                 segment = None  # garbled: checksum already made it "lost"
             if segment is not None:
                 self._handle_segment(datagram.src, segment)
-            yield from self.process.sigsetmask()
-            # Flush control traffic (acks, probe replies) generated above.
-            while self._pending_control:
-                control, dst = self._pending_control.pop(0)
-                if control.ack:
-                    self.counters["acks_sent"] += 1
-                yield from self._transmit(self._wire(control), dst)
+            if pending:
+                yield charge("sigsetmask")
+                # Flush control traffic (acks, probe replies) generated
+                # above: each goes out between two sleeps.
+                for control, dst in pending:
+                    if control.ack:
+                        self.counters["acks_sent"] += 1
+                    yield from self._transmit(self._wire(control), dst)
+                pending.clear()
+                yield charge("select")
+            else:
+                yield SleepUntil((sim.now + charge("sigsetmask").delay)
+                                 + charge("select").delay)
 
     def _handle_segment(self, src: ProcessAddress, segment: Segment) -> None:
         self._last_heard[src] = self.sim.now

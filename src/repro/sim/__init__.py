@@ -18,6 +18,7 @@ from repro.sim.kernel import (
     SimulationError,
     Simulator,
     Sleep,
+    SleepUntil,
 )
 from repro.sim.events import Condition, Event, Queue, QueueClosed
 from repro.sim.rng import RandomStream
@@ -36,6 +37,7 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Sleep",
+    "SleepUntil",
     "Timer",
     "TimerService",
 ]

@@ -3,6 +3,7 @@
 Processes are Python generators that yield *waitables*:
 
 - ``Sleep(dt)`` suspends the process for ``dt`` units of virtual time.
+- ``SleepUntil(t)`` suspends it until the absolute virtual time ``t``.
 - an :class:`~repro.sim.events.Event` suspends until the event fires and
   resumes with the event's value.
 - ``AnyOf(w0, w1, ...)`` suspends until the first of several waitables
@@ -109,6 +110,24 @@ class Sleep:
 
     def __repr__(self) -> str:
         return "Sleep(%r)" % self.delay
+
+
+class SleepUntil:
+    """Waitable: suspend the yielding process until the absolute virtual
+    time ``time`` — the generator spelling of :meth:`Simulator.schedule_at`.
+
+    One wake-up for a run of back-to-back sleeps has to land on the float
+    the chain would have reached, ``(now + a) + b``; ``Sleep(a + b)``
+    wakes at ``now + (a + b)``, which can be an ulp away.  A time in the
+    past raises ``schedule_at``'s ``ValueError`` when the wait is armed."""
+
+    __slots__ = ("time",)
+
+    def __init__(self, time: float):
+        self.time = time
+
+    def __repr__(self) -> str:
+        return "SleepUntil(%r)" % self.time
 
 
 class AnyOf:
@@ -381,26 +400,30 @@ class Process:
         except BaseException as exc:
             self._finish(result=None, exception=exc)
             return
-        # Inlined Sleep fast path (the most common wait by far): arm a
+        # Inlined timer fast path (the most common waits by far): arm a
         # pooled timer directly, skipping the _arm/schedule call frames.
-        # Sleep.__init__ already validated delay >= 0.
+        # Sleep.__init__ already validated delay >= 0; a SleepUntil in the
+        # past goes to _arm, where schedule_at refuses it.
+        sim = self.sim
         if waitable.__class__ is Sleep:
-            sim = self.sim
-            free = sim._free
-            if free:
-                call = free.pop()
-                call.fn = step
-                call.args = _RESUME_NONE
-                call.cancelled = False
-            else:
-                sim.calls_allocated += 1
-                call = _ScheduledCall(step, _RESUME_NONE, sim)
-            heappush(sim._queue,
-                     (sim.now + waitable.delay, next(sim._seq), call))
-            sim._live += 1
-            self._wait_cancel = call
+            when = sim.now + waitable.delay
+        elif waitable.__class__ is SleepUntil and waitable.time >= sim.now:
+            when = waitable.time
+        else:
+            self._wait_cancel = self._arm(waitable, step)
             return
-        self._wait_cancel = self._arm(waitable, step)
+        free = sim._free
+        if free:
+            call = free.pop()
+            call.fn = step
+            call.args = _RESUME_NONE
+            call.cancelled = False
+        else:
+            sim.calls_allocated += 1
+            call = _ScheduledCall(step, _RESUME_NONE, sim)
+        heappush(sim._queue, (when, next(sim._seq), call))
+        sim._live += 1
+        self._wait_cancel = call
 
     def _step_throw(self, exc: BaseException) -> None:
         step = self._step
@@ -428,6 +451,8 @@ class Process:
             # Events, conditions and queue-gets provide the subscription
             # protocol; they are the next most common waitables.
             return subscribe(resume)
+        if isinstance(waitable, SleepUntil):
+            return self.sim.schedule_at(waitable.time, resume, None)
         if isinstance(waitable, AnyOf):
             return self._arm_any(waitable, resume)
         if isinstance(waitable, Process):

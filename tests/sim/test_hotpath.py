@@ -8,7 +8,7 @@ the perf counters the CI gate reads.
 
 import pytest
 
-from repro.sim import AnyOf, Event, Queue, Simulator, Sleep
+from repro.sim import AnyOf, Event, Queue, Simulator, Sleep, SleepUntil
 from repro.sim.events import QueueClosed
 
 
@@ -147,6 +147,26 @@ def test_steady_state_scheduling_reuses_handles():
     # freelist recycles them, so allocations stay at the concurrency
     # plateau instead of one per event.
     assert snapshot["calls_allocated"] <= 20
+
+
+def test_absolute_time_sleeps_reuse_handles_too():
+    """``SleepUntil`` arms through the same inlined freelist path as
+    ``Sleep``: mixing the two allocates nothing past the plateau."""
+    sim = Simulator()
+
+    def worker():
+        for _ in range(500):
+            yield SleepUntil((sim.now + 0.4) + 0.6)
+            yield Sleep(1.0)
+
+    for _ in range(10):
+        sim.spawn(worker())
+    sim.run(until=100.0)
+    plateau = sim.calls_allocated
+    sim.run()
+    snapshot = sim.perf_snapshot()
+    assert snapshot["callbacks_run"] == 10 * 1000 + 10
+    assert snapshot["calls_allocated"] == plateau <= 20
 
 
 def test_perf_counters_are_deterministic():

@@ -10,6 +10,7 @@ from repro.sim import (
     SimulationError,
     Simulator,
     Sleep,
+    SleepUntil,
 )
 
 
@@ -84,6 +85,57 @@ def test_process_return_value():
         return 42
 
     assert sim.run_process(body()) == 42
+
+
+def test_sleep_until_wakes_at_exactly_the_float_given():
+    """The ``now < t / 2`` case of docs/PERFORMANCE.md "The determinism
+    contract": a delta re-derives ``t`` as ``now + (t - now)``, an ulp
+    off; the absolute-time waitable lands on ``t`` itself."""
+    sim = Simulator()
+    now, t = 0.3, 0.9
+    assert now < t / 2 and now + (t - now) != t
+
+    def body():
+        yield Sleep(now)
+        yield SleepUntil(t)
+        exact = sim.now
+        yield SleepUntil(sim.now)           # the present is not the past
+        return exact, sim.now
+
+    assert sim.run_process(body()) == (t, t)
+
+
+def test_sleep_until_ties_with_schedule_at_break_by_seq():
+    sim = Simulator()
+    seen = []
+
+    def body(tag):
+        yield SleepUntil(5.0)
+        seen.append(tag)
+
+    sim.schedule_at(5.0, seen.append, "a")
+    sim.spawn(body("b"))
+    sim.run(until=1.0)                      # b has armed its timer
+    sim.schedule_at(5.0, seen.append, "c")
+    sim.spawn(body("d"))
+    sim.run()
+    assert seen == ["a", "b", "c", "d"]
+
+
+def test_sleep_until_in_the_past_is_refused_like_schedule_at():
+    sim = Simulator()
+    sim.schedule(2.0, lambda: None)
+    sim.run()
+    with pytest.raises(ValueError) as direct:
+        sim.schedule_at(1.0, lambda: None)
+
+    def body():
+        yield SleepUntil(1.0)
+
+    sim.spawn(body())
+    with pytest.raises(ValueError) as yielded:
+        sim.run()
+    assert str(yielded.value) == str(direct.value)
 
 
 def test_zero_sleep_yields_control():
@@ -215,6 +267,25 @@ def test_anyof_loser_subscription_cancelled():
     assert resumes == [0, "end"]
 
 
+def test_sleep_until_as_an_anyof_branch_wins_or_is_cancelled():
+    sim = Simulator()
+    ev = Event(sim, "e")
+    resumes = []
+
+    def body():
+        resumes.append((yield AnyOf(ev, SleepUntil(2.0))))
+        resumes.append((yield AnyOf(ev, SleepUntil(9.0))))
+        yield Sleep(100.0)
+        resumes.append(sim.now)
+
+    sim.spawn(body())
+    sim.schedule(3.0, ev.fire, "fired")
+    sim.run()
+    # The losing timer (due at 9.0) never resumes the process.
+    assert resumes == [(1, None), (0, "fired"), 103.0]
+    assert sim.pending_events() == 0
+
+
 def test_join_returns_child_result():
     sim = Simulator()
 
@@ -327,6 +398,27 @@ def test_interrupt_raises_in_waiting_process():
     sim.schedule(2.0, proc.interrupt, "reason")
     sim.run()
     assert proc.result == ("interrupted", "reason", 2.0)
+
+
+def test_kill_and_interrupt_cancel_a_sleep_until():
+    sim = Simulator()
+    log = []
+
+    def body(tag):
+        try:
+            yield SleepUntil(100.0)
+            log.append((tag, "woke"))
+        except Interrupted as exc:
+            log.append((tag, exc.cause, sim.now))
+
+    killed = sim.spawn(body("killed"))
+    interrupted = sim.spawn(body("interrupted"))
+    sim.schedule(1.0, killed.kill)
+    sim.schedule(2.0, interrupted.interrupt, "reason")
+    assert sim.run() == 2.0                 # both timers died with their waits
+    assert log == [("interrupted", "reason", 2.0)]
+    assert killed.killed and not interrupted.alive
+    assert sim.pending_events() == 0
 
 
 def test_yield_from_composition():
