@@ -24,6 +24,7 @@ docs/TESTING.md for the workflow.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import os
 import sys
@@ -74,6 +75,7 @@ __all__ = [
     "PartitionDuringJoin",
     "Profile",
     "Reorder",
+    "ReplayDiverged",
     "SCENARIOS",
     "SCHEDULE_FORMAT",
     "Scenario",
@@ -151,6 +153,15 @@ class ExploreResult:
             self.seed, what, len(self.schedule.actions))
 
 
+class ReplayDiverged(RuntimeError):
+    """The explaining attempt at a failing seed did not reproduce the
+    verdict attempt's digest.  A seed is one run, bit for bit, whoever
+    observes it — so this is a determinism bug in the scenario, the
+    simulator or an observer (a build that consults ``random`` or the
+    wall clock, a subscriber that touches the simulation), never a
+    flake: report it with the scenario and seed it names."""
+
+
 def run(scenario, seed: int, *,
         schedule: Optional[FaultSchedule] = None,
         budget: Optional[float] = None,
@@ -164,83 +175,133 @@ def run(scenario, seed: int, *,
     :class:`Scenario`.  Without an explicit ``schedule`` the seed derives
     one (``generate``).  ``oracles`` selects monitors by invariant slug;
     ``monitors`` passes monitor classes/instances directly and wins over
-    ``oracles``; by default every monitor runs.  A class is instantiated
-    fresh for this run; an *instance* is attached as it is and keeps its
-    state (``violations``, what it has already fired on) afterwards, so
-    pass classes unless carrying state from run to run is the point.
-    ``budget`` caps virtual time — a workload still unfinished then is
-    recorded as ``"budget-exhausted"``, not a crash.
+    ``oracles``; by default every monitor runs.  ``budget`` caps virtual
+    time — a workload still unfinished then is recorded as
+    ``"budget-exhausted"``, not a crash.
 
-    Runs are call-traced (``watch(trace=True)``) so failure post-mortems
-    embed each violating call's critical-path stage breakdown; bus
-    subscribers never touch the simulation, so digests and stats are
-    unchanged.  ``artifacts=True`` additionally attaches the metrics and
-    time-series collectors and, on failure, stores an OpenMetrics
-    snapshot plus the Chrome trace on the result for CI upload.
+    Detect lean, explain by replay.  The seed is first run for its
+    *verdict*, with only the oracles (and the scenario's history
+    recorder and the schedule driver) on the bus — the clocks tick on
+    the causal kinds and nothing else is even built.  A passing seed's
+    result is that attempt's.  When it reports a violation or a crash,
+    the same seed and schedule are built and run again under the full
+    watch — flight recorder of ``capacity`` events, call tracer and
+    critical-path analyzer, so the post-mortem embeds each violating
+    call's stage breakdown; with ``artifacts=True`` also the metrics and
+    time-series collectors, whose OpenMetrics snapshot and the Chrome
+    trace are stored on the result for CI upload — and *that* attempt's
+    result is returned, so its violations, post-mortem and artefacts all
+    describe one run.  Bus subscribers never touch the simulation, so
+    the two attempts must agree: unequal digests raise
+    :class:`ReplayDiverged`.
+
+    A monitor class is instantiated fresh for each attempt.  A monitor
+    *instance* is attached as it is to the verdict attempt — it sees
+    each seed's events exactly once and keeps its state (``violations``,
+    what it has already fired on) afterwards, so pass classes unless
+    carrying state from run to run is the point; the explaining attempt
+    gets a ``copy.deepcopy`` of it taken before the verdict attempt
+    attached it, and starts from the state the verdict attempt started
+    from.
     """
-    import contextlib
-
-    from repro.obs.monitor import monitors_for, watch
+    from repro.obs.monitor import monitors_for
 
     scn = scenario if isinstance(scenario, Scenario) \
         else get_scenario(scenario)
-    built = scn.build(seed)
-    world = built.world
-    if schedule is None:
-        schedule = generate(seed, built.fault_machines, scn.horizon,
-                            scn.profile, scenario=scn.name)
     if monitors is None:
         if oracles is None:
             oracles = scn.oracles
         if oracles is not None:
             monitors = monitors_for(oracles)
-    # History-checked scenarios get a fresh HistoryOracle per run (it is
-    # bound to this build's recorder, so it must NOT go into _kwargs —
-    # a shrinking rerun builds its own); it rides with the monitors so a
-    # failed check reports through the same violation machinery.
+    kwargs = dict(monitors=monitors, budget=budget, capacity=capacity)
+    pristine = monitors if monitors is None else [
+        spec if isinstance(spec, type) else copy.deepcopy(spec)
+        for spec in monitors]
+    result = verdict = _attempt(scn, seed, schedule, **kwargs)
+    if not verdict.ok:
+        result = _attempt(scn, seed, verdict.schedule, explain=True,
+                          artifacts=artifacts,
+                          **dict(kwargs, monitors=pristine))
+        if result.digest() != verdict.digest():
+            raise ReplayDiverged(
+                "scenario %r seed %d: the verdict attempt's digest %s "
+                "became %s when the seed was run again to explain it"
+                % (scn.name, seed, verdict.digest(), result.digest()))
+    # what shrink_failure re-runs candidates with: the caller's monitors
+    result._kwargs = kwargs
+    return result
+
+
+def _attempt(scn: Scenario, seed: int, schedule: Optional[FaultSchedule],
+             *, monitors: Optional[Sequence], budget: Optional[float],
+             capacity: int, explain: bool = False,
+             artifacts: bool = False) -> ExploreResult:
+    """Build ``scn`` for ``seed`` and run it once; ``monitors`` is
+    :func:`run`'s, resolved (classes and instances, or None for every
+    monitor).  Lean unless ``explain``: a bare
+    :class:`~repro.obs.monitor.MonitorSuite`, which is all a verdict
+    (``invariants()`` / ``crash`` / the digest) needs; with ``explain``
+    the full ``watch(trace=True)``, a post-mortem and — ``artifacts`` —
+    the collectors' snapshots."""
+    import contextlib
+
+    from repro.obs.monitor import MonitorSuite, watch
+
+    built = scn.build(seed)
+    world = built.world
+    if schedule is None:
+        schedule = generate(seed, built.fault_machines, scn.horizon,
+                            scn.profile, scenario=scn.name)
+    # History-checked scenarios get a fresh HistoryOracle per attempt (it
+    # is bound to this build's recorder, so it is not part of ``kwargs``);
+    # it rides with the monitors so a failed check reports through the
+    # same violation machinery.
     oracle = None
-    active_monitors = monitors
     if built.history is not None and scn.checker:
         from repro.obs.lincheck import HistoryOracle
         from repro.obs.monitor import DEFAULT_MONITORS
         oracle = HistoryOracle(built.history, scn.checker)
-        active_monitors = list(DEFAULT_MONITORS if monitors is None
-                               else monitors) + [oracle]
+        monitors = list(DEFAULT_MONITORS if monitors is None
+                        else monitors) + [oracle]
     driver = ScheduleDriver(world.sim, world.machines, world.net, schedule)
     horizon = budget if budget is not None else scn.budget
     outcome: Any = None
     crash: Optional[str] = None
-    collected = None
+    collected = recorder = None
     with contextlib.ExitStack() as stack:
-        if artifacts:
-            from repro.obs import MetricsCollector, TimeSeriesCollector
-            collected = (
-                stack.enter_context(MetricsCollector(world.sim.bus)),
-                stack.enter_context(TimeSeriesCollector(world.sim.bus)))
-        probe = stack.enter_context(
-            watch(world.sim, monitors=active_monitors, capacity=capacity,
-                  trace=True))
-        # The post-mortem carries the offending schedule, so a dumped
-        # report is replayable on its own (save the "schedule" object to
-        # a file and `repro fuzz --replay` it).
-        probe.recorder.context = {
-            "scenario": scn.name,
-            "seed": seed,
-            "schedule": schedule.to_dict(),
-        }
+        if explain:
+            if artifacts:
+                from repro.obs import MetricsCollector, TimeSeriesCollector
+                collected = (
+                    stack.enter_context(MetricsCollector(world.sim.bus)),
+                    stack.enter_context(TimeSeriesCollector(world.sim.bus)))
+            probe = stack.enter_context(
+                watch(world.sim, monitors=monitors, capacity=capacity,
+                      trace=True))
+            recorder = probe.recorder
+            # The post-mortem carries the offending schedule, so a dumped
+            # report is replayable on its own (save the "schedule" object
+            # to a file and `repro fuzz --replay` it).
+            recorder.context = {
+                "scenario": scn.name,
+                "seed": seed,
+                "schedule": schedule.to_dict(),
+            }
+        else:
+            probe = MonitorSuite(world.sim, monitors)
+            stack.callback(probe.detach)
         driver.start()
         try:
             outcome = world.run(built.body(), name="explore-workload",
                                 until=horizon)
-        except SimulationError as exc:
-            if "did not finish" in str(exc):
+        except Exception as exc:
+            if isinstance(exc, SimulationError) \
+                    and "did not finish" in str(exc):
                 outcome = "budget-exhausted"
             else:
                 crash = "%s: %s" % (type(exc).__name__, exc)
-                probe.recorder.record_crash(exc, t=world.sim.now)
-        except Exception as exc:
-            crash = "%s: %s" % (type(exc).__name__, exc)
-            probe.recorder.record_crash(exc, t=world.sim.now)
+                if recorder is not None:
+                    recorder.record_crash(exc, t=world.sim.now)
         driver.stop()
         history_dict = None
         if built.history is not None:
@@ -266,12 +327,12 @@ def run(scenario, seed: int, *,
         if history_dict is not None:
             stats["history_ops"] = len(history_dict["ops"])
             stats["history_digest"] = digest_of(history_dict)
-        postmortem = probe.postmortem() if (violations or crash) else None
-        if postmortem is not None and oracle is not None \
-                and oracle.result is not None:
-            postmortem["lincheck"] = oracle.result.to_dict()
-        failed_artifacts = None
-        if collected is not None and (violations or crash):
+        postmortem = failed_artifacts = None
+        if explain:
+            postmortem = probe.postmortem()
+            if oracle is not None and oracle.result is not None:
+                postmortem["lincheck"] = oracle.result.to_dict()
+        if collected is not None:
             from repro.obs import openmetrics
             metrics_collector, ts_collector = collected
             failed_artifacts = {
@@ -284,9 +345,7 @@ def run(scenario, seed: int, *,
     return ExploreResult(
         scenario=scn.name, seed=seed, schedule=schedule, outcome=outcome,
         crash=crash, violations=list(violations), postmortem=postmortem,
-        stats=stats, artifacts=failed_artifacts, history=history_dict,
-        _kwargs=dict(budget=budget, oracles=oracles, monitors=monitors,
-                     capacity=capacity))
+        stats=stats, artifacts=failed_artifacts, history=history_dict)
 
 
 class SweepWorkerDied(RuntimeError):
@@ -459,12 +518,6 @@ def sweep(scenario, seeds: Iterable[int], progress=None,
     return results
 
 
-def _rerun(result: ExploreResult,
-           schedule: FaultSchedule) -> ExploreResult:
-    return run(result.scenario, result.seed, schedule=schedule,
-               **result._kwargs)
-
-
 def shrink_failure(result: ExploreResult,
                    max_attempts: int = 300,
                    ) -> Tuple[FaultSchedule, int]:
@@ -472,15 +525,20 @@ def shrink_failure(result: ExploreResult,
     attempts)``.  A candidate *reproduces* when it triggers at least one
     of the original failure's invariants (or, for a crash, any crash) —
     every accepted candidate was re-run and observed to still fail, so
-    the shrunken schedule is guaranteed violating."""
+    the shrunken schedule is guaranteed violating.  Candidates are run
+    for their verdict only (no flight recorder, tracer or second
+    attempt); :func:`run` or ``repro fuzz --replay`` the shrunken
+    schedule for its post-mortem."""
     if result.ok:
         raise ValueError("cannot shrink a passing result")
+    scn = get_scenario(result.scenario)
     target = set(result.invariants())
     want_crash = result.crash is not None
 
     def reproduces(actions: List[FaultAction]) -> bool:
-        candidate = result.schedule.with_actions(actions)
-        rerun = _rerun(result, candidate)
+        rerun = _attempt(scn, result.seed,
+                         result.schedule.with_actions(actions),
+                         **result._kwargs)
         if want_crash and rerun.crash is not None:
             return True
         return bool(target & set(rerun.invariants()))

@@ -22,9 +22,15 @@ by resolving each subscription against the event vocabulary
 empty, so observing costs one attribute load and one membership test per
 site and no event object is ever constructed; with only a ``"net."``
 subscriber attached the ``sim``/``pm``/``rpc`` sites still cost exactly
-that.  While a causal-clock stamper is installed every kind is wanted:
-happens-before edges run through events (``pm.send`` → ``pm.deliver``)
-that no monitor subscribes to.
+that.  While a causal-clock stamper is installed ``wanted`` is what was
+subscribed to *plus the causal kinds*
+(:data:`repro.obs.events.CAUSAL_KINDS`): happens-before edges run
+through events (``pm.send`` → ``pm.deliver``) that no monitor subscribes
+to, and the clocks tick on those kinds and no others — so what a
+causal event is stamped with never depends on who else is listening.
+Every other kind stays unbuilt until somebody asks for it: a
+``MonitorSuite`` alone leaves ``net.*``, ``sim.*``, ``pm.ack_*``,
+``txn.lock_*`` at the cost of the guard.
 
 To add an emission site, guard it with the literal kind of the event it
 constructs.  To add an event kind, define the dataclass in
@@ -41,7 +47,7 @@ from __future__ import annotations
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
                     Optional, Tuple, Union)
 
-from repro.obs.events import KINDS, MonitorError
+from repro.obs.events import CAUSAL_KINDS, KINDS, MonitorError
 
 #: An event handler: called synchronously with each matching event.
 Handler = Callable[[object], None]
@@ -95,10 +101,10 @@ class EventBus:
     __slots__ = ("wanted", "_subs", "_stamper", "_by_kind")
 
     def __init__(self):
-        #: The kinds of the vocabulary somebody is listening for (all of
-        #: them while a stamper is installed).  Emission sites test their
-        #: kind against this set before constructing an event — the
-        #: nobody-wants-it fast path.
+        #: The kinds of the vocabulary somebody is listening for (and the
+        #: causal kinds while a stamper is installed).  Emission sites
+        #: test their kind against this set before constructing an event
+        #: — the nobody-wants-it fast path.
         self.wanted: FrozenSet[str] = frozenset()
         self._subs: List[Subscription] = []
         self._stamper = None
@@ -118,7 +124,7 @@ class EventBus:
     def stamper(self):
         """Optional causal-clock stamper (repro.obs.clocks.ClockDomain):
         ``stamper.stamp(event)`` runs once per emitted event, before
-        dispatch.  Installing one makes every kind wanted."""
+        dispatch.  Installing one makes the causal kinds wanted."""
         return self._stamper
 
     @stamper.setter
@@ -168,10 +174,9 @@ class EventBus:
         # may also match prefix subscriptions, which emit resolves lazily.)
         self._by_kind = {kind: tuple(found) for kind, found in table.items()
                          if kind in KINDS}
+        self.wanted = frozenset(self._by_kind)
         if self._stamper is not None and self._subs:
-            self.wanted = KINDS
-        else:
-            self.wanted = frozenset(self._by_kind)
+            self.wanted |= CAUSAL_KINDS
 
     def emit(self, event) -> None:
         """Deliver ``event`` (anything with a ``kind`` attribute) to every

@@ -8,10 +8,10 @@ is stamped, *at emission time*, with three extra attributes:
     protocol events, ``"kernel"`` for simulator events, ``"wire:host"``
     for packets whose owning process is not yet known;
 ``event.lamport``
-    the node's Lamport clock after the event;
+    the node's Lamport clock at the event;
 ``event.vc``
-    a copy of the node's vector clock after the event (a plain
-    ``{node: count}`` dict).
+    the node's vector clock at the event (a plain ``{node: count}``
+    dict; treat it as read-only — passive events share theirs).
 
 The vector clocks are *dynamic*: there is no fixed process count, and a
 node's entry appears in other clocks only once it has emitted an event
@@ -19,11 +19,23 @@ that causally reaches them — so the clocks grow as troupe members are
 added via ``add_troupe_member``, exactly the situation a static
 N-process vector cannot handle (the dynamic vector-clock scheme).
 
+What ticks
+----------
+
+Only the *causal* kinds (:data:`repro.obs.events.CAUSAL_KINDS`, declared
+class by class in :mod:`repro.obs.events`) tick their node's clocks:
+the ends of a happens-before edge, the evidence a built-in monitor
+cites, and ``rpc.call_end``.  The bus builds those kinds under a stamper
+whoever is subscribed, so a causal event's stamp is a function of the
+causal events before it and of nothing else — not of whether a flight
+recorder, a tracer or a catch-all counter is attached.  Two runs of one
+seed under different audiences therefore stamp every causal event alike.
+
 Happens-before edges are threaded through the protocol layers' existing
 emission sites:
 
-- same node: every stamped event ticks its node's clocks, so events of
-  one simulated process are totally ordered;
+- same node: every causal event ticks its node's clocks, so the causal
+  events of one simulated process are totally ordered;
 - paired messages: ``pm.send`` (and each ``pm.retransmit``) records the
   sender's stamp under the message identity ``(sender, msg_type,
   call_number, receiver)``; the matching ``pm.deliver`` merges it — the
@@ -39,15 +51,43 @@ emission sites:
 
 Control traffic (explicit acks, probe replies) carries no recorded
 edge: it only confirms reception of data segments whose edge already
-exists.  Wire-level events are stamped on the sending/receiving node
-but create no edge of their own — the first layer with a reliable
-message identity is the paired message protocol.
+exists.  Wire-level events create no edge of their own — the first layer
+with a reliable message identity is the paired message protocol.
+
+What is stamped passively
+-------------------------
+
+Every other event (``net.*``, ``sim.*``, ``pm.ack_*``, ``pm.dup``,
+``rpc.gather``, ``rpc.exec_end``, ``txn.lock_*``, …) exists only because
+somebody subscribed to its kind, and moves no clock.  Its stamp is its
+node, the node's *current* Lamport value, and a snapshot of the node's
+vector clock with the node's own entry one ahead — "just before this
+node's next causal event".  The snapshot is built at most once between
+two ticks and shared by every passive event in between.
+
+Causal cuts are unchanged by this.  A frontier is a merge of causal
+stamps, and other nodes learn a node's count only through edges, which
+leave at causal events; so ``frontier[n]`` is always the count of some
+causal event ``c`` on ``n``.  A passive event on ``n`` lies between two
+consecutive causal events ``c_k`` and ``c_k+1`` and carries ``c_k``'s
+clock with ``n: k + 1``: ``vc_leq(e.vc, frontier)`` holds exactly when
+the frontier has reached ``c_k+1`` — which is when a clock that ticked on
+every event would have selected ``e`` too, because that clock also hands
+``n``'s count to other nodes only at causal events.  Comparing a passive
+event with its same-node neighbours may report an order a
+tick-everything clock would not (it is ``<=`` everything up to and
+including ``c_k+1``); it never loses one.  :func:`causal_sort_key` still
+linearizes consistently with happens-before and with each node's
+emission order (ties — passive events between the same two ticks — keep
+the order they are given in, which for the recorder's ring is emission
+order).
+
+A monitor that cites a *passive* event as evidence gets a frontier that
+names a causal event which has not happened yet; cite causal kinds.
 
 Zero overhead when unobserved: the stamper runs inside
 :meth:`EventBus.emit`, *after* the no-subscriber fast path, so with
-monitors detached no clock is ever touched.  While a domain is installed
-(and anything is subscribed) the bus wants *every* kind — the edges
-above run through events no monitor subscribes to.
+monitors detached no clock is ever touched.
 """
 
 from __future__ import annotations
@@ -125,14 +165,17 @@ _host_of = host_of
 
 
 class _Clock:
-    """One node's clocks.  ``vc`` is mutated in place (events get copies)."""
+    """One node's clocks.  ``vc`` is mutated in place (causal events get
+    copies); ``ahead`` is the snapshot — ``vc`` with the node's own entry
+    one ahead — that the passive events before the next tick share."""
 
-    __slots__ = ("node", "vc", "lamport")
+    __slots__ = ("node", "vc", "lamport", "ahead")
 
     def __init__(self, node: str):
         self.node = node
         self.vc: VC = {}
         self.lamport = 0
+        self.ahead: Optional[VC] = None
 
 
 class ClockDomain:
@@ -142,11 +185,12 @@ class ClockDomain:
     clock entries) are created lazily the first time they emit.
 
     Stamping is O(1) in the size of the taxonomy: the first event of a
-    kind resolves a *plan* — how to find its node's clocks, which
-    incoming happens-before edge it merges (if any) and which outgoing
-    edge it records (if any) — and every later event of that kind just
-    runs it.  Nodes are memoised per ``(address, proc)`` / ``(host,
-    proc)``, so naming one is a dict hit, not string formatting.
+    kind resolves a *plan* — how to find its node's clocks, whether the
+    kind is causal, which incoming happens-before edge it merges (if
+    any) and which outgoing edge it records (if any) — and every later
+    event of that kind just runs it.  Nodes are memoised per ``(address,
+    proc)`` / ``(host, proc)``, so naming one is a dict hit, not string
+    formatting.
     """
 
     def __init__(self, inflight_cap: int = 8192):
@@ -159,8 +203,8 @@ class ClockDomain:
         self._pm_edges = _Bounded(inflight_cap)
         self._call_edges = _Bounded(inflight_cap)
         self._return_edges = _Bounded(inflight_cap)
-        #: kind -> (clock_of, incoming or None, outgoing or None)
-        self._plans: Dict[str, Tuple[Callable, Optional[Callable],
+        #: kind -> (clock_of, causal, incoming or None, outgoing or None)
+        self._plans: Dict[str, Tuple[Callable, bool, Optional[Callable],
                                      Optional[Callable]]] = {}
         self._incoming = {
             "pm.deliver": self._in_pm_deliver,
@@ -200,17 +244,28 @@ class ClockDomain:
     # -- stamping ----------------------------------------------------------
 
     def stamp(self, event) -> None:
-        """Attach ``node`` / ``lamport`` / ``vc`` to ``event``, merging
-        any incoming happens-before edge and recording outgoing ones."""
+        """Attach ``node`` / ``lamport`` / ``vc`` to ``event``.  A causal
+        event ticks its node's clocks, merging any incoming
+        happens-before edge and recording outgoing ones; any other event
+        is stamped passively, from the node's clocks as they stand."""
         kind = event.kind
         plan = self._plans.get(kind)
         if plan is None:
             plan = self._plans[kind] = (
-                self._clock_plan(kind), self._incoming.get(kind),
-                self._outgoing.get(kind))
-        clock_of, incoming, outgoing = plan
+                self._clock_plan(kind), getattr(event, "causal", False),
+                self._incoming.get(kind), self._outgoing.get(kind))
+        clock_of, causal, incoming, outgoing = plan
         clock = clock_of(event)
-        node = clock.node
+        event.node = node = clock.node
+        self.stamped += 1
+        if not causal:
+            ahead = clock.ahead
+            if ahead is None:
+                ahead = clock.ahead = clock.vc.copy()
+                ahead[node] = ahead.get(node, 0) + 1
+            event.lamport = clock.lamport
+            event.vc = ahead
+            return
         vc = clock.vc
         lamport = clock.lamport
         if incoming is not None:
@@ -222,12 +277,11 @@ class ClockDomain:
                     lamport = src_lamport
         vc[node] = vc.get(node, 0) + 1
         clock.lamport = lamport = lamport + 1
-        event.node = node
+        clock.ahead = None
         event.lamport = lamport
         # One snapshot serves the event and any edge recorded from it:
         # neither is ever mutated afterwards (edge merges copy).
         event.vc = snapshot = vc.copy()
-        self.stamped += 1
         if outgoing is not None:
             outgoing(event, snapshot, lamport)
 
@@ -364,7 +418,11 @@ def stamp_of(event) -> Optional[Stamp]:
 def causal_sort_key(event) -> Tuple[int, float, int]:
     """Sort key yielding a causally consistent linear order for stamped
     events: Lamport clocks respect happens-before, virtual time and the
-    vector-clock magnitude break ties deterministically."""
+    vector-clock magnitude break ties deterministically.  A passive event
+    carries its node's last Lamport value and a clock one larger, so it
+    sorts after the causal event it follows and before the next one; the
+    passive events in between tie, and a stable sort keeps them in the
+    order given."""
     vc = getattr(event, "vc", None)
     return (getattr(event, "lamport", 0),
             getattr(event, "t", 0.0),

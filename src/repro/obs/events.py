@@ -21,6 +21,27 @@ Every event carries ``t``, the virtual time (ms) at emission.  Fields
 referencing addresses hold :class:`~repro.net.addresses.ProcessAddress`
 values (render with ``str``); thread IDs are pre-stringified so events
 are cheap to serialize.
+
+Each class also declares whether its kind is *causal* (``causal = True``;
+the default is False, "passive").  The causal kinds are the fixed
+vocabulary the causal clocks (:mod:`repro.obs.clocks`) tick on, and what
+the bus builds under a stamper whether or not anybody subscribed:
+
+- the two ends of every happens-before edge — ``pm.send`` /
+  ``pm.retransmit`` → ``pm.deliver``, ``rpc.call_start`` →
+  ``rpc.exec_start``, ``rpc.return`` → ``rpc.result``, and
+  ``mon.violation``, which merges its evidence;
+- every kind a built-in monitor cites as evidence (``rpc.collate``,
+  ``txn.vote``, ``txn.commit``, ``pm.crash``, ``pm.probe``,
+  ``bind.member``): a violation's frontier is the merge of its evidence
+  stamps, so evidence must own a tick;
+- ``rpc.call_end``, whose stamp the operation history records as
+  ``vc_return``.
+
+Everything else (``net.*``, ``sim.*``, acks, duplicates, lock traffic,
+…) is passive: built only when somebody subscribed to it, and stamped
+without moving a clock.  A new kind is causal only if it is one of those
+three things; a custom monitor should cite causal kinds as evidence.
 """
 
 from __future__ import annotations
@@ -57,6 +78,8 @@ class ObsEvent(_Stamped):
     """Base class: a kind tag plus the virtual time of emission."""
 
     kind: ClassVar[str] = "event"
+    #: does this kind tick its node's causal clocks (module docstring)?
+    causal: ClassVar[bool] = False
     t: float
 
 
@@ -138,6 +161,7 @@ class MessageSent(ObsEvent):
     """A call/return message began transmission (all initial segments)."""
 
     kind: ClassVar[str] = "pm.send"
+    causal: ClassVar[bool] = True
     endpoint: Any = None     # sender's ProcessAddress
     peer: Any = None
     msg_type: int = 0
@@ -150,6 +174,7 @@ class MessageSent(ObsEvent):
 @dataclasses.dataclass(**_SLOTS)
 class SegmentRetransmitted(ObsEvent):
     kind: ClassVar[str] = "pm.retransmit"
+    causal: ClassVar[bool] = True
     endpoint: Any = None
     peer: Any = None
     msg_type: int = 0
@@ -197,6 +222,7 @@ class ImplicitAck(ObsEvent):
 @dataclasses.dataclass(**_SLOTS)
 class ProbeSent(ObsEvent):
     kind: ClassVar[str] = "pm.probe"
+    causal: ClassVar[bool] = True
     endpoint: Any = None
     peer: Any = None
     call_number: int = 0
@@ -206,6 +232,7 @@ class ProbeSent(ObsEvent):
 @dataclasses.dataclass(**_SLOTS)
 class PeerCrashDeclared(ObsEvent):
     kind: ClassVar[str] = "pm.crash"
+    causal: ClassVar[bool] = True
     endpoint: Any = None
     peer: Any = None
     silence: float = 0.0     # ms since last heard
@@ -227,6 +254,7 @@ class MessageDelivered(ObsEvent):
     """A fully reassembled message was handed to the layer above."""
 
     kind: ClassVar[str] = "pm.deliver"
+    causal: ClassVar[bool] = True
     endpoint: Any = None
     peer: Any = None
     msg_type: int = 0
@@ -246,6 +274,7 @@ class CallStarted(ObsEvent):
     it rides the §3.4.1 call header to every replica."""
 
     kind: ClassVar[str] = "rpc.call_start"
+    causal: ClassVar[bool] = True
     host: str = ""
     proc: str = ""
     thread_id: str = ""
@@ -263,6 +292,7 @@ class ReplicaResult(ObsEvent):
     the calling client."""
 
     kind: ClassVar[str] = "rpc.result"
+    causal: ClassVar[bool] = True
     host: str = ""
     proc: str = ""
     thread_id: str = ""
@@ -276,6 +306,7 @@ class Collated(ObsEvent):
     """The collator's verdict over the result set."""
 
     kind: ClassVar[str] = "rpc.collate"
+    causal: ClassVar[bool] = True
     host: str = ""
     proc: str = ""
     thread_id: str = ""
@@ -291,6 +322,7 @@ class Collated(ObsEvent):
 @dataclasses.dataclass(**_SLOTS)
 class CallCompleted(ObsEvent):
     kind: ClassVar[str] = "rpc.call_end"
+    causal: ClassVar[bool] = True
     host: str = ""
     proc: str = ""
     thread_id: str = ""
@@ -317,6 +349,7 @@ class GatherStarted(ObsEvent):
 @dataclasses.dataclass(**_SLOTS)
 class ExecutionStarted(ObsEvent):
     kind: ClassVar[str] = "rpc.exec_start"
+    causal: ClassVar[bool] = True
     host: str = ""
     proc: str = ""
     thread_id: str = ""
@@ -345,6 +378,7 @@ class ReturnSent(ObsEvent):
     """Many-to-one completion: results go to the client troupe."""
 
     kind: ClassVar[str] = "rpc.return"
+    causal: ClassVar[bool] = True
     host: str = ""
     proc: str = ""
     thread_id: str = ""
@@ -402,6 +436,7 @@ class CommitVote(ObsEvent):
     coordinator (§5.3)."""
 
     kind: ClassVar[str] = "txn.vote"
+    causal: ClassVar[bool] = True
     host: str = ""
     proc: str = ""
     peer: Any = None
@@ -412,6 +447,7 @@ class CommitVote(ObsEvent):
 @dataclasses.dataclass(**_SLOTS)
 class CommitOutcome(ObsEvent):
     kind: ClassVar[str] = "txn.commit"
+    causal: ClassVar[bool] = True
     host: str = ""
     proc: str = ""
     decision: str = "commit"     # 'commit' | 'abort'
@@ -437,6 +473,7 @@ class BindingLookup(ObsEvent):
 @dataclasses.dataclass(**_SLOTS)
 class MembershipChanged(ObsEvent):
     kind: ClassVar[str] = "bind.member"
+    causal: ClassVar[bool] = True
     host: str = ""
     proc: str = ""
     op: str = "add"          # 'register' | 'add' | 'remove'
@@ -480,6 +517,7 @@ class InvariantViolation(ObsEvent):
     evidence clocks — the causal frontier the flight recorder cuts at."""
 
     kind: ClassVar[str] = "mon.violation"
+    causal: ClassVar[bool] = True
     monitor: str = ""        # monitor class name
     invariant: str = ""      # short invariant slug, e.g. 'exactly-once'
     section: str = ""        # paper section the claim comes from
@@ -535,3 +573,8 @@ ALL_EVENTS = {
 
 #: the vocabulary's kinds, as the bus sees them.
 KINDS = frozenset(ALL_EVENTS)
+
+#: the kinds that tick the causal clocks: wanted under a stamper whoever
+#: is subscribed, so that a causal stamp never depends on the audience.
+CAUSAL_KINDS = frozenset(kind for kind, cls in ALL_EVENTS.items()
+                         if cls.causal)

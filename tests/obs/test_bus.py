@@ -332,22 +332,32 @@ def test_every_event_class_is_in_the_vocabulary():
     assert events.KINDS == set(events.ALL_EVENTS)
 
 
-def test_installed_stamper_wants_every_kind(constructed):
-    """A MonitorSuite with no recorder subscribes to a handful of kinds,
-    but its clocks need every pm.send -> pm.deliver edge: while the
-    stamper is installed everything is constructed and stamped."""
+def test_installed_stamper_wants_the_causal_kinds_and_nothing_more(
+        constructed):
+    """A MonitorSuite with no recorder subscribes to ten kinds; its clocks
+    also need both ends of every happens-before edge (pm.send ->
+    pm.deliver), so under a stamper the bus wants what was subscribed to
+    plus the causal vocabulary — and leaves every other kind unbuilt."""
     world, body = _one_call_world()
     bus = world.sim.bus
     suite = MonitorSuite(world.sim)
-    assert bus.wanted == events.KINDS
+    assert bus.wanted == events.CAUSAL_KINDS
     world.run(body())
-    for kind in ("sim.spawn", "net.send", "net.deliver", "pm.send",
-                 "pm.deliver", "rpc.call_start", "rpc.exec_start"):
+    for kind in ("pm.send", "pm.deliver", "rpc.call_start", "rpc.exec_start",
+                 "rpc.return", "rpc.result", "rpc.collate", "rpc.call_end"):
         assert constructed[kind], kind
+    # ... and no net.*, sim.*, pm.ack_*, txn.lock_* or any other kind.
+    assert set(constructed) <= events.CAUSAL_KINDS
     assert suite.clocks.stamped == sum(constructed.values())
     # The execution's clock covers the client's call through the pm edge.
     (server, *_rest) = [n for n in suite.clocks.nodes() if "echo" in n]
     assert any("client" in n for n in suite.clocks.clock_of(server))
+    # A subscriber adds what it asks for, and only that.
+    packets = bus.subscribe(lambda e: None, "net.")
+    assert bus.wanted == events.CAUSAL_KINDS | {
+        "net.send", "net.deliver", "net.drop", "net.dup"}
+    bus.unsubscribe(packets)
+    assert bus.wanted == events.CAUSAL_KINDS
     # Uninstalling narrows wanted back to what the monitors subscribe to.
     suite.clocks.uninstall()
     assert bus.wanted == {
@@ -356,6 +366,15 @@ def test_installed_stamper_wants_every_kind(constructed):
         "bind.member"}
     suite.detach()
     assert not bus.wanted
+
+
+def test_a_stamper_with_nobody_subscribed_wants_nothing(constructed):
+    from repro.obs.clocks import ClockDomain
+    world, body = _one_call_world()
+    ClockDomain().install(world.sim.bus)
+    assert not world.sim.bus.wanted
+    world.run(body())
+    assert not constructed
 
 
 def test_violation_frontier_is_the_same_with_and_without_a_recorder():

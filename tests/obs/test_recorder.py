@@ -161,8 +161,10 @@ def test_crash_report_includes_causally_ordered_tail():
     assert report["crash"] == {"type": "ValueError", "message": "boom",
                                "t": 3.5}
     tail = report["tail"]
-    assert len(tail) == 3
-    assert [e["lamport"] for e in tail] == [1, 2, 3]
+    # Kernel ticks are passive: they share a Lamport value and a clock,
+    # and the causal sort keeps them in emission order.
+    assert [e["t"] for e in tail] == [1.0, 2.0, 3.0]
+    assert [(e["lamport"], e["vc"]) for e in tail] == [(0, {"kernel": 1})] * 3
 
 
 def test_render_postmortem_is_human_readable():
