@@ -402,8 +402,8 @@ SHARDED_EXCHANGE = TableSpec(
     formats=(None, None, "%.2f", "%.2f", None, None),
     notes="12-host capacity workload (4 cells x 3-member echo "
           "troupes, 24 Zipf/Pareto sessions) partitioned across "
-          "shard kernels with conservative lookahead on the link "
-          "latency.  Every column is deterministic and CI-gated at "
+          "shard kernels with conservative lookahead on the wire's "
+          "transit floor.  Every column is deterministic and CI-gated at "
           "5%; the digest flag is the byte-identical-behaviour "
           "contract (canonical multiset digest over net.* events).",
     rows=("shards-1", "shards-2", "shards-4"),

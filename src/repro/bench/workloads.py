@@ -282,9 +282,9 @@ def capacity_builder(*, cells: int, sessions: int,
     machine list and ``seed``: troupes and the registry are built in
     every shard identically (ghost replicas are inert), while sessions
     are ownership-gated so each runs on exactly one shard.  Traffic is
-    therefore byte-identical for any shard count; when shard boundaries
-    align with cell boundaries, the Zipf-popular cells keep most of it
-    intra-shard."""
+    therefore byte-identical for any shard count; the striped partition
+    puts every cell's members on different shards, so the Zipf-popular
+    cells load all of them."""
     if cells < 1:
         raise ValueError("need at least one cell")
 

@@ -386,6 +386,9 @@ def cmd_shard(args) -> int:
         print("  cross-shard     %d envelopes (%.2f/call)"
               % (result.cross_shard_messages,
                  result.cross_shard_messages / calls if calls else 0.0))
+        print("  balance         %s of net events"
+              % " / ".join("%.1f %%" % (100.0 * events / result.events)
+                           for events in result.shard_events))
         print("  packets         sent %d  delivered %d  dropped %d"
               % (result.network["packets_sent"],
                  result.network["packets_delivered"],
@@ -884,8 +887,9 @@ def main(argv=None) -> int:
     shard_cmd.add_argument("--seed", type=int, default=7)
     shard_cmd.add_argument("--mode", default="inproc",
                            choices=["inproc", "process"],
-                           help="step shards in this process or fork one "
-                                "OS process per shard (default inproc)")
+                           help="step every shard in this process, or "
+                                "shard 0 here and each further one in a "
+                                "forked process (default inproc)")
     shard_cmd.add_argument("--reference", action="store_true",
                            help="also run the single-process (1-shard) "
                                 "reference and fail unless the packet "

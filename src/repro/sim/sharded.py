@@ -6,12 +6,16 @@ each shard a full :class:`~repro.sim.kernel.Simulator` kernel, optionally
 in its own OS process — and synchronizes them with the classic
 conservative-lookahead (Chandy–Misra–Bryant) protocol:
 
-- **Lookahead** is the wire's minimum propagation delay,
-  ``NetworkConfig.latency``: every cross-host packet sent at virtual
-  time ``u`` is delivered no earlier than ``u + latency``.
+- **Lookahead** is the wire's *transit floor*,
+  ``NetworkConfig.min_transit()`` — propagation latency plus the time
+  the framing header alone takes at the wire's bandwidth: every
+  cross-host packet sent at virtual time ``u`` is delivered no earlier
+  than ``u + floor``.  (A delay is the floor plus payload time, jitter
+  and fault holds, all >= 0, and float division and addition are
+  monotone; :meth:`ShardNetwork.inject` raises on any violation.)
 - **Window rule**: with ``m = min over shards of the next pending event
   (or incoming delivery) time``, every shard may safely process all
-  events strictly before ``bound = m + latency`` — no message generated
+  events strictly before ``bound = m + floor`` — no message generated
   inside the window can land inside it.
 - **Null messages**: each round's bound broadcast carries every shard's
   clock advance; the bounded, time-stamped envelope exchange at the
@@ -25,10 +29,13 @@ single-process run, for any shard count.  Three design rules make the
 canonical packet-event digest (:class:`PacketDigest`) provably equal:
 
 1. **Every shard builds the entire world** (same construction order,
-   same addresses, ports and troupe IDs) but *owns* only its block of
-   hosts.  Non-owned ("ghost") replicas are inert: all server machinery
-   is event-driven, and workload sessions are ownership-gated
-   (:meth:`World.spawn_on`), so a ghost never runs, sends, or draws.
+   same addresses, ports and troupe IDs) but *owns* only its stripe of
+   hosts (:func:`partition_hosts`: neighbouring hosts land on different
+   shards, so a troupe's members — and a hot troupe's load — are spread
+   the way the paper spreads them over machines).  Non-owned ("ghost")
+   replicas are inert: all server machinery is event-driven, and
+   workload sessions are ownership-gated (:meth:`World.spawn_on`), so a
+   ghost never runs, sends, or draws.
 2. **Per-link RNG streams**: :class:`ShardNetwork` replaces the global
    network stream with one ``RandomStream(seed, "link:src>dst")`` per
    directed host pair.  All sends on a link originate on the source
@@ -52,8 +59,8 @@ exact cross-host float-time ties have measure zero — the digest is
 multiset-canonical over (time, kind, src, dst, payload), so same-time
 reorderings of independent events do not change it anyway.
 
-One window loop, two kinds of port
-----------------------------------
+One window loop, ports in front of every shard
+----------------------------------------------
 
 :meth:`Shard.step` is one shard's half of a window (inject the inbox,
 run to the bound, group the outbox by owning shard) and
@@ -61,13 +68,15 @@ run to the bound, group the outbox by owning shard) and
 drives a list of *ports* — ``begin(bound, inbox)`` / ``finish()`` /
 ``summary()`` / ``close(failed)`` — and never looks inside a batch.  With
 ``mode="inproc"`` the port is the :class:`Shard` itself (a direct call;
-batches are lists of ``(deliver_at, src, dst, payload)`` tuples); with
-``mode="process"`` it is a :class:`_ForkedShard`, a pipe to a forked
-child running that same ``step`` (each batch pickled once by the source
-child, forwarded as opaque bytes, unpickled once by the destination
-child).  Every window begins on all ports before any is collected, so
-forked shards compute concurrently; results are byte-identical either
-way.
+batches are lists of ``(deliver_at, src, dst, payload)`` tuples).  With
+``mode="process"`` shards 1..n-1 are each a :class:`_ForkedShard`, a pipe
+to a forked child running that same ``step``, and shard 0 is a
+:class:`_LocalShard` in the coordinator's own process whose ``begin``
+only notes the window and whose ``finish`` runs it: n shards are n
+processes, and the children compute while the coordinator does its own
+share.  Batches are pickled once by the source shard, routed as opaque
+bytes and unpickled once by the destination (:func:`_step_pickled`, the
+same on both sides of the pipe).  Results are byte-identical either way.
 """
 
 from __future__ import annotations
@@ -97,23 +106,33 @@ _DIGEST_MASK = (1 << 256) - 1
 # ---------------------------------------------------------------------------
 
 def partition_hosts(names: Sequence[str], shards: int) -> List[List[str]]:
-    """Split ``names`` into ``shards`` contiguous blocks whose sizes
-    differ by at most one (the first ``len % shards`` blocks get the
-    extra host).  Contiguity matters: workload builders lay troupes out
-    over contiguous machine cells, so aligned shards keep most traffic
-    intra-shard."""
+    """Stripe ``names`` over ``shards`` blocks whose sizes differ by at
+    most one, each block in position order.
+
+    Positions are ranked by the Fibonacci hash ``position * 2**32 / phi
+    mod 2**32`` and the rank cut into ``shards`` equal runs, so (by the
+    three-distance theorem) neighbouring positions land on different
+    shards: no three consecutive hosts share one at 2-4 shards.  Workload
+    builders lay a troupe out over consecutive machines and the popular
+    troupes over the low-numbered ones, so a contiguous cut would hand
+    one shard every member of every hot troupe; striping splits each
+    troupe and with it the load.  Balance is what a window barrier pays
+    for — its count is set by the lookahead, not by how much traffic
+    crosses."""
     if shards < 1:
         raise ValueError("shards must be >= 1 (got %d)" % shards)
-    if shards > len(names):
+    count = len(names)
+    if shards > count:
         raise ValueError("cannot split %d hosts across %d shards"
-                         % (len(names), shards))
-    base, extra = divmod(len(names), shards)
-    blocks = []
-    start = 0
-    for index in range(shards):
-        size = base + (1 if index < extra else 0)
-        blocks.append(list(names[start:start + size]))
-        start += size
+                         % (count, shards))
+    ranked = sorted(range(count),
+                    key=lambda position: (position * 2654435769) & 0xFFFFFFFF)
+    owner = [0] * count
+    for rank, position in enumerate(ranked):
+        owner[position] = rank * shards // count
+    blocks: List[List[str]] = [[] for _ in range(shards)]
+    for position, name in enumerate(names):
+        blocks[owner[position]].append(name)
     return blocks
 
 
@@ -354,11 +373,40 @@ class Shard:
         }
 
 
+def _step_pickled(shard: Shard, bound: float, inbox: Sequence[bytes]):
+    """:meth:`Shard.step` as seen through a process-mode port: every
+    batch, in and out, is the pickled list — what crosses a pipe and what
+    the coordinator routes unopened."""
+    import pickle       # here: an in-process run never loads it
+    next_time, batches = shard.step(
+        bound, [pickle.loads(blob) for blob in inbox])
+    return next_time, {
+        dst: (floor, pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
+        for dst, (floor, batch) in batches.items()}
+
+
+class _LocalShard(Shard):
+    """Coordinator port for the shard the coordinator steps itself while
+    the others run in forked children: ``begin`` only notes the window
+    and ``finish`` runs it, so the children — begun in the same loop —
+    are computing while this process does its own share."""
+
+    _window: Optional[tuple] = None
+
+    def begin(self, bound: float, inbox) -> None:
+        self._window = (bound, inbox)
+
+    def finish(self):
+        if self._window is None:
+            return self._done            # before the first window
+        window, self._window = self._window, None
+        return _step_pickled(self, *window)
+
+
 def _shard_child(conn, *shard_args) -> None:
     """Forked child body: build the shard, then serve the coordinator.
     Every reply is ``(error, value)``; requests are ``(bound, inbox)``
     for a window and ``None`` for the summary, after which it exits."""
-    import pickle
     try:
         shard = Shard(*shard_args)
         reply = shard.finish()
@@ -368,12 +416,7 @@ def _shard_child(conn, *shard_args) -> None:
             if request is None:
                 conn.send((None, shard.summary()))
                 return
-            bound, inbox = request
-            next_time, batches = shard.step(
-                bound, [pickle.loads(blob) for blob in inbox])
-            reply = (next_time, {
-                dst: (floor, pickle.dumps(batch, pickle.HIGHEST_PROTOCOL))
-                for dst, (floor, batch) in batches.items()})
+            reply = _step_pickled(shard, *request)
     except BaseException as exc:  # noqa: BLE001 — report, then die
         try:
             conn.send(("%s: %s" % (type(exc).__name__, exc), None))
@@ -442,7 +485,10 @@ class _ForkedShard:
 @dataclasses.dataclass
 class ShardedRunResult:
     """Merged outcome of a sharded run — every field except ``mode`` is
-    deterministic and identical for any shard count on the same seed."""
+    deterministic, and what the world did (digest, events, counters,
+    samples, endpoint and network totals) is identical for any shard
+    count on the same seed.  ``shard_events`` is the one field with an
+    entry per shard: how evenly the partition spread the work."""
 
     shards: int
     mode: str
@@ -451,6 +497,8 @@ class ShardedRunResult:
     events: int
     windows: int
     cross_shard_messages: int
+    #: each shard's :attr:`PacketDigest.events`, in shard order.
+    shard_events: List[int]
     counters: Dict[str, float]
     samples: Dict[str, List[float]]
     endpoint_stats: Dict[str, float]
@@ -473,6 +521,7 @@ class ShardedRunResult:
             "events": self.events,
             "windows": self.windows,
             "cross_shard_messages": self.cross_shard_messages,
+            "shard_events": list(self.shard_events),
             "counters": dict(sorted(self.counters.items())),
             "endpoint_stats": dict(sorted(self.endpoint_stats.items())),
             "network": dict(sorted(self.network.items())),
@@ -552,9 +601,10 @@ def run_sharded(builder: WorldBuilder, *, machines: int, horizon: float,
     ``shards`` kernels and merge the results.
 
     ``mode="inproc"`` steps the shards in this process;
-    ``mode="process"`` forks one OS process per shard (falling back to
-    inproc where fork is unavailable).  Both go through the same window
-    loop and produce identical results.
+    ``mode="process"`` forks one OS process per shard after the first
+    and steps shard 0 in this one (falling back to inproc where fork is
+    unavailable).  Both go through the same window loop and produce
+    identical results.
 
     The cyclic collector is held off (:func:`_collector_held`) from before
     the first shard is built until the merged result exists."""
@@ -569,15 +619,26 @@ def run_sharded(builder: WorldBuilder, *, machines: int, horizon: float,
         if shards == 1 \
                 or "fork" not in multiprocessing.get_all_start_methods():
             mode = "inproc"  # identical results, no parallelism to be had
-    make_port = _ForkedShard if mode == "process" else Shard
+    shard_args = (shards, builder, machines, seed, net_config,
+                  runtime_config, horizon)
     with _collector_held():
-        ports = [make_port(index, shards, builder, machines, seed,
-                           net_config, runtime_config, horizon)
-                 for index in range(shards)]
+        #: filled one port at a time, so whatever was built before a
+        #: later build fails is still closed.
+        ports: list = []
         failed = True
         try:
+            if mode == "process":
+                # Children first: they build their worlds while this
+                # process builds shard 0's, and inherit no copy of it.
+                ports.extend(_ForkedShard(index, *shard_args)
+                             for index in range(1, shards))
+                ports.insert(0, _LocalShard(0, *shard_args))
+            else:
+                ports.extend(Shard(index, *shard_args)
+                             for index in range(shards))
             windows = _run_windows(
-                ports, horizon, (net_config or NetworkConfig()).latency)
+                ports, horizon,
+                (net_config or NetworkConfig()).min_transit())
             summaries = [port.summary() for port in ports]
             failed = False
         finally:
@@ -593,6 +654,7 @@ def run_sharded(builder: WorldBuilder, *, machines: int, horizon: float,
             digest=merge_digests([s["digest_partial"] for s in summaries]),
             events=total["events"], windows=windows,
             cross_shard_messages=total["cross_shard_sent"],
+            shard_events=[s["events"] for s in summaries],
             counters=total["counters"], samples=total["samples"],
             endpoint_stats=total["endpoint_stats"],
             network=total["network"])

@@ -219,6 +219,7 @@ def test_bad_input_file_is_a_message_not_a_traceback(
 def test_shard_is_deterministic_in_either_mode(capsys):
     """``repro shard --json`` carries no mode and no wall clock, so two
     runs — and the forked coordinator — print the same bytes."""
+    import json
     import multiprocessing
 
     argv = ["shard", "--machines", "8", "--shards", "2", "--cells", "4",
@@ -230,9 +231,13 @@ def test_shard_is_deterministic_in_either_mode(capsys):
 
     first = run("--json")
     assert '"digest"' in first
+    payload = json.loads(first)
+    assert len(payload["shard_events"]) == 2
+    assert sum(payload["shard_events"]) == payload["events"]
     assert run("--json") == first
     if "fork" in multiprocessing.get_all_start_methods():
         assert run("--mode", "process", "--json") == first
     text = run()
     assert text.startswith("shards-2 (inproc): ")
+    assert "\n  balance         " in text and " % / " in text
     assert "wall" not in text
