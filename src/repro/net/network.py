@@ -14,7 +14,7 @@ packets cross group boundaries only when no partition is installed.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.net.addresses import (
     BROADCAST_HOST,
@@ -24,7 +24,11 @@ from repro.net.addresses import (
 )
 from repro.obs import events as obs_events
 from repro.sim.kernel import Simulator
-from repro.sim.rng import RandomStream
+from repro.sim.rng import LinkStream, RandomStream
+
+#: what the wire draws from: ``chance(p)`` and ``uniform(low, high)``, each
+#: exactly one ``random()`` of the stream, are all it asks.
+WireStream = Union[RandomStream, LinkStream]
 
 
 @dataclasses.dataclass
@@ -51,7 +55,7 @@ class NetworkConfig:
         it is the sharded simulator's lookahead."""
         return self.latency + self.header_bytes / self.bandwidth
 
-    def transit_time(self, size: int, rng: RandomStream) -> float:
+    def transit_time(self, size: int, rng: WireStream) -> float:
         # Not ``min_transit() + size / bandwidth``: re-associating the
         # sum moves 434 of the 1,501 sizes up to the MTU by an ulp.
         delay = self.latency + (size + self.header_bytes) / self.bandwidth
@@ -308,10 +312,11 @@ class Network:
             self._carry(datagram, extra_delay + self.config.transit_time(
                 datagram.size, rng))
 
-    def _link_rng(self, src: str, dst: str) -> RandomStream:
+    def _link_rng(self, src: str, dst: str) -> WireStream:
         """The stream every draw for a ``src -> dst`` datagram comes from:
         one for the whole wire.  (:class:`repro.sim.sharded.ShardNetwork`
-        keeps one per directed link.)"""
+        keeps one :class:`~repro.sim.rng.LinkStream` per directed link,
+        which has ``chance`` and ``uniform`` and little else.)"""
         return self.rng
 
     def _carry(self, datagram: Datagram, delay: float) -> None:

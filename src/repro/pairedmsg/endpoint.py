@@ -33,7 +33,6 @@ this code.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import itertools
 from heapq import heappop, heappush
@@ -239,8 +238,8 @@ class PairedEndpoint:
         self.incoming_calls: Queue = Queue(self.sim, "incoming-calls")
         self._sends: Dict[Tuple[ProcessAddress, int, int], _OutgoingTransfer] = {}
         self._assemblies: Dict[Tuple[ProcessAddress, int, int], _IncomingAssembly] = {}
-        self._delivered_calls: Dict[ProcessAddress, "collections.OrderedDict"] = {}
-        self._delivered_returns: Dict[ProcessAddress, "collections.OrderedDict"] = {}
+        self._delivered_calls: Dict[ProcessAddress, Dict[int, float]] = {}
+        self._delivered_returns: Dict[ProcessAddress, Dict[int, float]] = {}
         self._completed_returns: Dict[Tuple[ProcessAddress, int], bytes] = {}
         self._return_waiters: Dict[Tuple[ProcessAddress, int], Event] = {}
         self._discarded_returns: set = set()
@@ -920,10 +919,12 @@ class PairedEndpoint:
                            call_number: int) -> None:
         """Remember a delivered call number long enough to suppress replays
         of delayed duplicates (§4.2.4), bounded in size."""
-        per_peer = table.setdefault(src, collections.OrderedDict())
+        per_peer = table.get(src)
+        if per_peer is None:
+            per_peer = table[src] = {}
         per_peer[call_number] = self.sim.now
         while len(per_peer) > self.config.delivered_memory:
-            per_peer.popitem(last=False)
+            del per_peer[next(iter(per_peer))]   # the oldest: insertion order
 
     def _queue_control(self, segment: Segment, dst: ProcessAddress) -> None:
         if segment.ack:

@@ -28,6 +28,11 @@ from repro.sim.kernel import Simulator
 #: tombstones tolerated in a waiter list before an in-place compaction.
 _COMPACT_MIN_DEAD = 8
 
+#: what every :class:`Queue` holds in place of a deque nothing has waited
+#: in yet.  Shared, so never appended to: a queue swaps in a deque of its
+#: own (``is _NO_DEQUE``) before its first append.
+_NO_DEQUE: Deque[Any] = collections.deque()
+
 
 class _Waiter:
     """One waiter cell: ``resume`` is nulled on cancellation or consumption.
@@ -172,6 +177,10 @@ class Queue:
     ``put`` never blocks.  ``get()`` returns a waitable; the waiting process
     resumes with the next item.  Items are delivered to getters in FIFO
     order of both items and getters.
+
+    An empty deque is 760 bytes and most queues of a large world never
+    hold an item *and* a getter, so each side is :data:`_NO_DEQUE` until
+    something first has to wait on it.
     """
 
     __slots__ = ("sim", "name", "_items", "_getters", "_dead", "closed",
@@ -180,8 +189,8 @@ class Queue:
     def __init__(self, sim: Simulator, name: str = "queue"):
         self.sim = sim
         self.name = name
-        self._items: Deque[Any] = collections.deque()
-        self._getters: Deque[_Waiter] = collections.deque()
+        self._items: Deque[Any] = _NO_DEQUE
+        self._getters: Deque[_Waiter] = _NO_DEQUE
         self._dead = 0
         self.closed = False
         # _QueueGet is stateless (it only forwards _subscribe to this
@@ -216,7 +225,10 @@ class Queue:
         if resume is not None:
             self.sim._schedule_now(resume, item)
         else:
-            self._items.append(item)
+            items = self._items
+            if items is _NO_DEQUE:
+                items = self._items = collections.deque()
+            items.append(item)
 
     def get(self) -> _QueueGet:
         return self._get_waitable
@@ -230,7 +242,10 @@ class Queue:
         if resume is not None:
             self.sim._schedule_now(resume, item)
         else:
-            self._items.appendleft(item)
+            items = self._items
+            if items is _NO_DEQUE:
+                items = self._items = collections.deque()
+            items.appendleft(item)
 
     def get_nowait(self) -> Any:
         """Return the next item or raise LookupError if empty."""
@@ -254,7 +269,10 @@ class Queue:
         if self.closed:
             return self.sim._schedule_now(resume, _CLOSED)
         waiter = _Waiter(self, resume)
-        self._getters.append(waiter)
+        getters = self._getters
+        if getters is _NO_DEQUE:
+            getters = self._getters = collections.deque()
+        getters.append(waiter)
         return waiter
 
     def _waiter_cancelled(self) -> None:

@@ -37,8 +37,10 @@ canonical packet-event digest (:class:`PacketDigest`) provably equal:
    workload sessions are ownership-gated (:meth:`World.spawn_on`), so a
    ghost never runs, sends, or draws.
 2. **Per-link RNG streams**: :class:`ShardNetwork` replaces the global
-   network stream with one ``RandomStream(seed, "link:src>dst")`` per
-   directed host pair.  All sends on a link originate on the source
+   network stream with one ``LinkStream(seed, "link:src>dst")`` per
+   directed host pair — ``RandomStream(seed, "link:src>dst")``'s draws,
+   held as the next four doubles rather than a generator, because a
+   link rarely draws more.  All sends on a link originate on the source
    host's owning shard, so each stream's draw sequence depends only on
    that link's packet order — not on how sends interleave across hosts.
    (The global stream would entangle every host's timing with every
@@ -91,7 +93,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.core.runtime import RuntimeConfig
 from repro.harness import World
 from repro.net.network import Datagram, Network, NetworkConfig
-from repro.sim.rng import RandomStream
+from repro.sim.rng import LinkStream
 
 #: Troupe IDs in every shard replica are allocated from this base so the
 #: replicas agree; high enough to never collide with the process-global
@@ -225,13 +227,13 @@ class ShardNetwork(Network):
         self.outbox: List[tuple] = []
         self.cross_shard_sent = 0
         self._seed = seed
-        self._link_rngs: Dict[Tuple[str, str], RandomStream] = {}
+        self._link_rngs: Dict[Tuple[str, str], LinkStream] = {}
 
-    def _link_rng(self, src: str, dst: str) -> RandomStream:
+    def _link_rng(self, src: str, dst: str) -> LinkStream:
         key = (src, dst)
         rng = self._link_rngs.get(key)
         if rng is None:
-            rng = RandomStream(self._seed, "link:%s>%s" % (src, dst))
+            rng = LinkStream(self._seed, "link:%s>%s" % (src, dst))
             self._link_rngs[key] = rng
         return rng
 

@@ -83,3 +83,19 @@ def test_exchange_works_after_sweep():
         return (yield from client.call(server.addr, 2, b"b"))
 
     assert sim.run_process(body()) == b"r:b"
+
+
+def test_delivery_memory_is_bounded_and_forgets_the_oldest_first():
+    """§4.2.4: the replay-suppression table keeps ``delivered_memory``
+    call numbers per peer, in the order first delivered — a re-delivery
+    refreshes the time, not the place in line."""
+    sim, client, server = make_pair()
+    server.config = PairedMessageConfig(delivered_memory=3)
+    table, peer = server._delivered_calls, client.addr
+    for number in (1, 2, 3, 1):
+        server._remember_delivery(table, peer, number)
+    assert list(table[peer]) == [1, 2, 3]
+    server._remember_delivery(table, peer, 4)
+    assert list(table[peer]) == [2, 3, 4]
+    assert type(table[peer]) is dict
+    assert server.stats()["delivered_call_memory"] == 3

@@ -141,3 +141,24 @@ def test_queue_put_after_close_rejected():
     q.close()
     with pytest.raises(QueueClosed):
         q.put(1)
+
+
+def test_queues_that_never_waited_share_nothing_that_fills():
+    """A queue takes a deque of its own on first use; one that has had
+    neither a waiting item nor a waiting getter must not see another's."""
+    sim = Simulator()
+    with_item, with_getter, idle = (Queue(sim, name) for name in "abc")
+    with_item.put("x")
+
+    def consumer():
+        yield with_getter.get()
+
+    sim.spawn(consumer())
+    sim.run()
+    assert len(with_item) == 1 and len(with_getter) == 0
+    assert len(idle) == 0
+    assert "0 items, 0 getters" in repr(idle)
+    assert "1 items, 0 getters" in repr(with_item)
+    assert "0 items, 1 getters" in repr(with_getter)
+    with pytest.raises(LookupError):
+        idle.get_nowait()

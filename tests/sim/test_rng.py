@@ -1,6 +1,11 @@
 """Tests for seeded random streams (the common-random-numbers discipline)."""
 
+import itertools
+
+import pytest
+
 from repro.sim import RandomStream
+from repro.sim.rng import _LINK_DRAWS_HELD, LinkStream
 
 
 def test_same_seed_same_stream():
@@ -53,3 +58,73 @@ def test_sample_and_choice_and_shuffle():
     shuffled = list(population)
     rng.shuffle(shuffled)
     assert sorted(shuffled) == population
+
+
+# --- LinkStream: RandomStream's draws without RandomStream's generator ----
+
+_CHANCES = (0.0, 0.1, 1.0)
+
+
+def _apply(stream, op, position):
+    """One call of the wire's vocabulary; ``position`` varies the arguments."""
+    if op == "uniform":
+        return stream.uniform(0, position + 1)
+    if op == "chance":
+        return stream.chance(_CHANCES[position % 3])
+    return stream.random()
+
+
+def _assert_same_draws(seed, name, pattern):
+    reference, link = RandomStream(seed, name), LinkStream(seed, name)
+    for position, op in enumerate(pattern):
+        want, got = _apply(reference, op, position), _apply(link, op, position)
+        assert type(got) is type(want) and got == want, (seed, name, pattern)
+    assert link.random() == reference.random(), (seed, name, pattern)
+
+
+def test_link_stream_is_random_stream_draw_for_draw():
+    """200 (seed, name) pairs, each under its own 12-call interleaving of
+    the three calls — 9 to 12 underlying draws, so well past the held ones."""
+    ops = ("uniform", "chance", "random")
+    patterns = itertools.product(ops, repeat=12)
+    for pair in range(200):
+        # every 2,654th: 200 of them span all 3**12 patterns end to end
+        pattern = next(itertools.islice(patterns, 2653, None))
+        _assert_same_draws(pair * 7919, "link:m%d>m%d" % (pair, pair % 17),
+                           pattern)
+
+
+def test_link_stream_every_short_interleaving_across_the_boundary():
+    """Every pattern of up to six calls: each way of reaching, landing on
+    and crossing the held/generator boundary, with ``chance(0)`` and
+    ``chance(1)`` (no draw) at every position."""
+    for length in range(1, _LINK_DRAWS_HELD + 3):
+        for pattern in itertools.product(("uniform", "chance", "random"),
+                                         repeat=length):
+            _assert_same_draws(7, "link:a>b", pattern)
+            _assert_same_draws(length, "", pattern)
+
+
+def test_link_stream_holds_a_generator_only_past_its_held_draws():
+    link = LinkStream(3, "link:a>b")
+    assert link._rng is None
+    for _ in range(_LINK_DRAWS_HELD):
+        link.random()
+        assert link._rng is None
+    link.random()
+    assert link._rng is not None
+
+
+def test_link_stream_chance_extremes_draw_nothing():
+    link, reference = LinkStream(1, "c"), RandomStream(1, "c")
+    assert link.chance(0.0) is False and link.chance(-0.5) is False
+    assert link.chance(1.0) is True and link.chance(1.5) is True
+    assert link.random() == reference.random()
+
+
+@pytest.mark.parametrize("method", ["fork", "randint", "expovariate",
+                                    "choice", "shuffle", "sample"])
+def test_link_stream_has_no_call_that_draws_a_varying_number(method):
+    assert hasattr(RandomStream(1, "x"), method)
+    with pytest.raises(AttributeError):
+        getattr(LinkStream(1, "x"), method)

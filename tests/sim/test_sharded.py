@@ -11,16 +11,19 @@ import math
 import multiprocessing
 import os
 import time
+import tracemalloc
 
 import pytest
 
 from repro.bench.workloads import ZipfSampler, capacity_builder
 from repro.net.addresses import ProcessAddress
 from repro.net.network import Datagram, LinkFault, NetworkConfig
+from repro.sim.events import Queue
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStream
 from repro.sim.sharded import (
     Shard,
+    ShardNetwork,
     merge_digests,
     partition_hosts,
     run_sharded,
@@ -441,6 +444,41 @@ def test_collector_hold_nests_and_leaves_a_disabled_collector_alone():
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+# -- what a big, mostly idle world holds ------------------------------------
+
+def _traced_bytes_each(count, build):
+    """Bytes still allocated per item after ``build(i)`` ran for ``count``
+    items whose results are kept (tracemalloc: exact and repeatable)."""
+    kept = [None] * count
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(count):
+            kept[i] = build(i)
+        return (tracemalloc.get_traced_memory()[0] - before) / count
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_link_that_drew_once_holds_draws_not_a_generator():
+    """The 1,000-host world sends on ~15,000 links, nearly all of them a
+    handful of times; a Mersenne Twister each was 3 KiB a link."""
+    net = ShardNetwork(Simulator(), seed=5, config=NetworkConfig())
+
+    def draw_once(i):
+        return net._link_rng("m%d" % (i // 50), "n%d" % (i % 50)) \
+            .uniform(0.0, 0.05)
+
+    assert _traced_bytes_each(2000, draw_once) < 1024
+    assert len(net._link_rngs) == 2000
+
+
+def test_a_queue_nothing_waited_in_holds_no_deque():
+    """Two empty deques were 1.5 KiB of every queue built."""
+    sim = Simulator()
+    assert _traced_bytes_each(1000, lambda i: Queue(sim, "q")) < 300
 
 
 # -- guard rails ------------------------------------------------------------

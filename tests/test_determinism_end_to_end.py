@@ -3,9 +3,15 @@
 Reproducibility is the substrate for every measured claim in
 EXPERIMENTS.md, so it gets its own regression test: a full replicated
 workload (binding, calls, a crash, reconfiguratory traffic) replayed
-twice must produce byte-identical packet traces and timings.
+twice must produce byte-identical packet traces and timings — and must not
+depend on ``PYTHONHASHSEED``, which reorders every ``set`` of strings.
 """
 
+import os
+import subprocess
+import sys
+
+import repro
 from repro.core import ExportedModule
 from repro.harness import World
 from repro.net.network import NetworkConfig
@@ -59,3 +65,20 @@ def test_different_seed_different_trace():
     run2 = run_workload(seed=2)
     assert run1[0] == run2[0]          # semantics are seed-independent...
     assert run1[1] != run2[1]          # ...but the wire schedule is not
+
+
+def test_sharded_run_is_the_same_under_any_hash_seed():
+    """``repro shard --shards 2 --json`` (digest, counters, per-shard
+    event counts) byte for byte under three string-hash seeds: nothing on
+    that path may iterate a set or lean on hash order.  (``bank-transfer``
+    seeds 334 / 338 still do — ROADMAP item 1.)"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = set()
+    for hash_seed in ("0", "1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        outputs.add(subprocess.run(
+            [sys.executable, "-m", "repro", "shard", "--shards", "2",
+             "--json"],
+            env=env, check=True, timeout=120, stdout=subprocess.PIPE).stdout)
+    assert len(outputs) == 1 and b'"digest"' in outputs.pop()
