@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import os
 import sys
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
@@ -56,6 +55,7 @@ from repro.explore.schedule import (
 from repro.explore.scenarios import SCENARIOS, Scenario, get_scenario
 from repro.explore.shrink import shrink_actions
 from repro.sim.kernel import SimulationError
+from repro.sim.sharded import available_cpus
 
 __all__ = [
     "ADVERSARIAL_PROFILE",
@@ -353,12 +353,6 @@ class SweepWorkerDied(RuntimeError):
     seed it was running (killed, out of memory, ``os._exit``)."""
 
 
-def _available_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _must_stay_here(kwargs: Dict[str, Any]) -> bool:
     """Would the caller be able to tell forked workers from this process?
 
@@ -499,7 +493,7 @@ def sweep(scenario, seeds: Iterable[int], progress=None,
     seeds = list(seeds)
     name = scenario.name if isinstance(scenario, Scenario) else str(scenario)
     task = "fuzz.%s" % name
-    jobs = min(_available_cpus() if jobs is None else jobs, len(seeds))
+    jobs = min(available_cpus() if jobs is None else jobs, len(seeds))
     if jobs > 1 and not _must_stay_here(kwargs):
         runs = _forked_runs(scenario, seeds, jobs, kwargs)
     else:

@@ -218,8 +218,8 @@ class CollationMonitor(InvariantMonitor):
                 entry[1].append(event)
             return
         # rpc.collate
-        subject = "%s/%s thread=%s call#%d" % key
         if event.verdict == "disagreement":
+            subject = "%s/%s thread=%s call#%d" % key
             evidence = (entry[1][-1], event) if entry and entry[1] \
                 else (event,)
             self.report(
@@ -231,6 +231,7 @@ class CollationMonitor(InvariantMonitor):
                 return
             start, results = entry
             if len(results) < start.members:
+                subject = "%s/%s thread=%s call#%d" % key
                 self.report(
                     "verdict %r for %s announced after %d of %d member "
                     "results" % (event.verdict, subject,

@@ -79,6 +79,9 @@ processes, and the children compute while the coordinator does its own
 share.  Batches are pickled once by the source shard, routed as opaque
 bytes and unpickled once by the destination (:func:`_step_pickled`, the
 same on both sides of the pipe).  Results are byte-identical either way.
+A pipe end waiting for its window polls (:func:`_poll_recv`, up to
+:data:`SPIN_POLLS` looks) before it parks in the blocking read — except
+where the process has fewer CPUs than shards, where it parks at once.
 """
 
 from __future__ import annotations
@@ -88,6 +91,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import os
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.runtime import RuntimeConfig
@@ -405,16 +409,49 @@ class _LocalShard(Shard):
         return _step_pickled(self, *window)
 
 
-def _shard_child(conn, *shard_args) -> None:
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: How many times a shard pipe's reader looks (``poll(0)``, ~4 us)
+#: before it parks in a blocking read.  A count, not a time: nothing
+#: under ``src/repro`` reads a wall clock.  Both pipe ends find their
+#: message within this many looks in all but a handful of a run's ~4,570
+#: waits (docs/PERFORMANCE.md, "A waiting shard polls before it parks");
+#: past it — a child still building, a dead peer — sleeping is right.
+SPIN_POLLS = 2000
+
+
+def _poll_recv(conn, spin: int):
+    """``conn.recv()``, after up to ``spin`` non-blocking looks for the
+    message.  A reader parked in the kernel costs more to wake — and its
+    peer more to wake it — than the wait between two windows lasts."""
+    for _ in range(spin):
+        if conn.poll(0):
+            break
+    return conn.recv()
+
+
+def _shard_child(conn, spin: int, *shard_args) -> None:
     """Forked child body: build the shard, then serve the coordinator.
     Every reply is ``(error, value)``; requests are ``(bound, inbox)``
     for a window and ``None`` for the summary, after which it exits."""
+    import signal
+
+    # A terminal's Ctrl-C goes to the whole process group; the coordinator
+    # handles it and terminates the children (``close(failed=True)``),
+    # which should not each die with a traceback of their own.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         shard = Shard(*shard_args)
         reply = shard.finish()
         while True:
             conn.send((None, reply))
-            request = conn.recv()
+            request = _poll_recv(conn, spin)
             if request is None:
                 conn.send((None, shard.summary()))
                 return
@@ -430,14 +467,15 @@ def _shard_child(conn, *shard_args) -> None:
 class _ForkedShard:
     """Coordinator port to a forked child running :meth:`Shard.step`."""
 
-    def __init__(self, index: int, *shard_args):
+    def __init__(self, spin: int, index: int, *shard_args):
         import multiprocessing
         ctx = multiprocessing.get_context("fork")
         self.index = index
+        self._spin = spin
         self._conn, child_conn = ctx.Pipe()
         self._proc = ctx.Process(
-            target=_shard_child, args=(child_conn, index) + shard_args,
-            daemon=True)
+            target=_shard_child,
+            args=(child_conn, spin, index) + shard_args, daemon=True)
         self._proc.start()
         child_conn.close()
 
@@ -454,7 +492,7 @@ class _ForkedShard:
 
     def _recv(self):
         try:
-            error, value = self._conn.recv()
+            error, value = _poll_recv(self._conn, self._spin)
         except EOFError:
             raise self._died() from None
         if error is not None:
@@ -630,9 +668,12 @@ def run_sharded(builder: WorldBuilder, *, machines: int, horizon: float,
         failed = True
         try:
             if mode == "process":
+                # Poll only where every shard has a CPU to poll on; with
+                # fewer, a spinning reader holds the CPU its peer needs.
+                spin = SPIN_POLLS if available_cpus() >= shards else 0
                 # Children first: they build their worlds while this
                 # process builds shard 0's, and inherit no copy of it.
-                ports.extend(_ForkedShard(index, *shard_args)
+                ports.extend(_ForkedShard(spin, index, *shard_args)
                              for index in range(1, shards))
                 ports.insert(0, _LocalShard(0, *shard_args))
             else:

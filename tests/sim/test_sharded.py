@@ -7,9 +7,13 @@ shard count and either coordinator mode.
 """
 
 import gc
+import json
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -18,10 +22,12 @@ import pytest
 from repro.bench.workloads import ZipfSampler, capacity_builder
 from repro.net.addresses import ProcessAddress
 from repro.net.network import Datagram, LinkFault, NetworkConfig
+from repro.sim import sharded
 from repro.sim.events import Queue
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RandomStream
 from repro.sim.sharded import (
+    SPIN_POLLS,
     Shard,
     ShardNetwork,
     merge_digests,
@@ -328,6 +334,102 @@ def test_process_mode_matches_inproc(shards):
             for index in range(shards)} == {os.getpid()}
 
 
+_ONE_CPU_RUN = """
+import json, os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from repro.bench.workloads import capacity_builder
+from repro.sim.sharded import available_cpus, run_sharded
+spec = json.loads(sys.argv[1])
+machines = spec.pop("machines")
+result = run_sharded(capacity_builder(**spec), machines=machines,
+                     horizon=2000.0, seed=spec["seed"], shards=2,
+                     mode="process")
+assert result.mode == "process"
+print(json.dumps([available_cpus(), result.to_json_dict()]))
+"""
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity on this platform")
+def test_process_mode_on_one_cpu_parks_and_gives_the_same_bytes():
+    """With fewer CPUs than shards no pipe end polls (a spinning reader
+    would hold the CPU its peer needs); the run serializes to the same
+    bytes as the polling one above and as the in-process one."""
+    src = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(sharded.__file__))))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _ONE_CPU_RUN, json.dumps(WORKLOAD)],
+        env=dict(os.environ, PYTHONPATH=path), check=True, timeout=120,
+        stdout=subprocess.PIPE).stdout
+    cpus, forked = json.loads(out)
+    assert cpus == 1
+    assert forked == json.loads(json.dumps(_run(2).to_json_dict()))
+
+
+class _FakeConn:
+    """A pipe end whose message shows up at the ``ready_at``-th look."""
+
+    def __init__(self, ready_at=None):
+        self.ready_at = ready_at
+        self.polls = 0
+        self.sent = []
+
+    def poll(self, timeout):
+        assert timeout == 0             # a look never sleeps
+        self.polls += 1
+        return self.polls == self.ready_at
+
+    def recv(self):
+        return "polled %d" % self.polls
+
+    def send(self, message):
+        self.sent.append(message)
+
+
+def test_a_waiting_pipe_end_polls_a_bounded_count_then_parks():
+    # Stops looking at the first ready poll...
+    recv = sharded._poll_recv
+    assert recv(_FakeConn(ready_at=1), SPIN_POLLS) == "polled 1"
+    assert recv(_FakeConn(ready_at=37), SPIN_POLLS) == "polled 37"
+    # ...never looks more often than the constant before the blocking
+    # read (a child still building, a dead peer)...
+    assert recv(_FakeConn(), SPIN_POLLS) == "polled %d" % SPIN_POLLS
+    # ...and not at all where it was told there is no CPU to spin on.
+    assert recv(_FakeConn(ready_at=1), 0) == "polled 0"
+
+
+@pytest.mark.parametrize("cpus, polls", ((1, False), (2, True), (8, True)))
+def test_pipes_poll_only_with_a_cpu_per_shard(monkeypatch, cpus, polls):
+    spins = []
+
+    class Port(sharded._LocalShard):    # a port that needs no fork
+        def __init__(self, spin, *shard_args):
+            spins.append(spin)
+            super().__init__(*shard_args)
+
+    monkeypatch.setattr(sharded, "_ForkedShard", Port)
+    monkeypatch.setattr(sharded, "available_cpus", lambda: cpus)
+    assert _run(2, mode="process").to_json_dict() == _run(2).to_json_dict()
+    assert spins == [SPIN_POLLS if polls else 0]
+
+
+def test_shard_child_leaves_ctrl_c_to_the_coordinator(monkeypatch):
+    """A terminal's Ctrl-C reaches the whole process group; the child
+    ignores it and is terminated by the coordinator's ``close``."""
+    installed = []
+    monkeypatch.setattr(signal, "signal",
+                        lambda *pair: installed.append(pair))
+    conn = _FakeConn()
+    conn.recv = lambda: None            # straight to the summary request
+    sharded._shard_child(conn, 0, 0, 1, _small_builder(),
+                         WORKLOAD["machines"], WORKLOAD["seed"], None, None,
+                         2000.0)
+    assert installed == [(signal.SIGINT, signal.SIG_IGN)]
+    assert [error for error, _ in conn.sent] == [None, None]
+
+
 @needs_fork
 def test_dead_shard_child_is_a_named_error():
     """A child that dies mid-window (here: hard exit, no Python
@@ -339,9 +441,12 @@ def test_dead_shard_child_is_a_named_error():
             # Well past the first window (lookahead is the link latency).
             world.sim.schedule(200.0, os._exit, 3)
 
+    started = time.monotonic()
     with pytest.raises(RuntimeError,
                        match=r"shard 1 child died \(exit code 3\)"):
         _run(2, mode="process", builder=dying_builder)
+    # A closed pipe polls ready and its read raises: no hang while polling.
+    assert time.monotonic() - started < 5.0
     assert multiprocessing.active_children() == []
     assert gc.isenabled()
 
