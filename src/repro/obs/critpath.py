@@ -54,12 +54,13 @@ real causal chain (``causal_violations`` stays 0 on healthy runs).
 from __future__ import annotations
 
 import collections
-from typing import Any, Dict, List, Optional, Tuple
+import math
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.obs import events as ev
 from repro.obs.clocks import host_of, vc_leq
 from repro.obs.metrics import Histogram
-from repro.obs.trace import CallSpan, CallTracer
+from repro.obs.trace import CallSpan, CallTracer, ClientKey, OpenSpans
 
 # Paired-message type codes (repro.pairedmsg.segments.MSG_CALL /
 # MSG_RETURN), bound lazily on first analyzer construction: repro.obs
@@ -80,25 +81,54 @@ STAGES = ("encode_send", "gather_wait", "execute", "return_send",
           "return_wait", "collate_wait", "complete", "retransmit_stall")
 
 #: Cap on remembered pm.send/pm.retransmit entries per (endpoint, type)
-#: key — a single call never needs more; keeps long runs bounded.
+#: key.  A key lives only while an unfolded call holds it, so this bounds
+#: the one thing the fold cannot: a call that never ends.
 _TIMELINE_CAP = 4096
+
+
+class CallRef:
+    """What a folded call keeps of its :class:`~repro.obs.trace.CallSpan`:
+    who called what and when, not the tree under it."""
+
+    __slots__ = ("host", "proc", "thread_id", "call_number", "troupe",
+                 "module", "procedure", "start", "end")
+
+    def __init__(self, span: CallSpan):
+        self.host = span.host
+        self.proc = span.proc
+        self.thread_id = span.thread_id
+        self.call_number = span.call_number
+        self.troupe = span.troupe
+        self.module = span.module
+        self.procedure = span.procedure
+        self.start = span.start
+        self.end = span.end
+
+    @property
+    def name(self) -> str:
+        return "call %s %d.%d" % (self.troupe, self.module, self.procedure)
 
 
 class CallPath:
     """One completed call's stage decomposition."""
 
     __slots__ = ("call", "stages", "dominant", "retransmits", "degraded",
-                 "causal_violations")
+                 "causal_violations", "exec_node")
 
-    def __init__(self, call: CallSpan, stages: List[Tuple[str, float]],
-                 retransmits: int, degraded: bool, causal_violations: int):
+    def __init__(self, call: CallRef, stages: List[Tuple[str, float]],
+                 retransmits: int, degraded: bool,
+                 exec_node: Optional[str]):
         self.call = call
         #: ``[(stage, duration_ms), ...]`` in path order; durations >= 0
         #: and summing exactly to ``call.end - call.start``.
         self.stages = stages
         self.retransmits = retransmits
         self.degraded = degraded
-        self.causal_violations = causal_violations
+        #: the critical replica's clock-domain node (None: no execution
+        #: on the path), and what the causal cross-check of it against
+        #: the client's node read the last time ``paths()`` was asked.
+        self.exec_node = exec_node
+        self.causal_violations = 0
         self.dominant = max(stages, key=lambda s: (s[1], -stages.index(s)))[0] \
             if stages else "unattributed"
 
@@ -120,40 +150,79 @@ class CallPath:
         }
 
 
+#: Whose timeline, under one call number: (endpoint_host, proc, msg_type).
+_Endpoint = Tuple[str, str, int]
+
+
 class CritPathAnalyzer:
     """Builds :class:`CallPath` decompositions from a traced run.
 
-    Owns a :class:`CallTracer` unless one is passed in, and additionally
-    records the ``pm.send`` / ``pm.retransmit`` timeline needed to place
-    the wire milestones.  Attach before the run; analysis happens on
-    demand (:meth:`paths` / :meth:`report`) after it.
+    Records the ``pm.send`` / ``pm.retransmit`` timeline needed to place
+    the wire milestones and *folds*: a call is analysed, once, as soon
+    as virtual time has moved past its end — nothing emitted later can
+    be on its path — and from then on only its :class:`CallPath` is
+    held.  The timeline is kept for the call numbers that unfolded calls
+    carry and no others (a retransmission arriving after its call was
+    folded is dropped), and the spans are the analyzer's own, built with
+    a bare :class:`~repro.obs.trace.OpenSpans` that forgets a call when
+    it closes.  Pass a :class:`~repro.obs.trace.CallTracer` to share one
+    set of spans with a Chrome export or a post-mortem: that tracer
+    keeps every span, as is its contract, and the analyzer still keeps
+    only paths.
+
+    Attach before the run; :meth:`paths` / :meth:`report` may be asked
+    at any time and cover every call completed so far.
     """
 
     def __init__(self, sim, tracer: Optional[CallTracer] = None):
         self.sim = sim
         self._msg_call, self._msg_return = _msg_codes()
         self._owns_tracer = tracer is None
-        self.tracer = tracer or CallTracer(sim)
-        #: (endpoint_host, proc, call_number, msg_type) ->
-        #: [(t, peer_host), ...] in emission order.
-        self._sends: Dict[Tuple[str, str, int, int], List[Tuple[float, str]]]
-        self._sends = collections.defaultdict(list)
-        #: same key -> [t, ...] of retransmitted segments.
-        self._retransmits: Dict[Tuple[str, str, int, int], List[float]]
-        self._retransmits = collections.defaultdict(list)
-        #: deterministic work counter: timeline entries recorded (the
+        self.tracer = tracer or OpenSpans(sim)
+        #: call number -> how many unfolded calls carry it.  Clients
+        #: number their calls alike, and a retransmission to one of them
+        #: counts against whichever of them it lands in, so what is kept
+        #: goes by the number alone.
+        self._in_flight: Dict[int, int] = {}
+        #: call number -> (endpoint_host, proc, msg_type) ->
+        #: [(t, peer_host), ...] in emission order; in-flight numbers only.
+        self._sends: Dict[int, Dict[_Endpoint, List[Tuple[float, str]]]] = {}
+        #: likewise -> [t, ...] of retransmitted segments.
+        self._retransmits: Dict[int, Dict[_Endpoint, List[float]]] = {}
+        #: client key -> (span, place in start order) of each open call
+        #: seen starting.
+        self._open: Dict[ClientKey, Tuple[CallSpan, int]] = {}
+        #: ended, not yet folded, in end order; ``_fold_after`` is the
+        #: first one's end (infinite when there is none).
+        self._ended: Deque[Tuple[CallSpan, int]] = collections.deque()
+        self._fold_after = math.inf
+        #: one slot per call seen starting, in start order; None until
+        #: the call is folded.
+        self._slots: List[Optional[CallPath]] = []
+        #: deterministic work counter: timeline events seen (the
         #: observability-overhead proxy reads this).
         self.milestones = 0
-        self._paths: Optional[List[CallPath]] = None
+        # After the tracer's own subscription: each handler below finds
+        # the tracer's spans already updated for the same event.
         self._sub = sim.bus.subscribe_kinds({
             ev.MessageSent.kind: self._on_send,
             ev.SegmentRetransmitted.kind: self._on_retransmit,
+            ev.CallStarted.kind: self._on_call_start,
+            ev.CallCompleted.kind: self._on_call_end,
         })
 
     def close(self) -> None:
+        """Detach.  Nothing is in flight for an observer that sees no
+        more events: every completed call is folded and what the open
+        ones held is dropped."""
         self.sim.bus.unsubscribe(self._sub)
         if self._owns_tracer:
             self.tracer.close()
+        self._fold(math.inf)
+        self._open.clear()
+        self._in_flight.clear()
+        self._sends.clear()
+        self._retransmits.clear()
 
     def __enter__(self) -> "CritPathAnalyzer":
         return self
@@ -164,29 +233,92 @@ class CritPathAnalyzer:
     # -- timeline capture --------------------------------------------------
 
     def _on_send(self, event) -> None:
-        self._paths = None
-        bucket = self._sends[(host_of(event.endpoint), event.proc,
-                              event.call_number, event.msg_type)]
-        if len(bucket) < _TIMELINE_CAP:
-            bucket.append((event.t, host_of(event.peer)))
-            self.milestones += 1
+        if event.t > self._fold_after:
+            self._fold(event.t)
+        self.milestones += 1
+        lines = self._sends.get(event.call_number)
+        if lines is not None:
+            bucket = lines.setdefault(
+                (host_of(event.endpoint), event.proc, event.msg_type), [])
+            if len(bucket) < _TIMELINE_CAP:
+                bucket.append((event.t, host_of(event.peer)))
 
     def _on_retransmit(self, event) -> None:
-        self._paths = None
-        bucket = self._retransmits[(host_of(event.endpoint), event.proc,
-                                    event.call_number, event.msg_type)]
-        if len(bucket) < _TIMELINE_CAP:
-            bucket.append(event.t)
-            self.milestones += 1
+        if event.t > self._fold_after:
+            self._fold(event.t)
+        self.milestones += 1
+        lines = self._retransmits.get(event.call_number)
+        if lines is not None:
+            bucket = lines.setdefault(
+                (host_of(event.endpoint), event.proc, event.msg_type), [])
+            if len(bucket) < _TIMELINE_CAP:
+                bucket.append(event.t)
+
+    # -- which calls are in flight -----------------------------------------
+
+    def _on_call_start(self, event) -> None:
+        if event.t > self._fold_after:
+            self._fold(event.t)
+        client = (event.host, event.proc, event.thread_id, event.call_number)
+        span = self.tracer.open_call(client)
+        if span is None:                # the tracer is not listening
+            return
+        number = event.call_number
+        if client in self._open:        # reopened before it closed
+            self._release(number)
+        carrying = self._in_flight.get(number, 0)
+        if not carrying:
+            self._sends[number] = {}
+            self._retransmits[number] = {}
+        self._in_flight[number] = carrying + 1
+        self._open[client] = (span, len(self._slots))
+        self._slots.append(None)
+
+    def _on_call_end(self, event) -> None:
+        if event.t > self._fold_after:
+            self._fold(event.t)
+        watched = self._open.pop(
+            (event.host, event.proc, event.thread_id, event.call_number),
+            None)
+        if watched is not None and watched[0].end is not None:
+            if not self._ended:
+                self._fold_after = event.t
+            self._ended.append(watched)
+
+    def _release(self, call_number: int) -> None:
+        carrying = self._in_flight[call_number] - 1
+        if carrying:
+            self._in_flight[call_number] = carrying
+        else:
+            del (self._in_flight[call_number], self._sends[call_number],
+                 self._retransmits[call_number])
+
+    def _fold(self, now: float) -> None:
+        """Analyse and let go of every call that ended before ``now``."""
+        ended = self._ended
+        while ended and ended[0][0].end < now:
+            span, slot = ended.popleft()
+            self._slots[slot] = self._analyze(span)
+            self._release(span.call_number)
+        self._fold_after = ended[0][0].end if ended else math.inf
 
     # -- analysis ----------------------------------------------------------
 
     def paths(self) -> List[CallPath]:
         """Stage decompositions for every *completed* call, start order."""
-        if self._paths is None:
-            self._paths = [self._analyze(call) for call in self.tracer.calls
-                           if call.end is not None]
-        return self._paths
+        self._fold(self.sim.now)
+        slots = self._slots
+        if self._ended:
+            # Ended at this very instant: more of it may still be
+            # emitted, so these are analysed for this answer only.
+            slots = list(slots)
+            for span, slot in self._ended:
+                slots[slot] = self._analyze(span)
+        paths = [path for path in slots if path is not None]
+        domain = getattr(self.sim.bus, "stamper", None)
+        for path in paths:
+            path.causal_violations = self._causal_check(domain, path)
+        return paths
 
     def _analyze(self, call: CallSpan) -> CallPath:
         start, end = call.start, call.end
@@ -194,8 +326,8 @@ class CritPathAnalyzer:
 
         # Milestone 1: the last CALL segment batch the client handed to
         # the wire for this call (multicast emits one pm.send per peer).
-        call_sends = self._sends.get(
-            (call.host, call.proc, call.call_number, self._msg_call), ())
+        sends = self._sends.get(call.call_number, {})
+        call_sends = sends.get((call.host, call.proc, self._msg_call), ())
         call_sends = [t for t, _peer in call_sends if start <= t <= end]
         m_sent = max(call_sends) if call_sends else None
 
@@ -224,9 +356,8 @@ class CritPathAnalyzer:
         # the calling host (last send at or before the result arrival).
         m_ret_sent = None
         if crit_exec is not None:
-            ret_sends = self._sends.get(
-                (crit_exec.host, crit_exec.proc, call.call_number,
-                 self._msg_return), ())
+            ret_sends = sends.get(
+                (crit_exec.host, crit_exec.proc, self._msg_return), ())
             limit = m_result if m_result is not None else end
             for t, peer_host in ret_sends:
                 if peer_host == call.host and t <= limit:
@@ -283,32 +414,35 @@ class CritPathAnalyzer:
                   if stage_totals[name] > 0.0]
         if not stages:               # zero-latency call: all stages empty
             stages = [("complete", 0.0)]
-        return CallPath(call, stages, retransmits=len(retx),
-                        degraded=degraded,
-                        causal_violations=self._causal_check(call, crit_exec))
+        exec_node = "%s/%s" % (crit_exec.host, crit_exec.proc) \
+            if crit_exec is not None else None
+        return CallPath(CallRef(call), stages, retransmits=len(retx),
+                        degraded=degraded, exec_node=exec_node)
 
     def _retransmit_times(self, call: CallSpan, crit_exec) -> List[float]:
         """Retransmission instants on this call's critical path: the
         client's CALL segments plus the critical replica's RETURN."""
-        out = list(self._retransmits.get(
-            (call.host, call.proc, call.call_number, self._msg_call), ()))
+        retransmits = self._retransmits.get(call.call_number, {})
+        out = list(retransmits.get(
+            (call.host, call.proc, self._msg_call), ()))
         if crit_exec is not None:
-            out.extend(self._retransmits.get(
-                (crit_exec.host, crit_exec.proc, call.call_number,
-                 self._msg_return), ()))
+            out.extend(retransmits.get(
+                (crit_exec.host, crit_exec.proc, self._msg_return), ()))
         end = call.end if call.end is not None else call.start
         return sorted(t for t in out if call.start <= t <= end)
 
-    def _causal_check(self, call: CallSpan, crit_exec) -> int:
+    @staticmethod
+    def _causal_check(domain, path: CallPath) -> int:
         """Vector-clock cross-check: adjacent critical-path endpoints must
-        be causally ordered when a ClockDomain stamped the run.  Returns
-        the number of *concurrent* adjacent pairs (0 when unstamped)."""
-        domain = getattr(self.sim.bus, "stamper", None)
-        if domain is None or crit_exec is None:
+        be causally ordered when a ClockDomain stamps the run.  Returns
+        the number of *concurrent* adjacent pairs (0 when unstamped),
+        read from the clocks as they stand now."""
+        if domain is None or path.exec_node is None:
             return 0
         chain = []
-        client_vc = domain.clock_of("%s/%s" % (call.host, call.proc))
-        exec_vc = domain.clock_of("%s/%s" % (crit_exec.host, crit_exec.proc))
+        client_vc = domain.clock_of(
+            "%s/%s" % (path.call.host, path.call.proc))
+        exec_vc = domain.clock_of(path.exec_node)
         if client_vc:
             chain.append(client_vc)
         if exec_vc:

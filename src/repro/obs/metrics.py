@@ -266,6 +266,7 @@ class MetricsCollector:
                                    "host", "outcome")
         self._exec_ms = Handles(histogram, "rpc.exec_ms", "host")
         self._lock_wait_ms = Handles(histogram, "txn.lock_wait_ms")
+        self._votes = Handles(counter, "txn.votes", "ready")
         handlers = {kind: self._counting(name, fields)
                     for kind, (name, fields) in _COUNTED.items()}
         handlers.update({
@@ -342,5 +343,4 @@ class MetricsCollector:
         self._lock_wait_ms[()].observe(event.waited)
 
     def _on_vote(self, event):
-        self.registry.counter(
-            "txn.votes", ready="true" if event.ready else "false").inc()
+        self._votes["true" if event.ready else "false"].value += 1

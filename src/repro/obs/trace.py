@@ -95,49 +95,77 @@ class CallSpan:
         return (self.host, self.proc, self.thread_id, self.call_number)
 
 
-class CallTracer:
-    """Builds span trees from ``rpc.*`` bus events.
+class OpenSpans:
+    """Builds call and execution spans from ``rpc.*`` bus events and
+    finds the open ones by key.
 
-    Attach before the traced run (events are not replayable); detach with
-    :meth:`close` or use the :func:`trace_calls` context manager.
+    A span is held here only while it is open; the work per event is a
+    dictionary lookup however many calls are in flight.  This is all the
+    critical-path analyzer needs of a tracer it owns; :class:`CallTracer`
+    adds the history.
     """
 
     def __init__(self, sim):
         self.sim = sim
         self._open_calls: Dict[ClientKey, CallSpan] = {}
-        self._open_execs: Dict[Tuple[CallKey, str, str], ExecSpan] = {}
-        #: root call spans (not nested under any execution), in start order.
-        self.roots: List[CallSpan] = []
-        #: every call span ever opened, in start order.
-        self.calls: List[CallSpan] = []
-        #: every execution span ever opened, in start order.
-        self.execs: List[ExecSpan] = []
-        self._returns: List[ev.ReturnSent] = []
-        self._sub = sim.bus.subscribe_kinds({
+        #: (thread_id, call_number, target troupe_id) -> the open client
+        #: halves of that call, in start order: one, or one per member
+        #: of a calling troupe.
+        self._calls_to: Dict[Tuple[str, int, int], List[CallSpan]] = {}
+        #: (thread_id, host, proc) -> the executions open on that
+        #: process for that thread, oldest first (more than one only
+        #: when a thread's call chain re-enters the process).
+        self._open_execs: Dict[Tuple[str, str, str], List[ExecSpan]] = {}
+        self._sub = sim.bus.subscribe_kinds(self._handlers())
+
+    def _handlers(self) -> Dict[str, Any]:
+        return {
             ev.CallStarted.kind: self._on_call_start,
             ev.ReplicaResult.kind: self._on_result,
             ev.Collated.kind: self._on_collate,
             ev.CallCompleted.kind: self._on_call_end,
             ev.ExecutionStarted.kind: self._on_exec_start,
             ev.ExecutionFinished.kind: self._on_exec_end,
-            ev.ReturnSent.kind: self._returns.append,
-        })
+        }
 
     def close(self) -> None:
         self.sim.bus.unsubscribe(self._sub)
 
+    def open_call(self, key: ClientKey) -> Optional[CallSpan]:
+        """The open span of one client half, if there is one."""
+        return self._open_calls.get(key)
+
     # -- event handling (one bus handler per kind) -------------------------
 
     def _on_call_start(self, event) -> None:
+        self._open_call(event)
+
+    def _open_call(self, event) -> Tuple[CallSpan, Optional[ExecSpan]]:
+        """Open and index the span; also returns the execution it was
+        issued from (None for a root call)."""
         span = CallSpan(event)
+        stale = self._open_calls.get(span.key)
+        if stale is not None:           # reopened before it closed
+            self._unindex_call(stale)
         self._open_calls[span.key] = span
-        self.calls.append(span)
-        parent = self._enclosing_exec(event.thread_id, event.host,
-                                      event.proc)
+        self._calls_to.setdefault(
+            (span.thread_id, span.call_number, span.troupe_id),
+            []).append(span)
+        # A nested call shares the thread ID and originates on the same
+        # simulated process as the replica executing the outer call: it
+        # hangs off the oldest execution still open there.
+        site = self._open_execs.get((span.thread_id, span.host, span.proc))
+        parent = site[0] if site else None
         if parent is not None:
             parent.calls.append(span)
-        else:
-            self.roots.append(span)
+        return span, parent
+
+    def _unindex_call(self, span: CallSpan) -> None:
+        context = (span.thread_id, span.call_number, span.troupe_id)
+        halves = self._calls_to[context]
+        halves.remove(span)
+        if not halves:
+            del self._calls_to[context]
 
     def _on_result(self, event) -> None:
         span = self._open_calls.get(
@@ -156,41 +184,83 @@ class CallTracer:
             (event.host, event.proc, event.thread_id, event.call_number),
             None)
         if span is not None:
+            self._unindex_call(span)
             span.end = event.t
             span.outcome = event.outcome
 
     def _on_exec_start(self, event) -> None:
+        self._open_exec(event)
+
+    def _open_exec(self, event) -> ExecSpan:
         span = ExecSpan(event)
-        key = ((event.thread_id, event.call_number), event.host, event.proc)
-        self._open_execs[key] = span
-        self.execs.append(span)
+        site = self._open_execs.setdefault(
+            (span.thread_id, span.host, span.proc), [])
+        for i, other in enumerate(site):
+            if other.call_number == span.call_number:
+                site[i] = span          # re-executed before it finished
+                break
+        else:
+            site.append(span)
         # Attach under every open client half of this call: the target
         # troupe ID separates the call to this troupe from an outer or
         # nested call sharing the same (thread, call number) context;
         # in a many-to-many call each calling member's span gets it.
-        for call in self._open_calls.values():
-            if (call.thread_id == event.thread_id
-                    and call.call_number == event.call_number
-                    and call.troupe_id == event.troupe_id):
-                call.execs.append(span)
+        for call in self._calls_to.get(
+                (span.thread_id, span.call_number, span.troupe_id), ()):
+            call.execs.append(span)
+        return span
 
     def _on_exec_end(self, event) -> None:
-        key = ((event.thread_id, event.call_number), event.host, event.proc)
-        span = self._open_execs.pop(key, None)
-        if span is not None:
-            span.end = event.t
-            span.outcome = event.outcome
+        where = (event.thread_id, event.host, event.proc)
+        site = self._open_execs.get(where, ())
+        for i, span in enumerate(site):
+            if span.call_number == event.call_number:
+                span.end = event.t
+                span.outcome = event.outcome
+                del site[i]
+                if not site:
+                    del self._open_execs[where]
+                return
 
-    def _enclosing_exec(self, thread_id: str, host: str,
-                        proc: str) -> Optional[ExecSpan]:
-        """The open execution span this call was issued from, if any: a
-        nested call shares the thread ID and originates on the same
-        simulated process as the replica executing the outer call."""
-        for span in self._open_execs.values():
-            if (span.thread_id == thread_id and span.host == host
-                    and span.proc == proc):
-                return span
-        return None
+
+class CallTracer(OpenSpans):
+    """Builds span trees from ``rpc.*`` bus events and keeps every one
+    — :meth:`span_tree` and :meth:`to_chrome` are the whole run — so it
+    grows with the run's length.
+
+    Attach before the traced run (events are not replayable); detach with
+    :meth:`close` or use the :func:`trace_calls` context manager.
+    """
+
+    def __init__(self, sim):
+        #: root call spans (not nested under any execution), in start order.
+        self.roots: List[CallSpan] = []
+        #: every call span ever opened, in start order.
+        self.calls: List[CallSpan] = []
+        #: every execution span ever opened, in start order.
+        self.execs: List[ExecSpan] = []
+        #: (t, host, proc, recipients, call_number) of every rpc.return:
+        #: what the Chrome export shows of one, not the stamped event.
+        self._returns: List[Tuple[float, str, str, int, int]] = []
+        super().__init__(sim)
+
+    def _handlers(self) -> Dict[str, Any]:
+        handlers = super()._handlers()
+        handlers[ev.ReturnSent.kind] = self._on_return
+        return handlers
+
+    def _on_call_start(self, event) -> None:
+        span, parent = self._open_call(event)
+        self.calls.append(span)
+        if parent is None:
+            self.roots.append(span)
+
+    def _on_exec_start(self, event) -> None:
+        self.execs.append(self._open_exec(event))
+
+    def _on_return(self, event) -> None:
+        self._returns.append((event.t, event.host, event.proc,
+                              event.recipients, event.call_number))
 
     # -- span tree ---------------------------------------------------------
 
@@ -301,13 +371,13 @@ class CallTracer:
                          "callers": span.callers,
                          "group_complete": span.group_complete,
                          "outcome": span.outcome}})
-        for event in self._returns:
-            pid, tid = lane(event.host, event.proc)
+        for t, host, proc, recipients, call_number in self._returns:
+            pid, tid = lane(host, proc)
             trace_events.append({
-                "ph": "i", "name": "return", "cat": "rpc", "ts": us(event.t),
+                "ph": "i", "name": "return", "cat": "rpc", "ts": us(t),
                 "pid": pid, "tid": tid, "s": "t",
-                "args": {"recipients": event.recipients,
-                         "call_number": event.call_number}})
+                "args": {"recipients": recipients,
+                         "call_number": call_number}})
         trace_events.sort(key=lambda e: (e.get("ts", -1.0), e["pid"],
                                          e["tid"]))
         return {"traceEvents": trace_events, "displayTimeUnit": "ms",
