@@ -259,6 +259,8 @@ class TroupeRuntime:
                  thread_id: Optional[ThreadId] = None):
         self.process = process
         self.sim = process.sim
+        #: this runtime's label value in the bus's site counts
+        self._host = process.host
         self.config = config or RuntimeConfig()
         self.endpoint = PairedEndpoint(process, port, self.config.paired)
         self.troupe_id = troupe_id
@@ -371,9 +373,13 @@ class TroupeRuntime:
                 expected = self._expected_callers(header)
                 group = _ManyToOneCall(key, header, msg.call_number, expected)
                 self._groups[key] = group
-                if "rpc.gather" in self.sim.bus.wanted:
-                    self.sim.bus.emit(obs_events.GatherStarted(
-                        t=self.sim.now, host=self.process.host,
+                bus = self.sim.bus
+                gathers = bus.counts["rpc.gather"]
+                host = self._host
+                gathers[host] = gathers.get(host, 0) + 1
+                if "rpc.gather" in bus.wanted:
+                    bus.emit(obs_events.GatherStarted(
+                        t=self.sim.now, host=host,
                         proc=self.process.name,
                         thread_id=str(header.thread_id),
                         call_number=msg.call_number,

@@ -154,6 +154,9 @@ class Network:
         self.packets_duplicated = 0
         self.bytes_sent = 0
         self.multicasts_sent = 0
+        #: the bus's site counts of deliveries and duplications.
+        self._delivered = sim.bus.counts["net.deliver"]
+        self._duplicated = sim.bus.counts["net.dup"]
 
     # -- topology ----------------------------------------------------------
 
@@ -285,6 +288,7 @@ class Network:
         if rng.chance(self.config.duplicate_probability):
             copies = 2
             self.packets_duplicated += 1
+            self._duplicated[()] += 1
             if "net.dup" in bus.wanted:
                 bus.emit(obs_events.PacketDuplicated(
                     t=self.sim.now, src=datagram.src, dst=datagram.dst))
@@ -302,6 +306,7 @@ class Network:
                     and rng.chance(fault.duplicate):
                 copies = 2
                 self.packets_duplicated += 1
+                self._duplicated[()] += 1
                 if "net.dup" in bus.wanted:
                     bus.emit(obs_events.PacketDuplicated(
                         t=self.sim.now, src=datagram.src, dst=datagram.dst))
@@ -347,6 +352,7 @@ class Network:
             self._drop(datagram, "no-port")
             return
         self.packets_delivered += 1
+        self._delivered[()] += 1
         if "net.deliver" in self.sim.bus.wanted:
             self.sim.bus.emit(obs_events.PacketDelivered(
                 t=self.sim.now, src=datagram.src, dst=datagram.dst,

@@ -32,6 +32,22 @@ Every other kind stays unbuilt until somebody asks for it: a
 ``MonitorSuite`` alone leaves ``net.*``, ``sim.*``, ``pm.ack_*``,
 ``txn.lock_*`` at the cost of the guard.
 
+Counted where it happens
+------------------------
+
+The sites of :data:`COUNTED_KINDS` — frequent kinds whose only standard
+reader is a counter — also count every occurrence into
+:attr:`EventBus.counts`, wanted or not, keyed the way
+:class:`~repro.obs.metrics.Handles` keys that metric's label values::
+
+    bus.counts["net.deliver"][()] += 1     # or a row held since set-up
+    if "net.deliver" in bus.wanted:
+        bus.emit(...)
+
+so :class:`~repro.obs.metrics.MetricsCollector` reads the table instead
+of making the bus build an event it only adds one for.  The event is
+still built for whoever subscribes to its kind.
+
 To add an emission site, guard it with the literal kind of the event it
 constructs.  To add an event kind, define the dataclass in
 :mod:`repro.obs.events` *and* list it in ``ALL_EVENTS`` — a kind outside
@@ -44,13 +60,21 @@ the emitting callback and must not touch the simulation.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Mapping,
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Mapping,
                     Optional, Tuple, Union)
 
 from repro.obs.events import CAUSAL_KINDS, KINDS, MonitorError
 
 #: An event handler: called synchronously with each matching event.
 Handler = Callable[[object], None]
+
+#: The counted kinds that carry no label: their one key, ``()``, is in
+#: :attr:`EventBus.counts` from the start, so their sites add to it
+#: without a lookup default.
+_UNLABELLED = ("sim.spawn", "sim.exit", "net.deliver", "net.dup")
+#: The kinds whose emission sites count every occurrence into
+#: :attr:`EventBus.counts`, whether or not the kind is wanted.
+COUNTED_KINDS = _UNLABELLED + ("pm.ack_implicit", "pm.dup", "rpc.gather")
 
 
 class Subscription:
@@ -98,7 +122,7 @@ class EventBus:
     exactly one kind, and ``None`` everything.
     """
 
-    __slots__ = ("wanted", "_subs", "_stamper", "_by_kind")
+    __slots__ = ("wanted", "counts", "_subs", "_stamper", "_by_kind")
 
     def __init__(self):
         #: The kinds of the vocabulary somebody is listening for (and the
@@ -106,6 +130,11 @@ class EventBus:
         #: test their kind against this set before constructing an event
         #: — the nobody-wants-it fast path.
         self.wanted: FrozenSet[str] = frozenset()
+        #: kind -> label values -> occurrences since the bus was made,
+        #: for the :data:`COUNTED_KINDS`; only ever incremented.
+        self.counts: Dict[str, Dict[Any, int]] = {
+            kind: {(): 0} if kind in _UNLABELLED else {}
+            for kind in COUNTED_KINDS}
         self._subs: List[Subscription] = []
         self._stamper = None
         #: kind -> (handlers to run, in subscription order): the one

@@ -83,7 +83,7 @@ def openmetrics(registry: MetricsRegistry,
     lines.append('%sschema_info{version="%s"} 1' % (prefix, SCHEMA_VERSION))
 
     families: Dict[str, List] = {}
-    for (name, labelset), metric in sorted(registry._metrics.items()):
+    for (name, labelset), metric in registry.items():
         families.setdefault(name, []).append((labelset, metric))
 
     for name in sorted(families):

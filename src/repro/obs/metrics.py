@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.bus import EventBus
 
@@ -113,10 +113,20 @@ def _render_key(name: str, labels: LabelSet) -> str:
 
 
 class MetricsRegistry:
-    """Get-or-create metric instruments keyed by (name, labels)."""
+    """Get-or-create metric instruments keyed by (name, labels).
+
+    The reading methods (``value``, ``total``, ``items``, ``snapshot``,
+    ``render``) first run the registry's *folds*: each attached
+    :class:`MetricsCollector` brings the counts kept at emission sites
+    (``EventBus.counts``) into its counters there."""
 
     def __init__(self):
         self._metrics: Dict[Tuple[str, LabelSet], Any] = {}
+        self._folds: List[Callable[[], None]] = []
+
+    def _fold(self) -> None:
+        for fold in self._folds:
+            fold()
 
     def _get(self, cls, name: str, labels: Dict[str, Any]):
         key = (name, _labelset(labels))
@@ -142,18 +152,25 @@ class MetricsRegistry:
 
     def value(self, name: str, **labels) -> Any:
         """The current value of a counter/gauge (0 if never touched)."""
+        self._fold()
         metric = self._metrics.get((name, _labelset(labels)))
         return metric.value if metric is not None else 0
 
     def total(self, name: str) -> int:
         """Sum of a counter across every label set."""
+        self._fold()
         return sum(m.value for (n, _), m in self._metrics.items()
                    if n == name and isinstance(m, Counter))
+
+    def items(self) -> List[Tuple[Tuple[str, LabelSet], Any]]:
+        """Every ``((name, labels), instrument)``, sorted."""
+        self._fold()
+        return sorted(self._metrics.items())
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-friendly flat mapping of every instrument."""
         out: Dict[str, Any] = {}
-        for (name, labels), metric in sorted(self._metrics.items()):
+        for (name, labels), metric in self.items():
             key = _render_key(name, labels)
             if isinstance(metric, Histogram):
                 out[key] = metric.summary()
@@ -198,26 +215,33 @@ class Handles(dict):
         return handle
 
 
-#: kind -> (counter name, label fields): the events that are simply
-#: counted, labelled by the event fields of the same names.
-_COUNTED = {
+#: kind -> (counter name, label fields) for the kinds counted at their
+#: emission sites (``repro.obs.bus.COUNTED_KINDS``): the site keys
+#: ``EventBus.counts`` by the values of these fields, as ``Handles`` does.
+_SITE_COUNTED = {
     "sim.spawn": ("sim.processes_spawned", ()),
     "sim.exit": ("sim.processes_exited", ()),
-    "sim.timer": ("sim.timer_fires", ()),
     "net.deliver": ("net.packets_delivered", ()),
-    "net.drop": ("net.packets_dropped", ("reason",)),
     "net.dup": ("net.packets_duplicated", ()),
-    "pm.retransmit": ("pm.retransmits", ("endpoint",)),
     "pm.dup": ("pm.duplicates_suppressed", ("endpoint",)),
-    "pm.ack_explicit": ("pm.explicit_acks", ("endpoint",)),
     "pm.ack_implicit": ("pm.implicit_acks", ("endpoint", "by")),
+    "rpc.gather": ("rpc.gathers", ("host",)),
+}
+
+#: kind -> (counter name, label fields): the rarer events that are
+#: simply counted, as they arrive, labelled by the event fields of the
+#: same names.
+_COUNTED = {
+    "sim.timer": ("sim.timer_fires", ()),
+    "net.drop": ("net.packets_dropped", ("reason",)),
+    "pm.retransmit": ("pm.retransmits", ("endpoint",)),
+    "pm.ack_explicit": ("pm.explicit_acks", ("endpoint",)),
     "pm.probe": ("pm.probes", ("endpoint",)),
     "pm.crash": ("pm.crashes_declared", ("endpoint",)),
     "pm.timeout": ("pm.send_timeouts", ("endpoint",)),
     "pm.deliver": ("pm.messages_delivered", ("endpoint",)),
     "rpc.result": ("rpc.replica_results", ("status",)),
     "rpc.collate": ("rpc.collations", ("verdict",)),
-    "rpc.gather": ("rpc.gathers", ("host",)),
     "rpc.return": ("rpc.returns_sent", ("host",)),
     "rpc.stale": ("rpc.stale_calls_rejected", ("host",)),
     "txn.lock_wait": ("txn.lock_waits", ()),
@@ -239,6 +263,11 @@ class MetricsCollector:
     transaction and binding counters.  One bus handler per event kind;
     each resolves its instrument once per distinct label values and keeps
     the handle, so the per-event path is a dict hit and an add.
+
+    The seven kinds of ``_SITE_COUNTED`` are not subscribed to: their
+    emission sites count into ``bus.counts``, and the collector adds what
+    accrued there since it attached to its counters before every read of
+    its registry and once more at :meth:`close`.
 
     Usable as a context manager; :meth:`close` detaches from the bus.
     """
@@ -279,10 +308,20 @@ class MetricsCollector:
             "txn.lock_grant": self._on_lock_grant,
             "txn.vote": self._on_vote,
         })
+        #: kind -> (counter handles, the site counts already added): the
+        #: baseline is what the bus had counted before this collector.
+        self._site = {
+            kind: (Handles(counter, name, *fields), dict(bus.counts[kind]))
+            for kind, (name, fields) in _SITE_COUNTED.items()}
+        reg._folds.append(self._fold)
         self._sub = bus.subscribe_kinds(handlers)
 
     def close(self) -> None:
         self.bus.unsubscribe(self._sub)
+        folds = self.registry._folds
+        if self._fold in folds:
+            self._fold()
+            folds.remove(self._fold)
 
     def __enter__(self) -> "MetricsCollector":
         return self
@@ -301,6 +340,15 @@ class MetricsCollector:
             def handle(event) -> None:
                 handles[values(event)].value += 1
         return handle
+
+    def _fold(self) -> None:
+        counts = self.bus.counts
+        for kind, (handles, added) in self._site.items():
+            for key, count in counts[kind].items():
+                delta = count - added.get(key, 0)
+                if delta:
+                    handles[key].value += delta
+                    added[key] = count
 
     # -- the kinds that do more than count one ------------------------------
 

@@ -1,15 +1,20 @@
 """The flight recorder: a bounded ring of recent bus events that turns
 into a causally ordered post-mortem when something goes wrong.
 
-The recorder subscribes to *everything* and keeps the last ``capacity``
-events.  When an :class:`~repro.obs.events.InvariantViolation` arrives
-(or the monitored block raises — see
-:func:`repro.obs.monitor.watch`), the ring is sliced along the
-violation's vector clock: every retained event whose stamp satisfies
-``vc_leq(event.vc, violation.vc)`` is in the violation's causal past and
-belongs to the *causal cut*; the cut is linearized by Lamport clock (a
-causally consistent order) and attached to the report together with the
-vector-clock frontier and, when a
+The recorder keeps the last ``capacity`` events of the causal kinds
+(:data:`repro.obs.events.CAUSAL_KINDS`, the ones that tick the clocks a
+cut is taken with) and of ``mon.warn`` / ``mon.error``.  It subscribes
+to nothing else, so attaching it makes the bus build no passive event
+(``net.*``, ``sim.*``, acks): subscribe to those yourself for
+packet-level detail.
+
+When an :class:`~repro.obs.events.InvariantViolation` arrives (or the
+monitored block raises — see :func:`repro.obs.monitor.watch`), the
+ring is sliced along the violation's vector clock: every retained event
+whose stamp satisfies ``vc_leq(event.vc, violation.vc)`` is in the
+violation's causal past and belongs to the *causal cut*; the cut is
+linearized by Lamport clock (a causally consistent order) and attached
+to the report together with the vector-clock frontier and, when a
 :class:`~repro.obs.trace.CallTracer` is watching, the call spans the
 offending events belong to.
 
@@ -58,8 +63,14 @@ def event_to_dict(event) -> Dict[str, Any]:
     return out
 
 
+#: What the ring holds: the kinds a causal cut can explain, plus the
+#: monitors' warnings and errors.
+RINGED_KINDS = obs_events.CAUSAL_KINDS | {"mon.warn", "mon.error"}
+
+
 class FlightRecorder:
-    """Keep the last ``capacity`` bus events; cut and dump on demand."""
+    """Keep the last ``capacity`` events of :data:`RINGED_KINDS`; cut and
+    dump on demand."""
 
     def __init__(self, bus, capacity: int = 2048):
         self.bus = bus
@@ -81,10 +92,10 @@ class FlightRecorder:
         self.context: Dict[str, Any] = {}
         self._overflow_warned = False
         self._warning_inflight = False
-        # The catch-all handler only feeds the ring; the three kinds with
-        # bookkeeping of their own get it from the bus's per-kind dispatch.
+        # The ring's handler; the three kinds with bookkeeping of their
+        # own get it from the bus's per-kind dispatch.
         self._subs = [
-            bus.subscribe(self._record),
+            bus.subscribe_kinds(dict.fromkeys(RINGED_KINDS, self._record)),
             bus.subscribe_kinds({
                 "mon.violation": self.violations.append,
                 "mon.error": self.monitor_errors.append,

@@ -364,6 +364,7 @@ class Process:
         sim._processes.pop(self, None)
         if self.group is not None:
             self.group.pop(self, None)
+        sim._exits[()] += 1
         if "sim.exit" in sim.bus.wanted:
             sim.bus.emit(obs_events.ProcessExited(
                 t=sim.now, name=self.name, killed=killed,
@@ -524,6 +525,9 @@ class Simulator:
         #: the observability event bus for this simulation world; every
         #: layer built on this simulator emits its events here.
         self.bus = EventBus()
+        #: the bus's site counts of spawns and exits (EventBus.counts).
+        self._spawns = self.bus.counts["sim.spawn"]
+        self._exits = self.bus.counts["sim.exit"]
         #: invariant monitoring (repro.obs.monitor).  ``monitors=True``
         #: attaches the default suite; a sequence attaches those
         #: monitors.  Imported lazily: most simulations run unobserved
@@ -655,6 +659,7 @@ class Simulator:
         proc.daemon = daemon
         self._processes[proc] = None
         self._schedule_now(proc._step_send, None)
+        self._spawns[()] += 1
         if "sim.spawn" in self.bus.wanted:
             self.bus.emit(obs_events.ProcessSpawned(
                 t=self.now, name=name, daemon=daemon))

@@ -78,7 +78,10 @@ def test_the_verdict_attempt_builds_only_what_its_oracles_and_clocks_need(
     del wanted[:]
     assert not explore.run("bank-transfer", 396).ok
     lean, full = wanted
-    assert lean == events.CAUSAL_KINDS and full == events.KINDS
+    # The explaining attempt adds what its recorder rings (the causal
+    # kinds and mon.warn / mon.error) and its tracer reads.
+    assert lean == events.CAUSAL_KINDS and full == events.CAUSAL_KINDS | {
+        "mon.warn", "mon.error", "rpc.exec_end"}
 
 
 def test_a_crash_is_explained_too():

@@ -9,6 +9,7 @@ import pytest
 from repro.core import CollationError, ExportedModule
 from repro.harness import World
 from repro.obs import EventBus, MonitorSuite, events
+from repro.obs.bus import COUNTED_KINDS
 
 
 def _event(kind_cls, **kw):
@@ -428,9 +429,12 @@ def test_wanted_is_empty_again_after_watch_and_observe_exit():
     bus = world.sim.bus
     with world.watch(trace=True):
         with world.observe():
-            assert bus.wanted == events.KINDS
+            # Everything but the kinds the metrics read from bus.counts.
+            assert bus.wanted == events.KINDS - set(COUNTED_KINDS)
             world.run(body())
-        assert bus.wanted == events.KINDS      # the stamper is still in
+        # The stamper, the recorder and the tracer are still in.
+        assert bus.wanted == events.CAUSAL_KINDS | {
+            "mon.warn", "mon.error", "rpc.exec_end"}
     assert not bus.wanted
     assert bus.stamper is None
     assert bus.subscriber_count() == 0

@@ -390,7 +390,10 @@ class _DifferentialDomain(ClockDomain):
     """Stamps every event twice — the reference on the side, then the
     real thing on the event — and keeps the stream for :meth:`check`.
     (Checked afterwards, not asserted in here: the bus contains a raising
-    stamper, so an assert in ``stamp`` would pass silently.)"""
+    stamper, so an assert in ``stamp`` would pass silently.)  Installed,
+    it also holds a catch-all subscription of its own, so the bus builds
+    — and the stream covers — every kind, passive ones included, whoever
+    else is listening."""
 
     instances = []
     fail_every = 0          # raise instead of stamping every Nth event
@@ -400,7 +403,17 @@ class _DifferentialDomain(ClockDomain):
         self.reference = _ReferenceClockDomain()
         self.stream = []        # every stamped event, in emission order
         self.seen = 0
+        self._catch_all = None
         self.instances.append(self)
+
+    def install(self, bus):
+        self._catch_all = bus.subscribe(lambda event: None)
+        return super().install(bus)
+
+    def uninstall(self):
+        if self._bus is not None:
+            self._bus.unsubscribe(self._catch_all)
+        super().uninstall()
 
     def stamp(self, event) -> None:
         self.seen += 1
@@ -501,9 +514,9 @@ def differential(monkeypatch):
 
 
 def _run_watched(factory):
-    """Run a ``(world, body)`` scenario under the full watch (whose
-    recorder asks for every kind, so the reference sees the stream it
-    always saw)."""
+    """Run a ``(world, body)`` scenario under the full watch (the
+    differential domain's own catch-all makes the bus build every kind,
+    so the reference sees the stream it always saw)."""
     world, body = factory()
     with world.watch() as probe:
         world.run(body())
@@ -581,22 +594,26 @@ def test_new_stamps_match_the_reference_under_faults(differential,
 def test_elastic_adversarial_302_cuts_are_the_ones_every_tick_selected(
         differential):
     """The post-mortem an investigator reads: both collation violations
-    of this seed cut the ring exactly where the tick-everything clocks
-    cut it (985 and 1,461 events at the commit before the vocabulary)."""
+    of this seed cut the stream exactly where the tick-everything clocks
+    cut it (985 and 1,461 events at the commit before the vocabulary),
+    and the recorder's ring holds every event of those cuts it rings."""
+    from repro.obs.recorder import RINGED_KINDS
     result = _explained("elastic-adversarial", 302)
     assert result.invariants() == ["collation-completeness"]
     (domain,) = differential
     stream = domain.stream
     shadow = [domain._with_reference_stamp(e) for e in stream]
     sizes = []
+    ringed = []
     for violation in result.violations:
         index = stream.index(violation)
         cut = _cut_indices(stream, index)
         assert cut == _cut_indices(shadow, index)
         sizes.append(len(cut))
+        ringed.append(sum(stream[i].kind in RINGED_KINDS for i in cut))
     assert sizes == [985, 1461]
     assert [len(v["causal_cut"]) for v in result.postmortem["violations"]] \
-        == sizes
+        == ringed
 
 
 def test_a_raising_stamper_is_contained_and_both_stampers_still_agree(

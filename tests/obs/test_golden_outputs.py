@@ -97,8 +97,33 @@ def _monitor_postmortem() -> str:
     return json.dumps(probe.postmortem(), indent=2) + "\n"
 
 
+def _causal_cuts() -> str:
+    """What each violation's causal cut explains with: its events of the
+    causal kinds as a sorted ``(kind, t)`` list, one line per event —
+    for the monitor post-mortem above and for elastic-adversarial seed
+    302 (crashes, restarts and two collation violations; a ring large
+    enough never to overflow).  Captured while the recorder still rang
+    every kind, so it pins that ringing only the causal kinds loses
+    nothing a cut is made of."""
+    from repro import explore
+    from repro.obs.events import CAUSAL_KINDS
+    reports = (
+        ("monitor-postmortem", json.loads(_monitor_postmortem())),
+        ("elastic-adversarial-302", explore.run(
+            "elastic-adversarial", 302, capacity=1 << 16).postmortem))
+    lines = []
+    for name, report in reports:
+        for index, violation in enumerate(report["violations"]):
+            cut = sorted((e["kind"], e["t"]) for e in violation["causal_cut"]
+                         if e["kind"] in CAUSAL_KINDS)
+            lines.extend("%s %d %s %r" % (name, index, kind, t)
+                         for kind, t in cut)
+    return "\n".join(lines) + "\n"
+
+
 def _produce() -> dict:
     files = {
+        "causal_cuts.txt": _causal_cuts(),
         "check_all.txt": _check_all(),
         "critpath_circus.json": _critpath_json(),
         "metrics_circus.openmetrics": _openmetrics(),
@@ -116,6 +141,10 @@ def _produce() -> dict:
 ])
 def test_output_is_byte_identical_to_the_parent_commit(name, producer):
     assert producer() == (GOLDEN / name).read_text()
+
+
+def test_causal_cuts_keep_every_causal_event_they_had():
+    assert _causal_cuts() == (GOLDEN / "causal_cuts.txt").read_text()
 
 
 def test_fuzz_postmortem_and_history_are_byte_identical():

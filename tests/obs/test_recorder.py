@@ -21,6 +21,15 @@ def _tick(bus, t):
     return event
 
 
+def _send(bus, t):
+    """Emit one event of a ringed (causal) kind: a pm.send by a:1/p."""
+    event = events.MessageSent(t=t, endpoint="a:1", peer="b:1", msg_type=0,
+                               call_number=int(t), segments=1, size=4,
+                               proc="p")
+    bus.emit(event)
+    return event
+
+
 # ---------------------------------------------------------------------------
 # The ring
 # ---------------------------------------------------------------------------
@@ -28,7 +37,7 @@ def _tick(bus, t):
 def test_ring_is_bounded_and_counts_drops():
     bus = _bus()
     recorder = FlightRecorder(bus, capacity=4)
-    emitted = [_tick(bus, float(i)) for i in range(10)]
+    emitted = [_send(bus, float(i)) for i in range(10)]
     assert len(recorder.ring) == 4
     assert recorder.dropped == 6
     assert list(recorder.ring) == emitted[-4:]
@@ -40,14 +49,14 @@ def test_first_overflow_emits_exactly_one_warning():
     warnings = []
     bus.subscribe(warnings.append, kinds=("mon.warn",))
     for i in range(10):
-        _tick(bus, float(i))
+        _send(bus, float(i))
     (warning,) = warnings                 # once, not per dropped event
     assert warning.kind == "mon.warn"
     assert warning.source == "FlightRecorder"
     assert "capacity 4" in warning.message
     assert warning.dropped == 1           # the count at first overflow
     # The recorder skips its own warning: the drop accounting counts
-    # only real events (10 ticks - 4 kept = 6 dropped).
+    # only real events (10 sends - 4 kept = 6 dropped).
     assert recorder.dropped == 6
     assert all(e.kind != "mon.warn" for e in recorder.ring)
 
@@ -66,10 +75,10 @@ def test_no_warning_below_capacity():
 def test_detach_stops_recording():
     bus = _bus()
     recorder = FlightRecorder(bus, capacity=4)
-    _tick(bus, 1.0)
+    _send(bus, 1.0)
     recorder.detach()
     bus.subscribe(lambda e: None)       # keep the bus active
-    _tick(bus, 2.0)
+    _send(bus, 2.0)
     assert len(recorder.ring) == 1
 
 
@@ -109,13 +118,11 @@ def test_causal_cut_contains_only_the_causal_past():
 def test_causal_cut_without_clocks_degrades_to_prefix():
     bus = EventBus()                    # no stamper installed
     recorder = FlightRecorder(bus, capacity=64)
-    before = events.TimerFired(t=1.0, due=1)
-    bus.emit(before)
+    before = _send(bus, 1.0)
     violation = events.InvariantViolation(t=2.0, monitor="m",
                                           invariant="i")
     bus.emit(violation)
-    after = events.TimerFired(t=3.0, due=3)
-    bus.emit(after)
+    _send(bus, 3.0)
     assert recorder.causal_cut(violation) == [before]
 
 
@@ -155,16 +162,17 @@ def test_crash_report_includes_causally_ordered_tail():
     bus = _bus()
     recorder = FlightRecorder(bus, capacity=64)
     for t in (1.0, 2.0, 3.0):
-        _tick(bus, t)
+        _send(bus, t)
     recorder.record_crash(ValueError("boom"), t=3.5)
     report = recorder.postmortem()
     assert report["crash"] == {"type": "ValueError", "message": "boom",
                                "t": 3.5}
     tail = report["tail"]
-    # Kernel ticks are passive: they share a Lamport value and a clock,
-    # and the causal sort keeps them in emission order.
+    # Sends by one process tick its clocks in turn, and the causal sort
+    # keeps them in emission order.
     assert [e["t"] for e in tail] == [1.0, 2.0, 3.0]
-    assert [(e["lamport"], e["vc"]) for e in tail] == [(0, {"kernel": 1})] * 3
+    assert [(e["lamport"], e["vc"]) for e in tail] == [
+        (n, {"a/p": n}) for n in (1, 2, 3)]
 
 
 def test_render_postmortem_is_human_readable():
