@@ -27,7 +27,7 @@ from repro.bench.workloads import capacity_builder
 from repro.elastic.scenario import run_elastic
 from repro.harness import World
 from repro.net.network import NetworkConfig
-from repro.obs import CritPathAnalyzer, TimeSeriesCollector
+from repro.obs import CritPathAnalyzer, MetricsCollector
 from repro.obs.history import OperationHistoryRecorder
 from repro.pairedmsg import PairedEndpoint, PairedMessageConfig
 from repro.sim.sharded import run_sharded
@@ -283,7 +283,7 @@ ZERO_COPY = TableSpec(
 # -- observability ----------------------------------------------------------
 
 def _telemetry_work(iterations, unobserved_end, attach_extra=None):
-    """Telemetry counters on the circus workload with the time-series
+    """Telemetry counters on the circus workload with the metrics
     collector and critical-path analyzer attached; ``attach_extra(world)``
     installs one more observer and returns its detach callable."""
     world, body = scenarios.circus(iterations)
@@ -294,7 +294,7 @@ def _telemetry_work(iterations, unobserved_end, attach_extra=None):
 
     sub = world.sim.bus.subscribe(count)
     detach_extra = attach_extra(world) if attach_extra is not None else None
-    with TimeSeriesCollector(world.sim.bus) as ts:
+    with MetricsCollector(world.sim.bus) as metrics:
         analyzer = CritPathAnalyzer(world.sim)
         try:
             world.run(body())
@@ -307,7 +307,8 @@ def _telemetry_work(iterations, unobserved_end, attach_extra=None):
     if world.sim.now != unobserved_end:
         raise AssertionError("observers moved virtual time: %r != %r"
                              % (world.sim.now, unobserved_end))
-    return [delivered[0] / iterations, ts.registry.updates() / iterations,
+    return [delivered[0] / iterations,
+            metrics.registry.updates() / iterations,
             analyzer.milestones / iterations, report["attributed_pct"],
             report["residual_pct"], round(unobserved_end, 6)]
 

@@ -227,19 +227,16 @@ def cmd_trace(args) -> None:
 
 def cmd_metrics(args) -> int:
     from repro.obs import (SCHEMA_VERSION, CritPathAnalyzer,
-                           MetricsCollector, TimeSeriesCollector,
-                           openmetrics)
+                           MetricsCollector, openmetrics)
 
     _name, world, body = _scenario(args.bench, BENCH_SCENARIOS,
                                    args.iterations)
     want_om = getattr(args, "openmetrics", False)
     with MetricsCollector(world.sim.bus) as collector:
         if want_om:
-            with TimeSeriesCollector(world.sim.bus) as ts_collector, \
-                    CritPathAnalyzer(world.sim) as critpath:
+            with CritPathAnalyzer(world.sim) as critpath:
                 world.run(body())
                 exposition = openmetrics(collector.registry,
-                                         timeseries=ts_collector.registry,
                                          critpath=critpath)
         else:
             world.run(body())

@@ -187,8 +187,8 @@ def run(scenario, seed: int, *,
     the same seed and schedule are built and run again under the full
     watch — flight recorder of ``capacity`` events, call tracer and
     critical-path analyzer, so the post-mortem embeds each violating
-    call's stage breakdown; with ``artifacts=True`` also the metrics and
-    time-series collectors, whose OpenMetrics snapshot and the Chrome
+    call's stage breakdown; with ``artifacts=True`` also the metrics
+    collector, whose OpenMetrics snapshot and the Chrome
     trace are stored on the result for CI upload — and *that* attempt's
     result is returned, so its violations, post-mortem and artefacts all
     describe one run.  Bus subscribers never touch the simulation, so
@@ -267,14 +267,12 @@ def _attempt(scn: Scenario, seed: int, schedule: Optional[FaultSchedule],
     horizon = budget if budget is not None else scn.budget
     outcome: Any = None
     crash: Optional[str] = None
-    collected = recorder = None
+    metrics = recorder = None
     with contextlib.ExitStack() as stack:
         if explain:
             if artifacts:
-                from repro.obs import MetricsCollector, TimeSeriesCollector
-                collected = (
-                    stack.enter_context(MetricsCollector(world.sim.bus)),
-                    stack.enter_context(TimeSeriesCollector(world.sim.bus)))
+                from repro.obs import MetricsCollector
+                metrics = stack.enter_context(MetricsCollector(world.sim.bus))
             probe = stack.enter_context(
                 watch(world.sim, monitors=monitors, capacity=capacity,
                       trace=True))
@@ -332,14 +330,11 @@ def _attempt(scn: Scenario, seed: int, schedule: Optional[FaultSchedule],
             postmortem = probe.postmortem()
             if oracle is not None and oracle.result is not None:
                 postmortem["lincheck"] = oracle.result.to_dict()
-        if collected is not None:
+        if metrics is not None:
             from repro.obs import openmetrics
-            metrics_collector, ts_collector = collected
             failed_artifacts = {
-                "openmetrics": openmetrics(
-                    metrics_collector.registry,
-                    timeseries=ts_collector.registry,
-                    critpath=probe.critpath),
+                "openmetrics": openmetrics(metrics.registry,
+                                           critpath=probe.critpath),
                 "trace": probe.tracer.to_chrome(),
             }
     return ExploreResult(

@@ -272,40 +272,34 @@ class World:
         return watch(self.sim, monitors=monitors, capacity=capacity,
                      trace=trace)
 
-    def observe(self, bucket_ms: float = 10.0):
-        """Full telemetry for a ``with`` block: metrics, windowed
-        time-series, and critical-path attribution, in one attach::
+    def observe(self):
+        """Full telemetry for a ``with`` block: metrics (with their
+        windows) and critical-path attribution, in one attach::
 
             with world.observe() as obs:
                 world.run(body())
             obs.critpath.report()["attributed_pct"]
-            obs.timeseries.counter("rpc.calls_completed", ...).points()
+            obs.metrics.series("rpc.calls_completed", ...).points()
         """
-        return _Observation(self, bucket_ms)
+        return _Observation(self)
 
 
 class _Observation:
-    """What :meth:`World.observe` yields: the three telemetry observers
+    """What :meth:`World.observe` yields: the two telemetry observers
     over one world's bus, attached together and detached together."""
 
-    def __init__(self, world: World, bucket_ms: float):
+    def __init__(self, world: World):
         self._world = world
-        self._bucket_ms = bucket_ms
         self.metrics = None        # MetricsRegistry after __enter__
-        self.timeseries = None     # TimeSeriesRegistry after __enter__
         self.critpath = None       # CritPathAnalyzer after __enter__
         self._collectors = []
 
     def __enter__(self) -> "_Observation":
-        from repro.obs import (CritPathAnalyzer, MetricsCollector,
-                               TimeSeriesCollector)
-        bus = self._world.sim.bus
-        metrics = MetricsCollector(bus)
-        timeseries = TimeSeriesCollector(bus, bucket_ms=self._bucket_ms)
+        from repro.obs import CritPathAnalyzer, MetricsCollector
+        metrics = MetricsCollector(self._world.sim.bus)
         self.critpath = CritPathAnalyzer(self._world.sim)
         self.metrics = metrics.registry
-        self.timeseries = timeseries.registry
-        self._collectors = [metrics, timeseries, self.critpath]
+        self._collectors = [metrics, self.critpath]
         return self
 
     def __exit__(self, *exc_info) -> None:

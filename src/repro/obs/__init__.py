@@ -7,7 +7,9 @@ attached.  On top of the bus sit the standard observers:
 
 * :class:`MetricsCollector` — aggregates events into a
   :class:`MetricsRegistry` of counters, gauges and virtual-time
-  histograms, labelled per endpoint / troupe / host.
+  histograms, labelled per endpoint / troupe / host; the call, packet,
+  retransmit, crash, commit and violation series also keep a window of
+  10 ms virtual-time buckets, for rates and the live ``repro top`` view.
 * :class:`CallTracer` — reconstructs replicated calls as span trees
   (client call → per-replica execution → collation) and exports Chrome
   ``trace_event`` JSON keyed by virtual time.
@@ -17,9 +19,6 @@ attached.  On top of the bus sit the standard observers:
   (:class:`ClockDomain`) so violations carry their causal cut.
 * :class:`FlightRecorder` — a bounded ring of recent events that dumps
   a causally ordered post-mortem on violation or crash.
-* :class:`TimeSeriesCollector` — the same events, bucketed into windowed
-  virtual-time series (:class:`TimeSeriesRegistry`) with wall-clock
-  co-timestamps, for rate curves and the live ``repro top`` view.
 * :class:`CritPathAnalyzer` — decomposes each replicated call's latency
   into named critical-path stages (encode/send, gather wait, execute,
   return, collation) with per-stage histograms.
@@ -47,16 +46,14 @@ from repro.obs.history import (HISTORY_FORMAT, HistoryClient, Operation,
 from repro.obs.lincheck import (SEMANTICS, CheckResult, HistoryOracle,
                                 check_history)
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsCollector,
-                               MetricsRegistry)
+                               MetricsRegistry, WindowedCounter,
+                               WindowedGauge, WindowedHistogram)
 from repro.obs.monitor import (DEFAULT_MONITORS, CollationMonitor,
                                CommitMonitor, CrashSilenceMonitor,
                                ExactlyOnceMonitor, IncarnationMonitor,
                                InvariantMonitor, MonitorSuite,
                                TroupeDeterminismMonitor, watch)
 from repro.obs.recorder import FlightRecorder, render_postmortem
-from repro.obs.timeseries import (TimeSeriesCollector, TimeSeriesRegistry,
-                                  WindowedCounter, WindowedGauge,
-                                  WindowedHistogram)
 from repro.obs.top import TopModel, live_top, render_frame
 from repro.obs.trace import CallTracer, trace_calls
 
@@ -99,8 +96,6 @@ __all__ = [
     "HistoryOracle",
     "check_history",
     "host_of",
-    "TimeSeriesCollector",
-    "TimeSeriesRegistry",
     "WindowedCounter",
     "WindowedGauge",
     "WindowedHistogram",

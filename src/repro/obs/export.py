@@ -3,11 +3,11 @@
 Two jobs live here:
 
 - :func:`openmetrics` renders a :class:`~repro.obs.metrics.MetricsRegistry`
-  (plus, optionally, time-series rates and a critical-path report) in the
-  OpenMetrics text exposition format, deterministically — sorted families,
-  sorted label sets, a ``schema_version`` info metric, terminated by
-  ``# EOF``.  CI diffing two same-seed exports byte-for-byte is the
-  intended consumer as much as any scraper.
+  (its windowed counters' rates too, and optionally a critical-path
+  report) in the OpenMetrics text exposition format, deterministically —
+  sorted families, sorted label sets, a ``schema_version`` info metric,
+  terminated by ``# EOF``.  CI diffing two same-seed exports
+  byte-for-byte is the intended consumer as much as any scraper.
 
 - :class:`ProgressChannel` is the one channel long-running workloads
   (the fuzz sweep, the wall-clock benchmarks) publish progress through,
@@ -19,15 +19,18 @@ The exporter's data model maps onto OpenMetrics as:
 - ``Counter`` -> ``counter`` family, sample ``<name>_total``;
 - ``Gauge`` -> ``gauge`` family;
 - ``Histogram`` -> ``summary`` family (``_count``/``_sum`` plus exact
-  ``quantile`` samples — registry histograms keep every observation).
+  ``quantile`` samples — registry histograms keep every observation);
+- each ``WindowedCounter`` also -> ``ts_window_total`` and
+  ``ts_rate_per_sec`` gauge samples labelled ``series="<name>"``.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry)
+from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
+                               WindowedCounter)
 
 #: Version stamp carried by every machine-readable artifact this layer
 #: emits (OpenMetrics info metric, ``repro metrics --json``, ``repro
@@ -68,39 +71,39 @@ def _fmt(value: Any) -> str:
     return "0"
 
 
-def openmetrics(registry: MetricsRegistry,
-                timeseries=None, critpath=None,
-                prefix: str = "repro_") -> str:
+def openmetrics(registry: MetricsRegistry, critpath=None) -> str:
     """The registry as OpenMetrics text exposition; deterministic.
 
-    ``timeseries`` (a :class:`~repro.obs.timeseries.TimeSeriesRegistry`)
-    adds per-series rate/total gauges; ``critpath`` (a
-    :class:`~repro.obs.critpath.CritPathAnalyzer`) adds per-stage totals
-    and the attribution summary.
+    ``critpath`` (a :class:`~repro.obs.critpath.CritPathAnalyzer`) adds
+    per-stage totals and the attribution summary.
     """
+    prefix = "repro_"
     lines: List[str] = []
     lines.append("# TYPE %sschema info" % prefix)
     lines.append('%sschema_info{version="%s"} 1' % (prefix, SCHEMA_VERSION))
 
     families: Dict[str, List] = {}
+    windows = []
     for (name, labelset), metric in registry.items():
         families.setdefault(name, []).append((labelset, metric))
+        if isinstance(metric, WindowedCounter):
+            windows.append((name, labelset, metric))
 
     for name in sorted(families):
         samples = families[name]
         family = prefix + metric_name(name)
-        kind = type(samples[0][1])
-        if kind is Counter:
+        first = samples[0][1]
+        if isinstance(first, Counter):
             lines.append("# TYPE %s counter" % family)
             for labelset, metric in samples:
                 lines.append("%s_total%s %s" % (
                     family, _labels(labelset), _fmt(metric.value)))
-        elif kind is Gauge:
+        elif isinstance(first, Gauge):
             lines.append("# TYPE %s gauge" % family)
             for labelset, metric in samples:
                 lines.append("%s%s %s" % (
                     family, _labels(labelset), _fmt(metric.value)))
-        elif kind is Histogram:
+        elif isinstance(first, Histogram):
             lines.append("# TYPE %s summary" % family)
             for labelset, metric in samples:
                 for q in (0.5, 0.9, 0.99):
@@ -113,20 +116,17 @@ def openmetrics(registry: MetricsRegistry,
                 lines.append("%s_sum%s %s" % (
                     family, _labels(labelset), _fmt(float(metric.total))))
 
-    if timeseries is not None:
+    if windows:
         lines.append("# TYPE %sts_window_total gauge" % prefix)
         lines.append("# TYPE %sts_rate_per_sec gauge" % prefix)
         rate_lines = []
-        for name in timeseries.names():
-            for labelset, series in timeseries.labeled(name):
-                if not hasattr(series, "total"):
-                    continue
-                sample = _labels(
-                    labelset, 'series="%s"' % _escape(metric_name(name)))
-                lines.append("%sts_window_total%s %s" % (
-                    prefix, sample, _fmt(series.total())))
-                rate_lines.append("%sts_rate_per_sec%s %s" % (
-                    prefix, sample, _fmt(series.rate_per_sec())))
+        for name, labelset, series in windows:
+            sample = _labels(
+                labelset, 'series="%s"' % _escape(metric_name(name)))
+            lines.append("%sts_window_total%s %s" % (
+                prefix, sample, _fmt(series.total())))
+            rate_lines.append("%sts_rate_per_sec%s %s" % (
+                prefix, sample, _fmt(series.rate_per_sec())))
         lines.extend(rate_lines)
 
     if critpath is not None:

@@ -1,24 +1,36 @@
-"""Virtual-time metrics: counters, gauges, histograms, and the standard
-collector that aggregates bus events per endpoint/troupe/call.
+"""Virtual-time metrics: counters, gauges, histograms — some of them
+windowed — and the standard collector that aggregates bus events per
+endpoint/troupe/call into one registry.
 
-The registry is deliberately simulation-flavoured: histograms record
-*virtual* milliseconds and keep every observation (runs are deterministic
-and bounded), so percentiles are exact rather than bucketed estimates.
+Histograms record *virtual* milliseconds and keep every observation
+(runs are deterministic and bounded), so percentiles are exact.  A
+*windowed* instrument also keeps a ring of the newest ``CAPACITY``
+buckets of ``BUCKET_MS`` virtual ms each, and one call updates both:
+``WindowedCounter.inc(t)`` adds to ``.value`` and to ``t``'s bucket.
 
     registry = MetricsRegistry()
     with MetricsCollector(world.sim.bus, registry):
         world.run(body())
     print(registry.render())
     snap = registry.snapshot()   # {"pm.retransmits{endpoint=...}": 3, ...}
+    registry.series("rpc.calls_started", troupe="echo").points()
+    # -> [(0.0, 2), (10.0, 3), ...]
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import operator
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.bus import EventBus
+
+#: Width of a window bucket, in virtual ms.
+BUCKET_MS = 10.0
+#: Buckets a windowed instrument's ring keeps.
+CAPACITY = 512
 
 
 class Counter:
@@ -89,6 +101,196 @@ class Histogram:
         }
 
 
+# -- windows ----------------------------------------------------------------
+
+class _Span:
+    """The oldest and newest bucket any series of one registry has opened:
+    every series reads its rate over a window ending at ``newest``."""
+
+    __slots__ = ("first", "newest")
+
+    def __init__(self):
+        self.first: Optional[int] = None
+        self.newest = -1
+
+
+class _WindowedSeries:
+    """Ring mechanics: bucket index -> cell, bounded, evicting.  Mixed in
+    before the plain instrument whose total the series also keeps."""
+
+    def __init__(self, width: float = BUCKET_MS, capacity: int = CAPACITY):
+        super().__init__()
+        self.width = width
+        self.capacity = capacity
+        #: bucket index -> cell, in the order the buckets were opened.
+        self.cells = collections.OrderedDict()
+        self.evicted = 0
+        #: cell updates ever applied: the deterministic work counter.
+        self.updates = 0
+        self.span = _Span()     # the registry's, once it holds this series
+
+    def _cell(self, t: float, new: Callable[[], Any]):
+        index = int(t // self.width)
+        cell = self.cells.get(index)
+        if cell is None:
+            cell = self.cells[index] = new()
+            self._opened(index)
+        self.updates += 1
+        return cell
+
+    def _opened(self, index: int) -> None:
+        """Bucket ``index`` was just created: drop those past the ring
+        capacity and extend the registry's span."""
+        while len(self.cells) > self.capacity:
+            self.cells.popitem(last=False)
+            self.evicted += 1
+        span = self.span
+        if index > span.newest:
+            span.newest = index
+        if span.first is None or index < span.first:
+            # A violation is stamped with its evidence's time, which
+            # may precede every bucket opened so far.
+            span.first = index
+
+    def _window(self, last: Optional[int]) -> Tuple[int, int]:
+        """``(first index, buckets)`` of the last ``last`` buckets (at most,
+        and by default, as many as a ring keeps) up to the registry's newest
+        bucket, empty ones included; never before its oldest."""
+        span = self.span
+        if span.first is None:
+            return 0, 0
+        buckets = min(span.newest - span.first + 1, self.capacity,
+                      last or self.capacity)
+        return span.newest - buckets + 1, buckets
+
+    def points(self) -> List[Tuple[float, Any]]:
+        """``[(bucket_start_virtual_ms, value), ...]`` in time order."""
+        return [(index * self.width, cell)
+                for index, cell in self.cells.items()]
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "width_ms": self.width,
+            "evicted": self.evicted,
+            "points": [[t, v] for t, v in self.points()],
+        }
+
+
+class WindowedCounter(_WindowedSeries, Counter):
+    """A counter that also counts per bucket."""
+
+    def inc(self, t: float, n: int = 1) -> None:
+        self.value += n
+        self.updates += 1
+        index = int(t // self.width)
+        current = self.cells.get(index)
+        if current is None:
+            self.cells[index] = n
+            self._opened(index)
+        else:
+            self.cells[index] = current + n
+
+    def total(self, last: Optional[int] = None) -> int:
+        """Events in the window of :meth:`rate_per_sec`."""
+        start, _ = self._window(last)
+        return sum(n for index, n in self.cells.items() if index >= start)
+
+    def rate_per_sec(self, last: Optional[int] = None) -> float:
+        """Events per virtual second over the last ``last`` buckets
+        (default: as many as a ring keeps) ending at the registry's newest
+        bucket: the events in the window ÷ the virtual time it spans."""
+        _, buckets = self._window(last)
+        return (self.total(last) / (buckets * self.width / 1000.0)
+                if buckets else 0.0)
+
+
+class WindowedGauge(_WindowedSeries, Gauge):
+    """A gauge that also keeps the last value seen per bucket."""
+
+    def set(self, t: float, value: Any) -> None:
+        self.value = value
+        self._cell(t, int)
+        self.cells[int(t // self.width)] = value
+
+    def last(self) -> Any:
+        return self.value
+
+
+class _Sketch:
+    """A per-bucket histogram sketch: count/sum/min/max plus
+    power-of-two bins (bin ``i`` holds observations in
+    ``(2**(i-1), 2**i]`` ms; bin 0 holds everything <= 1 ms)."""
+
+    __slots__ = ("count", "sum", "min", "max", "bins")
+
+    def __init__(self):
+        self.count = 0
+        self.sum = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+        self.bins: Dict[int, int] = {}
+
+    def observe(self, value: float) -> None:
+        self.count += 1
+        self.sum += value
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        bin_index = 0 if value <= 1.0 else int(math.ceil(math.log2(value)))
+        self.bins[bin_index] = self.bins.get(bin_index, 0) + 1
+
+    def quantile(self, q: float) -> float:
+        """Upper-bound estimate of the ``q`` quantile (``q`` in [0, 1])
+        from the power-of-two bins — exact to within one octave."""
+        if not self.count:
+            return 0.0
+        rank = max(1, int(math.ceil(q * self.count)))
+        seen = 0
+        for bin_index in sorted(self.bins):
+            seen += self.bins[bin_index]
+            if seen >= rank:
+                return float(2 ** bin_index)
+        return self.max
+
+    def to_dict(self) -> Dict[str, Any]:
+        if not self.count:
+            return {"count": 0}
+        return {
+            "count": self.count,
+            "sum": round(self.sum, 6),
+            "min": round(self.min, 6),
+            "max": round(self.max, 6),
+            "bins": {str(k): self.bins[k] for k in sorted(self.bins)},
+        }
+
+
+class WindowedHistogram(_WindowedSeries, Histogram):
+    """A histogram that also keeps a :class:`_Sketch` per bucket."""
+
+    def observe(self, t: float, value: float) -> None:
+        self.values.append(value)
+        self._cell(t, _Sketch).observe(value)
+
+    def points(self) -> List[Tuple[float, Any]]:
+        return [(t, sketch.to_dict()) for t, sketch in super().points()]
+
+    def merged(self) -> _Sketch:
+        """One sketch over every retained bucket."""
+        out = _Sketch()
+        for cell in self.cells.values():
+            out.count += cell.count
+            out.sum += cell.sum
+            if cell.count:
+                out.min = min(out.min, cell.min)
+                out.max = max(out.max, cell.max)
+            for bin_index, n in cell.bins.items():
+                out.bins[bin_index] = out.bins.get(bin_index, 0) + n
+        return out
+
+
+# -- the registry -----------------------------------------------------------
+
 LabelSet = Tuple[Tuple[str, str], ...]
 
 
@@ -115,24 +317,27 @@ def _render_key(name: str, labels: LabelSet) -> str:
 class MetricsRegistry:
     """Get-or-create metric instruments keyed by (name, labels).
 
-    The reading methods (``value``, ``total``, ``items``, ``snapshot``,
-    ``render``) first run the registry's *folds*: each attached
+    The reading methods (``value``, ``total``, ``items`` and everything
+    built on it) first run the registry's *folds*: each attached
     :class:`MetricsCollector` brings the counts kept at emission sites
     (``EventBus.counts``) into its counters there."""
 
     def __init__(self):
         self._metrics: Dict[Tuple[str, LabelSet], Any] = {}
         self._folds: List[Callable[[], None]] = []
+        self._span = _Span()
 
     def _fold(self) -> None:
         for fold in self._folds:
             fold()
 
-    def _get(self, cls, name: str, labels: Dict[str, Any]):
+    def _get(self, cls, name: str, /, **labels):
         key = (name, _labelset(labels))
         metric = self._metrics.get(key)
         if metric is None:
             metric = cls()
+            if isinstance(metric, _WindowedSeries):
+                metric.span = self._span
             self._metrics[key] = metric
         elif not isinstance(metric, cls):
             raise TypeError("metric %r is a %s, not a %s" % (
@@ -140,32 +345,49 @@ class MetricsRegistry:
         return metric
 
     def counter(self, name: str, **labels) -> Counter:
-        return self._get(Counter, name, labels)
+        return self._get(Counter, name, **labels)
 
     def gauge(self, name: str, **labels) -> Gauge:
-        return self._get(Gauge, name, labels)
+        return self._get(Gauge, name, **labels)
 
     def histogram(self, name: str, **labels) -> Histogram:
-        return self._get(Histogram, name, labels)
+        return self._get(Histogram, name, **labels)
 
     # -- reading -----------------------------------------------------------
 
     def value(self, name: str, **labels) -> Any:
         """The current value of a counter/gauge (0 if never touched)."""
-        self._fold()
-        metric = self._metrics.get((name, _labelset(labels)))
+        metric = self.series(name, **labels)
         return metric.value if metric is not None else 0
+
+    def series(self, name: str, **labels) -> Any:
+        """The instrument ``(name, labels)``, or None: reading never
+        creates one."""
+        self._fold()
+        return self._metrics.get((name, _labelset(labels)))
 
     def total(self, name: str) -> int:
         """Sum of a counter across every label set."""
-        self._fold()
-        return sum(m.value for (n, _), m in self._metrics.items()
-                   if n == name and isinstance(m, Counter))
+        return sum(m.value for _, m in self.labeled(name)
+                   if isinstance(m, Counter))
 
     def items(self) -> List[Tuple[Tuple[str, LabelSet], Any]]:
         """Every ``((name, labels), instrument)``, sorted."""
         self._fold()
         return sorted(self._metrics.items())
+
+    def names(self) -> List[str]:
+        return sorted({name for (name, _), _ in self.items()})
+
+    def labeled(self, name: str) -> List[Tuple[LabelSet, Any]]:
+        """Every (labels, instrument) registered under ``name``, sorted."""
+        return [(labels, m) for (n, labels), m in self.items() if n == name]
+
+    def updates(self) -> int:
+        """Total cell updates across every window (the deterministic
+        observability-work counter)."""
+        return sum(m.updates for m in self._metrics.values()
+                   if isinstance(m, _WindowedSeries))
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-friendly flat mapping of every instrument."""
@@ -177,6 +399,12 @@ class MetricsRegistry:
             else:
                 out[key] = metric.value
         return out
+
+    def windows(self) -> Dict[str, Any]:
+        """Rendered key -> ``to_dict()`` of every windowed instrument."""
+        return {_render_key(name, labels): metric.to_dict()
+                for (name, labels), metric in self.items()
+                if isinstance(metric, _WindowedSeries)}
 
     def render(self) -> str:
         """Human-readable snapshot, one instrument per line."""
@@ -194,12 +422,12 @@ class MetricsRegistry:
 
 
 class Handles(dict):
-    """Label values -> instrument, resolved through a registry's
-    ``counter``/``gauge``/``histogram`` on first use and kept, so the
-    per-event path is a dict hit instead of rendering and sorting a label
-    set.  Keyed by the bare value for one label field, a tuple for
-    several, ``()`` for none.  Lazy: an instrument exists only once an
-    event has touched it."""
+    """Label values -> instrument, resolved through ``make`` (a registry's
+    ``counter``, say, or ``_get`` bound to a windowed type) on first use
+    and kept, so the per-event path is a dict hit instead of rendering
+    and sorting a label set.  Keyed by the bare value for one label
+    field, a tuple for several, ``()`` for none.  Lazy: an instrument
+    exists only once an event has touched it."""
 
     __slots__ = ("make", "name", "fields")
 
@@ -251,18 +479,27 @@ _COUNTED = {
     "bind.member": ("bind.membership_changes", ("op",)),
     "bind.stale": ("bind.stale_bindings", ()),
     "bind.get_state": ("bind.state_transfers", ()),
+    "mon.violation": ("mon.violations", ("invariant",)),
 }
+
+#: name -> instrument type of the series that also keep a window: the
+#: rates ``repro top`` and the OpenMetrics ``ts_*`` lines read.
+_WINDOWED = dict.fromkeys((
+    "net.packets_sent", "net.packets_dropped", "pm.retransmits",
+    "pm.crashes_declared", "rpc.calls_started", "rpc.calls_completed",
+    "txn.commit_decisions", "mon.violations"), WindowedCounter)
+_WINDOWED.update({"rpc.call_ms": WindowedHistogram,
+                  "rpc.open_calls": WindowedGauge})
 
 
 class MetricsCollector:
     """The standard event-to-metric aggregation.
 
-    Maintains the metric names documented in ``docs/OBSERVABILITY.md``:
-    packet counters per drop reason, paired-message counters per
-    endpoint, replicated-call counters and latency histograms per troupe,
-    transaction and binding counters.  One bus handler per event kind;
-    each resolves its instrument once per distinct label values and keeps
-    the handle, so the per-event path is a dict hit and an add.
+    Maintains the metric names documented in ``docs/OBSERVABILITY.md``,
+    the ten of ``_WINDOWED`` with their windows.  One bus handler per
+    event kind; each resolves its instrument once per distinct label
+    values and keeps the handle, so the per-event path is a dict hit and
+    an add.
 
     The seven kinds of ``_SITE_COUNTED`` are not subscribed to: their
     emission sites count into ``bus.counts``, and the collector adds what
@@ -281,14 +518,15 @@ class MetricsCollector:
         self._call_started: Dict[Tuple[str, str, str, int], float] = {}
         self._exec_started: Dict[Tuple[str, str, str, int], float] = {}
         counter, histogram = reg.counter, reg.histogram
-        self._packets_sent = Handles(counter, "net.packets_sent")
+        self._packets_sent = self._handles("net.packets_sent")
         self._bytes_sent = Handles(counter, "net.bytes_sent")
         self._messages_sent = Handles(counter, "pm.messages_sent", "endpoint")
         self._segments_sent = Handles(counter, "pm.segments_sent", "endpoint")
-        self._calls_started = Handles(counter, "rpc.calls_started", "troupe")
-        self._calls_completed = Handles(counter, "rpc.calls_completed",
-                                        "troupe", "outcome")
-        self._call_ms = Handles(histogram, "rpc.call_ms", "troupe")
+        self._calls_started = self._handles("rpc.calls_started", "troupe")
+        self._calls_completed = self._handles("rpc.calls_completed",
+                                              "troupe", "outcome")
+        self._call_ms = self._handles("rpc.call_ms", "troupe")
+        self._open_calls = self._handles("rpc.open_calls")[()]
         self._incomplete_gathers = Handles(
             counter, "rpc.incomplete_gathers", "host")
         self._executions = Handles(counter, "rpc.executions",
@@ -329,7 +567,19 @@ class MetricsCollector:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def _handles(self, name: str, *fields: str) -> Handles:
+        """Handles on the windowed instruments of ``name``."""
+        return Handles(functools.partial(self.registry._get, _WINDOWED[name]),
+                       name, *fields)
+
     def _counting(self, name: str, fields: Tuple[str, ...]):
+        if name in _WINDOWED:
+            windows = self._handles(name, *fields)
+            labels = operator.attrgetter(*fields)
+
+            def handle(event) -> None:
+                windows[labels(event)].inc(event.t)
+            return handle
         handles = Handles(self.registry.counter, name, *fields)
         if not fields:
             def handle(event) -> None:
@@ -353,7 +603,7 @@ class MetricsCollector:
     # -- the kinds that do more than count one ------------------------------
 
     def _on_net_send(self, event):
-        self._packets_sent[()].value += 1
+        self._packets_sent[()].inc(event.t)
         self._bytes_sent[()].value += len(event.payload)
 
     def _on_pm_send(self, event):
@@ -362,17 +612,23 @@ class MetricsCollector:
         self._segments_sent[endpoint].value += event.segments
 
     def _on_call_start(self, event):
-        self._calls_started[event.troupe].value += 1
+        t = event.t
+        self._calls_started[event.troupe].inc(t)
         self._call_started[(event.host, event.proc, event.thread_id,
-                            event.call_number)] = event.t
+                            event.call_number)] = t
+        open_calls = self._open_calls
+        open_calls.set(t, open_calls.value + 1)
 
     def _on_call_end(self, event):
-        self._calls_completed[event.troupe, event.outcome].value += 1
+        t = event.t
+        self._calls_completed[event.troupe, event.outcome].inc(t)
+        open_calls = self._open_calls
+        open_calls.set(t, max(0, open_calls.value - 1))
         started = self._call_started.pop(
             (event.host, event.proc, event.thread_id, event.call_number),
             None)
         if started is not None:
-            self._call_ms[event.troupe].observe(event.t - started)
+            self._call_ms[event.troupe].observe(t, t - started)
 
     def _on_exec_start(self, event):
         key = (event.host, event.proc, event.thread_id, event.call_number)

@@ -1,9 +1,9 @@
 """``repro top``: a live view of a running simulated world.
 
 The model/view split keeps this testable: :class:`TopModel` samples the
-attached collectors (time-series registry, critical-path analyzer,
-metrics, the shared :class:`~repro.obs.export.ProgressChannel`) into a
-plain dict, and :func:`render_frame` turns one sample into a text frame.
+attached collectors (metrics registry, critical-path analyzer, the
+shared :class:`~repro.obs.export.ProgressChannel`) into a plain dict,
+and :func:`render_frame` turns one sample into a text frame.
 :func:`live_top` owns the drive loop — it steps the simulation in
 virtual-time slices and renders a frame between slices, so the "live"
 view is exact: nothing is sampled mid-callback, and the observed run
@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.critpath import CritPathAnalyzer
 from repro.obs.export import PROGRESS, ProgressChannel
-from repro.obs.timeseries import TimeSeriesCollector, TimeSeriesRegistry
+from repro.obs.metrics import MetricsCollector, MetricsRegistry
 
 #: Buckets of history used for the "recent" rate columns.
 RATE_WINDOW_BUCKETS = 20
@@ -30,40 +30,34 @@ class TopModel:
     """Samples collectors into one deterministic frame dict."""
 
     def __init__(self, sim,
-                 timeseries: TimeSeriesRegistry,
+                 registry: MetricsRegistry,
                  critpath: Optional[CritPathAnalyzer] = None,
                  progress: Optional[ProgressChannel] = None):
         self.sim = sim
-        self.timeseries = timeseries
+        self.registry = registry
         self.critpath = critpath
         self.progress = progress if progress is not None else PROGRESS
 
     def sample(self) -> Dict[str, Any]:
-        ts = self.timeseries
+        reg = self.registry
         troupes: Dict[str, Dict[str, Any]] = {}
-        for labelset, series in ts.labeled("rpc.calls_completed"):
+        for labelset, series in reg.labeled("rpc.calls_completed"):
             labels = dict(labelset)
             row = troupes.setdefault(labels.get("troupe", "?"), {
                 "done": 0, "rate": 0.0, "errors": 0})
-            done = series.total()
-            rate = series.rate_per_sec(RATE_WINDOW_BUCKETS)
-            row["done"] += done
-            row["rate"] += rate
+            row["done"] += series.value
+            row["rate"] += series.rate_per_sec(RATE_WINDOW_BUCKETS)
             if labels.get("outcome", "ok") != "ok":
-                row["errors"] += done
-        violations = sum(
-            series.total()
-            for _, series in ts.labeled("mon.violations"))
+                row["errors"] += series.value
         sample: Dict[str, Any] = {
             "now": self.sim.now,
             "pending": self.sim.pending_events(),
-            "open_calls": (ts.series("rpc.open_calls").last()
-                           if ts.series("rpc.open_calls") else 0),
+            "open_calls": reg.value("rpc.open_calls"),
             "troupes": {name: troupes[name] for name in sorted(troupes)},
-            "violations": violations,
+            "violations": reg.total("mon.violations"),
             "rates": {
                 name: sum(s.rate_per_sec(RATE_WINDOW_BUCKETS)
-                          for _, s in ts.labeled(name))
+                          for _, s in reg.labeled(name))
                 for name in ("net.packets_sent", "net.packets_dropped",
                              "pm.retransmits")},
             "progress": self.progress.snapshot(),
@@ -146,9 +140,9 @@ def live_top(world, body, slice_ms: float = 50.0,
     separator).  ``use_curses`` repaints in place instead when stdout is
     a terminal; it degrades to plain mode otherwise.
     """
-    with TimeSeriesCollector(world.sim.bus) as ts_collector, \
+    with MetricsCollector(world.sim.bus) as metrics, \
             CritPathAnalyzer(world.sim) as critpath:
-        model = TopModel(world.sim, ts_collector.registry, critpath,
+        model = TopModel(world.sim, metrics.registry, critpath,
                          progress=progress)
         if use_curses and _curses_usable():
             return _curses_loop(world, body, model, slice_ms, max_frames)

@@ -3,7 +3,7 @@
 from repro.core import ExportedModule
 from repro.harness import World
 from repro.obs import (CritPathAnalyzer, MetricsCollector, MetricsRegistry,
-                       SCHEMA_VERSION, TimeSeriesCollector, openmetrics)
+                       SCHEMA_VERSION, openmetrics)
 from repro.obs.export import ProgressChannel, metric_name
 
 
@@ -63,11 +63,9 @@ def _full_export(seed=21):
             yield from client.call_troupe(troupe, 0, 0, b"ping %d" % i)
 
     with MetricsCollector(world.sim.bus) as metrics, \
-            TimeSeriesCollector(world.sim.bus) as ts, \
             CritPathAnalyzer(world.sim) as critpath:
         world.run(body())
-        return openmetrics(metrics.registry, timeseries=ts.registry,
-                           critpath=critpath)
+        return openmetrics(metrics.registry, critpath=critpath)
 
 
 def test_full_export_includes_timeseries_and_critpath_sections():

@@ -47,6 +47,13 @@ def _openmetrics() -> str:
     return _cli("metrics", "circus", "--openmetrics")
 
 
+def _top() -> str:
+    """The last frame of ``repro top circus --plain`` and its summary
+    line: the rate columns are where users read the windows."""
+    frames = _cli("top", "circus", "--plain").split("--------\n")
+    return "--------\n".join(frames[-2:])
+
+
 def _fuzz_files() -> dict:
     """One failing explorer seed (bank-transfer 396: a strict-serializable
     violation under partitions): its post-mortem and checked history."""
@@ -128,6 +135,7 @@ def _produce() -> dict:
         "critpath_circus.json": _critpath_json(),
         "metrics_circus.openmetrics": _openmetrics(),
         "monitor_postmortem.json": _monitor_postmortem(),
+        "top_circus.txt": _top(),
     }
     files.update(_fuzz_files())
     return files
@@ -138,6 +146,7 @@ def _produce() -> dict:
     ("critpath_circus.json", _critpath_json),
     ("metrics_circus.openmetrics", _openmetrics),
     ("monitor_postmortem.json", _monitor_postmortem),
+    ("top_circus.txt", _top),
 ])
 def test_output_is_byte_identical_to_the_parent_commit(name, producer):
     assert producer() == (GOLDEN / name).read_text()

@@ -57,13 +57,15 @@ _REFERENCE_COUNTED = {
     "bind.member": ("bind.membership_changes", ("op",)),
     "bind.stale": ("bind.stale_bindings", ()),
     "bind.get_state": ("bind.state_transfers", ()),
+    "mon.violation": ("mon.violations", ("invariant",)),
 }
 
 
 class _ReferenceMetrics(MetricsCollector):
     """``MetricsCollector`` as it was: one bus handler per kind for every
     kind of ``_REFERENCE_COUNTED``, nothing folded.  The handlers of the
-    kinds that do more than count one are the real collector's."""
+    kinds that do more than count one are the real collector's, so the
+    instruments they update are the windowed ones where it has those."""
 
     def __init__(self, bus, registry=None):
         self.bus = bus
@@ -71,14 +73,15 @@ class _ReferenceMetrics(MetricsCollector):
         self._call_started = {}
         self._exec_started = {}
         counter, histogram = reg.counter, reg.histogram
-        self._packets_sent = Handles(counter, "net.packets_sent")
+        self._packets_sent = self._handles("net.packets_sent")
         self._bytes_sent = Handles(counter, "net.bytes_sent")
         self._messages_sent = Handles(counter, "pm.messages_sent", "endpoint")
         self._segments_sent = Handles(counter, "pm.segments_sent", "endpoint")
-        self._calls_started = Handles(counter, "rpc.calls_started", "troupe")
-        self._calls_completed = Handles(counter, "rpc.calls_completed",
-                                        "troupe", "outcome")
-        self._call_ms = Handles(histogram, "rpc.call_ms", "troupe")
+        self._calls_started = self._handles("rpc.calls_started", "troupe")
+        self._calls_completed = self._handles("rpc.calls_completed",
+                                              "troupe", "outcome")
+        self._call_ms = self._handles("rpc.call_ms", "troupe")
+        self._open_calls = self._handles("rpc.open_calls")[()]
         self._incomplete_gathers = Handles(
             counter, "rpc.incomplete_gathers", "host")
         self._executions = Handles(counter, "rpc.executions",

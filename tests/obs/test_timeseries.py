@@ -1,11 +1,12 @@
-"""Tests for the windowed virtual-time time-series (repro.obs.timeseries)."""
+"""Tests for the windowed virtual-time instruments of repro.obs.metrics."""
 
 import pytest
 
+from repro.bench import scenarios
 from repro.core import ExportedModule
 from repro.harness import World
-from repro.obs import (TimeSeriesCollector, TimeSeriesRegistry,
-                       WindowedCounter, WindowedGauge, WindowedHistogram)
+from repro.obs import (MetricsCollector, MetricsRegistry, WindowedCounter,
+                       WindowedGauge, WindowedHistogram)
 
 
 # -- series mechanics ------------------------------------------------------
@@ -87,19 +88,21 @@ def test_empty_sketch_is_well_defined():
 # -- registry --------------------------------------------------------------
 
 def test_registry_get_or_create_and_type_conflict():
-    reg = TimeSeriesRegistry()
-    a = reg.counter("net.packets_sent")
-    assert reg.counter("net.packets_sent") is a
-    assert reg.counter("x", host="a") is not reg.counter("x", host="b")
+    reg = MetricsRegistry()
+    a = reg._get(WindowedCounter, "net.packets_sent")
+    assert reg._get(WindowedCounter, "net.packets_sent") is a
+    assert reg.counter("net.packets_sent") is a      # a counter too
+    assert (reg._get(WindowedCounter, "x", host="a")
+            is not reg._get(WindowedCounter, "x", host="b"))
     with pytest.raises(TypeError):
         reg.gauge("net.packets_sent")
 
 
 def test_registry_snapshot_is_points_per_series():
-    reg = TimeSeriesRegistry(bucket_ms=10.0)
-    reg.counter("calls").inc(5.0)
-    snap = reg.snapshot()
-    assert snap["calls"]["points"] == [[0.0, 1]]
+    reg = MetricsRegistry()
+    reg._get(WindowedCounter, "calls").inc(5.0)
+    assert reg.windows()["calls"]["points"] == [[0.0, 1]]
+    assert reg.snapshot() == {"calls": 1}
 
 
 # -- the collector over a real run -----------------------------------------
@@ -120,7 +123,7 @@ def _run_collected(calls=4, seed=21):
         for i in range(calls):
             yield from client.call_troupe(troupe, 0, 0, b"ping %d" % i)
 
-    with TimeSeriesCollector(world.sim.bus, bucket_ms=10.0) as collector:
+    with MetricsCollector(world.sim.bus) as collector:
         world.run(body())
     return world, collector.registry
 
@@ -163,5 +166,53 @@ def test_collector_detaches_and_run_stays_virtual_time_identical():
 def test_collector_series_are_deterministic_across_runs():
     _, reg1 = _run_collected(seed=33)
     _, reg2 = _run_collected(seed=33)
-    assert reg1.snapshot() == reg2.snapshot()
+    assert reg1.windows() == reg2.windows()
     assert reg1.updates() == reg2.updates()
+
+
+# -- rates: events over the virtual time the window spans ------------------
+
+def test_rate_counts_the_empty_buckets_of_its_window():
+    # One event in every other bucket is half of one per bucket width.
+    c = WindowedCounter(10.0, 16)
+    for bucket in range(1, 20, 2):
+        c.inc(bucket * 10.0)
+    assert c.rate_per_sec(last=10) == pytest.approx(50.0)
+    assert c.total(last=10) == 5
+    # In a registry the window ends at the newest bucket of any series and
+    # starts at the oldest: here bucket 0, opened by another series.
+    reg = MetricsRegistry()
+    reg._get(WindowedCounter, "tick").inc(0.0)
+    sparse = reg._get(WindowedCounter, "sparse")
+    for bucket in range(1, 20, 2):
+        sparse.inc(bucket * 10.0)
+    assert sparse.rate_per_sec() == pytest.approx(50.0)
+    reg._get(WindowedCounter, "tick").inc(395.0)
+    assert sparse.rate_per_sec() == pytest.approx(25.0)
+    assert sparse.rate_per_sec(last=20) == 0.0
+
+
+def test_per_label_rates_sum_to_the_rate_of_their_sum():
+    reg = MetricsRegistry()
+    total = reg._get(WindowedCounter, "drops")
+    for t, reason in ((0.0, "loss"), (12.0, "loss"), (13.0, "partition"),
+                      (64.0, "loss"), (97.0, "partition")):
+        reg._get(WindowedCounter, "drops", reason=reason).inc(t)
+        total.inc(t)
+    labeled = [s for labels, s in reg.labeled("drops") if labels]
+    for last in (None, 1, 3, 7, 50):
+        assert sum(s.rate_per_sec(last) for s in labeled) \
+            == pytest.approx(total.rate_per_sec(last))
+
+
+def test_circus_call_rate_is_calls_over_the_run_span():
+    world, body = scenarios.circus(30)
+    with MetricsCollector(world.sim.bus) as collector:
+        world.run(body())
+    reg = collector.registry
+    starts = [t for window in reg.windows().values()
+              for t, _ in window["points"]]
+    span_s = (max(starts) + 10.0 - min(starts)) / 1000.0
+    [(_, completed)] = reg.labeled("rpc.calls_completed")
+    assert completed.value == completed.total() == 30
+    assert completed.rate_per_sec() == pytest.approx(30 / span_s)

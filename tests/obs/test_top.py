@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import ExportedModule
 from repro.harness import World
-from repro.obs import CritPathAnalyzer, TimeSeriesCollector, TopModel
+from repro.obs import CritPathAnalyzer, MetricsCollector, TopModel
 from repro.obs.export import ProgressChannel
 from repro.obs.top import live_top, render_frame
 
@@ -32,10 +32,10 @@ def test_model_samples_the_run():
     world, body = _world()
     progress = ProgressChannel()
     progress.publish("fuzz.echo", done=3, total=10)
-    with TimeSeriesCollector(world.sim.bus) as ts, \
+    with MetricsCollector(world.sim.bus) as metrics, \
             CritPathAnalyzer(world.sim) as critpath:
         world.run(body())
-        model = TopModel(world.sim, ts.registry, critpath,
+        model = TopModel(world.sim, metrics.registry, critpath,
                          progress=progress)
         sample = model.sample()
     assert sample["now"] == world.sim.now
@@ -50,17 +50,17 @@ def test_model_samples_the_run():
 
 def test_render_frame_shows_the_essentials():
     world, body = _world()
-    with TimeSeriesCollector(world.sim.bus) as ts, \
+    with MetricsCollector(world.sim.bus) as metrics, \
             CritPathAnalyzer(world.sim) as critpath:
         world.run(body())
-        frame = render_frame(TopModel(world.sim, ts.registry,
+        frame = render_frame(TopModel(world.sim, metrics.registry,
                                       critpath).sample())
     assert "repro top" in frame
     assert "OK (0 violations)" in frame
     assert "echo" in frame
     assert "critical path" in frame
     # Frames respect the width budget for narrow terminals.
-    narrow = render_frame(TopModel(world.sim, ts.registry).sample(),
+    narrow = render_frame(TopModel(world.sim, metrics.registry).sample(),
                           width=40)
     assert all(len(line) <= 40 for line in narrow.splitlines())
 
