@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.collators import (
@@ -68,6 +69,12 @@ INTERNAL_ERROR = "InternalError"
 #: procedure 0 is the automatically generated set_troupe_id of §6.2.
 CONTROL_MODULE = 0xFFFF
 SET_TROUPE_ID_PROC = 0
+
+
+def _thread_name(thread_id: ThreadId) -> str:
+    """An event's ``thread_id``: one string object per value, however
+    many retained events carry it."""
+    return sys.intern(str(thread_id))
 
 
 class ReplicatedCallError(Exception):
@@ -381,7 +388,7 @@ class TroupeRuntime:
                     bus.emit(obs_events.GatherStarted(
                         t=self.sim.now, host=host,
                         proc=self.process.name,
-                        thread_id=str(header.thread_id),
+                        thread_id=_thread_name(header.thread_id),
                         call_number=msg.call_number,
                         expected=-1 if expected is None else len(expected)))
                 if (expected is not None and len(expected) > 1
@@ -447,7 +454,8 @@ class TroupeRuntime:
         if "rpc.exec_start" in self.sim.bus.wanted:
             self.sim.bus.emit(obs_events.ExecutionStarted(
                 t=self.sim.now, host=self.process.host,
-                proc=self.process.name, thread_id=str(header.thread_id),
+                proc=self.process.name,
+                thread_id=_thread_name(header.thread_id),
                 call_number=group.call_number, troupe_id=self.troupe_id,
                 module=header.module, procedure=header.procedure,
                 callers=len(group.args_by_peer),
@@ -493,7 +501,8 @@ class TroupeRuntime:
         if "rpc.exec_end" in self.sim.bus.wanted:
             self.sim.bus.emit(obs_events.ExecutionFinished(
                 t=self.sim.now, host=self.process.host,
-                proc=self.process.name, thread_id=str(header.thread_id),
+                proc=self.process.name,
+                thread_id=_thread_name(header.thread_id),
                 call_number=group.call_number, module=header.module,
                 procedure=header.procedure, outcome=exec_outcome))
         if header.module != CONTROL_MODULE:
@@ -519,7 +528,7 @@ class TroupeRuntime:
             self.sim.bus.emit(obs_events.ReturnSent(
                 t=self.sim.now, host=self.process.host,
                 proc=self.process.name,
-                thread_id=str(group.header.thread_id),
+                thread_id=_thread_name(group.header.thread_id),
                 call_number=group.call_number,
                 recipients=len(recipients)))
         if self.config.use_multicast and len(recipients) > 1:
@@ -576,7 +585,7 @@ class TroupeRuntime:
         if "rpc.call_start" in bus.wanted:
             bus.emit(obs_events.CallStarted(
                 t=self.sim.now, host=self.process.host,
-                proc=self.process.name, thread_id=str(thread_id),
+                proc=self.process.name, thread_id=_thread_name(thread_id),
                 call_number=call_number, troupe=troupe.name,
                 troupe_id=troupe.troupe_id, members=len(troupe.members),
                 module=-1 if module is None else module,
@@ -598,7 +607,7 @@ class TroupeRuntime:
             if "rpc.call_end" in bus.wanted:
                 bus.emit(obs_events.CallCompleted(
                     t=self.sim.now, host=self.process.host,
-                    proc=self.process.name, thread_id=str(thread_id),
+                    proc=self.process.name, thread_id=_thread_name(thread_id),
                     call_number=call_number, troupe=troupe.name,
                     outcome=self._classify_failure(exc)))
                 if isinstance(exc, StaleBindingError):
@@ -609,7 +618,7 @@ class TroupeRuntime:
         if "rpc.call_end" in bus.wanted:
             bus.emit(obs_events.CallCompleted(
                 t=self.sim.now, host=self.process.host,
-                proc=self.process.name, thread_id=str(thread_id),
+                proc=self.process.name, thread_id=_thread_name(thread_id),
                 call_number=call_number, troupe=troupe.name, outcome="ok"))
         return result
 
@@ -657,7 +666,7 @@ class TroupeRuntime:
                  collator: Collator, thread_id: Optional[ThreadId] = None):
         """Wait for return messages, feeding the collator as they arrive."""
         bus = self.sim.bus
-        tid = str(thread_id) if thread_id is not None else ""
+        tid = _thread_name(thread_id) if thread_id is not None else ""
         collator.reset(expected=len(members))
         waiters = {}
         for member in members:

@@ -10,8 +10,9 @@ is stamped, *at emission time*, with three extra attributes:
 ``event.lamport``
     the node's Lamport clock at the event;
 ``event.vc``
-    the node's vector clock at the event (a plain ``{node: count}``
-    dict; treat it as read-only — passive events share theirs).
+    the node's vector clock at the event, a ``{node: count}`` dict built
+    *on read* from the stamp tuple ``event._vt`` that every holder of the
+    stamp shares: a fresh dict per read, so read it once.
 
 The vector clocks are *dynamic*: there is no fixed process count, and a
 node's entry appears in other clocks only once it has emitted an event
@@ -92,13 +93,17 @@ monitors detached no clock is ever touched.
 
 from __future__ import annotations
 
-import collections
+import itertools
 import operator
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-#: A vector clock: node name -> event count.  Plain dicts keep stamping
-#: cheap; use the module helpers to compare.
+#: A vector clock as readers see it: node name -> event count.  Use the
+#: module helpers to compare.
 VC = Dict[str, int]
+
+#: A vector clock as a domain stores it: entry ``i`` counts node
+#: ``ClockDomain._names[i]`` (none past its end); every holder shares it.
+VT = Tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -132,24 +137,42 @@ def concurrent(a: VC, b: VC) -> bool:
     return not vc_leq(a, b) and not vc_leq(b, a)
 
 
-class _Bounded(collections.OrderedDict):
+def vt_join(a: VT, b: VT) -> VT:
+    """Pointwise max of two stamps of one domain."""
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(map(max, a, b)) + a[len(b):]
+
+
+class _Bounded(dict):
     """An insertion-ordered dict that evicts its oldest entry past a cap
-    (in-flight edge tables must not grow with run length)."""
+    (in-flight edge tables must not grow with run length).  A walk from
+    the dict's head passes every deleted slot, so one walk lists the
+    oldest pairs in ``head``; a pair is still the oldest while the table
+    holds that very value (:meth:`put` is always given a new one)."""
+
+    __slots__ = ("cap", "head")
 
     def __init__(self, cap: int):
         super().__init__()
         self.cap = cap
+        self.head = iter(())
 
     def put(self, key, value) -> None:
-        if key in self:
-            del self[key]
+        self.pop(key, None)
         self[key] = value
-        while len(self) > self.cap:
-            self.popitem(last=False)
+        if len(self) > self.cap:
+            for old, held in self.head:
+                if self.get(old) is held:
+                    break
+            else:
+                self.head = iter(list(itertools.islice(self.items(), 128)))
+                old = next(self.head)[0]
+            del self[old]
 
 
 #: An edge payload: (vector clock snapshot, lamport value).
-Stamp = Tuple[VC, int]
+Stamp = Tuple[VT, int]
 
 
 def host_of(addr) -> str:
@@ -165,24 +188,26 @@ _host_of = host_of
 
 
 class _Clock:
-    """One node's clocks.  ``vc`` is mutated in place (causal events get
-    copies); ``ahead`` is the snapshot — ``vc`` with the node's own entry
-    one ahead — that the passive events before the next tick share."""
+    """One node's clocks.  ``v`` is ticked in place (entry ``i`` is the
+    node's own); ``ahead`` is ``tuple(v)`` with the own entry one ahead,
+    shared by the passive events before the next tick."""
 
-    __slots__ = ("node", "vc", "lamport", "ahead")
+    __slots__ = ("node", "i", "v", "lamport", "ahead")
 
-    def __init__(self, node: str):
+    def __init__(self, node: str, i: int):
         self.node = node
-        self.vc: VC = {}
+        self.i = i
+        self.v: List[int] = [0] * (i + 1)
         self.lamport = 0
-        self.ahead: Optional[VC] = None
+        self.ahead: Optional[VT] = None
 
 
 class ClockDomain:
     """Per-simulation clock state; install on a bus with :meth:`install`.
 
     One domain serves one simulation world.  Nodes (and their vector
-    clock entries) are created lazily the first time they emit.
+    clock entries) are created lazily the first time they emit, and
+    numbered in that order: a stamp is a tuple indexed by that number.
 
     Stamping is O(1) in the size of the taxonomy: the first event of a
     kind resolves a *plan* — how to find its node's clocks, whether the
@@ -195,6 +220,9 @@ class ClockDomain:
 
     def __init__(self, inflight_cap: int = 8192):
         self._clocks: Dict[str, _Clock] = {}
+        #: node names in creation order, and each one's entry in a stamp.
+        self._names: List[str] = []
+        self._index: Dict[str, int] = {}
         #: endpoint address -> node, learned from pm.* events so wire
         #: events can be attributed to the owning process.
         self._addr_clock: Dict[Any, _Clock] = {}
@@ -239,13 +267,16 @@ class ClockDomain:
 
     def clock_of(self, node: str) -> VC:
         clock = self._clocks.get(node)
-        return dict(clock.vc) if clock is not None else {}
+        if clock is None:
+            return {}
+        names = self._names
+        return {names[i]: count for i, count in enumerate(clock.v) if count}
 
     # -- stamping ----------------------------------------------------------
 
     def stamp(self, event) -> None:
-        """Attach ``node`` / ``lamport`` / ``vc`` to ``event``.  A causal
-        event ticks its node's clocks, merging any incoming
+        """Attach ``node`` / ``lamport`` / the stamp tuple to ``event``.
+        A causal event ticks its node's clocks, merging any incoming
         happens-before edge and recording outgoing ones; any other event
         is stamped passively, from the node's clocks as they stand."""
         kind = event.kind
@@ -256,42 +287,53 @@ class ClockDomain:
                 self._incoming.get(kind), self._outgoing.get(kind))
         clock_of, causal, incoming, outgoing = plan
         clock = clock_of(event)
-        event.node = node = clock.node
+        event.node = clock.node
+        event._names = self._names
         self.stamped += 1
         if not causal:
             ahead = clock.ahead
             if ahead is None:
-                ahead = clock.ahead = clock.vc.copy()
-                ahead[node] = ahead.get(node, 0) + 1
+                v = clock.v.copy()
+                v[clock.i] += 1
+                ahead = clock.ahead = tuple(v)
             event.lamport = clock.lamport
-            event.vc = ahead
+            event._vt = ahead
             return
-        vc = clock.vc
+        v = clock.v
         lamport = clock.lamport
         if incoming is not None:
             edge = incoming(event)
             if edge is not None:
-                src_vc, src_lamport = edge
-                vc_merge(vc, src_vc)
+                src, src_lamport = edge
+                n = len(src)
+                if len(v) < n:
+                    v.extend([0] * (n - len(v)))
+                v[:n] = map(max, v, src)
                 if src_lamport > lamport:
                     lamport = src_lamport
-        vc[node] = vc.get(node, 0) + 1
+        v[clock.i] += 1
         clock.lamport = lamport = lamport + 1
         clock.ahead = None
         event.lamport = lamport
-        # One snapshot serves the event and any edge recorded from it:
-        # neither is ever mutated afterwards (edge merges copy).
-        event.vc = snapshot = vc.copy()
+        # One tuple serves the event and any edge recorded from it.
+        event._vt = vt = tuple(v)
         if outgoing is not None:
-            outgoing(event, snapshot, lamport)
+            outgoing(event, vt, lamport)
 
     # -- node attribution --------------------------------------------------
 
     def _clock(self, node: str) -> _Clock:
         clock = self._clocks.get(node)
         if clock is None:
-            clock = self._clocks[node] = _Clock(node)
+            clock = self._clocks[node] = _Clock(node, self._index_of(node))
         return clock
+
+    def _index_of(self, node: str) -> int:
+        i = self._index.get(node)
+        if i is None:
+            i = self._index[node] = len(self._names)
+            self._names.append(node)
+        return i
 
     def _clock_plan(self, kind: str) -> Callable[[Any], _Clock]:
         if kind.startswith("pm."):
@@ -366,8 +408,7 @@ class ClockDomain:
     def _in_result(self, event) -> Optional[Stamp]:
         return self._return_edges.get((event.thread_id, event.call_number))
 
-    @staticmethod
-    def _in_violation(event) -> Optional[Stamp]:
+    def _in_violation(self, event) -> Optional[Stamp]:
         frontier: VC = {}
         lamport = 0
         for cause in getattr(event, "evidence", ()):
@@ -375,44 +416,40 @@ class ClockDomain:
             if cause_vc:
                 vc_merge(frontier, cause_vc)
             lamport = max(lamport, getattr(cause, "lamport", 0))
-        return (frontier, lamport) if frontier else None
+        if not frontier:
+            return None
+        # Evidence may be stamped by hand or by another domain: a node
+        # new here gets an entry but no clock (nodes() is unchanged).
+        for node in frontier:
+            self._index_of(node)
+        return tuple(frontier.get(n, 0) for n in self._names), lamport
 
-    def _out_pm_send(self, event, snapshot: VC, lamport: int) -> None:
+    def _out_pm_send(self, event, vt: VT, lamport: int) -> None:
         # A retransmission refreshes the edge: the delivery that
         # finally completes the message has seen the latest segment.
         self._pm_edges.put(
             (event.endpoint, event.msg_type, event.call_number, event.peer),
-            (snapshot, lamport))
+            (vt, lamport))
 
-    def _out_call_start(self, event, snapshot: VC, lamport: int) -> None:
+    def _out_call_start(self, event, vt: VT, lamport: int) -> None:
         # Many-to-many: every client troupe member records; the
         # execution depends on the whole calling frontier.
         _join_edge(self._call_edges,
                    (event.thread_id, event.call_number, event.troupe_id),
-                   snapshot, lamport)
+                   vt, lamport)
 
-    def _out_return(self, event, snapshot: VC, lamport: int) -> None:
+    def _out_return(self, event, vt: VT, lamport: int) -> None:
         _join_edge(self._return_edges,
-                   (event.thread_id, event.call_number), snapshot, lamport)
+                   (event.thread_id, event.call_number), vt, lamport)
 
 
-def _join_edge(table: _Bounded, key, snapshot: VC, lamport: int) -> None:
-    """Record ``snapshot`` under ``key``, merged with what is already
-    there (into a fresh dict: recorded snapshots are shared with the
-    events they were taken for)."""
+def _join_edge(table: _Bounded, key, vt: VT, lamport: int) -> None:
+    """Record ``vt`` under ``key``, joined with what is already there."""
     prior = table.get(key)
     if prior is not None:
-        snapshot = vc_merge(dict(prior[0]), snapshot)
+        vt = vt_join(prior[0], vt)
         lamport = max(prior[1], lamport)
-    table.put(key, (snapshot, lamport))
-
-
-def stamp_of(event) -> Optional[Stamp]:
-    """The (vc, lamport) stamp of an event, or None if never stamped."""
-    vc = getattr(event, "vc", None)
-    if vc is None:
-        return None
-    return vc, getattr(event, "lamport", 0)
+    table.put(key, (vt, lamport))
 
 
 def causal_sort_key(event) -> Tuple[int, float, int]:
@@ -423,7 +460,7 @@ def causal_sort_key(event) -> Tuple[int, float, int]:
     sorts after the causal event it follows and before the next one; the
     passive events in between tie, and a stable sort keeps them in the
     order given."""
-    vc = getattr(event, "vc", None)
+    vt = getattr(event, "_vt", None)
     return (getattr(event, "lamport", 0),
             getattr(event, "t", 0.0),
-            sum(vc.values()) if vc else 0)
+            sum(vt) if vt else 0)

@@ -64,13 +64,24 @@ _SLOTS: Dict[str, bool] = (
 class _Stamped:
     """The causal stamp a :class:`~repro.obs.clocks.ClockDomain` sets at
     emission time.  Slots rather than fields: an event that was never
-    stamped has none of them (``getattr(event, "vc", None)``)."""
+    stamped has none of them (``getattr(event, "vc", None)``).  ``vc``
+    is built on every read from the domain's shared tuple ``_vt``, whose
+    entry ``i`` counts node ``_names[i]``."""
 
-    __slots__ = ("node", "lamport", "vc")
+    __slots__ = ("node", "lamport", "_vt", "_names")
 
     node: str
     lamport: int
-    vc: Dict[str, int]
+
+    @property
+    def vc(self) -> Dict[str, int]:
+        names = self._names
+        return {names[i]: count for i, count in enumerate(self._vt) if count}
+
+    @vc.setter
+    def vc(self, vc: Dict[str, int]) -> None:
+        self._names = tuple(vc)
+        self._vt = tuple(vc.values())
 
 
 @dataclasses.dataclass(**_SLOTS)

@@ -112,20 +112,22 @@ class ExactlyOnceMonitor(InvariantMonitor):
 
     def __init__(self):
         super().__init__()
-        self._seen: Dict[Tuple[str, str, str, int],
-                         obs_events.ObsEvent] = {}
+        #: (host, proc, thread_id) -> {call_number: first execution}
+        self._seen: Dict[Tuple[str, str, str],
+                         Dict[int, obs_events.ObsEvent]] = {}
 
     def observe(self, event) -> None:
-        key = (event.host, event.proc, event.thread_id, event.call_number)
-        first = self._seen.get(key)
+        thread = (event.host, event.proc, event.thread_id)
+        calls = self._seen.setdefault(thread, {})
+        first = calls.get(event.call_number)
         if first is None:
-            self._seen[key] = event
+            calls[event.call_number] = event
             return
         self.report(
             "call (thread=%s, #%d) executed twice at %s/%s" % (
                 event.thread_id, event.call_number,
                 event.host, event.proc),
-            subject="%s/%s:%s#%d" % key,
+            subject="%s/%s:%s#%d" % (thread + (event.call_number,)),
             evidence=(first, event))
 
 

@@ -98,7 +98,7 @@ def test_passive_events_are_stamped_without_moving_a_clock():
     assert [a.lamport for a in acks] == [1, 1, 1]
     assert all(a.vc == {"a/p": 2} for a in acks)
     # ... built once between two ticks and shared, not copied per event
-    assert acks[0].vc is acks[1].vc is acks[2].vc
+    assert acks[0]._vt is acks[1]._vt is acks[2]._vt
     assert domain.clock_of("a/p") == {"a/p": 1}          # nothing moved
     again = _send(call_number=2, t=5.0)
     bus.emit(again)
@@ -342,48 +342,77 @@ class _ReferenceClockDomain(ClockDomain):
     as the specification of what the causal-vocabulary clocks must
     preserve: the happens-before relation among causal events, every
     causal cut, and a consistent linearization — not the stamp values,
-    which moved on purpose.  Node attribution and the edge tables are
-    the real domain's; only what ticks differs."""
+    which moved on purpose.  Node attribution is the real domain's; the
+    clocks (plain dicts) and the edge tables are the reference's own, so
+    it specifies the clocks whatever the domain stores."""
 
     def __init__(self):
         super().__init__()
         # The events under test carry the *new* stamps by the time a
         # violation cites them, so the reference keeps its own.
-        self.stamps = {}                # id(event) -> (vc, lamport)
-        self._incoming["mon.violation"] = self._in_violation
+        self.stamps = {}                # id(event) -> (node, lamport, vc)
+        self.vcs = {}                   # node -> its vector clock
+        self.lamports = {}              # node -> its Lamport clock
+        self.edges = {}                 # edge key -> (vc, lamport)
 
     def stamp(self, event) -> None:
-        kind = event.kind
-        clock = self._clock_plan(kind)(event)
-        incoming = self._incoming.get(kind)
-        outgoing = self._outgoing.get(kind)
-        node = clock.node
-        vc = clock.vc
-        lamport = clock.lamport
-        if incoming is not None:
-            edge = incoming(event)
-            if edge is not None:
-                src_vc, src_lamport = edge
-                vc_merge(vc, src_vc)
-                if src_lamport > lamport:
-                    lamport = src_lamport
+        node = self._clock_plan(event.kind)(event).node
+        vc = self.vcs.setdefault(node, {})
+        lamport = self.lamports.get(node, 0)
+        edge = self._edge_in(event)
+        if edge is not None:
+            src_vc, src_lamport = edge
+            vc_merge(vc, src_vc)
+            lamport = max(lamport, src_lamport)
         vc[node] = vc.get(node, 0) + 1
-        clock.lamport = lamport = lamport + 1
+        self.lamports[node] = lamport = lamport + 1
         snapshot = vc.copy()
         self.stamped += 1
         self.stamps[id(event)] = (node, lamport, snapshot)
-        if outgoing is not None:
-            outgoing(event, snapshot, lamport)
+        self._edge_out(event, snapshot, lamport)
 
-    def _in_violation(self, event):
-        frontier = {}
-        lamport = 0
-        for cause in getattr(event, "evidence", ()):
-            stamp = self.stamps.get(id(cause))
-            if stamp is not None:
-                vc_merge(frontier, stamp[2])
-                lamport = max(lamport, stamp[1])
-        return (frontier, lamport) if frontier else None
+    def _edge_in(self, event):
+        kind = event.kind
+        if kind == "pm.deliver":
+            return self.edges.pop(("pm", event.peer, event.msg_type,
+                                   event.call_number, event.endpoint), None)
+        if kind == "rpc.exec_start":
+            return self.edges.get(("call", event.thread_id,
+                                   event.call_number, event.troupe_id))
+        if kind == "rpc.result":
+            return self.edges.get(("return", event.thread_id,
+                                   event.call_number))
+        if kind == "mon.violation":
+            frontier = {}
+            lamport = 0
+            for cause in event.evidence:
+                stamp = self.stamps.get(id(cause))
+                if stamp is not None:
+                    vc_merge(frontier, stamp[2])
+                    lamport = max(lamport, stamp[1])
+            return (frontier, lamport) if frontier else None
+        return None
+
+    def _edge_out(self, event, snapshot, lamport) -> None:
+        kind = event.kind
+        if kind in ("pm.send", "pm.retransmit"):
+            # A retransmission refreshes the edge.
+            self.edges["pm", event.endpoint, event.msg_type,
+                       event.call_number, event.peer] = (snapshot, lamport)
+            return
+        if kind == "rpc.call_start":
+            key = ("call", event.thread_id, event.call_number,
+                   event.troupe_id)
+        elif kind == "rpc.return":
+            key = ("return", event.thread_id, event.call_number)
+        else:
+            return
+        # Many-to-many: every member records; the edge is their join.
+        prior = self.edges.get(key)
+        if prior is not None:
+            snapshot = vc_merge(dict(prior[0]), snapshot)
+            lamport = max(prior[1], lamport)
+        self.edges[key] = (snapshot, lamport)
 
 
 class _DifferentialDomain(ClockDomain):

@@ -8,7 +8,10 @@ spans.  Pinned with ``tracemalloc`` — exact and repeatable — over calls
 rings are still filling.  Before the analyzer folded it read 4,846 bytes
 per call alone and 11,121 under ``watch()`` + ``observe()``; what is
 left in the second figure is held on purpose (``ExactlyOnceMonitor``'s
-evidence, the clock domain's bounded edge tables, the rings).
+evidence, the clock domain's bounded edge tables, the rings).  While a
+stamp was a dict per event that figure read 7,398, and 5,726 under
+``watch()`` alone; a stamp shared as one tuple, and one string per
+thread id, make them 5,484 and 3,797.
 """
 
 import contextlib
@@ -65,7 +68,43 @@ def test_everything_attached_keeps_what_is_held_on_purpose():
         stack.enter_context(world.watch())
         stack.enter_context(world.observe())
 
-    assert _bytes_kept_per_call(attach) < 8500
+    assert _bytes_kept_per_call(attach) < 6300
+
+
+def test_the_monitors_and_recorder_alone_keep_less_still():
+    def attach(world, stack):
+        stack.enter_context(world.watch())
+
+    assert _bytes_kept_per_call(attach) < 4400
+
+
+def test_what_is_held_shares_its_stamps_and_thread_ids():
+    """A passive event between two ticks shares its node's one ``ahead``
+    tuple; a ``pm.send``'s edge entry *is* its event's tuple; every rpc
+    event of one thread carries the one thread-id string."""
+    world, body = _circus_world()
+    seen = []
+    edges = []
+    with world.watch() as probe:
+        world.sim.bus.subscribe(seen.append)
+        pm_edges = probe.clocks._pm_edges
+        world.sim.bus.subscribe(lambda e: edges.append((e, pm_edges[
+            e.endpoint, e.msg_type, e.call_number, e.peer])), "pm.send")
+        world.run(body(6))
+    assert len(edges) > 30
+    assert all(edge[0] is e._vt for e, edge in edges)
+    between_ticks = {}                  # node -> its passive events since
+    for e in seen:
+        if e.causal:
+            between_ticks[e.node] = []
+        else:
+            run = between_ticks.setdefault(e.node, [])
+            run.append(e)
+            assert run[0]._vt is e._vt
+    assert max(map(len, between_ticks.values())) > 1
+    rpc = [e for e in seen if e.kind.startswith("rpc.")]
+    assert len(rpc) > 30 and all(e.thread_id for e in rpc)
+    assert len({id(e.thread_id) for e in rpc}) == 1
 
 
 def test_a_callers_tracer_still_holds_every_span():
