@@ -44,6 +44,8 @@ class World:
         if machine_names is None:
             machine_names = ["host%d" % i for i in range(machines)]
         self.net = self._make_network(seed, net_config, machine_names)
+        # One cost model, shared by every machine.
+        cost_model = cost_model or SyscallCostModel()
         self.machines: List[Machine] = [
             Machine(self.sim, self.net, name, cost_model=cost_model)
             for name in machine_names]

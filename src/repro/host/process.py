@@ -52,12 +52,6 @@ class OsProcess:
         # re-arm charges a setitimer without advancing the clock (the
         # protocol code is not suspended by the hook).
         self.timers = TimerService(self.sim, on_arm=self._charge_setitimer)
-        # Hot-path cache: syscall name -> (cost, shared Sleep(cost)).
-        # Sleep objects are immutable to the kernel, so one instance per
-        # (model, name) serves every charge; invalidated if the machine's
-        # cost model object is ever replaced.
-        self._syscall_cache: Dict[str, tuple] = {}
-        self._syscall_cache_model = machine.cost_model
 
     def __repr__(self) -> str:
         return "<OsProcess %s/%s pid=%d>" % (self.machine.name, self.name, self.pid)
@@ -109,21 +103,17 @@ class OsProcess:
         """
         self._require_alive()
         model = self.machine.cost_model
-        if self._syscall_cache_model is not model:
-            self._syscall_cache = {}
-            self._syscall_cache_model = model
-        entry = self._syscall_cache.get(name)
-        if entry is None:
-            cost = model.cost(name)
-            entry = (cost, Sleep(cost))
-            self._syscall_cache[name] = entry
-        cost = entry[0]
+        try:
+            cost, sleep = model.charges[name]
+        except KeyError:
+            model.cost(name)   # raises: no calibrated cost
+            raise
         self.kernel_time += cost
         times = self.syscall_times
         times[name] = times.get(name, 0.0) + cost
         counts = self.syscall_counts
         counts[name] = counts.get(name, 0) + 1
-        return entry[1]
+        return sleep
 
     def syscall(self, name: str):
         """Generator: perform a system call (``yield from`` spelling of

@@ -22,7 +22,10 @@ makes sendmsg so expensive.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from types import MappingProxyType
+from typing import Dict, Mapping, Tuple
+
+from repro.sim.kernel import Sleep
 
 #: Per-call CPU cost in milliseconds, straight from Table 4.2, plus the
 #: calibrated costs for the syscalls the paper uses but does not tabulate.
@@ -50,15 +53,21 @@ class SyscallCostModel:
     """Maps syscall names to kernel-CPU milliseconds.
 
     Unknown syscalls are an error: the experiments depend on every charged
-    operation being a deliberately calibrated one.
+    operation being a deliberately calibrated one.  A world's machines
+    share one model, so it is read-only (vary one with :meth:`with_scale`).
     """
 
     def __init__(self, costs: Mapping[str, float] = TABLE_4_2_COSTS,
                  scale: float = 1.0):
         if scale <= 0:
             raise ValueError("scale must be positive: %r" % scale)
-        self.costs = {name: cost * scale for name, cost in costs.items()}
+        self.costs: Mapping[str, float] = MappingProxyType(
+            {name: cost * scale for name, cost in costs.items()})
         self.scale = scale
+        #: name -> ``(cost, Sleep(cost))``: the kernel never changes a
+        #: ``Sleep``, so one serves every charge on every host.
+        self.charges: Mapping[str, Tuple[float, Sleep]] = MappingProxyType(
+            {name: (cost, Sleep(cost)) for name, cost in self.costs.items()})
 
     def cost(self, name: str) -> float:
         try:

@@ -123,7 +123,12 @@ class SendTimeout(Exception):
 
 
 class _OutgoingTransfer:
-    """Sender-side state for one message (§4.2.2's queue of unacked segments)."""
+    """Sender-side state for one message (§4.2.2's queue of unacked
+    segments: acks are cumulative, so it is always ``segments[acked:]``)."""
+
+    __slots__ = ("endpoint", "peer", "msg_type", "call_number", "segments",
+                 "acked", "done", "retries", "watch_seq", "worker_active",
+                 "_progress")
 
     def __init__(self, endpoint: "PairedEndpoint", peer: ProcessAddress,
                  msg_type: int, call_number: int, segs: Sequence[Segment]):
@@ -132,9 +137,9 @@ class _OutgoingTransfer:
         self.msg_type = msg_type
         self.call_number = call_number
         #: may be shared between the per-peer transfers of one multicast
-        #: send — per-transfer state lives in ``unacked``, not here.
+        #: send — per-transfer state lives in ``acked``, not here.
         self.segments = segs
-        self.unacked: Dict[int, Segment] = {s.segment_number: s for s in segs}
+        self.acked = 0
         self.done = Event(endpoint.sim, "xfer-done")
         self.retries = 0
         #: position in the endpoint's watch order, assigned when the
@@ -143,32 +148,39 @@ class _OutgoingTransfer:
         #: True while an ephemeral worker process owns this transfer's
         #: current retransmission round.
         self.worker_active = False
-        #: signalled whenever the acknowledged prefix advances (used by
-        #: the stop-and-wait sender).
-        self.progress = Condition(endpoint.sim, "xfer-progress")
+        self._progress: Optional[Condition] = None
+
+    @property
+    def progress(self) -> Condition:
+        """Signalled when the acknowledged prefix advances; built on first
+        read, as only the stop-and-wait sender waits on it."""
+        if self._progress is None:
+            self._progress = Condition(self.endpoint.sim, "xfer-progress")
+        return self._progress
 
     @property
     def key(self) -> Tuple[ProcessAddress, int, int]:
         return (self.peer, self.msg_type, self.call_number)
 
     def first_unacked(self) -> Optional[Segment]:
-        if not self.unacked:
-            return None
-        return self.unacked[min(self.unacked)]
+        if self.acked < len(self.segments):
+            return self.segments[self.acked]
+        return None
 
     def ack_through(self, ack_number: int) -> None:
         """Explicit cumulative acknowledgment: segments <= n received."""
-        acked = [n for n in self.unacked if n <= ack_number]
-        for n in acked:
-            del self.unacked[n]
-        if acked:
+        total = len(self.segments)
+        acked = min(ack_number, total)
+        if acked > self.acked:
+            self.acked = acked
             self.retries = 0
-            self.progress.signal(ack_number)
-        if not self.unacked:
+            if self._progress is not None:
+                self._progress.signal(ack_number)
+        if self.acked == total:
             self.complete()
 
     def complete(self) -> None:
-        self.unacked = {}
+        self.acked = len(self.segments)
         if not self.done.fired:
             self.done.fire("acked")
             self.endpoint._transfer_finished(self)
@@ -188,7 +200,7 @@ class _OutgoingTransfer:
         """Abandon silently: the peer was declared crashed (§4.2.3), so
         the transfer ends with neither an ack nor a timeout — and, above
         all, no further retransmission."""
-        self.unacked = {}
+        self.acked = len(self.segments)
         if not self.done.fired:
             self.done.fire("crashed")
             self.endpoint._transfer_finished(self)
@@ -403,7 +415,7 @@ class PairedEndpoint:
             marked_wire = self._wire_marked(segment)
             retries = 0
             sent_once = False
-            while segment.segment_number in transfer.unacked:
+            while transfer.acked < segment.segment_number:
                 if sent_once and "pm.retransmit" in self.sim.bus.wanted:
                     self.sim.bus.emit(obs_events.SegmentRetransmitted(
                         t=self.sim.now, endpoint=self.addr,
@@ -437,7 +449,7 @@ class PairedEndpoint:
         peers = list(peers)
         # One immutable segment tuple shared by every per-peer transfer:
         # the segments (and their cached wire encodings) are common, only
-        # the per-transfer unacked bookkeeping is private.
+        # the per-transfer acknowledged-prefix count is private.
         segs = tuple(seg.split_message(msg_type, call_number, data,
                                        self.config.max_segment_data))
         transfers = []
@@ -619,8 +631,7 @@ class PairedEndpoint:
             transfer.fail()
             return
         if config.retransmit_all:
-            outstanding = [transfer.unacked[n]
-                           for n in sorted(transfer.unacked)]
+            outstanding = transfer.segments[transfer.acked:]
         else:
             outstanding = [first]
         self.counters["retransmit_rounds"] += 1
@@ -681,7 +692,7 @@ class PairedEndpoint:
                 return data
             waiter = self._return_waiters.get(key)
             if waiter is None or waiter.fired:
-                waiter = Event(self.sim, "return-%s-%d" % (peer, call_number))
+                waiter = Event(self.sim, "return-waiter")
                 self._return_waiters[key] = waiter
             index, _ = yield AnyOf(waiter, Sleep(config.probe_interval))
             if index == 0:

@@ -19,6 +19,8 @@ import dataclasses
 import struct
 from typing import Final, List, Optional, Union
 
+from repro.obs.events import _SLOTS
+
 #: Anything the wire layer may hand us or we may hand it.  Payload slices
 #: travel as :class:`memoryview` so reassembly never copies them; the
 #: single ``bytes`` materialization happens at the application hand-off.
@@ -49,12 +51,13 @@ class MessageTooLarge(Exception):
     """The message needs more than 255 segments (§4.2.1's byte-wide field)."""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class Segment:
     """One protocol segment, decoded.
 
     ``data`` may be any bytes-like object; :func:`split_message` passes
-    memoryview slices so a large message is never copied segment-wise.
+    the message itself when it fits one segment and memoryview slices
+    otherwise, so a large message is never copied segment-wise.
     The encoded datagram is cached (:meth:`wire`) so retransmissions and
     multicast fan-out reuse one buffer instead of repacking the header
     and recopying the payload per transmission.
@@ -190,9 +193,10 @@ def split_message(msg_type: int, call_number: int, data: BytesLike,
         raise ValueError("max_data must be at least 1")
     if not 0 <= call_number <= MAX_CALL_NUMBER:
         raise ValueError("call number out of range: %r" % call_number)
+    if len(data) <= max_data:
+        return [Segment(msg_type, False, False, 1, 1, call_number, data)]
     view = memoryview(data)
-    chunks = [view[i:i + max_data]
-              for i in range(0, len(data), max_data)] or [b""]
+    chunks = [view[i:i + max_data] for i in range(0, len(data), max_data)]
     if len(chunks) > MAX_SEGMENTS:
         raise MessageTooLarge(
             "%d bytes needs %d segments (max %d)" % (

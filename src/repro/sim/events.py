@@ -33,6 +33,9 @@ _COMPACT_MIN_DEAD = 8
 #: own (``is _NO_DEQUE``) before its first append.
 _NO_DEQUE: Deque[Any] = collections.deque()
 
+#: the same for its getters, a list: at most one getter waits at a time.
+_NO_GETTERS: List["_Waiter"] = []
+
 
 class _Waiter:
     """One waiter cell: ``resume`` is nulled on cancellation or consumption.
@@ -179,8 +182,9 @@ class Queue:
     order of both items and getters.
 
     An empty deque is 760 bytes and most queues of a large world never
-    hold an item *and* a getter, so each side is :data:`_NO_DEQUE` until
-    something first has to wait on it.
+    hold an item, so ``_items`` is :data:`_NO_DEQUE` until one has to wait
+    there.  Getters wait one at a time, so they are a list (shared
+    :data:`_NO_GETTERS` until the first).
     """
 
     __slots__ = ("sim", "name", "_items", "_getters", "_dead", "closed",
@@ -190,7 +194,7 @@ class Queue:
         self.sim = sim
         self.name = name
         self._items: Deque[Any] = _NO_DEQUE
-        self._getters: Deque[_Waiter] = _NO_DEQUE
+        self._getters: List[_Waiter] = _NO_GETTERS
         self._dead = 0
         self.closed = False
         # _QueueGet is stateless (it only forwards _subscribe to this
@@ -208,7 +212,7 @@ class Queue:
         """The oldest live getter, discarding tombstones — or None."""
         getters = self._getters
         while getters:
-            waiter = getters.popleft()
+            waiter = getters.pop(0)
             resume = waiter.resume
             if resume is None:
                 self._dead -= 1
@@ -270,8 +274,8 @@ class Queue:
             return self.sim._schedule_now(resume, _CLOSED)
         waiter = _Waiter(self, resume)
         getters = self._getters
-        if getters is _NO_DEQUE:
-            getters = self._getters = collections.deque()
+        if getters is _NO_GETTERS:
+            getters = self._getters = []
         getters.append(waiter)
         return waiter
 
@@ -279,9 +283,8 @@ class Queue:
         self._dead += 1
         if self._dead > _COMPACT_MIN_DEAD \
                 and self._dead * 2 >= len(self._getters):
-            live = [w for w in self._getters if w.resume is not None]
-            self._getters.clear()
-            self._getters.extend(live)
+            self._getters = [w for w in self._getters
+                             if w.resume is not None]
             self._dead = 0
 
 

@@ -14,7 +14,8 @@ holds its next few draws instead of the generator.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from array import array
+from typing import Optional, Sequence, Tuple
 
 #: ``random()`` doubles a :class:`LinkStream` takes before it drops its
 #: generator.  Of the ~15,000 directed links the 1,000-host capacity world
@@ -71,11 +72,14 @@ class RandomStream:
 
 class LinkStream:
     """Draw for draw the ``random()`` sequence of ``RandomStream(seed,
-    name)``, at the size of the few draws a network link ever makes.
+    "link:src>dst")``, at the size of the few draws a network link ever
+    makes.
 
-    The first :data:`_LINK_DRAWS_HELD` doubles are taken at construction
-    and the generator dropped; a draw past them seeds the same generator
-    again, skips what was handed out, and keeps it from then on.
+    It keeps the ``(src, dst)`` tuple it is given (the network's own key)
+    and no seeding string.  The first :data:`_LINK_DRAWS_HELD` doubles are
+    taken at construction into an ``array('d')`` and the generator dropped;
+    a draw past them seeds the same generator again, skips what was
+    handed out, and keeps it from then on.
 
     Only ``random``, ``uniform`` and ``chance`` exist — each exactly one
     underlying ``random()`` (``chance(0.0)`` / ``chance(1.0)``: none).  The
@@ -84,22 +88,28 @@ class LinkStream:
     not a silently different sequence.
     """
 
-    __slots__ = ("_key", "_held", "_rng")
+    __slots__ = ("_seed", "_link", "_held", "_next", "_rng")
 
-    def __init__(self, seed: int, name: str = ""):
-        self._key = "%d\x00%s" % (seed, name)
-        rng = random.Random(self._key)
-        self._held: List[float] = [rng.random()
-                                   for _ in range(_LINK_DRAWS_HELD)]
+    def __init__(self, seed: int, link: Tuple[str, str]):
+        self._seed = seed
+        self._link = link
+        rng = random.Random(self._key())
+        self._held = array("d", [rng.random()
+                                 for _ in range(_LINK_DRAWS_HELD)])
+        self._next = 0
         self._rng: Optional[random.Random] = None
 
+    def _key(self) -> str:   # RandomStream(seed, "link:src>dst")'s seed
+        return "%d\x00link:%s>%s" % ((self._seed,) + self._link)
+
     def random(self) -> float:
-        held = self._held
-        if held:
-            return held.pop(0)
+        index = self._next
+        if index < _LINK_DRAWS_HELD:
+            self._next = index + 1
+            return self._held[index]
         rng = self._rng
         if rng is None:
-            rng = self._rng = random.Random(self._key)
+            rng = self._rng = random.Random(self._key())
             for _ in range(_LINK_DRAWS_HELD):
                 rng.random()
         return rng.random()

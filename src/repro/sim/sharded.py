@@ -37,7 +37,7 @@ canonical packet-event digest (:class:`PacketDigest`) provably equal:
    workload sessions are ownership-gated (:meth:`World.spawn_on`), so a
    ghost never runs, sends, or draws.
 2. **Per-link RNG streams**: :class:`ShardNetwork` replaces the global
-   network stream with one ``LinkStream(seed, "link:src>dst")`` per
+   network stream with one ``LinkStream(seed, (src, dst))`` per
    directed host pair — ``RandomStream(seed, "link:src>dst")``'s draws,
    held as the next four doubles rather than a generator, because a
    link rarely draws more.  All sends on a link originate on the source
@@ -237,7 +237,7 @@ class ShardNetwork(Network):
         key = (src, dst)
         rng = self._link_rngs.get(key)
         if rng is None:
-            rng = LinkStream(self._seed, "link:%s>%s" % (src, dst))
+            rng = LinkStream(self._seed, key)
             self._link_rngs[key] = rng
         return rng
 

@@ -284,10 +284,13 @@ def test_multicast_transfers_share_segment_tuple():
         transfers = yield from client.send_message_multicast(
             [s.addr for s in servers], MSG_CALL, 1, data)
         # One immutable tuple shared by the per-peer transfers; only the
-        # unacked bookkeeping is private.
+        # acknowledged prefix is private: acking one peer's transfer
+        # moves that transfer's first unacked segment and no other's.
         assert isinstance(transfers[0].segments, tuple)
         assert transfers[0].segments is transfers[1].segments
-        assert transfers[0].unacked is not transfers[1].unacked
+        assert [t.first_unacked().segment_number for t in transfers] == [1, 1]
+        transfers[0].ack_through(1)
+        assert [t.first_unacked().segment_number for t in transfers] == [2, 1]
         for transfer in transfers:
             yield transfer.done
         return [t.done.value for t in transfers]

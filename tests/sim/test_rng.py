@@ -74,8 +74,9 @@ def _apply(stream, op, position):
     return stream.random()
 
 
-def _assert_same_draws(seed, name, pattern):
-    reference, link = RandomStream(seed, name), LinkStream(seed, name)
+def _assert_same_draws(seed, pair, pattern):
+    reference = RandomStream(seed, "link:%s>%s" % pair)
+    link = LinkStream(seed, pair)
     for position, op in enumerate(pattern):
         want, got = _apply(reference, op, position), _apply(link, op, position)
         assert type(got) is type(want) and got == want, (seed, name, pattern)
@@ -90,7 +91,7 @@ def test_link_stream_is_random_stream_draw_for_draw():
     for pair in range(200):
         # every 2,654th: 200 of them span all 3**12 patterns end to end
         pattern = next(itertools.islice(patterns, 2653, None))
-        _assert_same_draws(pair * 7919, "link:m%d>m%d" % (pair, pair % 17),
+        _assert_same_draws(pair * 7919, ("m%d" % pair, "m%d" % (pair % 17)),
                            pattern)
 
 
@@ -101,12 +102,12 @@ def test_link_stream_every_short_interleaving_across_the_boundary():
     for length in range(1, _LINK_DRAWS_HELD + 3):
         for pattern in itertools.product(("uniform", "chance", "random"),
                                          repeat=length):
-            _assert_same_draws(7, "link:a>b", pattern)
-            _assert_same_draws(length, "", pattern)
+            _assert_same_draws(7, ("a", "b"), pattern)
+            _assert_same_draws(length, ("", ""), pattern)
 
 
 def test_link_stream_holds_a_generator_only_past_its_held_draws():
-    link = LinkStream(3, "link:a>b")
+    link = LinkStream(3, ("a", "b"))
     assert link._rng is None
     for _ in range(_LINK_DRAWS_HELD):
         link.random()
@@ -116,7 +117,7 @@ def test_link_stream_holds_a_generator_only_past_its_held_draws():
 
 
 def test_link_stream_chance_extremes_draw_nothing():
-    link, reference = LinkStream(1, "c"), RandomStream(1, "c")
+    link, reference = LinkStream(1, ("c", "d")), RandomStream(1, "link:c>d")
     assert link.chance(0.0) is False and link.chance(-0.5) is False
     assert link.chance(1.0) is True and link.chance(1.5) is True
     assert link.random() == reference.random()
@@ -127,4 +128,4 @@ def test_link_stream_chance_extremes_draw_nothing():
 def test_link_stream_has_no_call_that_draws_a_varying_number(method):
     assert hasattr(RandomStream(1, "x"), method)
     with pytest.raises(AttributeError):
-        getattr(LinkStream(1, "x"), method)
+        getattr(LinkStream(1, ("x", "y")), method)
