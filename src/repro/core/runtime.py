@@ -26,8 +26,8 @@ which is how clients discover that their cached binding is out of date.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
+import struct
 import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -255,8 +255,34 @@ class _ManyToOneCall:
         return first
 
 
+def _set_troupe_id_proc(ctx: "CallContext", args: bytes) -> bytes:
+    (new_id,) = struct.unpack("!Q", args)
+    ctx.runtime.set_troupe_id(new_id)
+    return b""
+
+
+#: The §6.2 control interface, one module for every runtime: the binding
+#: agent informs members of their new troupe ID when the membership
+#: changes.
+_CONTROL = ExportedModule("control", {SET_TROUPE_ID_PROC: _set_troupe_id_proc})
+
+#: the export table of every runtime that has exported nothing yet.
+#: Shared, so never written: :meth:`TroupeRuntime.export` copies it first.
+_CONTROL_ONLY: Dict[int, ExportedModule] = {CONTROL_MODULE: _CONTROL}
+
+#: ``TroupeRuntime._groups`` while no call is being gathered, and
+#: ``_finished`` until a call has executed.  Shared, so never written: an
+#: insert swaps in a dict of its own (``is _NO_CALLS``) first.
+_NO_CALLS: Dict = {}
+
+
 class TroupeRuntime:
     """One troupe member's (or client's) Circus run-time system."""
+
+    __slots__ = ("process", "sim", "_host", "config", "endpoint",
+                 "troupe_id", "threads", "resolver", "exports",
+                 "_next_module_number", "_groups", "_finished", "_ready",
+                 "_server_threads", "calls_executed")
 
     def __init__(self, process: OsProcess, port: Optional[int] = None,
                  config: Optional[RuntimeConfig] = None,
@@ -277,17 +303,16 @@ class TroupeRuntime:
         #: maps a client troupe ID to its member process addresses
         #: ("consulting a local cache or contacting the binding agent").
         self.resolver = resolver or (lambda tid: None)
-        self.exports: Dict[int, ExportedModule] = {}
+        self.exports: Dict[int, ExportedModule] = _CONTROL_ONLY
         self._next_module_number = 0
-        # The §6.2 control interface: the binding agent informs members of
-        # their new troupe ID when the membership changes.
-        self.exports[CONTROL_MODULE] = ExportedModule(
-            "control", {SET_TROUPE_ID_PROC: self._set_troupe_id_proc})
         # keyed (thread_id, client_troupe_id, call_number) — see the
         # grouping note in _dispatch_loop.
         self._groups: Dict[Tuple[ThreadId, TroupeId, int],
-                           _ManyToOneCall] = {}
-        self._finished: "collections.OrderedDict" = collections.OrderedDict()
+                           _ManyToOneCall] = _NO_CALLS
+        #: buffered returns of executed calls, oldest first (insertion
+        #: order), at most ``config.finished_memory`` of them.
+        self._finished: Dict[Tuple[ThreadId, TroupeId, int],
+                             bytes] = _NO_CALLS
         self._ready: Queue = Queue(self.sim, "ready-calls")
         self._server_threads = []
         self.calls_executed = 0
@@ -308,6 +333,8 @@ class TroupeRuntime:
         number is an index into the table of exported interfaces (§4.3)."""
         number = self._next_module_number
         self._next_module_number += 1
+        if self.exports is _CONTROL_ONLY:
+            self.exports = dict(_CONTROL_ONLY)
         self.exports[number] = module
         return ModuleAddress(self.addr, number)
 
@@ -315,12 +342,6 @@ class TroupeRuntime:
         """Installed by the binding agent when troupe membership changes
         (the generated set_troupe_id procedure of §6.2)."""
         self.troupe_id = troupe_id
-
-    def _set_troupe_id_proc(self, ctx: "CallContext", args: bytes) -> bytes:
-        import struct as _struct
-        (new_id,) = _struct.unpack("!Q", args)
-        self.set_troupe_id(new_id)
-        return b""
 
     def start_server(self) -> None:
         """Begin accepting incoming calls (idempotent)."""
@@ -379,6 +400,8 @@ class TroupeRuntime:
             if group is None:
                 expected = self._expected_callers(header)
                 group = _ManyToOneCall(key, header, msg.call_number, expected)
+                if self._groups is _NO_CALLS:
+                    self._groups = {}
                 self._groups[key] = group
                 bus = self.sim.bus
                 gathers = bus.counts["rpc.gather"]
@@ -510,7 +533,9 @@ class TroupeRuntime:
             # runtime's own control traffic (set_troupe_id) is excluded.
             self.calls_executed += 1
         self._remember_finished(key, payload)
-        self._groups.pop(key, None)
+        groups = self._groups
+        if groups.pop(key, None) is not None and not groups:
+            self._groups = _NO_CALLS
         yield from self._send_returns(group, payload)
 
     def _send_returns(self, group: _ManyToOneCall, payload: bytes):
@@ -548,9 +573,12 @@ class TroupeRuntime:
         yield from self.endpoint.send_return(peer, call_number, payload)
 
     def _remember_finished(self, key, payload: bytes) -> None:
-        self._finished[key] = payload
-        while len(self._finished) > self.config.finished_memory:
-            self._finished.popitem(last=False)
+        finished = self._finished
+        if finished is _NO_CALLS:
+            finished = self._finished = {}
+        finished[key] = payload
+        while len(finished) > self.config.finished_memory:
+            del finished[next(iter(finished))]   # the oldest
 
     # ------------------------------------------------------------------
     # One-to-many calls (client half, §4.3.1)
@@ -672,7 +700,7 @@ class TroupeRuntime:
         for member in members:
             waiters[member] = self.process.spawn(
                 self._await_one(member, call_number),
-                name="await-%s" % (member,), daemon=True)
+                name="await-return", daemon=True)
         pending = dict(waiters)
         #: deterministic wake order, sorted once — removing the fired
         #: member keeps the remainder sorted, so each round avoids the

@@ -31,6 +31,10 @@ from repro.sim.timers import TimerService
 class OsProcess:
     """A process on a simulated machine."""
 
+    __slots__ = ("machine", "sim", "pid", "name", "alive", "user_time",
+                 "kernel_time", "syscall_times", "syscall_counts",
+                 "_threads", "_spawned", "_sockets", "_timers")
+
     def __init__(self, machine: Machine, pid: int, name: str):
         self.machine = machine
         self.sim: Simulator = machine.sim
@@ -48,10 +52,17 @@ class OsProcess:
         #: threads ever spawned — default names count these, not the table.
         self._spawned = 0
         self._sockets: List[UdpSocket] = []
-        # The single 4.2BSD interval timer, multiplexed (§4.2.4).  Each
-        # re-arm charges a setitimer without advancing the clock (the
-        # protocol code is not suspended by the hook).
-        self.timers = TimerService(self.sim, on_arm=self._charge_setitimer)
+        self._timers: Optional[TimerService] = None
+
+    @property
+    def timers(self) -> TimerService:
+        """The single 4.2BSD interval timer, multiplexed (§4.2.4); built
+        on first read.  Each re-arm charges a setitimer without advancing
+        the clock (the protocol code is not suspended by the hook)."""
+        if self._timers is None:
+            self._timers = TimerService(self.sim,
+                                        on_arm=self._charge_setitimer)
+        return self._timers
 
     def __repr__(self) -> str:
         return "<OsProcess %s/%s pid=%d>" % (self.machine.name, self.name, self.pid)
@@ -83,7 +94,8 @@ class OsProcess:
         if not self.alive:
             return
         self.alive = False
-        self.timers.cancel_all()
+        if self._timers is not None:
+            self._timers.cancel_all()
         for thread in list(self._threads):
             thread.kill(MachineCrashed("%s crashed" % self.machine.name)
                         if crashed else None)

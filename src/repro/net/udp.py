@@ -22,6 +22,8 @@ class PortInUse(Exception):
 class UdpSocket:
     """A datagram socket bound to one (host, port) endpoint."""
 
+    __slots__ = ("network", "addr", "_incoming", "closed")
+
     def __init__(self, network: Network, host: HostAddress,
                  port: Optional[int] = None):
         self.network = network

@@ -57,6 +57,16 @@ from repro.sim.kernel import AnyOf, Sleep, SleepUntil
 #: sort key: the order transfers came under the scheduler's watch.
 _watch_order = attrgetter("watch_seq")
 
+#: what an endpoint's keyed tables (``_sends``, ``_assemblies``,
+#: ``_completed_returns``, ``_return_waiters``, ``_held_acks``) hold before
+#: their first entry and again once they drain: CPython never shrinks a
+#: dict.  Shared, so never written: an insert swaps in a dict of its own
+#: (``is _NO_ENTRIES``) first.
+_NO_ENTRIES: Dict = {}
+
+#: the same for ``_discarded_returns``, a set.
+_NO_MARKS: set = set()
+
 
 @dataclasses.dataclass
 class PairedMessageConfig:
@@ -240,6 +250,17 @@ class _IncomingAssembly:
 class PairedEndpoint:
     """A connectionless paired-message protocol instance in one process."""
 
+    # A new attribute is a new name here, set in __init__; a slotted name
+    # takes no class-level default.
+    __slots__ = ("process", "sim", "config", "sock", "_acked_by_return",
+                 "_acked_by_call", "incoming_calls", "_sends", "_assemblies",
+                 "_delivered_calls", "_delivered_returns",
+                 "_completed_returns", "_return_waiters",
+                 "_discarded_returns", "_last_heard", "_pending_control",
+                 "counters", "_header_scratch", "_watched", "_watch_seq",
+                 "_finished", "_due", "_sched_wake", "_scheduler",
+                 "_held_acks", "_ack_flush_at", "closed", "_receiver")
+
     def __init__(self, process: OsProcess, port: Optional[int] = None,
                  config: Optional[PairedMessageConfig] = None):
         self.process = process
@@ -248,20 +269,25 @@ class PairedEndpoint:
         self.sock = process.udp_socket(port)
         #: this endpoint's label values in the bus's site counts
         #: (``EventBus.counts``) of implicit acks by a RETURN and by a
-        #: CALL; its duplicates are counted under ``addr`` itself.  (Mind
-        #: the attribute count: from its 30th attribute a CPython 3.11
-        #: instance loses the fast attribute path, and this class has 28.)
+        #: CALL; its duplicates are counted under ``addr`` itself.
         self._acked_by_return = (self.sock.addr, "return")
         self._acked_by_call = (self.sock.addr, "call")
         #: completed incoming call messages, for the RPC layer.
         self.incoming_calls: Queue = Queue(self.sim, "incoming-calls")
-        self._sends: Dict[Tuple[ProcessAddress, int, int], _OutgoingTransfer] = {}
-        self._assemblies: Dict[Tuple[ProcessAddress, int, int], _IncomingAssembly] = {}
-        self._delivered_calls: Dict[ProcessAddress, Dict[int, float]] = {}
-        self._delivered_returns: Dict[ProcessAddress, Dict[int, float]] = {}
-        self._completed_returns: Dict[Tuple[ProcessAddress, int], bytes] = {}
-        self._return_waiters: Dict[Tuple[ProcessAddress, int], Event] = {}
-        self._discarded_returns: set = set()
+        self._sends: Dict[Tuple[ProcessAddress, int, int],
+                          _OutgoingTransfer] = _NO_ENTRIES
+        self._assemblies: Dict[Tuple[ProcessAddress, int, int],
+                               _IncomingAssembly] = _NO_ENTRIES
+        #: per peer, the call numbers delivered upward (keys only: the
+        #: values are ``None``), oldest first.
+        self._delivered_calls: Dict[ProcessAddress, Dict[int, None]] = {}
+        self._delivered_returns: Dict[ProcessAddress, Dict[int, None]] = {}
+        self._completed_returns: Dict[Tuple[ProcessAddress, int],
+                                      bytes] = _NO_ENTRIES
+        self._return_waiters: Dict[Tuple[ProcessAddress, int],
+                                   Event] = _NO_ENTRIES
+        #: returns forgotten before they completed (:meth:`forget_return`)
+        self._discarded_returns: set = _NO_MARKS
         self._last_heard: Dict[ProcessAddress, float] = {}
         self._pending_control: List[Tuple[Segment, ProcessAddress]] = []
         #: deterministic message-path work counters, surfaced by
@@ -304,7 +330,8 @@ class PairedEndpoint:
         #: coalesced explicit acks (config.delayed_acks): the highest
         #: cumulative ack per (peer, msg_type, call_number), flushed in
         #: one batch per ack_flush_interval by the scheduler.
-        self._held_acks: Dict[Tuple[ProcessAddress, int, int], Segment] = {}
+        self._held_acks: Dict[Tuple[ProcessAddress, int, int],
+                              Segment] = _NO_ENTRIES
         self._ack_flush_at: Optional[float] = None
         self.closed = False
         self.counters["daemons_spawned"] += 1
@@ -384,6 +411,8 @@ class PairedEndpoint:
         segs = seg.split_message(msg_type, call_number, data,
                                  self.config.max_segment_data)
         transfer = _OutgoingTransfer(self, peer, msg_type, call_number, segs)
+        if self._sends is _NO_ENTRIES:
+            self._sends = {}
         self._sends[key] = transfer
         if "pm.send" in self.sim.bus.wanted:
             self.sim.bus.emit(obs_events.MessageSent(
@@ -459,6 +488,8 @@ class PairedEndpoint:
                 raise RuntimeError("duplicate send: %r" % (key,))
             transfer = _OutgoingTransfer(self, peer, msg_type, call_number,
                                          segs)
+            if self._sends is _NO_ENTRIES:
+                self._sends = {}
             self._sends[key] = transfer
             transfers.append(transfer)
             if "pm.send" in self.sim.bus.wanted:
@@ -492,10 +523,25 @@ class PairedEndpoint:
         collator decided early, §4.3.4): drop it if already complete and
         mark it so a late completion is dropped on arrival."""
         key = (peer, call_number)
-        if self._completed_returns.pop(key, None) is not None:
+        if self._pop_completed_return(key) is not None:
             return
-        self._return_waiters.pop(key, None)
+        self._drop_return_waiter(key)
+        if self._discarded_returns is _NO_MARKS:
+            self._discarded_returns = set()
         self._discarded_returns.add(key)
+
+    def _pop_completed_return(self, key: Tuple[ProcessAddress, int]):
+        """The completed return message under ``key``, taken — or None."""
+        returns = self._completed_returns
+        data = returns.pop(key, None)
+        if data is not None and not returns:
+            self._completed_returns = _NO_ENTRIES
+        return data
+
+    def _drop_return_waiter(self, key: Tuple[ProcessAddress, int]) -> None:
+        waiters = self._return_waiters
+        if waiters.pop(key, None) is not None and not waiters:
+            self._return_waiters = _NO_ENTRIES
 
     def send_call(self, peer: ProcessAddress, call_number: int, data: bytes):
         return (yield from self.send_message(peer, MSG_CALL, call_number, data))
@@ -614,7 +660,9 @@ class PairedEndpoint:
     def _cancel_timer(self, transfer: _OutgoingTransfer):
         # Cancelling the retransmission timer is one more setitimer.
         yield self.process.charge("setitimer")
-        self._sends.pop(transfer.key, None)
+        sends = self._sends
+        if sends.pop(transfer.key, None) is not None and not sends:
+            self._sends = _NO_ENTRIES
 
     def _retransmit_round(self, transfer: _OutgoingTransfer):
         """One retransmission round (§4.2.2): the body of the old
@@ -662,7 +710,7 @@ class PairedEndpoint:
         """Transmit the coalesced cumulative acks (config.delayed_acks)
         in one batch — one control segment per held (peer, message)."""
         held = self._held_acks
-        self._held_acks = {}
+        self._held_acks = _NO_ENTRIES
         self._ack_flush_at = None
         for (dst, _msg_type, _call_number), control in held.items():
             self.counters["acks_sent"] += 1
@@ -684,22 +732,24 @@ class PairedEndpoint:
         started = self.sim.now
         self._last_heard.setdefault(peer, started)
         while True:
-            if key in self._completed_returns:
-                data = self._completed_returns.pop(key)
-                self._return_waiters.pop(key, None)
+            data = self._pop_completed_return(key)
+            if data is not None:
+                self._drop_return_waiter(key)
                 yield from self.process.compute(config.user_cost_receive)
                 yield self.process.charge("gettimeofday")
                 return data
             waiter = self._return_waiters.get(key)
             if waiter is None or waiter.fired:
                 waiter = Event(self.sim, "return-waiter")
+                if self._return_waiters is _NO_ENTRIES:
+                    self._return_waiters = {}
                 self._return_waiters[key] = waiter
             index, _ = yield AnyOf(waiter, Sleep(config.probe_interval))
             if index == 0:
                 continue  # loop re-checks _completed_returns
             silence = self.sim.now - self._last_heard.get(peer, started)
             if silence >= config.crash_timeout:
-                self._return_waiters.pop(key, None)
+                self._drop_return_waiter(key)
                 if "pm.crash" in self.sim.bus.wanted:
                     self.sim.bus.emit(obs_events.PeerCrashDeclared(
                         t=self.sim.now, endpoint=self.addr, peer=peer,
@@ -870,19 +920,28 @@ class PairedEndpoint:
             return
 
         key = (src, segment.msg_type, segment.call_number)
-        assembly = self._assemblies.get(key)
-        if assembly is None:
+        assemblies = self._assemblies
+        assembly = assemblies.get(key)
+        held = assembly is not None
+        if not held:
             assembly = _IncomingAssembly(src, segment.msg_type,
                                          segment.call_number,
                                          segment.total_segments)
-            self._assemblies[key] = assembly
         out_of_order = segment.segment_number > assembly.ack_number + 1
         assembly.add(segment)
 
         if assembly.complete:
-            del self._assemblies[key]
+            # A message complete on its first segment is never tabled.
+            if held:
+                del assemblies[key]
+                if not assemblies:
+                    self._assemblies = _NO_ENTRIES
             self._deliver(assembly, requested_ack=segment.please_ack)
             return
+        if not held:
+            if assemblies is _NO_ENTRIES:
+                assemblies = self._assemblies = {}
+            assemblies[key] = assembly
 
         if out_of_order:
             # §4.2.4: a gap was revealed; ack immediately so the sender
@@ -928,13 +987,18 @@ class PairedEndpoint:
                     seg.make_ack(MSG_RETURN, assembly.call_number,
                                  assembly.total, assembly.total), src)
             key = (src, assembly.call_number)
-            if key in self._discarded_returns:
-                self._discarded_returns.discard(key)
+            marks = self._discarded_returns
+            if key in marks:
+                marks.discard(key)
+                if not marks:
+                    self._discarded_returns = _NO_MARKS
                 return
             data = assembly.assemble()
             self.counters["bytes_copied"] += len(data)
+            if self._completed_returns is _NO_ENTRIES:
+                self._completed_returns = {}
             self._completed_returns[key] = data
-            waiter = self._return_waiters.get((src, assembly.call_number))
+            waiter = self._return_waiters.get(key)
             if waiter is not None and not waiter.fired:
                 waiter.fire()
 
@@ -952,7 +1016,7 @@ class PairedEndpoint:
         per_peer = table.get(src)
         if per_peer is None:
             per_peer = table[src] = {}
-        per_peer[call_number] = self.sim.now
+        per_peer[call_number] = None
         while len(per_peer) > self.config.delivered_memory:
             del per_peer[next(iter(per_peer))]   # the oldest: insertion order
 
@@ -971,6 +1035,8 @@ class PairedEndpoint:
                     self.counters["acks_coalesced"] += 1
                     if held.segment_number > segment.segment_number:
                         segment = held
+                if self._held_acks is _NO_ENTRIES:
+                    self._held_acks = {}
                 self._held_acks[key] = segment
                 if self._ack_flush_at is None:
                     self._ack_flush_at = (self.sim.now
@@ -1013,9 +1079,18 @@ class PairedEndpoint:
             self._delivered_calls.pop(peer, None)
             self._delivered_returns.pop(peer, None)
             for key in [k for k in self._completed_returns if k[0] == peer]:
-                del self._completed_returns[key]
+                self._pop_completed_return(key)
             for key in [k for k in self._assemblies if k[0] == peer]:
                 del self._assemblies[key]
+            # a forgotten return from a silent (crashed) peer never
+            # completes, so its mark goes with the peer.
+            marks = self._discarded_returns
+            for key in [k for k in marks if k[0] == peer]:
+                marks.discard(key)
+        if not self._assemblies:
+            self._assemblies = _NO_ENTRIES
+        if not self._discarded_returns:
+            self._discarded_returns = _NO_MARKS
         return len(stale)
 
     def close(self) -> None:
@@ -1028,7 +1103,7 @@ class PairedEndpoint:
                 self._scheduler.kill()
             self._watched.clear()
             del self._finished[:], self._due[:]
-            self._held_acks.clear()
+            self._held_acks = _NO_ENTRIES
             self._ack_flush_at = None
             self.sock.close()
 

@@ -59,6 +59,8 @@ class ThreadContext:
     calls, corresponding members use the same call numbers (§4.3.2).
     """
 
+    __slots__ = ("_stack", "default", "_next_call_number")
+
     def __init__(self, default: Optional[ThreadId] = None):
         self._stack: List[ThreadId] = []
         self.default = default

@@ -13,7 +13,8 @@ Hot-path design: waiter cancellation is O(1).  A subscription is a
 *tombstone*) instead of an O(n) ``list.remove``.  Wake-ups skip
 tombstones, and a primitive that accumulates cancelled cells without
 ever waking (e.g. a transfer-done event polled by a retransmission loop)
-compacts its waiter list once tombstones dominate — so repeated
+compacts its waiter list once tombstones dominate, and drops it for the
+shared empty one once no live waiter is left — so repeated
 subscribe/cancel cycles cannot grow memory, and wake order over live
 waiters is exactly subscription order, as before.
 """
@@ -28,13 +29,17 @@ from repro.sim.kernel import Simulator
 #: tombstones tolerated in a waiter list before an in-place compaction.
 _COMPACT_MIN_DEAD = 8
 
-#: what every :class:`Queue` holds in place of a deque nothing has waited
-#: in yet.  Shared, so never appended to: a queue swaps in a deque of its
-#: own (``is _NO_DEQUE``) before its first append.
+#: what every :class:`Queue` holds in place of a deque while no item waits
+#: in it.  Shared, so never appended to: a queue swaps in a deque of its
+#: own (``is _NO_DEQUE``) before an append, and drops it when it drains.
 _NO_DEQUE: Deque[Any] = collections.deque()
 
-#: the same for its getters, a list: at most one getter waits at a time.
-_NO_GETTERS: List["_Waiter"] = []
+#: the waiter list of every primitive nothing waits on: an
+#: :class:`Event`, :class:`Condition` or :class:`Queue` holds it before
+#: its first wait and again once its last waiter is woken or cancelled.
+#: Shared, so never appended to: a primitive swaps in a list of its own
+#: (``is _NO_WAITERS``) first.
+_NO_WAITERS: List["_Waiter"] = []
 
 
 class _Waiter:
@@ -57,6 +62,17 @@ class _Waiter:
             owner._waiter_cancelled()
 
 
+def _without_dead(waiters: List["_Waiter"], dead: int):
+    """``(waiters, dead)`` after a cancellation left ``dead`` tombstones in
+    ``waiters``: the shared empty once every cell is dead, compacted once
+    tombstones dominate, else as they were."""
+    if dead == len(waiters):
+        return _NO_WAITERS, 0
+    if dead > _COMPACT_MIN_DEAD and dead * 2 >= len(waiters):
+        return [w for w in waiters if w.resume is not None], 0
+    return waiters, dead
+
+
 class Event:
     """A one-shot event carrying an optional value.
 
@@ -72,7 +88,7 @@ class Event:
         self.name = name
         self.fired = False
         self.value: Any = None
-        self._waiters: List[_Waiter] = []
+        self._waiters: List[_Waiter] = _NO_WAITERS
         self._dead = 0
 
     def __repr__(self) -> str:
@@ -86,7 +102,7 @@ class Event:
         self.value = value
         waiters = self._waiters
         if waiters:
-            self._waiters = []
+            self._waiters = _NO_WAITERS
             self._dead = 0
             schedule_now = self.sim._schedule_now
             for waiter in waiters:
@@ -100,15 +116,15 @@ class Event:
         if self.fired:
             return self.sim._schedule_now(resume, self.value)
         waiter = _Waiter(self, resume)
-        self._waiters.append(waiter)
+        waiters = self._waiters
+        if waiters is _NO_WAITERS:
+            waiters = self._waiters = []
+        waiters.append(waiter)
         return waiter
 
     def _waiter_cancelled(self) -> None:
-        self._dead += 1
-        if self._dead > _COMPACT_MIN_DEAD \
-                and self._dead * 2 >= len(self._waiters):
-            self._waiters = [w for w in self._waiters if w.resume is not None]
-            self._dead = 0
+        self._waiters, self._dead = _without_dead(self._waiters,
+                                                  self._dead + 1)
 
 
 class Condition:
@@ -125,7 +141,7 @@ class Condition:
     def __init__(self, sim: Simulator, name: str = "condition"):
         self.sim = sim
         self.name = name
-        self._waiters: List[_Waiter] = []
+        self._waiters: List[_Waiter] = _NO_WAITERS
         self._dead = 0
 
     def __repr__(self) -> str:
@@ -135,7 +151,7 @@ class Condition:
     def signal(self, value: Any = None) -> None:
         waiters = self._waiters
         if waiters:
-            self._waiters = []
+            self._waiters = _NO_WAITERS
             self._dead = 0
             schedule_now = self.sim._schedule_now
             for waiter in waiters:
@@ -147,15 +163,15 @@ class Condition:
 
     def _subscribe(self, resume: Callable[[Any], None]):
         waiter = _Waiter(self, resume)
-        self._waiters.append(waiter)
+        waiters = self._waiters
+        if waiters is _NO_WAITERS:
+            waiters = self._waiters = []
+        waiters.append(waiter)
         return waiter
 
     def _waiter_cancelled(self) -> None:
-        self._dead += 1
-        if self._dead > _COMPACT_MIN_DEAD \
-                and self._dead * 2 >= len(self._waiters):
-            self._waiters = [w for w in self._waiters if w.resume is not None]
-            self._dead = 0
+        self._waiters, self._dead = _without_dead(self._waiters,
+                                                  self._dead + 1)
 
 
 class QueueClosed(Exception):
@@ -181,10 +197,10 @@ class Queue:
     resumes with the next item.  Items are delivered to getters in FIFO
     order of both items and getters.
 
-    An empty deque is 760 bytes and most queues of a large world never
-    hold an item, so ``_items`` is :data:`_NO_DEQUE` until one has to wait
-    there.  Getters wait one at a time, so they are a list (shared
-    :data:`_NO_GETTERS` until the first).
+    An empty deque is 760 bytes and most queues of a large world hold an
+    item only for moments, so ``_items`` is :data:`_NO_DEQUE` whenever no
+    item waits there.  Getters wait one at a time, so they are a list
+    (the shared :data:`_NO_WAITERS` whenever no getter waits).
     """
 
     __slots__ = ("sim", "name", "_items", "_getters", "_dead", "closed",
@@ -194,7 +210,7 @@ class Queue:
         self.sim = sim
         self.name = name
         self._items: Deque[Any] = _NO_DEQUE
-        self._getters: List[_Waiter] = _NO_GETTERS
+        self._getters: List[_Waiter] = _NO_WAITERS
         self._dead = 0
         self.closed = False
         # _QueueGet is stateless (it only forwards _subscribe to this
@@ -219,6 +235,9 @@ class Queue:
                 continue
             waiter.resume = None
             waiter.owner = None
+            if len(getters) == self._dead:
+                self._getters = _NO_WAITERS
+                self._dead = 0
             return resume
         return None
 
@@ -253,9 +272,13 @@ class Queue:
 
     def get_nowait(self) -> Any:
         """Return the next item or raise LookupError if empty."""
-        if not self._items:
+        items = self._items
+        if not items:
             raise LookupError("queue %s is empty" % self.name)
-        return self._items.popleft()
+        item = items.popleft()
+        if not items:
+            self._items = _NO_DEQUE
+        return item
 
     def close(self) -> None:
         """Close the queue: pending getters receive QueueClosed markers."""
@@ -267,25 +290,24 @@ class Queue:
             self.sim._schedule_now(resume, _CLOSED)
 
     def _subscribe_get(self, resume: Callable[[Any], None]):
-        if self._items:
-            item = self._items.popleft()
+        items = self._items
+        if items:
+            item = items.popleft()
+            if not items:
+                self._items = _NO_DEQUE
             return self.sim._schedule_now(resume, item)
         if self.closed:
             return self.sim._schedule_now(resume, _CLOSED)
         waiter = _Waiter(self, resume)
         getters = self._getters
-        if getters is _NO_GETTERS:
+        if getters is _NO_WAITERS:
             getters = self._getters = []
         getters.append(waiter)
         return waiter
 
     def _waiter_cancelled(self) -> None:
-        self._dead += 1
-        if self._dead > _COMPACT_MIN_DEAD \
-                and self._dead * 2 >= len(self._getters):
-            self._getters = [w for w in self._getters
-                             if w.resume is not None]
-            self._dead = 0
+        self._getters, self._dead = _without_dead(self._getters,
+                                                  self._dead + 1)
 
 
 class _ClosedMarker:

@@ -88,7 +88,7 @@ def test_exchange_works_after_sweep():
 def test_delivery_memory_is_bounded_and_forgets_the_oldest_first():
     """§4.2.4: the replay-suppression table keeps ``delivered_memory``
     call numbers per peer, in the order first delivered — a re-delivery
-    refreshes the time, not the place in line."""
+    keeps its place in line."""
     sim, client, server = make_pair()
     server.config = PairedMessageConfig(delivered_memory=3)
     table, peer = server._delivered_calls, client.addr
@@ -99,3 +99,22 @@ def test_delivery_memory_is_bounded_and_forgets_the_oldest_first():
     assert list(table[peer]) == [2, 3, 4]
     assert type(table[peer]) is dict
     assert server.stats()["delivered_call_memory"] == 3
+
+
+def test_sweep_drops_a_silent_peers_discarded_return_marks():
+    """A return forgotten before it completed (a first-come collator
+    decided early) is marked until it arrives; from a peer that crashed
+    it never does, so sweeping the peer must take the mark with it."""
+    sim, client, server = make_pair()
+
+    def body():
+        yield from client.call(server.addr, 1, b"x")
+        server.process.machine.crash()
+        yield from client.send_call(server.addr, 2, b"y")
+        client.forget_return(server.addr, 2)
+        yield Sleep(5000.0)  # silence
+
+    sim.run_process(body())
+    assert (server.addr, 2) in client._discarded_returns
+    assert client.sweep_idle(max_age=2000.0) == 1
+    assert not client._discarded_returns
