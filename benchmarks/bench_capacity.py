@@ -8,37 +8,22 @@ syscall cost model bounds a member's service capacity (a call costs
 ~15 ms of server CPU), so latency should stay flat well below saturation
 and grow sharply near it.
 
-The sweep is overridable from the environment so the sharded capacity
-driver (``repro shard``) and ad-hoc runs can reuse it at other scales:
-
-- ``REPRO_CAPACITY_RATES``  — comma-separated offered loads (calls/s);
-- ``REPRO_CAPACITY_CALLS``  — calls per rate (default 120: enough
-  samples per rate for a stable tail estimate — the old 30-call sweep
-  made the p99 column a coin flip);
-- ``REPRO_CAPACITY_ARRIVAL`` — ``fixed`` | ``poisson`` | ``pareto``.
+The sweep is fixed — 120 Poisson arrivals per rate, enough samples for a
+stable tail estimate (a 30-call sweep made the p99 column a coin flip) —
+because its table is gated exactly against ``BENCH_BASELINE.json``.  A
+sweep at other loads, call counts or arrival processes calls
+``repro.bench.workloads.run_load_sweep`` directly.
 """
-
-import os
 
 import pytest
 
 from repro.bench.report import Table, register_table
-from repro.bench.workloads import ARRIVAL_KINDS, run_load_sweep
+from repro.bench.workloads import run_load_sweep
 
-
-def _env_rates(default):
-    raw = os.environ.get("REPRO_CAPACITY_RATES")
-    if not raw:
-        return default
-    return [float(rate) for rate in raw.split(",") if rate.strip()]
-
-
-RATES = _env_rates([5.0, 20.0, 40.0, 80.0])   # calls/second offered
-TOTAL_CALLS = int(os.environ.get("REPRO_CAPACITY_CALLS", "120"))
-ARRIVAL = os.environ.get("REPRO_CAPACITY_ARRIVAL", "poisson")
+RATES = [5.0, 20.0, 40.0, 80.0]   # calls/second offered
+TOTAL_CALLS = 120
+ARRIVAL = "poisson"
 DEGREE = 3
-
-assert ARRIVAL in ARRIVAL_KINDS, "REPRO_CAPACITY_ARRIVAL=%s" % ARRIVAL
 
 
 @pytest.fixture(scope="module")
@@ -47,10 +32,7 @@ def sweep():
                           arrival=ARRIVAL)
 
 
-def test_capacity_sweep(benchmark, sweep):
-    benchmark.pedantic(lambda: run_load_sweep([5.0], degree=1,
-                                              total_calls=3),
-                       rounds=1, iterations=1)
+def test_capacity_sweep(sweep):
     table = Table(
         "Extension: open-loop load sweep (3-member troupe)",
         ["offered calls/s", "throughput calls/s", "mean latency ms",

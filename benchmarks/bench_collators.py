@@ -8,8 +8,6 @@ rates, and measures the §4.3.4 buffering cost: with first-come, returns
 from slow members accumulate at the client until they arrive.
 """
 
-import pytest
-
 from repro.bench.report import Table, register_table
 from repro.core import (
     FirstComeCollator,
@@ -62,9 +60,7 @@ def run_with_collator(make_collator, calls: int = CALLS, seed: int = 3):
     return world.run(body())
 
 
-def test_collator_latency_spread(benchmark):
-    benchmark.pedantic(lambda: run_with_collator(FirstComeCollator, 3),
-                       rounds=1, iterations=1)
+def test_collator_latency_spread():
     unanimous, buf_u = run_with_collator(UnanimousCollator)
     first_come, buf_f = run_with_collator(FirstComeCollator)
     majority, buf_m = run_with_collator(MajorityCollator)
@@ -88,9 +84,8 @@ def test_collator_latency_spread(benchmark):
     assert first_come < MEMBER_DELAYS[1] + 30.0
 
 
-def test_first_come_discards_straggler_returns(benchmark):
+def test_first_come_discards_straggler_returns():
     """Early decision must not leak: stragglers' returns are discarded by
     the endpoint (forget_return), so buffering stays bounded."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     _latency, buffered = run_with_collator(FirstComeCollator, calls=30)
     assert buffered <= len(MEMBER_DELAYS)

@@ -26,9 +26,7 @@ def sparkline(values, width=40):
             for v in values]
 
 
-def test_figure_4_8(benchmark, results):
-    benchmark.pedantic(lambda: run_circus_series((1,), 5),
-                       rounds=1, iterations=1)
+def test_figure_4_8(results):
     xs = list(DEGREES)
     series = {
         "real": [r.real for r in results],

@@ -30,10 +30,7 @@ def measure_availability(n: int, failure_rate: float, repair_rate: float,
     return model.measured_availability()
 
 
-def test_equation_6_1_availability(benchmark):
-    benchmark.pedantic(
-        lambda: measure_availability(1, 1 / 50.0, 1 / 10.0, 5000.0),
-        rounds=1, iterations=1)
+def test_equation_6_1_availability():
     table = Table(
         "Eq 6.1 / Fig 6.3: troupe availability, birth-death simulation",
         ["n", "lifetime 1/λ", "repair 1/μ", "analytic A", "measured A"],
@@ -58,9 +55,7 @@ def test_equation_6_1_availability(benchmark):
     assert series == sorted(series)
 
 
-def test_equation_6_2_worked_example(benchmark):
-    benchmark.pedantic(lambda: required_repair_time(3, 60.0, 0.999),
-                       rounds=1, iterations=1)
+def test_equation_6_2_worked_example():
     table = Table(
         "Eq 6.2: replacement time for a target availability "
         "(the paper's worked example)",

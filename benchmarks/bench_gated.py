@@ -1,16 +1,10 @@
-"""The deterministic work tables CI gates against ``BENCH_PERF.json``.
+"""The deterministic work tables described in ``repro.bench.gated``.
 
 Every other benchmark in this suite reports the paper's virtual-time
 results; this one reports work per call (kernel callbacks, segment
-encodes, bytes copied, bus events, cross-shard envelopes) for the
-tables described in ``repro.bench.gated``.  The CI perf job runs
-
-    PYTHONPATH=src python -m pytest benchmarks/bench_gated.py -q \
-        --bench-json perf_results.json
-    PYTHONPATH=src python benchmarks/compare.py perf_results.json \
-        --baseline BENCH_PERF.json --threshold 5 --require-all
-
-or, in one command, ``PYTHONPATH=src python -m repro perf --compare``.
+encodes, bytes copied, bus events, cross-shard envelopes).  Its tables
+land in ``--bench-json`` with the rest, and ``benchmarks/compare.py``
+holds every cell to ``BENCH_BASELINE.json`` exactly.
 """
 
 import pytest

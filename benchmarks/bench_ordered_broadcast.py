@@ -13,8 +13,6 @@ broadcasting, (b) throughput of the ordered-broadcast pipeline, and (c)
 a head-to-head with the commit protocol on a contended counter.
 """
 
-import pytest
-
 from repro.bench.report import Table, register_table
 from repro.core import ExportedModule, RuntimeConfig
 from repro.harness import World
@@ -56,9 +54,7 @@ def run_broadcast_storm(broadcasters: int = 4, each: int = 8,
     return logs, total, elapsed
 
 
-def test_all_members_deliver_in_identical_order(benchmark):
-    benchmark.pedantic(lambda: run_broadcast_storm(2, 2, 2),
-                       rounds=1, iterations=1)
+def test_all_members_deliver_in_identical_order():
     logs, total, elapsed = run_broadcast_storm()
     assert all(len(log) == total for log in logs)
     assert all(log == logs[0] for log in logs[1:])
@@ -73,11 +69,9 @@ def test_all_members_deliver_in_identical_order(benchmark):
     register_table(table)
 
 
-def test_ordered_broadcast_vs_commit_protocol_under_contention(benchmark):
+def test_ordered_broadcast_vs_commit_protocol_under_contention():
     """§5.5: ordered broadcast never aborts (starvation-free) where the
     optimistic commit protocol thrashes; the price is serialization."""
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-
     # Ordered-broadcast counter: every increment succeeds, exactly once,
     # in the same order everywhere.
     world = World(machines=10, seed=21)

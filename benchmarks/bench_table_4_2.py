@@ -31,9 +31,7 @@ def measure_syscall(name: str, repetitions: int = 100) -> float:
     return elapsed
 
 
-def test_table_4_2(benchmark):
-    benchmark.pedantic(lambda: measure_syscall("sendmsg", 10),
-                       rounds=1, iterations=1)
+def test_table_4_2():
     table = Table(
         "Table 4.2: CPU time for 4.2BSD system calls used in Circus (ms)",
         ["syscall", "paper", "simulated"],
@@ -46,7 +44,6 @@ def test_table_4_2(benchmark):
         table.add_row(name, paper_cost, cost)
         assert cost == pytest.approx(paper_cost), name
     register_table(table)
-    benchmark.extra_info["costs"] = measured
     # The paper's ordering: sendmsg is by far the most expensive.
     assert measured["sendmsg"] == max(measured.values())
     assert measured["sendmsg"] > 2.5 * measured["recvmsg"]

@@ -20,9 +20,7 @@ def results():
     return run_circus_series(DEGREES, iterations=30)
 
 
-def test_table_4_3(benchmark, results):
-    benchmark.pedantic(lambda: run_circus_series((1,), 5),
-                       rounds=1, iterations=1)
+def test_table_4_3(results):
     table = Table(
         "Table 4.3: Execution profile (% of total CPU per call)",
         ["degree", "sendmsg(paper)", "sendmsg(sim)", "select(paper)",

@@ -1,7 +1,8 @@
 """Benchmark-suite plumbing: print every registered paper-vs-measured
 table in the terminal summary, so the reproduction's rows appear in the
-output of ``pytest benchmarks/ --benchmark-only``, and write the same
-tables as machine-readable JSON (``--bench-json=PATH``)."""
+output of ``pytest benchmarks/``, and write the same tables as
+machine-readable JSON (``--bench-json=PATH``, sorted by title) — the
+file ``benchmarks/compare.py`` holds to ``BENCH_BASELINE.json``."""
 
 import json
 

@@ -10,7 +10,8 @@ with mypyc::
 When mypy[c] or a C toolchain is missing the build falls back to
 pure-Python with a warning — the interpreted modules are always the
 source of truth, and virtual time is byte-identical under both builds
-(CI runs the ``benchmarks/compare.py`` zero-delta gate under each).
+(CI runs tier-1, whose ``tests/test_bench_gated.py`` holds the work
+tables to ``BENCH_BASELINE.json`` exactly, under each).
 """
 
 import os

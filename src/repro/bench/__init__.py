@@ -8,8 +8,8 @@
   printed in the benchmark run's terminal summary;
 - :mod:`repro.bench.scenarios` — the canned scenarios the CLI and the
   gated tables run;
-- :mod:`repro.bench.gated` — the deterministic work tables CI gates
-  against ``BENCH_PERF.json``, one spec each.
+- :mod:`repro.bench.gated` — the deterministic work tables, one spec
+  each, gated with every other table against ``BENCH_BASELINE.json``.
 
 The experiment drivers for Eq 5.1, Eq 6.1/6.2, the §4.4.2 multicast
 analysis, and the ablations live in the ``benchmarks/`` suite itself.

@@ -1,13 +1,14 @@
-"""The deterministic, CI-gated work tables — each described exactly once.
+"""The deterministic work tables — each described exactly once.
 
-A :class:`TableSpec` is everything there is to know about one table of
-``BENCH_PERF.json``: its title, columns and formats, its rows (frozen
-pre-optimization readings are literal rows; live rows name a label and
-are measured), and the acceptance conditions the measured rows must
-meet.  ``repro perf`` renders :data:`GATED_TABLES`, ``repro perf
---compare`` and CI (``benchmarks/bench_gated.py`` + ``compare.py``)
-hold them to ``BENCH_PERF.json`` at 5%, and ``tests/test_bench_gated.py``
-does the same at tier-1.
+A :class:`TableSpec` is everything there is to know about one work
+table of ``BENCH_BASELINE.json``: its title, columns and formats, its
+rows (frozen pre-optimization readings are literal rows; live rows name
+a label and are measured), and the acceptance conditions the measured
+rows must meet.  ``repro perf`` renders :data:`GATED_TABLES`;
+``benchmarks/bench_gated.py`` registers them with the rest of the
+benchmark suite, whose every cell ``benchmarks/compare.py`` holds to the
+baseline exactly, and ``tests/test_bench_gated.py`` does the same at
+tier-1.
 
 Every cell is a count of simulated work or a virtual-time reading, so it
 is identical on every machine and every run: a change that adds kernel
@@ -32,7 +33,7 @@ from repro.obs.history import OperationHistoryRecorder
 from repro.pairedmsg import PairedEndpoint, PairedMessageConfig
 from repro.sim.sharded import run_sharded
 
-#: circus calls behind the gated rows of ``BENCH_PERF.json``.
+#: circus calls behind the gated rows of ``BENCH_BASELINE.json``.
 ITERATIONS = 200
 
 
@@ -99,9 +100,9 @@ KERNEL_PROXY = TableSpec(
     columns=("workload", "callbacks/call", "allocs/call",
              "proxy (callbacks+allocs)"),
     formats=(None, "%.2f", "%.2f", "%.2f"),
-    notes="Deterministic (machine-independent); CI gates the live "
-          "row against BENCH_PERF.json at 5%.  The seed row is the "
-          "unoptimized kernel, kept as the trajectory reference.",
+    notes="Deterministic (machine-independent) and gated exactly.  "
+          "The seed row is the unoptimized kernel, kept as the "
+          "trajectory reference.",
     rows=(("circus-200 (seed)", 162.935, 171.85, 334.785), "circus-%d"),
     measure=_kernel_proxy, check=_check_kernel_proxy)
 
@@ -131,7 +132,7 @@ DISPATCH = TableSpec(
           "bypasses the heap (no push+pop per entry).  callbacks/call "
           "must stay pinned — batching reorders nothing, it only "
           "cheapens dispatch; the lane share is how many dispatches "
-          "took the batched path.  Deterministic and CI-gated at 5%.",
+          "took the batched path.  Deterministic and gated exactly.",
     # The seed is the pre-batching kernel: no lane by construction, and
     # the callbacks of this tree's protocol code (batching changes none).
     rows=(("circus-200 (seed)", 129.985, 0.0, 0.0), "circus-%d"),
@@ -164,10 +165,10 @@ MESSAGE_PATH = TableSpec(
     columns=("workload", "encodes/call", "daemons/call", "packets/call",
              "msg proxy (encodes+daemons)"),
     formats=(None, "%.2f", "%.2f", "%.2f", "%.2f"),
-    notes="Deterministic (machine-independent); CI gates the live "
-          "row against BENCH_PERF.json at 5%.  The seed row is the "
-          "pre-optimization protocol stack: one encode per "
-          "transmission and one retransmit daemon per transfer.",
+    notes="Deterministic (machine-independent) and gated exactly.  "
+          "The seed row is the pre-optimization protocol stack: one "
+          "encode per transmission and one retransmit daemon per "
+          "transfer.",
     rows=(("circus-200 (seed)", 11.990, 6.020, 11.990, 18.010),
           "circus-%d"),
     measure=_message_path, check=_check_message_path)
@@ -274,7 +275,7 @@ ZERO_COPY = TableSpec(
           "and contribute zero.  The seed rows are the copying path "
           "(encode copied the payload twice, decode sliced it, "
           "wire_marked copied the whole wire twice).  Deterministic "
-          "and CI-gated at 5%.",
+          "and gated exactly.",
     rows=(("circus-200 (seed)", 885.165), "circus-%d",
           ("pm-loss15 (seed)", 26893.25), "pm-loss15"),
     measure=_zero_copy, check=_check_zero_copy)
@@ -354,7 +355,7 @@ OBSERVABILITY = TableSpec(
     formats=(None, "%.2f", "%.2f", "%.2f", "%.2f", "%.2f", "%.3f"),
     notes="Time-series collector + critical-path analyzer attached "
           "to the circus workload.  Every column is deterministic "
-          "and CI-gated at 5%.  virtual end (ms) must equal the "
+          "and gated exactly.  virtual end (ms) must equal the "
           "unobserved run's — subscribers never move virtual time.  "
           "The +history row adds the operation-history recorder; it "
           "must equal the base row exactly (the recorder is a pure "
@@ -404,8 +405,8 @@ SHARDED_EXCHANGE = TableSpec(
     notes="12-host capacity workload (4 cells x 3-member echo "
           "troupes, 24 Zipf/Pareto sessions) partitioned across "
           "shard kernels with conservative lookahead on the wire's "
-          "transit floor.  Every column is deterministic and CI-gated at "
-          "5%; the digest flag is the byte-identical-behaviour "
+          "transit floor.  Every column is deterministic and gated "
+          "exactly; the digest flag is the byte-identical-behaviour "
           "contract (canonical multiset digest over net.* events).",
     rows=("shards-1", "shards-2", "shards-4"),
     measure=_sharded_exchange, check=_check_sharded_exchange)
@@ -445,14 +446,14 @@ ELASTIC = TableSpec(
           "1.2 s; the autoscaler grows on burst load, shrinks in "
           "quiet phases, and replaces fail-stopped members through "
           "§6.4.1 state transfer.  Every column is deterministic "
-          "(virtual time only) and CI-gated at 5%: joins/removes "
+          "(virtual time only) and gated exactly: joins/removes "
           "pin the reconfiguration cadence, troupe avail is the "
           "uptime the M/M/n/n machine model cannot see.",
     rows=("elastic-pool4",),
     measure=_elastic, check=_check_elastic)
 
 
-#: every gated table, in ``BENCH_PERF.json`` order.
+#: every work table, in ``repro perf`` order.
 GATED_TABLES = (KERNEL_PROXY, DISPATCH, MESSAGE_PATH, DELAYED_ACK, ZERO_COPY,
                 OBSERVABILITY, SHARDED_EXCHANGE, ELASTIC)
 

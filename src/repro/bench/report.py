@@ -2,8 +2,8 @@
 
 Benchmarks register their result tables here; a pytest hook in
 ``benchmarks/conftest.py`` prints every registered table in the terminal
-summary, so ``pytest benchmarks/ --benchmark-only`` emits the same rows
-the paper reports next to the measured values.
+summary, so ``pytest benchmarks/`` emits the same rows the paper reports
+next to the measured values, and writes them to ``--bench-json``.
 """
 
 from __future__ import annotations

@@ -451,35 +451,23 @@ def cmd_elastic(args) -> int:
 def cmd_perf(args) -> int:
     """The deterministic work-per-call tables (``repro.bench.gated``).
 
-    ``--compare [BASELINE]`` holds them to BENCH_PERF.json (per-column
-    deltas plus the 5% verdict) — the one-command equivalent of the
-    pytest ``--bench-json`` + ``benchmarks/compare.py`` pipeline CI runs.
-    No wall clock is read: host-time numbers are ``python3 -m
-    wallbench``'s job, and two runs of ``--json`` are byte-identical.
+    A viewer: ``benchmarks/compare.py`` gates the same tables against
+    BENCH_BASELINE.json.  No wall clock is read: host-time numbers are
+    ``python3 -m wallbench``'s job, and two runs of ``--json`` are
+    byte-identical.
 
     ``--profile PATH`` additionally runs the circus workload under
     cProfile and writes a pstats dump for ``snakeviz``/``pstats``.
     """
     from repro import accel
     from repro.bench import gated
-    from repro.bench.compare import index_payload, run_compare
     from repro.obs.export import SCHEMA_VERSION
 
-    baseline = None if args.compare is None \
-        else _load_json(args.compare, index_payload)
     tables = gated.all_gated_tables(args.iterations)
-    payload = {"tables": [table.to_dict() for table in tables]}
-    if baseline is not None:
-        print("build: %s" % accel.describe())
-        status = run_compare(baseline, index_payload(payload),
-                             threshold=args.threshold, require_all=True,
-                             baseline_name=args.compare)
-        print("verdict: %s (threshold %.0f%%)"
-              % ("FAIL" if status else "PASS", args.threshold))
-        return status
     if args.json:
         print(json.dumps({"schema_version": SCHEMA_VERSION,
-                          "build": accel.status(), **payload},
+                          "build": accel.status(),
+                          "tables": [table.to_dict() for table in tables]},
                          indent=2, sort_keys=True))
     else:
         print("build: %s" % accel.describe())
@@ -836,8 +824,9 @@ def main(argv=None) -> int:
     lincheck_cmd.add_argument("--json", action="store_true",
                               help="emit the CheckResult as JSON")
     perf_cmd = sub.add_parser(
-        "perf", help="the deterministic work-per-call tables CI gates "
-                     "(wall-clock numbers: python3 -m wallbench)")
+        "perf", help="view the deterministic work-per-call tables "
+                     "(gated in BENCH_BASELINE.json; wall-clock numbers: "
+                     "python3 -m wallbench)")
     perf_cmd.add_argument("--iterations", type=int, default=200,
                           help="circus calls behind the circus rows "
                                "(default 200, the gated rows)")
@@ -846,14 +835,6 @@ def main(argv=None) -> int:
     perf_cmd.add_argument("--profile", default=None, metavar="PATH",
                           help="also cProfile the circus workload; write "
                                "a pstats dump to PATH")
-    perf_cmd.add_argument("--compare", nargs="?", const="BENCH_PERF.json",
-                          default=None, metavar="BASELINE",
-                          help="run the drift gate against BASELINE (default "
-                               "BENCH_PERF.json): per-column deltas plus "
-                               "the 5%% verdict; exit 1 on regression")
-    perf_cmd.add_argument("--threshold", type=float, default=5.0,
-                          help="--compare gate threshold percent "
-                               "(default 5, matching CI)")
     shard_cmd = sub.add_parser(
         "shard", help="run the capacity workload across shard kernels "
                       "with conservative-lookahead exchange "

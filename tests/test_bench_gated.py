@@ -1,34 +1,34 @@
-"""Tier-1 runs the deterministic perf gate (``repro.bench.gated``
-against the committed ``BENCH_PERF.json``) and pins ``repro perf``."""
+"""Tier-1 holds the deterministic work tables (``repro.bench.gated``) to
+their rows of the committed ``BENCH_BASELINE.json`` through the gate
+``benchmarks/compare.py`` applies, and pins ``repro perf``."""
 
 import json
-import os
 
-from repro.bench.compare import compare, index_payload, load_tables
+from benchmarks import compare
 from repro.bench.gated import GATED_TABLES, all_gated_tables
 from repro.cli import main
 
-BASELINE = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "BENCH_PERF.json")
+
+def _committed():
+    with open(compare.BASELINE) as fh:
+        return {table["title"]: table for table in json.load(fh)["tables"]}
 
 
 def test_specs_describe_the_committed_baseline():
-    with open(BASELINE) as fh:
-        committed = json.load(fh)["tables"]
-    assert [spec.title for spec in GATED_TABLES] == \
-        [table["title"] for table in committed]
-    for spec, table in zip(GATED_TABLES, committed):
+    committed = _committed()
+    for spec in GATED_TABLES:
+        table = committed[spec.title]
         assert list(spec.columns) == table["columns"], spec.title
         assert len(spec.formats) == len(spec.columns), spec.title
         assert spec.labels() == [row[0] for row in table["rows"]], spec.title
 
 
 def test_gated_tables_match_the_committed_baseline():
-    results = index_payload(
-        {"tables": [table.to_dict() for table in all_gated_tables()]})
-    lines, regressions = compare(load_tables(BASELINE), results,
-                                 threshold=5, require_all=True)
-    assert not regressions, "\n".join(lines)
+    committed = _committed()
+    built = [table.to_dict() for table in all_gated_tables()]
+    baseline = [committed[table["title"]] for table in built]
+    lines = compare.differences({"tables": baseline}, {"tables": built})
+    assert not lines, "\n".join(lines)
 
 
 def test_perf_json_is_byte_identical_and_reads_no_wall_clock(capsys):
