@@ -9,6 +9,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, REPO_ROOT)
 
 from benchmarks import compare  # noqa: E402
+from repro.bench.gated import GATED_TABLES  # noqa: E402
 
 with open(compare.BASELINE) as _fh:
     BASELINE = json.load(_fh)
@@ -46,6 +47,15 @@ def test_identical_files_report_no_deltas():
 def test_committed_baseline_matches_itself(capsys):
     assert compare.main([compare.BASELINE]) == 0
     assert "no deltas" in capsys.readouterr().out
+
+
+def test_committed_perf_baseline_matches_itself():
+    """The work tables ``repro perf`` writes all sit in the one baseline
+    and pass the gate against themselves."""
+    titles = {spec.title for spec in GATED_TABLES}
+    perf = {"tables": [t for t in BASELINE["tables"] if t["title"] in titles]}
+    assert sorted(t["title"] for t in perf["tables"]) == sorted(titles)
+    assert compare.differences(perf, copy.deepcopy(perf)) == []
 
 
 def test_any_drift_fails_and_names_the_cell():
