@@ -49,18 +49,50 @@ Packages
 
 __version__ = "1.0.0"
 
-from repro.core import (
-    CollationError,
-    ExportedModule,
-    FirstComeCollator,
-    MajorityCollator,
-    StaleBindingError,
-    TroupeDescriptor,
-    TroupeFailure,
-    TroupeRuntime,
-    UnanimousCollator,
-)
-from repro.harness import World
+import importlib
+import sys
+
+
+def _namespace(package: str, exports: dict):
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of ``package``, whose
+    ``exports`` maps every public name to the submodule that defines it
+    (a submodule maps to itself).  A package ``__init__`` lists its
+    exports here and imports none of them: a name's submodule is imported
+    when the name is first read, and the value is then kept on the
+    package, so a process imports only what it uses."""
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError("module %r has no attribute %r"
+                                 % (package, name))
+        module = importlib.import_module(package + "." + exports[name])
+        value = module if exports[name] == name else getattr(module, name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(namespace.keys() | exports.keys())
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _namespace(__name__, {
+    "CollationError": "core",
+    "ExportedModule": "core",
+    "FirstComeCollator": "core",
+    "MajorityCollator": "core",
+    "StaleBindingError": "core",
+    "TroupeDescriptor": "core",
+    "TroupeFailure": "core",
+    "TroupeRuntime": "core",
+    "UnanimousCollator": "core",
+    "World": "harness",
+    **{package: package for package in (
+        "analysis", "bench", "binding", "config", "core", "elastic",
+        "explore", "harness", "host", "model", "net", "obs", "pairedmsg",
+        "rpc", "sim", "stubs", "tools", "transactions")},
+})
 
 __all__ = [
     "CollationError",

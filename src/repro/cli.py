@@ -23,31 +23,16 @@ import argparse
 import json
 import sys
 
-from repro.analysis import (
-    availability,
-    deadlock_probability,
-    expected_max_exponential,
-    required_repair_time,
-)
-from repro.bench.echo import (
-    PAPER_TABLE_4_1,
-    PAPER_TABLE_4_2,
-    PAPER_TABLE_4_3,
-    linear_fit,
-    run_circus_series,
-    run_tcp_echo,
-    run_udp_echo,
-)
-from repro.bench.report import Table
-from repro.bench.scenarios import (
-    circus as _scenario_circus,
-    lossy as _scenario_lossy,
-    protocol_trace as _scenario_protocol_trace,
-    quickstart as _scenario_quickstart,
-)
+# A command imports what it runs, inside the command: ``repro --help``
+# and ``repro fuzz`` load no benchmark or analysis module
+# (tests/test_import_footprint.py).
 
 
 def cmd_table41(args) -> None:
+    from repro.bench.echo import (PAPER_TABLE_4_1, run_circus_series,
+                                  run_tcp_echo, run_udp_echo)
+    from repro.bench.report import Table
+
     iterations = args.iterations
     table = Table("Table 4.1: Performance of UDP, TCP, and Circus (ms/rpc)",
                   ["workload", "real(paper)", "real(sim)", "total(paper)",
@@ -70,7 +55,10 @@ def cmd_table41(args) -> None:
 
 
 def cmd_table42(args) -> None:
+    from repro.bench.echo import PAPER_TABLE_4_2
+    from repro.bench.report import Table
     from repro.harness import World
+
     table = Table("Table 4.2: syscall CPU costs (ms)",
                   ["syscall", "paper", "simulated"])
     world = World(machines=1)
@@ -89,6 +77,9 @@ def cmd_table42(args) -> None:
 
 
 def cmd_table43(args) -> None:
+    from repro.bench.echo import PAPER_TABLE_4_3, run_circus_series
+    from repro.bench.report import Table
+
     table = Table("Table 4.3: execution profile (% of per-call CPU)",
                   ["degree", "sendmsg(paper)", "sendmsg(sim)",
                    "select(sim)", "recvmsg(sim)", "setitimer(sim)",
@@ -104,6 +95,9 @@ def cmd_table43(args) -> None:
 
 
 def cmd_fig48(args) -> None:
+    from repro.bench.echo import linear_fit, run_circus_series
+    from repro.bench.report import Table
+
     results = run_circus_series(iterations=args.iterations)
     xs = [1, 2, 3, 4, 5]
     table = Table("Figure 4.8: per-call time vs degree (ms/rpc)",
@@ -119,6 +113,9 @@ def cmd_fig48(args) -> None:
 
 
 def cmd_multicast(args) -> None:
+    from repro.analysis import expected_max_exponential
+    from repro.bench.report import Table
+
     table = Table("Sec 4.4.2: E[T] = H_n * r (r = 50 ms)",
                   ["n", "H_n*r"])
     for n in (1, 2, 4, 8, 16, 32):
@@ -129,6 +126,9 @@ def cmd_multicast(args) -> None:
 
 
 def cmd_deadlock(args) -> None:
+    from repro.analysis import deadlock_probability
+    from repro.bench.report import Table
+
     table = Table("Eq 5.1: P[deadlock] = 1 - (1/k!)^(n-1)",
                   ["k \\ n"] + ["n=%d" % n for n in (1, 2, 3, 4)])
     for k in (1, 2, 3, 4, 5):
@@ -138,6 +138,9 @@ def cmd_deadlock(args) -> None:
 
 
 def cmd_availability(args) -> None:
+    from repro.analysis import availability, required_repair_time
+    from repro.bench.report import Table
+
     table = Table("Eq 6.1: availability A = 1 - (lam/(lam+mu))^n",
                   ["n", "A (1/lam=50, 1/mu=25)",
                    "required 1/mu for A=0.999 (lifetime 60)"])
@@ -159,13 +162,19 @@ class CliError(Exception):
     stderr and exits 2."""
 
 
-#: every canned scenario (all four are ``repro check`` targets).
-CHECK_SCENARIOS = {
-    "quickstart": _scenario_quickstart,
-    "protocol_trace": _scenario_protocol_trace,
-    "circus": _scenario_circus,          # parameterized by --iterations
-    "lossy": _scenario_lossy,
-}
+def _canned(name: str):
+    """The canned scenario ``name`` of :mod:`repro.bench.scenarios`,
+    imported when it is first built."""
+    def build(*args):
+        from repro.bench import scenarios
+        return getattr(scenarios, name)(*args)
+    return build
+
+
+#: every canned scenario (all four are ``repro check`` targets); the
+#: circus one is parameterized by --iterations.
+CHECK_SCENARIOS = {name: _canned(name) for name in (
+    "quickstart", "protocol_trace", "circus", "lossy")}
 
 #: the ones ``repro trace`` accepts (it has no --iterations) ...
 TRACE_SCENARIOS = ("quickstart", "protocol_trace")
@@ -184,8 +193,7 @@ def _scenario(target: str, names, iterations: int = 30):
         raise SystemExit("unknown scenario %r (choose from: %s)"
                          % (target, ", ".join(sorted(names))))
     factory = CHECK_SCENARIOS[name]
-    world, body = (factory(iterations) if factory is _scenario_circus
-                   else factory())
+    world, body = factory(iterations) if name == "circus" else factory()
     return name, world, body
 
 
@@ -226,6 +234,7 @@ def cmd_trace(args) -> None:
 
 
 def cmd_metrics(args) -> int:
+    from repro.bench.report import Table
     from repro.obs import (SCHEMA_VERSION, CritPathAnalyzer,
                            MetricsCollector, openmetrics)
 
@@ -476,7 +485,7 @@ def cmd_perf(args) -> int:
     if args.profile:
         import cProfile
 
-        world, body = _scenario_circus(args.iterations)
+        world, body = CHECK_SCENARIOS["circus"](args.iterations)
         profiler = cProfile.Profile()
         profiler.enable()
         world.run(body())
@@ -523,6 +532,7 @@ def cmd_fuzz(args) -> int:
     oracles = _fuzz_oracles(args)
 
     if args.list_scenarios:
+        from repro.bench.report import Table
         table = Table("fuzz scenarios", ["name", "machines-faulted",
                                          "horizon", "description"])
         for name in sorted(explore.SCENARIOS):

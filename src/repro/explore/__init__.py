@@ -27,35 +27,49 @@ from __future__ import annotations
 import copy
 import dataclasses
 import sys
-from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, Iterator, List,
+                    Optional, Sequence, Tuple)
 
-from repro.explore.driver import ScheduleDriver
-from repro.explore.schedule import (
-    ADVERSARIAL_PROFILE,
-    CRASH_ONLY_PROFILE,
-    DEFAULT_PROFILE,
-    ELASTIC_ADVERSARIAL_PROFILE,
-    ELASTIC_PROFILE,
-    Crash,
-    CrashDuringTransfer,
-    Delay,
-    Duplicate,
-    FaultAction,
-    FaultSchedule,
-    Loss,
-    Partition,
-    PartitionDuringJoin,
-    Profile,
-    Reorder,
-    SCHEDULE_FORMAT,
-    digest_of,
-    generate,
-)
-from repro.explore.scenarios import SCENARIOS, Scenario, get_scenario
-from repro.explore.shrink import shrink_actions
+import repro.obs.monitor as obs_monitor
+from repro import _namespace
 from repro.sim.kernel import SimulationError
 from repro.sim.sharded import available_cpus
+
+if TYPE_CHECKING:
+    from repro.explore.schedule import FaultAction, FaultSchedule
+    from repro.explore.scenarios import Scenario
+
+# The schedule, the catalog, the driver and the shrinker load when first
+# asked for; asking for a scenario imports everything its seeds import
+# (``Scenario.load``), so a sweep's forked workers import nothing.
+__getattr__, __dir__ = _namespace(__name__, {
+    "ScheduleDriver": "driver",
+    "ADVERSARIAL_PROFILE": "schedule",
+    "CRASH_ONLY_PROFILE": "schedule",
+    "DEFAULT_PROFILE": "schedule",
+    "ELASTIC_ADVERSARIAL_PROFILE": "schedule",
+    "ELASTIC_PROFILE": "schedule",
+    "Crash": "schedule",
+    "CrashDuringTransfer": "schedule",
+    "Delay": "schedule",
+    "Duplicate": "schedule",
+    "FaultAction": "schedule",
+    "FaultSchedule": "schedule",
+    "Loss": "schedule",
+    "Partition": "schedule",
+    "PartitionDuringJoin": "schedule",
+    "Profile": "schedule",
+    "Reorder": "schedule",
+    "SCHEDULE_FORMAT": "schedule",
+    "digest_of": "schedule",
+    "generate": "schedule",
+    "SCENARIOS": "scenarios",
+    "Scenario": "scenarios",
+    "get_scenario": "scenarios",
+    "shrink_actions": "shrink",
+    **{module: module for module in (
+        "driver", "scenarios", "schedule", "shrink")},
+})
 
 __all__ = [
     "ADVERSARIAL_PROFILE",
@@ -133,6 +147,7 @@ class ExploreResult:
         different processes, on different machines — produce the same
         digest; that is the determinism contract ``repro fuzz`` checks
         in CI."""
+        from repro.explore.schedule import digest_of
         return digest_of({
             "scenario": self.scenario,
             "seed": self.seed,
@@ -204,15 +219,12 @@ def run(scenario, seed: int, *,
     attached it, and starts from the state the verdict attempt started
     from.
     """
-    from repro.obs.monitor import monitors_for
-
-    scn = scenario if isinstance(scenario, Scenario) \
-        else get_scenario(scenario)
+    scn = _scenario(scenario)
     if monitors is None:
         if oracles is None:
             oracles = scn.oracles
         if oracles is not None:
-            monitors = monitors_for(oracles)
+            monitors = obs_monitor.monitors_for(oracles)
     kwargs = dict(monitors=monitors, budget=budget, capacity=capacity)
     pristine = monitors if monitors is None else [
         spec if isinstance(spec, type) else copy.deepcopy(spec)
@@ -232,6 +244,15 @@ def run(scenario, seed: int, *,
     return result
 
 
+def _scenario(scenario) -> Scenario:
+    """``scenario`` — a :class:`Scenario` or a catalog name — as a
+    :class:`Scenario`, with every module its seeds import imported."""
+    from repro.explore.scenarios import Scenario, get_scenario
+    if isinstance(scenario, Scenario):
+        return scenario.load()
+    return get_scenario(scenario)
+
+
 def _attempt(scn: Scenario, seed: int, schedule: Optional[FaultSchedule],
              *, monitors: Optional[Sequence], budget: Optional[float],
              capacity: int, explain: bool = False,
@@ -245,7 +266,8 @@ def _attempt(scn: Scenario, seed: int, schedule: Optional[FaultSchedule],
     the collectors' snapshots."""
     import contextlib
 
-    from repro.obs.monitor import MonitorSuite, watch
+    from repro.explore.driver import ScheduleDriver
+    from repro.explore.schedule import digest_of, generate
 
     built = scn.build(seed)
     world = built.world
@@ -256,12 +278,9 @@ def _attempt(scn: Scenario, seed: int, schedule: Optional[FaultSchedule],
     # is bound to this build's recorder, so it is not part of ``kwargs``);
     # it rides with the monitors so a failed check reports through the
     # same violation machinery.
-    oracle = None
-    if built.history is not None and scn.checker:
-        from repro.obs.lincheck import HistoryOracle
-        from repro.obs.monitor import DEFAULT_MONITORS
-        oracle = HistoryOracle(built.history, scn.checker)
-        monitors = list(DEFAULT_MONITORS if monitors is None
+    oracle = scn.history_oracle(built)
+    if oracle is not None:
+        monitors = list(obs_monitor.DEFAULT_MONITORS if monitors is None
                         else monitors) + [oracle]
     driver = ScheduleDriver(world.sim, world.machines, world.net, schedule)
     horizon = budget if budget is not None else scn.budget
@@ -271,11 +290,11 @@ def _attempt(scn: Scenario, seed: int, schedule: Optional[FaultSchedule],
     with contextlib.ExitStack() as stack:
         if explain:
             if artifacts:
-                from repro.obs import MetricsCollector
+                from repro.obs.metrics import MetricsCollector
                 metrics = stack.enter_context(MetricsCollector(world.sim.bus))
-            probe = stack.enter_context(
-                watch(world.sim, monitors=monitors, capacity=capacity,
-                      trace=True))
+            probe = stack.enter_context(obs_monitor.watch(
+                world.sim, monitors=monitors, capacity=capacity,
+                trace=True))
             recorder = probe.recorder
             # The post-mortem carries the offending schedule, so a dumped
             # report is replayable on its own (save the "schedule" object
@@ -286,7 +305,7 @@ def _attempt(scn: Scenario, seed: int, schedule: Optional[FaultSchedule],
                 "schedule": schedule.to_dict(),
             }
         else:
-            probe = MonitorSuite(world.sim, monitors)
+            probe = obs_monitor.MonitorSuite(world.sim, monitors)
             stack.callback(probe.detach)
         driver.start()
         try:
@@ -331,7 +350,7 @@ def _attempt(scn: Scenario, seed: int, schedule: Optional[FaultSchedule],
             if oracle is not None and oracle.result is not None:
                 postmortem["lincheck"] = oracle.result.to_dict()
         if metrics is not None:
-            from repro.obs import openmetrics
+            from repro.obs.export import openmetrics
             failed_artifacts = {
                 "openmetrics": openmetrics(metrics.registry,
                                            critpath=probe.critpath),
@@ -412,6 +431,14 @@ def _forked_runs(scenario, seeds: List[int], jobs: int,
     import pickle
     from multiprocessing.connection import wait
 
+    # What a seed imports is imported before the fork, so that no worker
+    # imports a module of its own: the scenario's came with it
+    # (``Scenario.load``), and :func:`_attempt` adds the schedule driver.
+    # A failing seed's explaining attempt loads its observers
+    # (``watch(trace=True)``) in the worker that explains it: every
+    # sweep would otherwise carry them, and most explain nothing.
+    from repro.explore import driver  # noqa: F401
+
     ctx = multiprocessing.get_context("fork")
     workers = {}                 # connection -> process, every one started
     running = {}                 # connection -> turn of the seed it has
@@ -486,8 +513,8 @@ def sweep(scenario, seeds: Iterable[int], progress=None,
     if progress is None:
         from repro.obs.export import PROGRESS as progress
     seeds = list(seeds)
-    name = scenario.name if isinstance(scenario, Scenario) else str(scenario)
-    task = "fuzz.%s" % name
+    scenario = _scenario(scenario)
+    task = "fuzz.%s" % scenario.name
     jobs = min(available_cpus() if jobs is None else jobs, len(seeds))
     if jobs > 1 and not _must_stay_here(kwargs):
         runs = _forked_runs(scenario, seeds, jobs, kwargs)
@@ -520,7 +547,7 @@ def shrink_failure(result: ExploreResult,
     schedule for its post-mortem."""
     if result.ok:
         raise ValueError("cannot shrink a passing result")
-    scn = get_scenario(result.scenario)
+    scn = _scenario(result.scenario)
     target = set(result.invariants())
     want_crash = result.crash is not None
 
@@ -532,6 +559,7 @@ def shrink_failure(result: ExploreResult,
             return True
         return bool(target & set(rerun.invariants()))
 
+    from repro.explore.shrink import shrink_actions
     actions, attempts = shrink_actions(result.schedule.actions, reproduces,
                                        max_attempts=max_attempts)
     return result.schedule.with_actions(actions), attempts
@@ -543,6 +571,7 @@ def replay_file(path, *, budget: Optional[float] = None,
     """Re-run the schedule stored in a repro file (see
     :meth:`FaultSchedule.save`); the scenario and seed come from the
     file itself."""
+    from repro.explore.schedule import FaultSchedule
     schedule = FaultSchedule.load(path)
     return run(schedule.scenario, schedule.seed, schedule=schedule,
                budget=budget, oracles=oracles, monitors=monitors)

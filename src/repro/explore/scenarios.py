@@ -19,8 +19,18 @@ digest.
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import json
 from typing import Callable, Dict, List, Optional, Tuple
 
+# Every module a seed imports is imported with the catalog: a sweep asks
+# for its scenario before it forks, so no forked worker imports one.  A
+# module only some scenarios use is a ``Scenario.imports`` entry instead,
+# off the other scenarios' path.
+from repro.core import (CollationError, ExportedModule, FirstComeCollator,
+                        ReplicatedCallError, RuntimeConfig,
+                        StaleBindingError, TroupeDescriptor, TroupeRuntime,
+                        new_troupe_id)
 from repro.explore.schedule import (
     ADVERSARIAL_PROFILE,
     DEFAULT_PROFILE,
@@ -29,8 +39,19 @@ from repro.explore.schedule import (
     Profile,
 )
 from repro.harness import World
+from repro.host.machine import MachineCrashed
 from repro.net.network import NetworkConfig
+from repro.obs.history import OperationHistoryRecorder
+from repro.obs.lincheck import HistoryOracle
+from repro.pairedmsg import (PairedEndpoint, PairedMessageConfig, PeerCrashed,
+                             SendTimeout)
+from repro.rpc import RemoteError
+from repro.sim.kernel import Sleep
 from repro.sim.rng import RandomStream
+from repro.transactions import (BinaryExponentialBackoff, CommitCoordinator,
+                                CommitParticipant, TransactionalStore,
+                                TransactionManager)
+from repro.transactions.commit import TXN_ABORTED_ERROR
 
 
 @dataclasses.dataclass
@@ -68,14 +89,32 @@ class Scenario:
     #: applied to the recorded history after the run; requires the
     #: factory to populate :attr:`ScenarioRun.history`.
     checker: Optional[str] = None
+    #: modules this scenario's seeds import that the catalog does not
+    #: (the elastic scenarios' binding agent and autoscaler, kept off
+    #: every other scenario's path); :meth:`load` imports them.
+    imports: Tuple[str, ...] = ()
 
     def build(self, seed: int) -> ScenarioRun:
         return self.factory(seed)
 
+    def load(self) -> "Scenario":
+        """Import :attr:`imports` and return the scenario: with the
+        catalog's own imports, every module a seed of it imports.
+        :func:`get_scenario` does this, and so does a sweep before it
+        forks its workers."""
+        for module in self.imports:
+            importlib.import_module(module)
+        return self
+
+    def history_oracle(self, run: ScenarioRun) -> Optional[HistoryOracle]:
+        """The :attr:`checker` over ``run``'s recorded history, or None
+        when the scenario checks none."""
+        if run.history is None or not self.checker:
+            return None
+        return HistoryOracle(run.history, self.checker)
+
 
 def _echo_module():
-    from repro.core import ExportedModule
-
     def echo(ctx, args):
         yield from ctx.compute(1.0)
         return b"echo:" + args
@@ -88,8 +127,6 @@ def _make_echo(seed: int, degree: int = 3,
     """A ``degree``-member echo troupe answering a client's replicated
     calls; the workload length and pacing are themselves seed-derived
     (the client-workload knob of the schedule)."""
-    from repro.core import ReplicatedCallError
-
     world = World(machines=degree + 2, seed=seed, net_config=net_config)
     troupe, _runtimes = world.make_troupe("echo-svc", _echo_module,
                                           degree=degree)
@@ -100,8 +137,6 @@ def _make_echo(seed: int, degree: int = 3,
     gaps = [round(rng.uniform(0.0, 250.0), 3) for _ in range(calls)]
 
     def body():
-        from repro.sim.kernel import Sleep
-
         outcomes = []
         for i in range(calls):
             if gaps[i] > 0:
@@ -123,14 +158,6 @@ def _make_echo(seed: int, degree: int = 3,
 def _make_pairs(seed: int) -> ScenarioRun:
     """Two paired-message endpoints exchanging seed-sized calls — the
     §4.2 protocol fuzzed below the RPC layer."""
-    from repro.host.machine import MachineCrashed
-    from repro.pairedmsg import (
-        PairedEndpoint,
-        PairedMessageConfig,
-        PeerCrashed,
-        SendTimeout,
-    )
-
     world = World(machines=3, seed=seed)
     client_m, server_m = world.machines[0], world.machines[1]
     config = PairedMessageConfig(max_segment_data=256,
@@ -153,8 +180,6 @@ def _make_pairs(seed: int) -> ScenarioRun:
     sizes = [rng.randint(0, 2048) for _ in range(rng.randint(3, 8))]
 
     def body():
-        from repro.sim.kernel import Sleep
-
         outcomes = []
         for number, size in enumerate(sizes, start=1):
             try:
@@ -200,11 +225,6 @@ def _store_troupe(world: World, name: str, degree: int, build_procs,
     the last member acknowledges commits but never applies them to its
     global state — a silently diverging replica.
     """
-    from repro.core import TroupeDescriptor, TroupeRuntime, new_troupe_id
-    from repro.core.runtime import RuntimeConfig
-    from repro.transactions import (CommitParticipant, TransactionManager,
-                                    TransactionalStore)
-
     machines = world.machines[:degree]
     troupe_id = new_troupe_id()
     members = []
@@ -230,8 +250,6 @@ def _store_troupe(world: World, name: str, degree: int, build_procs,
 def _txn_client(world: World, machine_name: str):
     """An unreplicated client runtime with the commit coordinator
     exported as module 0 (the §5.3 convention)."""
-    from repro.transactions import CommitCoordinator
-
     runtime = world.make_client(machine_name=machine_name)
     CommitCoordinator(runtime)
     return runtime
@@ -244,10 +262,6 @@ def _guarded_txn_call(runtime, troupe, procedure, payload, hclient, op,
     operation definitely did not take effect) or ``("info", None)``
     (troupe failure / collation error / other remote error — unknown
     whether it took effect)."""
-    from repro.core import CollationError, ReplicatedCallError
-    from repro.rpc import RemoteError
-    from repro.transactions.commit import TXN_ABORTED_ERROR
-
     try:
         reply = yield from runtime.call_troupe(troupe, 0, procedure,
                                                payload, collator=collator)
@@ -278,12 +292,6 @@ def _make_register(seed: int, degree: int = 3, clients: int = 2,
     planted non-applying replica becomes client-visible as stale reads
     the linearizability checker rejects.
     """
-    from repro.core import ExportedModule, FirstComeCollator
-    from repro.obs.history import OperationHistoryRecorder
-    from repro.sim.kernel import Sleep
-    from repro.sim.rng import RandomStream
-    from repro.transactions import BinaryExponentialBackoff
-
     READ, WRITE = 0, 1
     world = World(machines=degree + clients, seed=seed)
 
@@ -395,13 +403,6 @@ def _make_bank(seed: int, degree: int = 3, clients: int = 2) -> ScenarioRun:
     committed transaction returns exactly the versions it read and
     wrote, which is all the serialization-graph checker needs.
     """
-    import json as _json
-
-    from repro.core import ExportedModule
-    from repro.obs.history import OperationHistoryRecorder
-    from repro.sim.kernel import Sleep
-    from repro.sim.rng import RandomStream
-    from repro.transactions import BinaryExponentialBackoff
 
     XFER, AUDIT = 0, 1
     accounts = (b"a", b"b", b"c")
@@ -430,7 +431,7 @@ def _make_bank(seed: int, degree: int = 3, clients: int = 2) -> ScenarioRun:
                                                 opid)
                     for key in sorted(writes):
                         yield from store.write(txn, key, writes[key])
-                return _json.dumps(
+                return json.dumps(
                     {"reads": {k.decode(): cells[k].decode()
                                for k in cells},
                      "writes": {k.decode(): writes[k].decode()
@@ -443,7 +444,7 @@ def _make_bank(seed: int, degree: int = 3, clients: int = 2) -> ScenarioRun:
                 cells = {}
                 for key in accounts:
                     cells[key] = yield from store.read(txn, key)
-                return _json.dumps(
+                return json.dumps(
                     {"reads": {k.decode(): cells[k].decode()
                                for k in cells},
                      "writes": {}},
@@ -476,7 +477,7 @@ def _make_bank(seed: int, degree: int = 3, clients: int = 2) -> ScenarioRun:
     done: List[int] = []
 
     def decode_reply(reply):
-        return _json.loads(reply.decode())
+        return json.loads(reply.decode())
 
     def make_driver(ci, runtime, hclient):
         backoff = BinaryExponentialBackoff(
@@ -542,12 +543,6 @@ def _make_list_append(seed: int, degree: int = 3,
     lost-update hunt: every client hammers the same key, so two
     transactions reading the same list and both committing their append
     would lose one element, which the linearizability checker rejects."""
-    from repro.core import ExportedModule
-    from repro.obs.history import OperationHistoryRecorder
-    from repro.sim.kernel import Sleep
-    from repro.sim.rng import RandomStream
-    from repro.transactions import BinaryExponentialBackoff
-
     APPEND, READ = 0, 1
     KEY = b"log"
     world = World(machines=degree + clients, seed=seed)
@@ -699,13 +694,7 @@ def _make_elastic(seed: int, pool: int = 4, clients: int = 2,
     incarnation and complete against the next.
     """
     from repro.binding import BindingClient, BindingError, start_ringmaster
-    from repro.core import CollationError, ReplicatedCallError
-    from repro.core.runtime import StaleBindingError
     from repro.elastic.controller import AutoscalerConfig, TroupeAutoscaler
-    from repro.host.machine import MachineCrashed
-    from repro.obs.history import OperationHistoryRecorder
-    from repro.rpc.messages import RemoteError
-    from repro.sim.kernel import Sleep
 
     READ, WRITE = 0, 1
     NAME = "elastic-reg"
@@ -916,6 +905,9 @@ _register(Scenario(
     factory=lambda seed: _make_bank(seed),
     oracles=TXN_ORACLES, checker="bank"))
 
+#: what only the elastic factories import
+_ELASTIC_IMPORTS = ("repro.binding", "repro.elastic.controller")
+
 _register(Scenario(
     name="elastic",
     description="autoscaled replicated register: membership grows and "
@@ -924,7 +916,7 @@ _register(Scenario(
                 "run across the membership boundary",
     horizon=3000.0, budget=90000.0, profile=ELASTIC_PROFILE,
     factory=lambda seed: _make_elastic(seed),
-    oracles=None, checker="register"))
+    oracles=None, checker="register", imports=_ELASTIC_IMPORTS))
 
 _register(Scenario(
     name="elastic-adversarial",
@@ -933,7 +925,7 @@ _register(Scenario(
     horizon=3000.0, budget=90000.0, profile=ELASTIC_ADVERSARIAL_PROFILE,
     factory=lambda seed: _make_elastic(
         seed, scenario_name="elastic-adversarial"),
-    oracles=None, checker="register"))
+    oracles=None, checker="register", imports=_ELASTIC_IMPORTS))
 
 _register(Scenario(
     name="list-append",
@@ -946,7 +938,8 @@ _register(Scenario(
 
 def get_scenario(name: str) -> Scenario:
     try:
-        return SCENARIOS[name]
+        scenario = SCENARIOS[name]
     except KeyError:
         raise KeyError("unknown scenario %r (choose from: %s)"
                        % (name, ", ".join(sorted(SCENARIOS))))
+    return scenario.load()

@@ -13,15 +13,26 @@ This package provides that substrate:
   handshake (the TCP analogue used as a baseline in Table 4.1)
 """
 
-from repro.net.addresses import (
-    BROADCAST_HOST,
-    HostAddress,
-    ModuleAddress,
-    ProcessAddress,
-)
-from repro.net.network import Host, LinkFault, Network, NetworkConfig
-from repro.net.udp import PortInUse, UdpSocket
-from repro.net.tcp import ConnectionClosed, ConnectionRefused, TcpListener, TcpSocket
+from repro import _namespace
+
+__getattr__, __dir__ = _namespace(__name__, {
+    "BROADCAST_HOST": "addresses",
+    "HostAddress": "addresses",
+    "ModuleAddress": "addresses",
+    "ProcessAddress": "addresses",
+    "ConnectionClosed": "tcp",
+    "ConnectionRefused": "tcp",
+    "TcpListener": "tcp",
+    "TcpSocket": "tcp",
+    "Host": "network",
+    "LinkFault": "network",
+    "Network": "network",
+    "NetworkConfig": "network",
+    "PortInUse": "udp",
+    "UdpSocket": "udp",
+    **{module: module for module in (
+        "addresses", "network", "tcp", "udp")},
+})
 
 __all__ = [
     "BROADCAST_HOST",

@@ -33,29 +33,63 @@ trace format and the invariant catalog, and ``repro trace`` /
 ``repro metrics`` / ``repro check`` / ``repro postmortem`` on the CLI.
 """
 
-from repro.obs import events
-from repro.obs.bus import EventBus, Subscription
-from repro.obs.clocks import (ClockDomain, concurrent, happens_before,
-                              host_of, vc_leq, vc_merge)
-from repro.obs.critpath import STAGES, CallPath, CritPathAnalyzer
-from repro.obs.export import (PROGRESS, SCHEMA_VERSION, ProgressChannel,
-                              openmetrics)
-from repro.obs.history import (HISTORY_FORMAT, HistoryClient, Operation,
-                               OperationHistory, OperationHistoryRecorder,
-                               format_operation)
-from repro.obs.lincheck import (SEMANTICS, CheckResult, HistoryOracle,
-                                check_history)
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsCollector,
-                               MetricsRegistry, WindowedCounter,
-                               WindowedGauge, WindowedHistogram)
-from repro.obs.monitor import (DEFAULT_MONITORS, CollationMonitor,
-                               CommitMonitor, CrashSilenceMonitor,
-                               ExactlyOnceMonitor, IncarnationMonitor,
-                               InvariantMonitor, MonitorSuite,
-                               TroupeDeterminismMonitor, watch)
-from repro.obs.recorder import FlightRecorder, render_postmortem
-from repro.obs.top import TopModel, live_top, render_frame
-from repro.obs.trace import CallTracer, trace_calls
+from repro import _namespace
+
+__getattr__, __dir__ = _namespace(__name__, {
+    "EventBus": "bus",
+    "Subscription": "bus",
+    "ClockDomain": "clocks",
+    "vc_leq": "clocks",
+    "vc_merge": "clocks",
+    "happens_before": "clocks",
+    "concurrent": "clocks",
+    "host_of": "clocks",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsCollector": "metrics",
+    "MetricsRegistry": "metrics",
+    "WindowedCounter": "metrics",
+    "WindowedGauge": "metrics",
+    "WindowedHistogram": "metrics",
+    "CallTracer": "trace",
+    "trace_calls": "trace",
+    "InvariantMonitor": "monitor",
+    "ExactlyOnceMonitor": "monitor",
+    "TroupeDeterminismMonitor": "monitor",
+    "CollationMonitor": "monitor",
+    "CommitMonitor": "monitor",
+    "CrashSilenceMonitor": "monitor",
+    "IncarnationMonitor": "monitor",
+    "DEFAULT_MONITORS": "monitor",
+    "MonitorSuite": "monitor",
+    "watch": "monitor",
+    "FlightRecorder": "recorder",
+    "render_postmortem": "recorder",
+    "HISTORY_FORMAT": "history",
+    "Operation": "history",
+    "OperationHistory": "history",
+    "OperationHistoryRecorder": "history",
+    "HistoryClient": "history",
+    "format_operation": "history",
+    "SEMANTICS": "lincheck",
+    "CheckResult": "lincheck",
+    "HistoryOracle": "lincheck",
+    "check_history": "lincheck",
+    "CritPathAnalyzer": "critpath",
+    "CallPath": "critpath",
+    "STAGES": "critpath",
+    "openmetrics": "export",
+    "SCHEMA_VERSION": "export",
+    "ProgressChannel": "export",
+    "PROGRESS": "export",
+    "TopModel": "top",
+    "render_frame": "top",
+    "live_top": "top",
+    **{module: module for module in (
+        "bus", "clocks", "critpath", "events", "export", "history",
+        "lincheck", "metrics", "monitor", "recorder", "top", "trace")},
+})
 
 __all__ = [
     "events",

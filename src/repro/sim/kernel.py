@@ -67,7 +67,7 @@ from typing import (
     Tuple,
 )
 
-from repro.obs import events as obs_events
+import repro.obs.events as obs_events
 from repro.obs.bus import EventBus
 
 #: shared args tuple for timer resumes — every Sleep wake-up is
@@ -530,8 +530,10 @@ class Simulator:
         self._exits = self.bus.counts["sim.exit"]
         #: invariant monitoring (repro.obs.monitor).  ``monitors=True``
         #: attaches the default suite; a sequence attaches those
-        #: monitors.  Imported lazily: most simulations run unobserved
-        #: and never pay for the observability machinery.
+        #: monitors.  Imported only then: of ``repro.obs`` the kernel
+        #: imports the event taxonomy and the bus alone (the package
+        #: loads an observer on first use), so an unobserved simulation
+        #: imports no observer (tests/test_import_footprint.py).
         self.monitor_suite: Optional[Any] = None
         if monitors:
             from repro.obs.monitor import MonitorSuite

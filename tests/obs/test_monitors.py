@@ -39,7 +39,7 @@ def test_monitors_silent_on_canned_scenarios(scenario):
 
 
 def test_monitors_silent_on_circus():
-    world, body = cli._scenario_circus(10)
+    world, body = cli.CHECK_SCENARIOS["circus"](10)
     with watch(world.sim) as probe:
         world.run(body())
     assert probe.violations == []
