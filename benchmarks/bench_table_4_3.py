@@ -4,44 +4,23 @@ The paper profiled the client and found six system calls account for more
 than half of total CPU, with sendmsg the largest consumer (27-33%) —
 "most of the time ... is spent in the simulation of multicasting by means
 of successive sendmsg operations."  This bench reruns the echo workload
-with the per-syscall accounting enabled and reports the same percentages.
+with the per-syscall accounting enabled and reports the same percentages
+(``repro.bench.echo.table_4_3``, which ``repro table43`` prints).
 """
 
-import pytest
-
-from repro.bench.echo import PAPER_TABLE_4_3, run_circus_series
-from repro.bench.report import Table, register_table
-
-DEGREES = (1, 2, 3, 4, 5)
+from repro.bench.echo import table_4_3
+from repro.bench.report import register_table
 
 
-@pytest.fixture(scope="module")
-def results():
-    return run_circus_series(DEGREES, iterations=30)
-
-
-def test_table_4_3(results):
-    table = Table(
-        "Table 4.3: Execution profile (% of total CPU per call)",
-        ["degree", "sendmsg(paper)", "sendmsg(sim)", "select(paper)",
-         "select(sim)", "recvmsg(paper)", "recvmsg(sim)", "six-calls(sim)"],
-        notes="six-calls(sim): share of total CPU spent in the six "
-              "Table 4.2 syscalls; the paper reports 'more than half'.")
-    for result in results:
-        degree = int(result.label[len("Circus("):-1])
+def test_table_4_3():
+    (table,), results = table_4_3(iterations=30)
+    for row, result in zip(table.rows, results):
         pcts = result.profile_percentages()
-        paper = PAPER_TABLE_4_3[degree]
-        six = sum(pcts.get(name, 0.0) for name in (
-            "sendmsg", "recvmsg", "select", "setitimer", "gettimeofday",
-            "sigblock"))
-        table.add_row(degree, paper["sendmsg"], pcts.get("sendmsg", 0.0),
-                      paper["select"], pcts.get("select", 0.0),
-                      paper["recvmsg"], pcts.get("recvmsg", 0.0), six)
         # The headline findings of §4.4.1:
         # 1. sendmsg is the single largest consumer;
         assert pcts["sendmsg"] == max(pcts.values())
         # 2. in the paper's ballpark (a quarter to a half of all CPU);
         assert 20.0 <= pcts["sendmsg"] <= 50.0
         # 3. the six profiled syscalls account for more than half.
-        assert six > 50.0
+        assert row[-1] > 50.0
     register_table(table)

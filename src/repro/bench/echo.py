@@ -12,6 +12,11 @@ reproduce the *shape* of Table 4.1: TCP faster than UDP under the
 streamlined read/write interface, an unreplicated Circus call roughly
 twice a raw UDP exchange, and a 10-20 ms increment per additional troupe
 member (Figure 4.8's linear growth).
+
+:func:`table_4_1`, :func:`table_4_2`, :func:`table_4_3` and
+:func:`figure_4_8` build the tables that ``repro table41`` (and the rest)
+prints and the ``benchmarks/`` suite gates.  Each returns ``(tables,
+results)``: the results are what the suite's shape assertions read.
 """
 
 from __future__ import annotations
@@ -19,9 +24,13 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List
 
+from repro.bench.report import Table
 from repro.core.runtime import ExportedModule, RuntimeConfig
 from repro.harness import World
 from repro.net.tcp import TcpListener, TcpSocket
+
+#: the troupe sizes of Table 4.1, Table 4.3 and Figure 4.8.
+DEGREES = (1, 2, 3, 4, 5)
 
 
 #: Table 4.1 of the paper (milliseconds per call).
@@ -158,9 +167,8 @@ def run_tcp_echo(iterations: int = 50, seed: int = 0) -> EchoResult:
                       user / iterations, kernel / iterations)
 
 
-def run_circus_echo(degree: int, iterations: int = 50, seed: int = 0,
-                    use_multicast: bool = False,
-                    payload: bytes = ECHO_PAYLOAD) -> EchoResult:
+def run_circus_echo(degree: int, iterations: int = 50,
+                    seed: int = 0) -> EchoResult:
     """Figure 4.7: the rpctest echo interface served by a troupe of the
     given degree, called through the full Circus stack."""
     from repro.pairedmsg.endpoint import PairedMessageConfig
@@ -172,8 +180,7 @@ def run_circus_echo(degree: int, iterations: int = 50, seed: int = 0,
                                  probe_interval=1500.0,
                                  crash_timeout=8000.0)
     world = World(machines=degree + 1, seed=seed,
-                  runtime_config=RuntimeConfig(use_multicast=use_multicast,
-                                               paired=paired))
+                  runtime_config=RuntimeConfig(paired=paired))
 
     def echo_module():
         def echo(ctx, args):
@@ -188,12 +195,12 @@ def run_circus_echo(degree: int, iterations: int = 50, seed: int = 0,
 
     def body():
         # Warm-up call (binding, first-exchange effects), then measure.
-        yield from client.call_troupe(troupe, 0, 0, payload)
+        yield from client.call_troupe(troupe, 0, 0, ECHO_PAYLOAD)
         start_real = world.sim.now
         start_user, start_kernel = proc.user_time, proc.kernel_time
         start_profile = dict(proc.syscall_times)
         for _ in range(iterations):
-            yield from client.call_troupe(troupe, 0, 0, payload)
+            yield from client.call_troupe(troupe, 0, 0, ECHO_PAYLOAD)
         profile = {
             name: (ms - start_profile.get(name, 0.0)) / iterations
             for name, ms in proc.syscall_times.items()
@@ -204,19 +211,14 @@ def run_circus_echo(degree: int, iterations: int = 50, seed: int = 0,
                 profile)
 
     real, user, kernel, profile = world.run(body(), name="circus-client")
-    result = EchoResult("Circus(%d)" % degree, iterations,
-                        real / iterations, user / iterations,
-                        kernel / iterations, profile=profile,
-                        user_total=user / iterations)
-    return result
+    return EchoResult("Circus(%d)" % degree, iterations,
+                      real / iterations, user / iterations,
+                      kernel / iterations, profile=profile,
+                      user_total=user / iterations)
 
 
-def run_circus_series(degrees=(1, 2, 3, 4, 5), iterations: int = 50,
-                      seed: int = 0,
-                      use_multicast: bool = False) -> List[EchoResult]:
-    return [run_circus_echo(degree, iterations, seed,
-                            use_multicast=use_multicast)
-            for degree in degrees]
+def run_circus_series(iterations: int) -> List[EchoResult]:
+    return [run_circus_echo(degree, iterations) for degree in DEGREES]
 
 
 def linear_fit(xs: List[float], ys: List[float]):
@@ -233,3 +235,96 @@ def linear_fit(xs: List[float], ys: List[float]):
                  for x, y in zip(xs, ys))
     ss_tot = sum((y - mean_y) ** 2 for y in ys) or 1.0
     return slope, intercept, 1.0 - ss_res / ss_tot
+
+
+def table_4_1(iterations: int = 40):
+    """Table 4.1 at ``iterations`` calls per workload; the results are
+    keyed ``"UDP"``, ``"TCP"`` and by Circus degree."""
+    results = {"UDP": run_udp_echo(iterations),
+               "TCP": run_tcp_echo(iterations)}
+    results.update(zip(DEGREES, run_circus_series(iterations)))
+    table = Table(
+        "Table 4.1: Performance of UDP, TCP, and Circus (ms/rpc)",
+        ["workload", "real(paper)", "real(sim)", "total(paper)",
+         "total(sim)", "user(paper)", "user(sim)", "kernel(paper)",
+         "kernel(sim)"],
+        notes=("Simulated hosts charge the Table 4.2 syscall costs; "
+               "absolute agreement is calibration, the claims under test "
+               "are the orderings and the per-member increment."))
+    for key, sim in results.items():
+        paper = PAPER_TABLE_4_1[key]
+        table.add_row(sim.label, paper["real"], sim.real, paper["total"],
+                      sim.total, paper["user"], sim.user,
+                      paper["kernel"], sim.kernel)
+    return [table], results
+
+
+def table_4_2(repetitions: int = 100):
+    """Table 4.2, each syscall measured back over ``repetitions`` calls
+    on a fresh host; the results map each syscall to ``(ms per call,
+    the process that made the calls)``, whose kernel accounting and
+    profile must agree with the clock."""
+    table = Table(
+        "Table 4.2: CPU time for 4.2BSD system calls used in Circus (ms)",
+        ["syscall", "paper", "simulated"],
+        notes="These costs are the calibration inputs of the whole "
+              "reproduction (see DESIGN.md).")
+    results = {}
+    for name, paper_cost in PAPER_TABLE_4_2.items():
+        world = World(machines=1)
+        proc = world.machines[0].spawn_process("measure")
+
+        def body():
+            start = world.sim.now
+            for _ in range(repetitions):
+                yield from proc.syscall(name)
+            return (world.sim.now - start) / repetitions
+
+        results[name] = (world.run(body()), proc)
+        table.add_row(name, paper_cost, results[name][0])
+    return [table], results
+
+
+def table_4_3(iterations: int = 30):
+    """Table 4.3 from a Circus series of ``iterations`` calls per
+    degree; the results are the series."""
+    results = run_circus_series(iterations)
+    table = Table(
+        "Table 4.3: Execution profile (% of total CPU per call)",
+        ["degree", "sendmsg(paper)", "sendmsg(sim)", "select(paper)",
+         "select(sim)", "recvmsg(paper)", "recvmsg(sim)", "six-calls(sim)"],
+        notes="six-calls(sim): share of total CPU spent in the six "
+              "Table 4.2 syscalls; the paper reports 'more than half'.")
+    for degree, result in zip(DEGREES, results):
+        pcts = result.profile_percentages()
+        paper = PAPER_TABLE_4_3[degree]
+        table.add_row(degree, paper["sendmsg"], pcts.get("sendmsg", 0.0),
+                      paper["select"], pcts.get("select", 0.0),
+                      paper["recvmsg"], pcts.get("recvmsg", 0.0),
+                      sum(pcts.get(name, 0.0) for name in PAPER_TABLE_4_2))
+    return [table], results
+
+
+def figure_4_8(iterations: int = 30):
+    """Figure 4.8 from a Circus series of ``iterations`` calls per
+    degree: each component against troupe size with its linear fit, then
+    an ASCII plot of the real time; the results are the series."""
+    results = run_circus_series(iterations)
+    table = Table(
+        "Figure 4.8: Circus call time vs degree of replication (ms/rpc)",
+        ["component", "n=1", "n=2", "n=3", "n=4", "n=5",
+         "slope(ms/member)", "R^2"],
+        notes="Point-to-point sends make every component linear in troupe "
+              "size; compare bench_multicast_logn for the multicast case.")
+    for name, attr in (("real", "real"), ("total cpu", "total"),
+                       ("user cpu", "user"), ("kernel cpu", "kernel")):
+        ys = [getattr(result, attr) for result in results]
+        slope, _intercept, r_squared = linear_fit(DEGREES, ys)
+        table.add_row(name, *ys, slope, r_squared)
+    plot = Table("Figure 4.8 (ASCII): real time per call",
+                 ["degree", "bar"])
+    top = max(result.real for result in results)
+    for degree, result in zip(DEGREES, results):
+        plot.add_row(degree, "%s %6.1f" % (
+            "#" * max(1, int(40 * result.real / top)), result.real))
+    return [table, plot], results

@@ -1,4 +1,5 @@
-"""The canned scenarios the CLI and the gated tables both run.
+"""The canned scenarios the CLI and the gated tables both run (and the
+echo module the explorer's echo troupes serve).
 
 Each factory returns ``(world, body)``: a built :class:`World` and a
 no-argument callable producing the client generator, so the caller

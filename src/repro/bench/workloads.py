@@ -1,11 +1,9 @@
 """Workload generators for capacity experiments.
 
-The paper's measurements are closed-loop (one client, back-to-back calls).
-Downstream users also want open-loop and multi-client workloads, so this
-module provides both:
+The paper's measurements are closed-loop (one client, back-to-back calls,
+:mod:`repro.bench.echo`).  This module adds open-loop and multi-client
+load:
 
-- :class:`ClosedLoopClient` — N clients, each issuing the next call as
-  soon as the previous returns (the Figure 4.5-4.7 pattern, generalized);
 - :class:`OpenLoopGenerator` — open-loop arrivals (fixed, Poisson, or
   heavy-tailed Pareto interarrivals) at a configurable offered load,
   each call in its own thread (measures queueing behaviour);
@@ -26,14 +24,14 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import List, Optional
+from typing import List
 
-from repro.core.runtime import ExportedModule, RuntimeConfig, TroupeRuntime
+from repro.core.runtime import ExportedModule, RuntimeConfig
 from repro.core.troupe import TroupeDescriptor
 from repro.harness import World
 from repro.pairedmsg.endpoint import PairedMessageConfig
 from repro.rpc.threads import ThreadId
-from repro.sim.kernel import Simulator, Sleep
+from repro.sim.kernel import Sleep
 from repro.sim.rng import RandomStream
 
 
@@ -97,7 +95,7 @@ class ZipfSampler:
 class WorkloadResult:
     """Aggregate outcome of a workload run."""
 
-    offered_rate: float          # calls/second offered (0 = closed loop)
+    offered_rate: float          # calls/second offered
     completed: int
     duration_ms: float
     latencies: List[float]
@@ -121,42 +119,6 @@ class WorkloadResult:
         ordered = sorted(self.latencies)
         index = min(len(ordered) - 1, int(q * len(ordered)))
         return ordered[index]
-
-
-class ClosedLoopClient:
-    """N independent clients issuing back-to-back calls."""
-
-    def __init__(self, world: World, troupe: TroupeDescriptor,
-                 clients: int = 1, calls_per_client: int = 20,
-                 procedure: int = 0, payload: bytes = b"w"):
-        self.world = world
-        self.troupe = troupe
-        self.clients = clients
-        self.calls_per_client = calls_per_client
-        self.procedure = procedure
-        self.payload = payload
-
-    def run(self) -> WorkloadResult:
-        world = self.world
-        latencies: List[float] = []
-        done: List[int] = []
-
-        def client_body(runtime):
-            def body():
-                for _ in range(self.calls_per_client):
-                    start = world.sim.now
-                    yield from runtime.call_troupe(
-                        self.troupe, 0, self.procedure, self.payload)
-                    latencies.append(world.sim.now - start)
-                done.append(1)
-            return body
-
-        start = world.sim.now
-        for _ in range(self.clients):
-            world.spawn(client_body(world.make_client())())
-        world.sim.run(stop_when=lambda: len(done) == self.clients)
-        return WorkloadResult(0.0, len(latencies),
-                              world.sim.now - start, latencies)
 
 
 class OpenLoopGenerator:
@@ -262,6 +224,19 @@ def run_load_sweep(rates: List[float], degree: int = 3,
 # the sharded capacity workload
 # ---------------------------------------------------------------------------
 
+def capacity_cell_size(machines: int, cells: int, degree: int) -> int:
+    """The hosts in each of ``cells`` equal cells of ``machines`` hosts;
+    ``ValueError`` unless they split evenly and a cell can host a
+    ``degree``-member troupe."""
+    if cells < 1 or machines % cells:
+        raise ValueError("%d machines do not split into %d cells"
+                         % (machines, cells))
+    if degree > machines // cells:
+        raise ValueError("cell size %d cannot host a %d-member troupe"
+                         % (machines // cells, degree))
+    return machines // cells
+
+
 def capacity_builder(*, cells: int, sessions: int,
                      calls_per_session: int = 4, rate: float = 20.0,
                      degree: int = 3, arrival: str = "pareto",
@@ -285,9 +260,6 @@ def capacity_builder(*, cells: int, sessions: int,
     therefore byte-identical for any shard count; the striped partition
     puts every cell's members on different shards, so the Zipf-popular
     cells load all of them."""
-    if cells < 1:
-        raise ValueError("need at least one cell")
-
     # Queueing near saturation must read as latency, not as member
     # death: the same load-tolerant paired-message profile the load
     # sweep uses (retransmits and crash verdicts far beyond the knee).
@@ -299,13 +271,7 @@ def capacity_builder(*, cells: int, sessions: int,
 
     def builder(world: World) -> None:
         names = [m.name for m in world.machines]
-        if len(names) % cells:
-            raise ValueError("%d machines do not split into %d cells"
-                             % (len(names), cells))
-        cell_size = len(names) // cells
-        if degree > cell_size:
-            raise ValueError("cell size %d cannot host a %d-member troupe"
-                             % (cell_size, degree))
+        cell_size = capacity_cell_size(len(names), cells, degree)
 
         def factory():
             def serve(ctx, args):

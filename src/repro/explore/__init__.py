@@ -104,6 +104,7 @@ __all__ = [
     "shrink_actions",
     "shrink_failure",
     "sweep",
+    "write_failure",
 ]
 
 
@@ -575,6 +576,44 @@ def replay_file(path, *, budget: Optional[float] = None,
     schedule = FaultSchedule.load(path)
     return run(schedule.scenario, schedule.seed, schedule=schedule,
                budget=budget, oracles=oracles, monitors=monitors)
+
+
+def write_failure(result: ExploreResult, directory: str,
+                  schedule: Optional[FaultSchedule] = None, *,
+                  artifacts: Optional[str] = None,
+                  histories: Optional[str] = None) -> Dict[str, str]:
+    """Write a failing seed's files, ``<scenario>-seed<N>.<kind>.<ext>``,
+    and return their paths by kind: in ``directory`` the repro script
+    (``schedule``, by default the result's own) and the post-mortem; in
+    ``artifacts`` the OpenMetrics snapshot and Chrome trace (and their
+    common stem, as ``"artifacts"``); in ``histories`` the history."""
+    import json
+    import os
+
+    from repro.obs.history import canonical_dumps
+
+    stem = "%s-seed%d" % (result.scenario, result.seed)
+    paths: Dict[str, str] = {}
+
+    def write(kind: str, folder: str, ext: str, payload) -> None:
+        os.makedirs(folder, exist_ok=True)
+        paths[kind] = os.path.join(folder, "%s.%s.%s" % (stem, kind, ext))
+        with open(paths[kind], "w") as fh:
+            fh.write(payload if isinstance(payload, str)
+                     else json.dumps(payload, indent=2) + "\n")
+
+    write("schedule", directory, "json",
+          (schedule or result.schedule).to_dict())
+    if result.postmortem is not None:
+        write("postmortem", directory, "json", result.postmortem)
+    if artifacts and result.artifacts is not None:
+        write("openmetrics", artifacts, "txt",
+              result.artifacts["openmetrics"])
+        write("trace", artifacts, "json", result.artifacts["trace"])
+        paths["artifacts"] = os.path.join(artifacts, stem)
+    if histories and result.history is not None:
+        write("history", histories, "json", canonical_dumps(result.history))
+    return paths
 
 
 def schedules(n: int = 50, base: int = 0, argname: str = "fault_seed"):

@@ -19,9 +19,6 @@ provides:
 
 from __future__ import annotations
 
-import json
-import os
-
 import pytest
 
 from repro import explore
@@ -62,7 +59,7 @@ class Fuzzer:
                     result, max_attempts=shrink_attempts)
             except Exception:   # never let the shrinker mask the failure
                 schedule = result.schedule
-        paths = self.write_artifacts(result, schedule)
+        paths = explore.write_failure(result, self.artifacts_dir, schedule)
         pytest.fail(
             "fuzz seed %d violated %s on scenario %r "
             "(schedule shrunk to %d action(s) in %d re-runs)\n"
@@ -72,22 +69,6 @@ class Fuzzer:
                result.scenario, len(schedule.actions), attempts,
                paths["schedule"], paths.get("postmortem", "-"),
                paths["schedule"]))
-
-    def write_artifacts(self, result, schedule=None) -> dict:
-        """Write the repro script (+ post-mortem) for a failing result;
-        returns their paths."""
-        schedule = schedule or result.schedule
-        os.makedirs(self.artifacts_dir, exist_ok=True)
-        stem = os.path.join(self.artifacts_dir,
-                            "%s-seed%d" % (result.scenario, result.seed))
-        paths = {"schedule": stem + ".schedule.json"}
-        schedule.save(paths["schedule"])
-        if result.postmortem is not None:
-            paths["postmortem"] = stem + ".postmortem.json"
-            with open(paths["postmortem"], "w") as fh:
-                json.dump(result.postmortem, fh, indent=2)
-                fh.write("\n")
-        return paths
 
 
 @pytest.fixture

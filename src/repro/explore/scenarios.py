@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 # for its scenario before it forks, so no forked worker imports one.  A
 # module only some scenarios use is a ``Scenario.imports`` entry instead,
 # off the other scenarios' path.
+from repro.bench.scenarios import echo_module
 from repro.core import (CollationError, ExportedModule, FirstComeCollator,
                         ReplicatedCallError, RuntimeConfig,
                         StaleBindingError, TroupeDescriptor, TroupeRuntime,
@@ -114,21 +115,13 @@ class Scenario:
         return HistoryOracle(run.history, self.checker)
 
 
-def _echo_module():
-    def echo(ctx, args):
-        yield from ctx.compute(1.0)
-        return b"echo:" + args
-
-    return ExportedModule("echo", {0: echo})
-
-
 def _make_echo(seed: int, degree: int = 3,
                net_config: Optional[NetworkConfig] = None) -> ScenarioRun:
     """A ``degree``-member echo troupe answering a client's replicated
     calls; the workload length and pacing are themselves seed-derived
     (the client-workload knob of the schedule)."""
     world = World(machines=degree + 2, seed=seed, net_config=net_config)
-    troupe, _runtimes = world.make_troupe("echo-svc", _echo_module,
+    troupe, _runtimes = world.make_troupe("echo-svc", echo_module,
                                           degree=degree)
     servers = sorted({m.process.host for m in troupe.members})
     client = world.make_client()
@@ -247,21 +240,26 @@ def _store_troupe(world: World, name: str, degree: int, build_procs,
     return descriptor
 
 
-def _txn_client(world: World, machine_name: str):
-    """An unreplicated client runtime with the commit coordinator
-    exported as module 0 (the §5.3 convention)."""
-    runtime = world.make_client(machine_name=machine_name)
-    CommitCoordinator(runtime)
-    return runtime
+def _txn_clients(world: World, recorder, first: int, names):
+    """``(runtime, history client)`` per name: unreplicated client
+    runtimes on machines ``first``, ``first + 1``, ..., each with the
+    commit coordinator exported as module 0 (the §5.3 convention)."""
+    sessions = []
+    for offset, name in enumerate(names):
+        runtime = world.make_client(
+            machine_name=world.machines[first + offset].name)
+        CommitCoordinator(runtime)
+        sessions.append((runtime, recorder.client(name, runtime)))
+    return sessions
 
 
 def _guarded_txn_call(runtime, troupe, procedure, payload, hclient, op,
-                      outcomes, tag, collator=None):
+                      outcomes, tag, result, collator=None):
     """One recorded attempt at a transactional troupe call.  Returns
-    ``("ok", reply)``, ``("aborted", None)`` (clean §5.3 abort — the
-    operation definitely did not take effect) or ``("info", None)``
-    (troupe failure / collation error / other remote error — unknown
-    whether it took effect)."""
+    ``"ok"`` (the history records ``result(reply)`` as the op's result),
+    ``"aborted"`` (clean §5.3 abort — the operation definitely did not
+    take effect) or ``"info"`` (troupe failure / collation error / other
+    remote error — unknown whether it took effect)."""
     try:
         reply = yield from runtime.call_troupe(troupe, 0, procedure,
                                                payload, collator=collator)
@@ -269,16 +267,51 @@ def _guarded_txn_call(runtime, troupe, procedure, payload, hclient, op,
         if exc.kind == TXN_ABORTED_ERROR:
             hclient.fail(op)
             outcomes.append("%s:aborted" % tag)
-            return ("aborted", None)
+            return "aborted"
         hclient.info(op)
         outcomes.append("%s:remote-%s" % (tag, exc.kind))
-        return ("info", None)
+        return "info"
     except (ReplicatedCallError, CollationError) as exc:
         hclient.info(op)
         outcomes.append("%s:%s" % (tag, type(exc).__name__))
-        return ("info", None)
+        return "info"
     outcomes.append("%s:ok" % tag)
-    return ("ok", reply)
+    hclient.ok(op, result(reply))
+    return "ok"
+
+
+def _spawn_clients(world: World, seed: int, plans, attempt, name: str):
+    """Spawn one client process per plan, ``<name>-client-<ci>``, and
+    return a generator that ends when all of them have.
+
+    Client ``ci`` works through ``plans[ci]`` in order: it sleeps the
+    op's gap (its last field), then runs ``attempt(ci, oi, op, tries)``.
+    An attempt that returns ``"aborted"`` — a clean §5.3 abort, so the op
+    did not take effect — is retried up to three times, each after a
+    binary exponential back-off drawn from the client's own stream."""
+    done: List[int] = []
+
+    def drive(ci):
+        backoff = BinaryExponentialBackoff(
+            RandomStream(seed, "explore-backoff-%d" % ci),
+            initial_mean=60.0)
+        for oi, op in enumerate(plans[ci]):
+            if op[-1] > 0:
+                yield Sleep(op[-1])
+            tries = 0
+            while (yield from attempt(ci, oi, op, tries)) == "aborted" \
+                    and tries < 3:
+                tries += 1
+                yield Sleep(backoff.next_delay())
+        done.append(ci)
+
+    for ci in range(len(plans)):
+        world.spawn(drive(ci), name="%s-client-%d" % (name, ci))
+
+    def wait():
+        while len(done) < len(plans):
+            yield Sleep(50.0)
+    return wait()
 
 
 def _make_register(seed: int, degree: int = 3, clients: int = 2,
@@ -335,57 +368,27 @@ def _make_register(seed: int, degree: int = 3, clients: int = 2,
         plans.append(ops)
 
     outcomes: List[str] = []
-    done: List[int] = []
 
-    def make_driver(ci, runtime, hclient):
-        backoff = BinaryExponentialBackoff(
-            RandomStream(seed, "explore-backoff-%d" % ci),
-            initial_mean=60.0)
+    def attempt(ci, oi, op, _tries):
+        kind, key, value, _gap = op
+        runtime, hclient = sessions[ci]
+        tag = "c%d-%d" % (ci, oi)
+        if kind == "w":
+            hop = hclient.invoke("w", key=key.decode(), args=value.decode())
+            return (yield from _guarded_txn_call(
+                runtime, troupe, WRITE, key + b"=" + value, hclient, hop,
+                outcomes, tag, lambda _reply: "ok"))
+        hop = hclient.invoke("r", key=key.decode())
+        return (yield from _guarded_txn_call(
+            runtime, troupe, READ, key, hclient, hop, outcomes, tag,
+            lambda reply: None if reply == b"" else reply.decode(),
+            collator=FirstComeCollator() if divergence_bug else None))
 
-        def drive():
-            for oi, (kind, key, value, gap) in enumerate(plans[ci]):
-                if gap > 0:
-                    yield Sleep(gap)
-                attempts = 0
-                while True:
-                    tag = "c%d-%d" % (ci, oi)
-                    if kind == "w":
-                        op = hclient.invoke("w", key=key.decode(),
-                                            args=value.decode())
-                        status, reply = yield from _guarded_txn_call(
-                            runtime, troupe, WRITE, key + b"=" + value,
-                            hclient, op, outcomes, tag)
-                    else:
-                        op = hclient.invoke("r", key=key.decode())
-                        collator = (FirstComeCollator()
-                                    if divergence_bug else None)
-                        status, reply = yield from _guarded_txn_call(
-                            runtime, troupe, READ, key, hclient, op,
-                            outcomes, tag, collator=collator)
-                    if status == "ok":
-                        hclient.ok(op, "ok" if kind == "w" else
-                                   (None if reply == b"" else
-                                    reply.decode()))
-                        break
-                    if status == "aborted" and attempts < 3:
-                        attempts += 1
-                        yield Sleep(backoff.next_delay())
-                        continue
-                    break
-            done.append(ci)
-        return drive
-
-    drivers = []
-    for ci in range(clients):
-        runtime = _txn_client(world, world.machines[degree + ci].name)
-        drivers.append(make_driver(ci, runtime,
-                                   recorder.client("c%d" % ci, runtime)))
+    sessions = _txn_clients(world, recorder, degree,
+                            ["c%d" % ci for ci in range(clients)])
 
     def body():
-        for ci, drive in enumerate(drivers):
-            world.spawn(drive(), name="register-client-%d" % ci)
-        while len(done) < clients:
-            yield Sleep(50.0)
+        yield from _spawn_clients(world, seed, plans, attempt, "register")
         yield Sleep(200.0)   # let stray duplicates drain under the oracles
         return sorted(outcomes)
 
@@ -474,62 +477,32 @@ def _make_bank(seed: int, degree: int = 3, clients: int = 2) -> ScenarioRun:
         plans.append(ops)
 
     outcomes: List[str] = []
-    done: List[int] = []
 
     def decode_reply(reply):
         return json.loads(reply.decode())
 
-    def make_driver(ci, runtime, hclient):
-        backoff = BinaryExponentialBackoff(
-            RandomStream(seed, "explore-backoff-%d" % ci),
-            initial_mean=60.0)
+    def attempt(ci, oi, op, tries):
+        src, dst, amount, _gap = op
+        runtime, hclient = sessions[ci]
+        # version tags must stay unique across retries of an
+        # unknown-outcome attempt, hence the attempt suffix
+        opid = b"c%d-%d.%d" % (ci, oi, tries)
+        hop = hclient.invoke("xfer", args="%s>%s:%d" % (
+            src.decode(), dst.decode(), amount))
+        return (yield from _guarded_txn_call(
+            runtime, troupe, XFER, b"%s>%s:%d:%s" % (src, dst, amount, opid),
+            hclient, hop, outcomes, "c%d-%d" % (ci, oi), decode_reply))
 
-        def drive():
-            for oi, (src, dst, amount, gap) in enumerate(plans[ci]):
-                if gap > 0:
-                    yield Sleep(gap)
-                attempts = 0
-                while True:
-                    # version tags must stay unique across retries of an
-                    # unknown-outcome attempt, hence the attempt suffix
-                    opid = b"c%d-%d.%d" % (ci, oi, attempts)
-                    payload = b"%s>%s:%d:%s" % (src, dst, amount, opid)
-                    op = hclient.invoke(
-                        "xfer", args="%s>%s:%d" % (src.decode(),
-                                                   dst.decode(), amount))
-                    status, reply = yield from _guarded_txn_call(
-                        runtime, troupe, XFER, payload, hclient, op,
-                        outcomes, "c%d-%d" % (ci, oi))
-                    if status == "ok":
-                        hclient.ok(op, decode_reply(reply))
-                        break
-                    if status == "aborted" and attempts < 3:
-                        attempts += 1
-                        yield Sleep(backoff.next_delay())
-                        continue
-                    break
-            done.append(ci)
-        return drive
-
-    drivers = []
-    for ci in range(clients):
-        runtime = _txn_client(world, world.machines[degree + ci].name)
-        drivers.append(make_driver(ci, runtime,
-                                   recorder.client("c%d" % ci, runtime)))
-    auditor_rt = _txn_client(world, world.machines[degree + clients].name)
-    auditor = recorder.client("auditor", auditor_rt)
+    sessions = _txn_clients(world, recorder, degree,
+                            ["c%d" % ci for ci in range(clients)]
+                            + ["auditor"])
+    auditor_rt, auditor = sessions[-1]
 
     def body():
-        for ci, drive in enumerate(drivers):
-            world.spawn(drive(), name="bank-client-%d" % ci)
-        while len(done) < clients:
-            yield Sleep(50.0)
+        yield from _spawn_clients(world, seed, plans, attempt, "bank")
         op = auditor.invoke("audit")
-        status, reply = yield from _guarded_txn_call(
-            auditor_rt, troupe, AUDIT, b"", auditor, op, outcomes,
-            "audit")
-        if status == "ok":
-            auditor.ok(op, decode_reply(reply))
+        yield from _guarded_txn_call(auditor_rt, troupe, AUDIT, b"", auditor,
+                                     op, outcomes, "audit", decode_reply)
         yield Sleep(200.0)
         return sorted(outcomes)
 
@@ -584,55 +557,27 @@ def _make_list_append(seed: int, degree: int = 3,
         plans.append(ops)
 
     outcomes: List[str] = []
-    done: List[int] = []
 
-    def make_driver(ci, runtime, hclient):
-        backoff = BinaryExponentialBackoff(
-            RandomStream(seed, "explore-backoff-%d" % ci),
-            initial_mean=60.0)
+    def attempt(ci, oi, op, _tries):
+        kind, token, _gap = op
+        runtime, hclient = sessions[ci]
+        tag = "c%d-%d" % (ci, oi)
+        if kind == "append":
+            hop = hclient.invoke("append", key=KEY.decode(),
+                                 args=token.decode())
+            return (yield from _guarded_txn_call(
+                runtime, troupe, APPEND, token, hclient, hop, outcomes, tag,
+                lambda _reply: "ok"))
+        hop = hclient.invoke("r", key=KEY.decode())
+        return (yield from _guarded_txn_call(
+            runtime, troupe, READ, b"", hclient, hop, outcomes, tag,
+            lambda reply: [] if reply == b"" else reply.decode().split(",")))
 
-        def drive():
-            for oi, (kind, token, gap) in enumerate(plans[ci]):
-                if gap > 0:
-                    yield Sleep(gap)
-                attempts = 0
-                while True:
-                    tag = "c%d-%d" % (ci, oi)
-                    if kind == "append":
-                        op = hclient.invoke("append", key=KEY.decode(),
-                                            args=token.decode())
-                        status, reply = yield from _guarded_txn_call(
-                            runtime, troupe, APPEND, token, hclient, op,
-                            outcomes, tag)
-                        if status == "ok":
-                            hclient.ok(op, "ok")
-                    else:
-                        op = hclient.invoke("r", key=KEY.decode())
-                        status, reply = yield from _guarded_txn_call(
-                            runtime, troupe, READ, b"", hclient, op,
-                            outcomes, tag)
-                        if status == "ok":
-                            hclient.ok(op, [] if reply == b"" else
-                                       reply.decode().split(","))
-                    if status == "aborted" and attempts < 3:
-                        attempts += 1
-                        yield Sleep(backoff.next_delay())
-                        continue
-                    break
-            done.append(ci)
-        return drive
-
-    drivers = []
-    for ci in range(clients):
-        runtime = _txn_client(world, world.machines[degree + ci].name)
-        drivers.append(make_driver(ci, runtime,
-                                   recorder.client("c%d" % ci, runtime)))
+    sessions = _txn_clients(world, recorder, degree,
+                            ["c%d" % ci for ci in range(clients)])
 
     def body():
-        for ci, drive in enumerate(drivers):
-            world.spawn(drive(), name="list-client-%d" % ci)
-        while len(done) < clients:
-            yield Sleep(50.0)
+        yield from _spawn_clients(world, seed, plans, attempt, "list")
         yield Sleep(200.0)
         return sorted(outcomes)
 
@@ -731,13 +676,12 @@ def _make_elastic(seed: int, pool: int = 4, clients: int = 2,
     burst_size = rng.randint(4, 6)
 
     outcomes: List[str] = []
-    done: List[int] = []
     expected = (BindingError, ReplicatedCallError, CollationError,
                 RemoteError, StaleBindingError, MachineCrashed)
 
-    def guarded_call(binding, proc, payload, hclient, op, tag):
+    def guarded(step, tag, hclient=None, op=None):
         try:
-            reply = yield from binding.call(NAME, proc, payload)
+            reply = yield from step
         except expected as exc:
             if hclient is not None:
                 hclient.info(op)   # unknown whether it took effect
@@ -746,82 +690,56 @@ def _make_elastic(seed: int, pool: int = 4, clients: int = 2,
         outcomes.append("%s:ok" % tag)
         return reply
 
-    def make_driver(ci, binding, hclient):
-        def drive():
-            for oi, (kind, key, value, gap) in enumerate(plans[ci]):
-                if gap > 0:
-                    yield Sleep(gap)
-                tag = "c%d-%d" % (ci, oi)
-                if kind == "w":
-                    op = hclient.invoke("w", key=key.decode(),
-                                        args=value.decode())
-                    reply = yield from guarded_call(
-                        binding, WRITE, key + b"=" + value, hclient, op,
-                        tag)
-                    if reply is not None:
-                        hclient.ok(op, "ok")
-                else:
-                    op = hclient.invoke("r", key=key.decode())
-                    reply = yield from guarded_call(
-                        binding, READ, key, hclient, op, tag)
-                    if reply is not None:
-                        hclient.ok(op, None if reply == b"" else
-                                   reply.decode())
-            done.append(ci)
-        return drive
+    def attempt(ci, oi, op, _tries):
+        kind, key, value, _gap = op
+        binding, hclient = sessions[ci]
+        tag = "c%d-%d" % (ci, oi)
+        if kind == "w":
+            hop = hclient.invoke("w", key=key.decode(), args=value.decode())
+            reply = yield from guarded(
+                binding.call(NAME, WRITE, key + b"=" + value), tag, hclient,
+                hop)
+            if reply is not None:
+                hclient.ok(hop, "ok")
+        else:
+            hop = hclient.invoke("r", key=key.decode())
+            reply = yield from guarded(binding.call(NAME, READ, key), tag,
+                                       hclient, hop)
+            if reply is not None:
+                hclient.ok(hop, None if reply == b"" else reply.decode())
 
-    drivers = []
+    sessions = []
     for ci in range(clients):
         runtime = world.make_client(machine_name="obs")
-        binding = BindingClient(runtime, ringmaster)
-        drivers.append(make_driver(ci, binding,
-                                   recorder.client("c%d" % ci, runtime)))
+        sessions.append((BindingClient(runtime, ringmaster),
+                         recorder.client("c%d" % ci, runtime)))
     burst_rt = world.make_client(machine_name="obs")
     burst_binding = BindingClient(burst_rt, ringmaster)
 
     def burst_reader(bi):
         # unrecorded concurrent reads: they pile up queue depth to
         # force a load-grow, and reads can't perturb the checked history
-        yield from guarded_call(burst_binding, READ, keys[0], None, None,
-                                "b%d" % bi)
-
-    def setup_step(op, tag):
-        try:
-            yield from op
-        except expected as exc:
-            outcomes.append("%s:%s" % (tag, type(exc).__name__))
-        else:
-            outcomes.append("%s:ok" % tag)
+        yield from guarded(burst_binding.call(NAME, READ, keys[0]),
+                           "b%d" % bi)
 
     def body():
         pool_machines = autoscaler.pool
-        yield from setup_step(autoscaler.bootstrap(pool_machines[0]),
-                              "setup-bootstrap")
-        yield from setup_step(autoscaler.join(pool_machines[1]),
-                              "setup-join")
+        yield from guarded(autoscaler.bootstrap(pool_machines[0]),
+                           "setup-bootstrap")
+        yield from guarded(autoscaler.join(pool_machines[1]), "setup-join")
         autoscaler.start()
-        for ci, drive in enumerate(drivers):
-            world.spawn(drive(), name="elastic-client-%d" % ci)
+        waiting = _spawn_clients(world, seed, plans, attempt, "elastic")
         yield Sleep(burst_at)
         for bi in range(burst_size):
             world.spawn(burst_reader(bi), name="elastic-burst-%d" % bi)
             yield Sleep(5.0)
-        while len(done) < clients:
-            yield Sleep(50.0)
+        yield from waiting
         yield Sleep(400.0)   # quiet tail: the autoscaler shrinks; stray
         autoscaler.stop()    # duplicates drain under the oracles
         return sorted(outcomes)
 
     return ScenarioRun(world=world, body=body,
                        fault_machines=names[2:], history=recorder)
-
-
-SCENARIOS: Dict[str, Scenario] = {}
-
-
-def _register(scenario: Scenario) -> Scenario:
-    SCENARIOS[scenario.name] = scenario
-    return scenario
 
 
 #: the oracles that must hold under *every* fault schedule (see
@@ -833,35 +751,6 @@ UNCONDITIONAL_ORACLES = (
     "crash-silence",
     "incarnation-monotonic",
 )
-
-_register(Scenario(
-    name="echo",
-    description="3-member echo troupe, replicated calls from one client",
-    horizon=2500.0, budget=30000.0, profile=DEFAULT_PROFILE,
-    factory=lambda seed: _make_echo(seed),
-    oracles=UNCONDITIONAL_ORACLES))
-
-_register(Scenario(
-    name="echo-adversarial",
-    description="echo troupe under dense, correlated fault schedules",
-    horizon=2500.0, budget=40000.0, profile=ADVERSARIAL_PROFILE,
-    factory=lambda seed: _make_echo(seed),
-    oracles=UNCONDITIONAL_ORACLES))
-
-_register(Scenario(
-    name="lossy-echo",
-    description="echo troupe over a baseline-lossy wire plus scheduled "
-                "faults",
-    horizon=2500.0, budget=40000.0, profile=DEFAULT_PROFILE,
-    factory=lambda seed: _make_echo(seed, net_config=NetworkConfig(
-        loss_probability=0.05, duplicate_probability=0.02)),
-    oracles=UNCONDITIONAL_ORACLES))
-
-_register(Scenario(
-    name="pairs",
-    description="raw paired-message exchanges (the §4.2 layer, below RPC)",
-    horizon=2000.0, budget=30000.0, profile=DEFAULT_PROFILE,
-    factory=_make_pairs))
 
 #: oracles for the transactional (history-checked) scenarios.  On top of
 #: the :data:`UNCONDITIONAL_ORACLES` exclusions, these also drop
@@ -880,60 +769,84 @@ TXN_ORACLES = (
     "incarnation-monotonic",
 )
 
-_register(Scenario(
-    name="register",
-    description="transactional replicated registers under concurrent "
-                "blind writes; oracle: offline linearizability check",
-    horizon=2500.0, budget=90000.0, profile=DEFAULT_PROFILE,
-    factory=lambda seed: _make_register(seed),
-    oracles=TXN_ORACLES, checker="register"))
-
-_register(Scenario(
-    name="register-divergence",
-    description="the register scenario with a planted silently-diverging "
-                "replica and fastest-member reads — the §5 bug the "
-                "lincheck oracle exists to catch (validation scenario)",
-    horizon=2500.0, budget=90000.0, profile=DEFAULT_PROFILE,
-    factory=lambda seed: _make_register(seed, divergence_bug=True),
-    oracles=TXN_ORACLES, checker="register"))
-
-_register(Scenario(
-    name="bank-transfer",
-    description="concurrent transfers between replicated accounts; "
-                "oracle: offline strict-serializability check",
-    horizon=2500.0, budget=90000.0, profile=DEFAULT_PROFILE,
-    factory=lambda seed: _make_bank(seed),
-    oracles=TXN_ORACLES, checker="bank"))
-
 #: what only the elastic factories import
 _ELASTIC_IMPORTS = ("repro.binding", "repro.elastic.controller")
 
-_register(Scenario(
-    name="elastic",
-    description="autoscaled replicated register: membership grows and "
-                "shrinks under load while armed faults land mid-transfer; "
-                "all six monitors plus the offline linearizability check "
-                "run across the membership boundary",
-    horizon=3000.0, budget=90000.0, profile=ELASTIC_PROFILE,
-    factory=lambda seed: _make_elastic(seed),
-    oracles=None, checker="register", imports=_ELASTIC_IMPORTS))
-
-_register(Scenario(
-    name="elastic-adversarial",
-    description="the elastic scenario under dense armed fault schedules "
-                "(more mid-transfer crashes and mid-join partitions)",
-    horizon=3000.0, budget=90000.0, profile=ELASTIC_ADVERSARIAL_PROFILE,
-    factory=lambda seed: _make_elastic(
-        seed, scenario_name="elastic-adversarial"),
-    oracles=None, checker="register", imports=_ELASTIC_IMPORTS))
-
-_register(Scenario(
-    name="list-append",
-    description="concurrent appends to one replicated list (lost-update "
-                "hunt); oracle: offline linearizability check",
-    horizon=2500.0, budget=90000.0, profile=DEFAULT_PROFILE,
-    factory=lambda seed: _make_list_append(seed),
-    oracles=TXN_ORACLES, checker="list-append"))
+#: the catalog, by name
+SCENARIOS: Dict[str, Scenario] = {scenario.name: scenario for scenario in (
+    Scenario(
+        name="echo",
+        description="3-member echo troupe, replicated calls from one client",
+        horizon=2500.0, budget=30000.0, profile=DEFAULT_PROFILE,
+        factory=_make_echo,
+        oracles=UNCONDITIONAL_ORACLES),
+    Scenario(
+        name="echo-adversarial",
+        description="echo troupe under dense, correlated fault schedules",
+        horizon=2500.0, budget=40000.0, profile=ADVERSARIAL_PROFILE,
+        factory=_make_echo,
+        oracles=UNCONDITIONAL_ORACLES),
+    Scenario(
+        name="lossy-echo",
+        description="echo troupe over a baseline-lossy wire plus scheduled "
+                    "faults",
+        horizon=2500.0, budget=40000.0, profile=DEFAULT_PROFILE,
+        factory=lambda seed: _make_echo(seed, net_config=NetworkConfig(
+            loss_probability=0.05, duplicate_probability=0.02)),
+        oracles=UNCONDITIONAL_ORACLES),
+    Scenario(
+        name="pairs",
+        description="raw paired-message exchanges (the §4.2 layer, below "
+                    "RPC)",
+        horizon=2000.0, budget=30000.0, profile=DEFAULT_PROFILE,
+        factory=_make_pairs),
+    Scenario(
+        name="register",
+        description="transactional replicated registers under concurrent "
+                    "blind writes; oracle: offline linearizability check",
+        horizon=2500.0, budget=90000.0, profile=DEFAULT_PROFILE,
+        factory=_make_register,
+        oracles=TXN_ORACLES, checker="register"),
+    Scenario(
+        name="register-divergence",
+        description="the register scenario with a planted silently-diverging "
+                    "replica and fastest-member reads — the §5 bug the "
+                    "lincheck oracle exists to catch (validation scenario)",
+        horizon=2500.0, budget=90000.0, profile=DEFAULT_PROFILE,
+        factory=lambda seed: _make_register(seed, divergence_bug=True),
+        oracles=TXN_ORACLES, checker="register"),
+    Scenario(
+        name="bank-transfer",
+        description="concurrent transfers between replicated accounts; "
+                    "oracle: offline strict-serializability check",
+        horizon=2500.0, budget=90000.0, profile=DEFAULT_PROFILE,
+        factory=_make_bank,
+        oracles=TXN_ORACLES, checker="bank"),
+    Scenario(
+        name="elastic",
+        description="autoscaled replicated register: membership grows and "
+                    "shrinks under load while armed faults land mid-transfer; "
+                    "all six monitors plus the offline linearizability check "
+                    "run across the membership boundary",
+        horizon=3000.0, budget=90000.0, profile=ELASTIC_PROFILE,
+        factory=_make_elastic,
+        oracles=None, checker="register", imports=_ELASTIC_IMPORTS),
+    Scenario(
+        name="elastic-adversarial",
+        description="the elastic scenario under dense armed fault schedules "
+                    "(more mid-transfer crashes and mid-join partitions)",
+        horizon=3000.0, budget=90000.0, profile=ELASTIC_ADVERSARIAL_PROFILE,
+        factory=lambda seed: _make_elastic(
+            seed, scenario_name="elastic-adversarial"),
+        oracles=None, checker="register", imports=_ELASTIC_IMPORTS),
+    Scenario(
+        name="list-append",
+        description="concurrent appends to one replicated list (lost-update "
+                    "hunt); oracle: offline linearizability check",
+        horizon=2500.0, budget=90000.0, profile=DEFAULT_PROFILE,
+        factory=_make_list_append,
+        oracles=TXN_ORACLES, checker="list-append"),
+)}
 
 
 def get_scenario(name: str) -> Scenario:

@@ -575,9 +575,9 @@ def _bulk_lossy():
 
 
 def test_new_stamps_match_the_reference_on_circus_and_lossy(differential):
-    from repro import cli
-    for factory in (lambda: cli.CHECK_SCENARIOS["circus"](40),
-                    cli.CHECK_SCENARIOS["lossy"], _bulk_lossy):
+    from repro.bench import scenarios
+    for factory in (lambda: scenarios.circus(40), scenarios.lossy,
+                    _bulk_lossy):
         probe = _run_watched(factory)
         assert probe.violations == []
     circus, lossy, bulk = differential
@@ -651,9 +651,9 @@ def test_a_raising_stamper_is_contained_and_both_stampers_still_agree(
     the bus turns each failure into a mon.error, the event goes
     unstamped, the run completes, and reference and vocabulary clocks
     still agree on every event that was stamped."""
-    from repro import cli
+    from repro.bench import scenarios
     monkeypatch.setattr(_DifferentialDomain, "fail_every", 97)
-    probe = _run_watched(lambda: cli.CHECK_SCENARIOS["circus"](30))
+    probe = _run_watched(lambda: scenarios.circus(30))
     (domain,) = differential
     errors = probe.recorder.monitor_errors
     # mon.error events are themselves stamped (and counted), so the

@@ -13,7 +13,7 @@ import types
 
 import pytest
 
-from repro import cli
+from repro.bench import scenarios
 from repro.obs import EventBus, events
 from repro.obs.clocks import ClockDomain, vc_leq
 from repro.obs.monitor import (CollationMonitor, CommitMonitor,
@@ -30,7 +30,7 @@ from repro.obs.recorder import FlightRecorder
 @pytest.mark.parametrize("scenario", ["quickstart", "protocol_trace",
                                       "lossy"])
 def test_monitors_silent_on_canned_scenarios(scenario):
-    world, body = cli.CHECK_SCENARIOS[scenario]()
+    world, body = getattr(scenarios, scenario)()
     with watch(world.sim) as probe:
         world.run(body())
     assert probe.violations == []
@@ -39,7 +39,7 @@ def test_monitors_silent_on_canned_scenarios(scenario):
 
 
 def test_monitors_silent_on_circus():
-    world, body = cli.CHECK_SCENARIOS["circus"](10)
+    world, body = scenarios.circus(10)
     with watch(world.sim) as probe:
         world.run(body())
     assert probe.violations == []

@@ -50,6 +50,46 @@ def test_table43_small(capsys):
     assert "sendmsg" in out
 
 
+@pytest.mark.parametrize("command, builder", [
+    ("table41", "table_4_1"), ("table42", "table_4_2"),
+    ("table43", "table_4_3"), ("fig48", "figure_4_8")])
+def test_an_experiment_prints_the_tables_its_builder_builds(
+        command, builder, capsys):
+    """The benchmark suite gates these builders' tables, so the command
+    prints, at its default loop length, the very tables gated."""
+    from repro.bench import echo
+    tables, _results = getattr(echo, builder)(3)
+    assert main([command, "--iterations", "3"]) == 0
+    assert capsys.readouterr().out == "".join(
+        table.render() + "\n" for table in tables)
+
+
+@pytest.mark.parametrize("command, title", [
+    ("table41", "Table 4.1:"), ("table42", "Table 4.2:"),
+    ("table43", "Table 4.3:"), ("fig48", "Figure 4.8")])
+def test_an_experiment_prints_the_gated_tables_at_its_default(
+        command, title, capsys):
+    """At its default loop length an experiment prints exactly the
+    table(s) of its title that ``BENCH_BASELINE.json`` holds, in
+    baseline order but the ASCII plot last."""
+    import json
+    import pathlib
+
+    from repro.bench.report import Table
+    baseline = pathlib.Path(__file__).parents[1] / "BENCH_BASELINE.json"
+    expected = []
+    for spec in json.loads(baseline.read_text())["tables"]:
+        if spec["title"].startswith(title):
+            table = Table(spec["title"], spec["columns"], notes=spec["notes"])
+            for row in spec["rows"]:
+                table.add_row(*row)
+            expected.append(table)
+    expected.sort(key=lambda table: "(ASCII)" in table.title)
+    assert main([command]) == 0
+    assert capsys.readouterr().out == "".join(
+        table.render() + "\n" for table in expected)
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["nonsense"])
@@ -95,13 +135,13 @@ def _violating_scenario():
 
 def test_check_dumps_postmortem_on_seeded_violation(capsys, tmp_path,
                                                     monkeypatch):
-    import repro.cli as cli
-    monkeypatch.setitem(cli.CHECK_SCENARIOS, "seeded", _violating_scenario)
-    assert main(["check", "seeded", "--dump-dir", str(tmp_path)]) == 1
+    from repro.bench import scenarios
+    monkeypatch.setattr(scenarios, "quickstart", _violating_scenario)
+    assert main(["check", "quickstart", "--dump-dir", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "FAILED: 1 violation(s)" in out
     assert "exactly-once" in out
-    dump = tmp_path / "seeded_postmortem.json"
+    dump = tmp_path / "quickstart_postmortem.json"
     assert dump.exists()
     # The dump re-renders through the postmortem subcommand, which also
     # exits nonzero because it holds a violation.
@@ -121,6 +161,24 @@ def test_postmortem_of_clean_dump_exits_zero(capsys, tmp_path):
                                 "crash": None}))
     assert main(["postmortem", str(dump)]) == 0
     assert "0 violation(s)" in capsys.readouterr().out
+
+
+def test_trace_writes_loadable_chrome_json(capsys, tmp_path):
+    import json
+    out = tmp_path / "quickstart_trace.json"
+    assert main(["trace", "examples/quickstart.py", "--out", str(out)]) == 0
+    assert str(out) in capsys.readouterr().out
+    events = json.loads(out.read_text())["traceEvents"]
+    spans = {event["cat"] for event in events if event.get("ph") == "X"}
+    assert {"rpc", "rpc.exec"} <= spans
+
+
+def test_metrics_renders_the_snapshot(capsys):
+    assert main(["metrics", "circus", "--iterations", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    name, value = lines[0].split()
+    assert name == "net.bytes_sent" and int(value) > 0
+    assert any(line.startswith("rpc.") for line in lines)
 
 
 def test_metrics_json_emits_bench_json_tables(capsys):
@@ -202,17 +260,31 @@ def test_top_plain_renders_frames_and_summary(capsys):
     (["lincheck", "PATH"], '{"nope": 1}', "not an operation history"),
     (["fuzz", "--replay", "PATH"], '{"nope": 1}', "missing field 'scenario'"),
     (["fuzz", "--seed-file", "PATH"], '{"nope": 1}', "missing field 'seeds'"),
+    (["fuzz", "--scenario", "nope"], None,
+     "--scenario: unknown scenario 'nope' (choose from: "),
+    (["fuzz", "--oracles", "bogus"], None,
+     "--oracles: unknown invariant(s) ['bogus'] (choose from: "),
+    (["elastic", "--pool", "1"], None,
+     "--pool 1: the member pool needs at least 2 machines"),
+    (["shard", "--machines", "12", "--cells", "5"], None,
+     "12 machines do not split into 5 cells"),
+    (["shard", "--degree", "5"], None,
+     "cell size 3 cannot host a 5-member troupe"),
 ])
-def test_bad_input_file_is_a_message_not_a_traceback(
+def test_bad_input_is_a_message_not_a_traceback(
         argv, content, complaint, capsys, tmp_path):
+    """A bad file or argument is one ``repro: <message>`` line on stderr
+    and exit 2, found before any world is built."""
     path = tmp_path / "input.json"
     if content is not None:
         path.write_text(content)
     assert main([str(path) if arg == "PATH" else arg for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("repro: %s: " % path)
+    assert captured.err.startswith(
+        "repro: %s: " % path if "PATH" in argv else "repro: ")
     assert complaint in captured.err
+    assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
 
 

@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import repro
 from repro.core import ExportedModule
 from repro.harness import World
@@ -67,18 +69,23 @@ def test_different_seed_different_trace():
     assert run1[1] != run2[1]          # ...but the wire schedule is not
 
 
-def test_sharded_run_is_the_same_under_any_hash_seed():
+@pytest.mark.parametrize("argv, marker", [
+    (["shard", "--shards", "2", "--json"], b'"digest"'),
+    (["metrics", "circus", "--iterations", "10", "--openmetrics"],
+     b"# EOF"),
+], ids=["shard", "metrics-openmetrics"])
+def test_cli_output_is_the_same_under_any_hash_seed(argv, marker):
     """``repro shard --shards 2 --json`` (digest, counters, per-shard
-    event counts) byte for byte under three string-hash seeds: nothing on
-    that path may iterate a set or lean on hash order.  (``bank-transfer``
-    seeds 334 / 338 still do — ROADMAP item 1.)"""
+    event counts) and the OpenMetrics exposition of the circus scenario,
+    byte for byte under three string-hash seeds: nothing on those paths
+    may iterate a set or lean on hash order.  (``bank-transfer`` seeds
+    334 / 338 still do — ROADMAP item 1.)"""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = set()
     for hash_seed in ("0", "1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         outputs.add(subprocess.run(
-            [sys.executable, "-m", "repro", "shard", "--shards", "2",
-             "--json"],
+            [sys.executable, "-m", "repro"] + argv,
             env=env, check=True, timeout=120, stdout=subprocess.PIPE).stdout)
-    assert len(outputs) == 1 and b'"digest"' in outputs.pop()
+    assert len(outputs) == 1 and marker in outputs.pop()

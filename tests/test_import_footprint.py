@@ -1,11 +1,12 @@
 """What a process imports: each entry point, run in a fresh interpreter,
 loads only the modules it uses.
 
-``repro``, ``repro.obs``, ``repro.net`` and ``repro.explore`` list their
-exports and import none of them (a name's submodule loads when the name
-is first read), so the simulation kernel loads no observer, an
-unobserved world loads no monitor, no explorer and no TCP stack, and
-``repro --help`` loads no benchmark.  Every case starts a new interpreter:
+``repro``, ``repro.obs``, ``repro.net``, ``repro.explore`` and
+``repro.bench`` list their exports and import none of them (a name's
+submodule loads when the name is first read), so the simulation kernel
+loads no observer, an unobserved world loads no monitor, no explorer and
+no TCP stack, ``repro --help`` loads no benchmark, and ``repro check``
+loads no echo workload.  Every case starts a new interpreter:
 in this one, earlier tests have imported everything.
 """
 
@@ -94,3 +95,10 @@ def test_help_loads_no_benchmark_or_analysis_module():
         assert "repro.cli" in loaded
         assert not {m for m in loaded
                     if m.startswith(("repro.bench", "repro.analysis"))}, argv
+
+
+def test_check_loads_no_echo_workload_or_tcp_stack():
+    loaded = _repro_modules(_cli("check", "quickstart", "--dump-dir",
+                                 os.devnull))
+    assert "repro.bench.scenarios" in loaded
+    assert not {"repro.bench.echo", "repro.net.tcp"} & loaded, sorted(loaded)

@@ -1,5 +1,5 @@
-"""The package namespaces ``repro``, ``repro.obs``, ``repro.net`` and
-``repro.explore`` keep their public names however they are loaded:
+"""The package namespaces ``repro``, ``repro.obs``, ``repro.net``,
+``repro.explore`` and ``repro.bench`` keep their public names however they are loaded:
 every ``__all__`` name is the very object a submodule of the package
 defines, ``from X import *`` and ``dir(X)`` see all of them, a submodule
 is an attribute of its package even before anything imported it, and an
@@ -17,7 +17,8 @@ import pytest
 
 import repro
 
-PACKAGES = ("repro", "repro.obs", "repro.net", "repro.explore")
+PACKAGES = ("repro", "repro.obs", "repro.net", "repro.explore",
+            "repro.bench")
 
 #: submodules read as package attributes in a fresh interpreter, each
 #: listed after the ones it imports, so that none is imported before its
@@ -30,6 +31,7 @@ SUBMODULES = {
                   "top"),
     "repro.net": ("addresses", "network", "udp", "tcp"),
     "repro.explore": ("schedule", "shrink", "driver", "scenarios"),
+    "repro.bench": ("report", "scenarios", "echo", "workloads", "gated"),
 }
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench.workloads import (
     ARRIVAL_KINDS,
-    ClosedLoopClient,
     OpenLoopGenerator,
     WorkloadResult,
     ZipfSampler,
@@ -15,18 +14,6 @@ from repro.bench.workloads import (
 from repro.core.runtime import RuntimeConfig
 from repro.harness import World
 from repro.sim.rng import RandomStream
-
-
-def test_closed_loop_completes_all_calls():
-    world = World(machines=5,
-                  runtime_config=RuntimeConfig(execution="parallel"))
-    troupe = echo_troupe(world, degree=2)
-    result = ClosedLoopClient(world, troupe, clients=2,
-                              calls_per_client=5).run()
-    assert result.completed == 10
-    assert result.throughput > 0
-    assert result.mean_latency > 0
-    assert len(result.latencies) == 10
 
 
 def test_open_loop_completes_all_calls():
