@@ -198,14 +198,32 @@ ACTION_TYPES: Dict[str, type] = {
 
 
 def action_from_dict(data: Dict[str, Any]) -> FaultAction:
+    if not isinstance(data, dict):
+        raise ValueError("a fault action is an object, not %r" % (data,))
     data = dict(data)
     kind = data.pop("kind", None)
     cls = ACTION_TYPES.get(kind)
     if cls is None:
         raise ValueError("unknown fault action kind: %r" % (kind,))
+    for field in dataclasses.fields(cls):
+        if field.name in data and not _fits(field.type, data[field.name]):
+            raise ValueError("%s action: field %r is %r, expected %s" % (
+                kind, field.name, data[field.name], field.type))
     if cls is Partition and "groups" in data:
         data["groups"] = tuple(tuple(g) for g in data["groups"])
     return cls(**data)
+
+
+def _fits(annotation: str, value: Any) -> bool:
+    """Does JSON ``value`` fit a field annotated ``annotation``?"""
+    if annotation.startswith("Optional["):
+        return value is None or _fits(annotation[9:-1], value)
+    if annotation == "str":
+        return type(value) is str
+    if annotation == "float":
+        return type(value) in (int, float)
+    return isinstance(value, list) and all(     # partition groups
+        isinstance(g, list) and all(type(m) is str for m in g) for g in value)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +285,14 @@ class FaultSchedule:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultSchedule":
+        if not isinstance(data, dict):
+            raise ValueError("not a fault schedule (not a JSON object)")
         fmt = data.get("format", SCHEDULE_FORMAT)
         if fmt != SCHEDULE_FORMAT:
             raise ValueError("unsupported schedule format: %r" % (fmt,))
+        if not isinstance(data.get("actions", []), list):
+            raise ValueError("field 'actions' is %r, expected a list"
+                             % (data["actions"],))
         return cls(
             scenario=data["scenario"],
             seed=int(data["seed"]),

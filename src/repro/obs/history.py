@@ -169,6 +169,8 @@ class OperationHistory:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "OperationHistory":
+        if not isinstance(data, dict):
+            raise ValueError("not an operation history (not a JSON object)")
         if data.get("format") != HISTORY_FORMAT:
             raise ValueError("not an operation history (format %r, "
                              "expected %r)" % (data.get("format"),

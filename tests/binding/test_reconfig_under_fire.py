@@ -10,65 +10,10 @@ deterministic unit test.
 
 import pytest
 
-from repro.binding import (
-    BindingClient,
-    BindingError,
-    ReplaceableModule,
-    join_troupe,
-    start_ringmaster,
-)
-from repro.core import ExportedModule, TroupeRuntime
-from repro.harness import World
-
-
-def make_world(machines=10, ringmasters=2, seed=0):
-    world = World(machines=machines, seed=seed)
-    ringmaster, rm_members = start_ringmaster(
-        world.machines[:ringmasters])
-    return world, ringmaster, rm_members
-
-
-def make_server(world, machine, ringmaster, module):
-    process = machine.spawn_process("server")
-    holder = {}
-
-    def resolver(tid):
-        client = holder.get("binding")
-        if client is None:
-            return None
-        return client.make_resolver()(tid)
-
-    runtime = TroupeRuntime(process, resolver=resolver)
-    binding = BindingClient(runtime, ringmaster)
-    holder["binding"] = binding
-    member_addr = runtime.export(module)
-    runtime.start_server()
-    return runtime, binding, member_addr
-
-
-def echo_module():
-    def echo(ctx, args):
-        return b"echo:" + args
-    return ExportedModule("echo", {0: echo})
-
-
-def counter_module(state):
-    def increment(ctx, args):
-        state["count"] = state.get("count", 0) + 1
-        return b"%d" % state["count"]
-
-    def get(ctx, args):
-        return b"%d" % state.get("count", 0)
-
-    return ReplaceableModule(
-        "counter", {0: increment, 1: get},
-        externalize=lambda: b"%d" % state.get("count", 0),
-        internalize=lambda raw: state.__setitem__("count", int(raw)))
-
-
-def make_client(world, ringmaster):
-    runtime = world.make_client()
-    return runtime, BindingClient(runtime, ringmaster)
+from repro.binding import BindingError, join_troupe
+from tests.binding.test_ringmaster import (counter_module, echo_module,
+                                           make_client, make_server,
+                                           make_world)
 
 
 def test_concurrent_adds_serialize_and_ids_stay_unique():

@@ -14,6 +14,7 @@ from repro.obs import events
 from repro.obs.history import canonical_dumps
 from repro.obs.monitor import (DEFAULT_MONITORS, InvariantMonitor,
                                monitors_for)
+from tests.explore.test_sweep import _Counter    # a catch-all counter
 
 
 def _attempt(scenario, seed, explain):
@@ -211,27 +212,9 @@ def test_a_stateful_instance_sees_each_seed_once_and_keeps_its_state():
     assert [v.t for v in stale.violations] == [monitor.violations[0].t]
 
 
-class _CountEverything(InvariantMonitor):
-    """A catch-all like wallbench's event counter."""
-
-    invariant = "test-event-count"
-
-    def __init__(self):
-        super().__init__()
-        self.events = 0
-
-    def attach(self, bus):
-        self._bus = bus
-        self._sub = bus.subscribe(self.observe)
-        return self
-
-    def observe(self, event) -> None:
-        self.events += 1
-
-
 def test_a_catch_all_instance_counts_what_it_always_counted():
     scenario = explore.get_scenario("bank-transfer")
-    counter = _CountEverything()
+    counter = _Counter()
     monitors = [m for m in DEFAULT_MONITORS
                 if m.invariant in scenario.oracles] + [counter]
     counted = []

@@ -178,6 +178,8 @@ def test_finished_threads_are_retired_from_both_tables():
     keep all of them — ~1.7 KiB per call, forever."""
     from repro.core import ExportedModule
     from repro.harness import World
+    from repro.sim.kernel import Process
+    from tests.census import tracked
 
     def echo_module():
         def echo(ctx, args):
@@ -199,14 +201,18 @@ def test_finished_threads_are_retired_from_both_tables():
         for _ in range(calls):
             yield from client.call_troupe(troupe, 0, 0, b"x")
 
+    def held():
+        """This world's kernel processes alive anywhere, finished or not."""
+        return sum(type(o) is Process and o.sim is sim for o in tracked())
+
     world.run(body(50))
-    settled = tuple(len(table) for table in tables())
-    world.run(body(5000))
+    settled = tuple(len(table) for table in tables()) + (held(),)
+    world.run(body(250))
     processes, threads = tables()
     # Bounded by what is alive — not by how long the world has run.
     assert all(p.alive for p in processes) and all(t.alive for t in threads)
     assert processes == sim.live_processes()
-    assert (len(processes), len(threads)) == settled
+    assert (len(processes), len(threads), held()) == settled
     assert len(processes) < 40
 
 

@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from repro.bench.scenarios import echo_module
 from repro.core import CollationError, ExportedModule
 from repro.harness import World
 from repro.obs import EventBus, MonitorSuite, events
@@ -205,16 +206,9 @@ def test_events_are_dataclasses_with_kind_and_time():
         assert "t" in fields
 
 
-def _echo_module():
-    def echo(ctx, args):
-        yield from ctx.compute(1.0)
-        return b"echo:" + args
-    return ExportedModule("echo", {0: echo})
-
-
 def _one_call_world():
     world = World(machines=3, seed=11)
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=2)
+    troupe, _ = world.make_troupe("echo", echo_module, degree=2)
     client = world.make_client()
 
     def body():

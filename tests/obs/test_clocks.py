@@ -1,12 +1,13 @@
 """Tests for the causal clocks (repro.obs.clocks)."""
 
+import collections
 import copy
 import random
 import types
 
 import pytest
 
-from repro.core import ExportedModule
+from repro.bench.scenarios import echo_module
 from repro.harness import World
 from repro.obs import EventBus, events
 from repro.obs.clocks import (ClockDomain, causal_sort_key, concurrent,
@@ -245,16 +246,9 @@ def test_everything_a_builtin_oracle_or_the_history_reads_is_causal():
 # Full-stack causality
 # ---------------------------------------------------------------------------
 
-def _echo_module():
-    def echo(ctx, args):
-        yield from ctx.compute(1.0)
-        return b"echo:" + args
-    return ExportedModule("echo", {0: echo})
-
-
 def test_full_stack_run_is_causally_consistent():
     world = World(machines=5, seed=3)
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=3)
+    troupe, _ = world.make_troupe("echo", echo_module, degree=3)
     client = world.make_client()
     seen = []
     world.sim.bus.subscribe(seen.append)
@@ -296,7 +290,7 @@ def test_clocks_grow_as_members_are_added():
     entry only once it emits — later troupe members extend the vector
     without any re-dimensioning of existing clocks."""
     world = World(machines=6, seed=4)
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=2)
+    troupe, _ = world.make_troupe("echo", echo_module, degree=2)
     client = world.make_client()
     domain = ClockDomain().install(world.sim.bus)
     world.sim.bus.subscribe(lambda e: None)
@@ -315,7 +309,7 @@ def test_clocks_grow_as_members_are_added():
     runtime = TroupeRuntime(process, config=world.runtime_config,
                             resolver=world.resolver,
                             troupe_id=troupe.troupe_id)
-    member_addr = runtime.export(_echo_module())
+    member_addr = runtime.export(echo_module())
     runtime.start_server()
     merged = TroupeDescriptor(troupe.name, troupe.troupe_id,
                               tuple(troupe.members) + (member_addr,))
@@ -332,104 +326,137 @@ def test_clocks_grow_as_members_are_added():
 
 
 # ---------------------------------------------------------------------------
-# Differential: ticking on the causal vocabulary against ticking on
-# everything
+# Differential: the real stamps against two dict-per-stamp references
 # ---------------------------------------------------------------------------
 
-class _ReferenceClockDomain(ClockDomain):
-    """``ClockDomain.stamp`` as it was while every event ticked its
-    node's clocks (and the bus built every kind under a stamper).  Kept
-    as the specification of what the causal-vocabulary clocks must
-    preserve: the happens-before relation among causal events, every
-    causal cut, and a consistent linearization — not the stamp values,
-    which moved on purpose.  Node attribution is the real domain's; the
-    clocks (plain dicts) and the edge tables are the reference's own, so
-    it specifies the clocks whatever the domain stores."""
+class _Bounded(collections.OrderedDict):
+    """An edge table as it was: an ``OrderedDict`` that evicts its oldest
+    entry past ``cap`` (``None``: never)."""
 
-    def __init__(self):
+    def __init__(self, cap=None):
         super().__init__()
-        # The events under test carry the *new* stamps by the time a
-        # violation cites them, so the reference keeps its own.
-        self.stamps = {}                # id(event) -> (node, lamport, vc)
+        self.cap = cap
+
+    def put(self, key, value) -> None:
+        self.pop(key, None)
+        self[key] = value
+        while self.cap is not None and len(self) > self.cap:
+            self.popitem(last=False)
+
+
+class _DictClockDomain(ClockDomain):
+    """The clock domain with a dict per stamp: the specification of the
+    real one.  Node attribution and the edge lookups are the real
+    domain's; the clocks, edge tables and joins are its own.  ``ticks``
+    names the kinds that tick (``None``: every kind, as while the bus
+    built every kind under a stamper; a passive event gets its node's
+    clock one ahead, shared until the next tick), ``cap`` the edge
+    tables' cap (``None``: unbounded).  Every stamp is kept by event
+    identity, ``stamps[id(event)] = (node, lamport, vc)``, and a
+    violation merges its evidence from these (reading ``vc`` only of
+    evidence it never stamped).  Installed on a bus it stamps the
+    events too; beside the real domain it only records."""
+
+    def __init__(self, ticks=None, cap=None):
+        super().__init__()
+        self.ticks = ticks
+        self._pm_edges = _Bounded(cap)
+        self._call_edges = _Bounded(cap)
+        self._return_edges = _Bounded(cap)
+        self.stamps = {}
         self.vcs = {}                   # node -> its vector clock
         self.lamports = {}              # node -> its Lamport clock
-        self.edges = {}                 # edge key -> (vc, lamport)
+        self.aheads = {}                # node -> its passive stamp
+
+    def clock_of(self, node: str):
+        return dict(self.vcs.get(node, {}))
 
     def stamp(self, event) -> None:
-        node = self._clock_plan(event.kind)(event).node
+        kind = event.kind
+        plan = self._plans.get(kind)
+        if plan is None:
+            plan = self._plans[kind] = (
+                self._clock_plan(kind),
+                self.ticks is None or kind in self.ticks,
+                self._incoming.get(kind), self._outgoing.get(kind))
+        clock_of, ticks, incoming, outgoing = plan
+        node = clock_of(event).node
         vc = self.vcs.setdefault(node, {})
         lamport = self.lamports.get(node, 0)
-        edge = self._edge_in(event)
-        if edge is not None:
-            src_vc, src_lamport = edge
-            vc_merge(vc, src_vc)
-            lamport = max(lamport, src_lamport)
-        vc[node] = vc.get(node, 0) + 1
-        self.lamports[node] = lamport = lamport + 1
-        snapshot = vc.copy()
         self.stamped += 1
-        self.stamps[id(event)] = (node, lamport, snapshot)
-        self._edge_out(event, snapshot, lamport)
-
-    def _edge_in(self, event):
-        kind = event.kind
-        if kind == "pm.deliver":
-            return self.edges.pop(("pm", event.peer, event.msg_type,
-                                   event.call_number, event.endpoint), None)
-        if kind == "rpc.exec_start":
-            return self.edges.get(("call", event.thread_id,
-                                   event.call_number, event.troupe_id))
-        if kind == "rpc.result":
-            return self.edges.get(("return", event.thread_id,
-                                   event.call_number))
-        if kind == "mon.violation":
-            frontier = {}
-            lamport = 0
-            for cause in event.evidence:
-                stamp = self.stamps.get(id(cause))
-                if stamp is not None:
-                    vc_merge(frontier, stamp[2])
-                    lamport = max(lamport, stamp[1])
-            return (frontier, lamport) if frontier else None
-        return None
-
-    def _edge_out(self, event, snapshot, lamport) -> None:
-        kind = event.kind
-        if kind in ("pm.send", "pm.retransmit"):
-            # A retransmission refreshes the edge.
-            self.edges["pm", event.endpoint, event.msg_type,
-                       event.call_number, event.peer] = (snapshot, lamport)
-            return
-        if kind == "rpc.call_start":
-            key = ("call", event.thread_id, event.call_number,
-                   event.troupe_id)
-        elif kind == "rpc.return":
-            key = ("return", event.thread_id, event.call_number)
+        if ticks:
+            edge = incoming(event) if incoming is not None else None
+            if edge is not None:
+                vc_merge(vc, edge[0])
+                lamport = max(lamport, edge[1])
+            vc[node] = vc.get(node, 0) + 1
+            self.lamports[node] = lamport = lamport + 1
+            self.aheads.pop(node, None)
+            stamp = (node, lamport, vc.copy())
+            if outgoing is not None:
+                outgoing(event, stamp[2], lamport)
         else:
-            return
+            if node not in self.aheads:
+                self.aheads[node] = dict(vc)
+                self.aheads[node][node] = vc.get(node, 0) + 1
+            stamp = (node, lamport, self.aheads[node])
+        self.stamps[id(event)] = stamp
+        if self._bus is not None:
+            event.node, event.lamport, event.vc = stamp
+
+    def _in_violation(self, event):
+        frontier = {}
+        lamport = 0
+        for cause in getattr(event, "evidence", ()):
+            _node, cause_lamport, cause_vc = self.stamps.get(id(cause), (
+                None, getattr(cause, "lamport", 0),
+                getattr(cause, "vc", None)))
+            vc_merge(frontier, cause_vc or {})
+            lamport = max(lamport, cause_lamport)
+        return (frontier, lamport) if frontier else None
+
+    def _out_call_start(self, event, snapshot, lamport: int) -> None:
         # Many-to-many: every member records; the edge is their join.
-        prior = self.edges.get(key)
+        self._join(self._call_edges,
+                   (event.thread_id, event.call_number, event.troupe_id),
+                   snapshot, lamport)
+
+    def _out_return(self, event, snapshot, lamport: int) -> None:
+        self._join(self._return_edges, (event.thread_id, event.call_number),
+                   snapshot, lamport)
+
+    @staticmethod
+    def _join(table, key, snapshot, lamport: int) -> None:
+        prior = table.get(key)
         if prior is not None:
             snapshot = vc_merge(dict(prior[0]), snapshot)
             lamport = max(prior[1], lamport)
-        self.edges[key] = (snapshot, lamport)
+        table.put(key, (snapshot, lamport))
 
 
 class _DifferentialDomain(ClockDomain):
-    """Stamps every event twice — the reference on the side, then the
-    real thing on the event — and keeps the stream for :meth:`check`.
-    (Checked afterwards, not asserted in here: the bus contains a raising
-    stamper, so an assert in ``stamp`` would pass silently.)  Installed,
-    it also holds a catch-all subscription of its own, so the bus builds
-    — and the stream covers — every kind, passive ones included, whoever
-    else is listening."""
+    """The real domain, with both references stamping every event first
+    (the real stamp is the one the event keeps), and the stream kept for
+    the checks — made afterwards, not asserted in here: the bus contains
+    a raising stamper, so an assert in ``stamp`` would pass silently.
+
+    ``reference`` ticks on every kind with unbounded edges: the real
+    stamps must keep its happens-before relation among causal events,
+    every causal cut and a consistent linearization (:meth:`check`), not
+    its values, which moved on purpose.  ``parent`` ticks on the causal
+    kinds at the real domain's cap: its ``(node, lamport, vc)`` is every
+    event's exactly (:meth:`check_stamps`).  Installed, the domain also
+    holds a catch-all subscription, so the bus builds — and the stream
+    covers — every kind, passive ones included."""
 
     instances = []
     fail_every = 0          # raise instead of stamping every Nth event
+    cap = 8192              # the real domain's edge cap, and the parent's
 
     def __init__(self):
-        super().__init__()
-        self.reference = _ReferenceClockDomain()
+        super().__init__(self.cap)
+        self.reference = _DictClockDomain()
+        self.parent = _DictClockDomain(events.CAUSAL_KINDS, self.cap)
         self.stream = []        # every stamped event, in emission order
         self.seen = 0
         self._catch_all = None
@@ -449,6 +476,7 @@ class _DifferentialDomain(ClockDomain):
         if self.fail_every and self.seen % self.fail_every == 0:
             raise RuntimeError("stamper gave up on event %d" % self.seen)
         self.reference.stamp(event)
+        self.parent.stamp(event)
         super().stamp(event)
         self.stream.append(event)
 
@@ -456,48 +484,66 @@ class _DifferentialDomain(ClockDomain):
     def kinds(self):
         return {e.kind for e in self.stream}
 
-    def ref(self, event):
-        """The reference ``(node, lamport, vc)`` of a stamped event."""
-        return self.reference.stamps[id(event)]
-
     # -- what must not have moved -----------------------------------------
 
-    def check(self, sample: int = 60) -> None:
+    def check_stamps(self) -> int:
+        """The parent's values everywhere: every event's stamp, every
+        node's clock, every violation's cut.  Returns the number of
+        violations whose cuts were compared."""
+        parent = self.parent
         stream = self.stream
-        assert self.stamped == self.reference.stamped == len(stream)
-        causal = [e for e in stream if e.causal]
-        assert causal and len(causal) < len(stream)
+        assert self.stamped == parent.stamped == len(stream)
         for e in stream:
-            assert e.node == self.ref(e)[0]         # same attribution
+            assert (e.node, e.lamport, e.vc) == parent.stamps[id(e)], e
+        assert self.nodes() == parent.nodes()
+        for node in self.nodes():
+            assert self.clock_of(node) == parent.clock_of(node), node
+        violations = [i for i, e in enumerate(stream)
+                      if e.kind == "mon.violation"]
+        shadow = self._shadow(parent)
+        for index in violations:
+            assert _cut_indices(stream, index) == \
+                _cut_indices(shadow, index)
+        return len(violations)
+
+    def check(self, sample: int = 60) -> int:
+        """:meth:`check_stamps`, and the reference's relation, cuts and
+        linearization."""
+        violated = self.check_stamps()
+        stream = self.stream
+        ref = [self.reference.stamps[id(e)] for e in stream]
+        vcs = [e.vc for e in stream]            # one read each
+        causal = [i for i, e in enumerate(stream) if e.causal]
+        assert causal and len(causal) < len(stream)
+        for e, (node, _lamport, _vc) in zip(stream, ref):
+            assert e.node == node               # same attribution
         rng = random.Random(len(stream))
-        violations = [e for e in stream if e.kind == "mon.violation"]
+        violations = [i for i, e in enumerate(stream)
+                      if e.kind == "mon.violation"]
         # 1. Every event against every violation frontier — and against
         #    a sample of other causal stamps taken as frontiers: the same
         #    answer, passive events included.
-        frontiers = violations + rng.sample(causal, min(sample, len(causal)))
-        for frontier in frontiers:
-            ref_frontier = self.ref(frontier)[2]
-            for e in stream:
-                assert vc_leq(e.vc, frontier.vc) == \
-                    vc_leq(self.ref(e)[2], ref_frontier), (e, frontier)
+        for f in violations + rng.sample(causal, min(sample, len(causal))):
+            for i in range(len(stream)):
+                assert vc_leq(vcs[i], vcs[f]) == \
+                    vc_leq(ref[i][2], ref[f][2]), (stream[i], stream[f])
         # 2. Pairs: causal against causal is the same relation both ways;
         #    a pair involving a passive event may gain an ordering (it is
         #    <= its same-node neighbours up to the next tick) but never
         #    loses one.
         for _ in range(40 * sample):
-            a, b = rng.choice(stream), rng.choice(stream)
-            was = vc_leq(self.ref(a)[2], self.ref(b)[2])
-            now = vc_leq(a.vc, b.vc)
-            if a.causal and b.causal:
-                assert now == was, (a, b)
+            a, b = rng.randrange(len(stream)), rng.randrange(len(stream))
+            was = vc_leq(ref[a][2], ref[b][2])
+            now = vc_leq(vcs[a], vcs[b])
+            if stream[a].causal and stream[b].causal:
+                assert now == was, (stream[a], stream[b])
             else:
-                assert now or not was, (a, b)
+                assert now or not was, (stream[a], stream[b])
         # 3. The flight recorder's cut: the same ring indices.
-        shadow = [self._with_reference_stamp(e) for e in stream]
-        for violation in violations:
-            index = stream.index(violation)
+        shadow = self._shadow(self.reference)
+        for index in violations:
             assert _cut_indices(stream, index) == \
-                _cut_indices(shadow, index), violation
+                _cut_indices(shadow, index), stream[index]
         # 4. causal_sort_key linearizes consistently with the reference
         #    happens-before relation and with each node's emission order.
         #    (The permutation may differ where events are concurrent:
@@ -508,8 +554,7 @@ class _DifferentialDomain(ClockDomain):
             sorted(stream, key=causal_sort_key))}
         latest = {}                     # node -> position of its last event
         by_count = {}                   # (node, reference count) -> event
-        for e in stream:
-            node, _lamport, ref_vc = self.ref(e)
+        for e, (node, _lamport, ref_vc) in zip(stream, ref):
             assert latest.get(node, -1) < position[id(e)], e
             latest[node] = position[id(e)]
             by_count[node, ref_vc[node]] = e
@@ -517,11 +562,16 @@ class _DifferentialDomain(ClockDomain):
                 if other != node:
                     assert position[id(by_count[other, count])] \
                         < position[id(e)], (by_count[other, count], e)
+        return violated
 
-    def _with_reference_stamp(self, event):
-        twin = copy.copy(event)
-        twin.node, twin.lamport, twin.vc = self.ref(event)
-        return twin
+    def _shadow(self, domain):
+        """The stream with ``domain``'s stamps in place of the real ones."""
+        shadow = []
+        for e in self.stream:
+            twin = copy.copy(e)
+            twin.node, twin.lamport, twin.vc = domain.stamps[id(e)]
+            shadow.append(twin)
+        return shadow
 
 
 def _cut_indices(ring, violation_index):
@@ -552,8 +602,9 @@ def _run_watched(factory):
     return probe
 
 
-def _bulk_lossy():
-    """13-segment calls at 10 % loss: wallbench's lossy-bulk shape."""
+def _bulk_lossy_world():
+    """``(world, troupe, client)`` for 13-segment calls at 10 % loss and
+    2 % duplication: wallbench's lossy-bulk shape."""
     from repro.core.runtime import RuntimeConfig
     from repro.net.network import NetworkConfig
     from repro.pairedmsg import PairedMessageConfig
@@ -564,8 +615,12 @@ def _bulk_lossy():
         runtime_config=RuntimeConfig(paired=PairedMessageConfig(
             max_segment_data=512, retransmit_interval=30.0,
             max_retries=64)))
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=3)
-    client = world.make_client()
+    troupe, _ = world.make_troupe("echo", echo_module, degree=3)
+    return world, troupe, world.make_client()
+
+
+def _bulk_lossy():
+    world, troupe, client = _bulk_lossy_world()
 
     def body():
         for i in range(6):
@@ -584,9 +639,11 @@ def test_new_stamps_match_the_reference_on_circus_and_lossy(differential):
     for domain in (circus, lossy, bulk):
         assert domain.seen > 500
         domain.check()
+    assert circus.seen > 1000 and bulk.seen > 1000
     assert {"pm.retransmit", "pm.dup", "pm.crash", "net.drop",
             "net.dup"} <= lossy.kinds
-    assert {"pm.retransmit", "pm.ack_explicit", "net.drop"} <= bulk.kinds
+    assert {"pm.retransmit", "pm.ack_explicit", "pm.dup", "net.drop",
+            "net.dup"} <= bulk.kinds
 
 
 def _explained(scenario, seed):
@@ -598,6 +655,26 @@ def _explained(scenario, seed):
                             explain=True)
 
 
+def _the_parent_alone_agrees(monkeypatch, result, scenario, seed):
+    """Run the seed again with the parent domain alone in the real one's
+    place: the explorer's digests, history and post-mortem are the
+    real run's."""
+    created = []
+
+    def parent_domain():
+        created.append(_DictClockDomain(events.CAUSAL_KINDS,
+                                        _DifferentialDomain.cap))
+        return created[-1]
+    monkeypatch.setattr("repro.obs.monitor.ClockDomain", parent_domain)
+    parent = _explained(scenario, seed)
+    assert len(created) == 1
+    assert result.digest() == parent.digest()
+    assert result.stats.get("history_digest") == \
+        parent.stats.get("history_digest")
+    assert result.history == parent.history
+    assert result.postmortem == parent.postmortem
+
+
 @pytest.mark.parametrize("scenario,seed", [
     ("bank-transfer", 1),           # transactions: txn.* incl. lock events
     ("bank-transfer", 396),         # ... and a HistoryOracle violation
@@ -606,14 +683,18 @@ def _explained(scenario, seed):
     ("elastic-adversarial", 3),     # crash mid state transfer
 ])
 def test_new_stamps_match_the_reference_under_faults(differential,
-                                                         scenario, seed):
+                                                     monkeypatch,
+                                                     scenario, seed):
     result = _explained(scenario, seed)
     assert result.crash is None
     (domain,) = differential
     assert domain.seen > 200
-    domain.check()
+    assert domain.check() == len(result.violations)
     if scenario == "bank-transfer":
         assert any(k.startswith("txn.lock_") for k in domain.kinds)
+        assert len(result.violations) == (seed == 396)
+        assert result.stats["history_digest"]
+        _the_parent_alone_agrees(monkeypatch, result, scenario, seed)
     if scenario.startswith("elastic"):
         assert {"bind.member", "bind.get_state"} <= domain.kinds
     if result.violations:
@@ -621,17 +702,20 @@ def test_new_stamps_match_the_reference_under_faults(differential,
 
 
 def test_elastic_adversarial_302_cuts_are_the_ones_every_tick_selected(
-        differential):
+        differential, monkeypatch):
     """The post-mortem an investigator reads: both collation violations
     of this seed cut the stream exactly where the tick-everything clocks
     cut it (985 and 1,461 events at the commit before the vocabulary),
-    and the recorder's ring holds every event of those cuts it rings."""
+    and the recorder's ring holds every event of those cuts it rings.
+    Every stamp is the parent's, and so is the post-mortem with the
+    parent alone."""
     from repro.obs.recorder import RINGED_KINDS
     result = _explained("elastic-adversarial", 302)
     assert result.invariants() == ["collation-completeness"]
     (domain,) = differential
+    assert domain.check_stamps() == 2
     stream = domain.stream
-    shadow = [domain._with_reference_stamp(e) for e in stream]
+    shadow = domain._shadow(domain.reference)
     sizes = []
     ringed = []
     for violation in result.violations:
@@ -643,6 +727,7 @@ def test_elastic_adversarial_302_cuts_are_the_ones_every_tick_selected(
     assert sizes == [985, 1461]
     assert [len(v["causal_cut"]) for v in result.postmortem["violations"]] \
         == ringed
+    _the_parent_alone_agrees(monkeypatch, result, "elastic-adversarial", 302)
 
 
 def test_a_raising_stamper_is_contained_and_both_stampers_still_agree(

@@ -1,23 +1,16 @@
 """Tests for critical-path latency attribution (repro.obs.critpath)."""
 
-from repro.core import ExportedModule
+from repro.bench.scenarios import echo_module
 from repro.harness import World
 from repro.net.network import NetworkConfig
 from repro.obs import STAGES, CritPathAnalyzer
 from repro.obs.trace import CallTracer
 
 
-def _echo_module():
-    def echo(ctx, args):
-        yield from ctx.compute(1.0)
-        return b"echo:" + args
-    return ExportedModule("echo", {0: echo})
-
-
 def _analyzed_run(calls=5, seed=11, loss=0.0):
     net = NetworkConfig(loss_probability=loss) if loss else None
     world = World(machines=4, seed=seed, net_config=net)
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=3)
+    troupe, _ = world.make_troupe("echo", echo_module, degree=3)
     client = world.make_client()
 
     def body():
@@ -109,7 +102,7 @@ def test_close_detaches_from_the_bus():
 
 def test_external_tracer_is_not_closed():
     world = World(machines=4, seed=11)
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=2)
+    troupe, _ = world.make_troupe("echo", echo_module, degree=2)
     client = world.make_client()
     tracer = CallTracer(world.sim)
     with CritPathAnalyzer(world.sim, tracer=tracer) as analyzer:

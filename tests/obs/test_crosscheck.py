@@ -5,24 +5,17 @@ to the same bus; their counts must agree exactly — on a lossy network
 where retransmissions and probes make the packet stream non-trivial.
 """
 
-from repro.core import ExportedModule
+from repro.bench.scenarios import echo_module
 from repro.harness import World
 from repro.net import NetworkConfig
 from repro.obs import MetricsCollector
 from repro.tools import trace_network
 
 
-def _echo_module():
-    def echo(ctx, args):
-        yield from ctx.compute(1.0)
-        return b"echo:" + args
-    return ExportedModule("echo", {0: echo})
-
-
 def _lossy_run(loss=0.2, calls=8):
     world = World(machines=4, seed=13,
                   net_config=NetworkConfig(loss_probability=loss))
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=3)
+    troupe, _ = world.make_troupe("echo", echo_module, degree=3)
     client = world.make_client()
 
     def body():

@@ -1,6 +1,6 @@
 """Tests for the OpenMetrics exporter and the progress channel."""
 
-from repro.core import ExportedModule
+from repro.bench.scenarios import echo_module
 from repro.harness import World
 from repro.obs import (CritPathAnalyzer, MetricsCollector, MetricsRegistry,
                        SCHEMA_VERSION, openmetrics)
@@ -46,16 +46,9 @@ def test_openmetrics_shape_and_terminator():
     assert text.endswith("# EOF\n")
 
 
-def _echo_module():
-    def echo(ctx, args):
-        yield from ctx.compute(1.0)
-        return b"echo:" + args
-    return ExportedModule("echo", {0: echo})
-
-
 def _full_export(seed=21):
     world = World(machines=4, seed=seed)
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=3)
+    troupe, _ = world.make_troupe("echo", echo_module, degree=3)
     client = world.make_client()
 
     def body():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import ExportedModule
+from repro.bench.scenarios import echo_module
 from repro.harness import World
 from repro.obs import Counter, Gauge, Histogram, MetricsCollector, MetricsRegistry
 
@@ -110,16 +110,9 @@ def test_label_values_with_quotes_and_braces_are_escaped():
 
 # -- the standard collector over a real run --------------------------------
 
-def _echo_module():
-    def echo(ctx, args):
-        yield from ctx.compute(1.0)
-        return b"echo:" + args
-    return ExportedModule("echo", {0: echo})
-
-
 def _collect(calls=3, degree=3):
     world = World(machines=degree + 1, seed=21)
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=degree)
+    troupe, _ = world.make_troupe("echo", echo_module, degree=degree)
     client = world.make_client()
 
     def body():
@@ -158,7 +151,7 @@ def test_collector_call_latency_histogram():
 
 def test_collector_detaches_on_close():
     world = World(machines=3, seed=21)
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=2)
+    troupe, _ = world.make_troupe("echo", echo_module, degree=2)
     client = world.make_client()
 
     def one_call():

@@ -16,17 +16,14 @@ import contextlib
 import pytest
 
 from repro.bench import scenarios
-from repro.core import ExportedModule
-from repro.core.runtime import RuntimeConfig
 from repro.harness import World
-from repro.net.network import NetworkConfig
 from repro.obs import MetricsCollector, MetricsRegistry, events, monitor
 from repro.obs import metrics as obs_metrics
 from repro.obs.bus import COUNTED_KINDS
 from repro.obs.export import openmetrics
 from repro.obs.metrics import Handles
-from repro.pairedmsg.endpoint import PairedMessageConfig
 from repro.sim import Sleep
+from tests.obs.test_clocks import _bulk_lossy_world
 
 #: every kind the reference counts as it arrives (the collector's table
 #: before the site counts took seven of them over).
@@ -145,13 +142,6 @@ class _Beside:
         return self.check()
 
 
-def _echo_module():
-    def echo(ctx, args):
-        yield from ctx.compute(1.0)
-        return b"echo:" + args
-    return ExportedModule("echo", {0: echo})
-
-
 def _run_beside(world, body, every=10):
     """Run ``body`` with both collectors attached; compare mid-run (on
     call ends), after the run while attached, and after ``close()``."""
@@ -181,15 +171,7 @@ def test_circus_forty_calls():
 def test_thirteen_segment_calls_under_loss_and_duplication():
     # Seed 11: a server's RETURN is once still unacknowledged when the
     # client's next CALL arrives, so both by= values are counted.
-    world = World(
-        machines=4, seed=11,
-        net_config=NetworkConfig(loss_probability=0.10,
-                                 duplicate_probability=0.02),
-        runtime_config=RuntimeConfig(paired=PairedMessageConfig(
-            max_segment_data=512, retransmit_interval=30.0,
-            max_retries=64)))
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=3)
-    client = world.make_client()
+    world, troupe, client = _bulk_lossy_world()
     payload = bytes(range(256)) * 24            # 6 KiB: 13 segments
 
     def body():
@@ -208,7 +190,7 @@ def test_thirteen_segment_calls_under_loss_and_duplication():
 
 def test_many_to_many_call():
     world = World(machines=8, seed=17)
-    servers, _ = world.make_troupe("echo", _echo_module, degree=3)
+    servers, _ = world.make_troupe("echo", scenarios.echo_module, degree=3)
     _clients, runtimes = world.make_client_troupe("clients", degree=2)
 
     def caller(runtime, delay):
@@ -265,7 +247,7 @@ def test_explorer_seeds(monkeypatch, scenario, seed):
 
 def _circus_in_halves():
     world = World(machines=4, seed=7)
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=3)
+    troupe, _ = world.make_troupe("echo", scenarios.echo_module, degree=3)
     client = world.make_client()
 
     def body(calls):

@@ -6,16 +6,10 @@ corrupted replica (a member whose replies diverge from its troupe) is a
 determinism breach the monitors must catch.
 """
 
+from repro.bench.scenarios import echo_module
 from repro.core import CollationError, ExportedModule, TroupeFailure
 from repro.harness import World
 from repro.host import FailureModel
-
-
-def _echo_module():
-    def echo(ctx, args):
-        yield from ctx.compute(1.0)
-        return b"echo:" + args
-    return ExportedModule("echo", {0: echo})
 
 
 def test_crash_only_faults_raise_no_false_positives():
@@ -23,7 +17,7 @@ def test_crash_only_faults_raise_no_false_positives():
     crash declaration, abandoned transfers, and partial collation — none
     of which may trip a monitor."""
     world = World(machines=5, seed=77)
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=3,
+    troupe, _ = world.make_troupe("echo", echo_module, degree=3,
                                   on_machines=["host0", "host1", "host2"])
     client = world.make_client(machine_name="host4")
     model = FailureModel(world.sim, world.machines[:3],

@@ -3,27 +3,37 @@
 An observer's footprint must follow what is in flight, not the length of
 the run: the critical-path analyzer folds each call into one
 ``CallPath`` and drops its timelines and (when they are its own) its
-spans.  Pinned with ``tracemalloc`` — exact and repeatable — over calls
-250 to 1,250 of the circus shape, a window in which the time-series
-rings are still filling.  Before the analyzer folded it read 4,846 bytes
-per call alone and 11,121 under ``watch()`` + ``observe()``; what is
-left in the second figure is held on purpose (``ExactlyOnceMonitor``'s
-evidence, the clock domain's bounded edge tables, the rings).  While a
-stamp was a dict per event that figure read 7,398, and 5,726 under
-``watch()`` alone; a stamp shared as one tuple, and one string per
-thread id, make them 5,484 and 3,797.
+spans.  Pinned by a heap census (``tests/census.py``) after 250 calls of
+the circus shape and again after 250 more, in a fresh interpreter: each
+probe holds what a call leaves behind, type by type and in dict entries,
+to a table within half an object per call, and its bytes to a bound.
+What is left under ``watch()`` + ``observe()`` is held on purpose
+(``ExactlyOnceMonitor``'s evidence, the clock domain's bounded edge
+tables, the time-series rings, still filling in this window).
+
+The byte bounds keep the headroom they had over the traced bytes per
+call of calls 250 to 1,250 (2,000 over 1,019 alone, 4,400 over 3,745
+under ``watch()``, 6,300 over 5,431 under both) on the census bytes of
+the same code (984, 3,394, 5,329).  Traced, the analyzer read 4,846
+alone and 11,121 under both before it folded; while a stamp was a dict
+per event, 7,398 under both and 5,726 under ``watch()``.
 """
 
 import contextlib
-import gc
-import tracemalloc
+import functools
+import json
+import os
+import subprocess
+import sys
 
+import repro
 from repro.bench import scenarios
 from repro.harness import World
 from repro.obs import CritPathAnalyzer
 from repro.sim import Sleep
+from tests.census import census
 
-WARM_UP, WINDOW = 250, 1000
+WARM_UP, WINDOW = 250, 250
 
 
 def _circus_world():
@@ -38,44 +48,79 @@ def _circus_world():
     return world, body
 
 
-def _bytes_kept_per_call(attach):
-    """Traced bytes still allocated per call of the window, with
-    ``attach(world, stack)``'s observers on the bus throughout."""
+#: probe -> the observers it puts on the bus, from before the warm-up on
+_PROBES = {
+    "analyzer": lambda world: [CritPathAnalyzer(world.sim)],
+    "watch": lambda world: [world.watch()],
+    "everything": lambda world: [world.watch(), world.observe()],
+}
+
+
+def _probe(name):
+    """What each call of the window left behind under ``name``'s
+    observers: objects by type name, ``"dict entries"`` and
+    ``"heap bytes"``."""
     world, body = _circus_world()
     with contextlib.ExitStack() as stack:
-        attach(world, stack)
+        for observer in _PROBES[name](world):
+            stack.enter_context(observer)
         world.run(body(WARM_UP))
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            world.run(body(WINDOW))
-            gc.collect()
-            return (tracemalloc.get_traced_memory()[0] - before) / WINDOW
-        finally:
-            tracemalloc.stop()
+        before = census()
+        world.run(body(WINDOW))
+        after = census(before)
+    kept = {cls.__name__: n / WINDOW for cls, n in (after - before).items()}
+    kept["dict entries"] = (after.keys - before.keys) / WINDOW
+    kept["heap bytes"] = (after.bytes - before.bytes) / WINDOW
+    return kept
+
+
+@functools.cache
+def _probed():
+    """Every probe, in one fresh interpreter: there a census counts the
+    probed world, not what an earlier test left behind and lets go of
+    during the window."""
+    tests = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(repro.__file__)),
+        os.path.dirname(tests), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import json\n"
+         "from tests.obs.test_retention import _PROBES, _probe\n"
+         "print(json.dumps({name: _probe(name) for name in _PROBES}))"],
+        env=dict(os.environ, PYTHONPATH=path), check=True, timeout=300,
+        stdout=subprocess.PIPE).stdout
+    return json.loads(out)
+
+
+def _bytes_kept_per_call(name, keeps):
+    """Check what each call of ``name``'s window kept against ``keeps``
+    (type name -> objects, and ``"dict entries"``), to within half an
+    object; return the bytes it kept."""
+    kept = dict(_probed()[name])
+    size = kept.pop("heap bytes")
+    for kind in kept.keys() | keeps.keys():
+        assert abs(kept.get(kind, 0) - keeps.get(kind, 0)) < 0.5, (
+            kind, kept)
+    return size
 
 
 def test_the_analyzer_alone_keeps_a_path_per_call_and_little_else():
-    def attach(world, stack):
-        stack.enter_context(CritPathAnalyzer(world.sim))
-
-    assert _bytes_kept_per_call(attach) < 2000
+    assert _bytes_kept_per_call("analyzer", {
+        "CallPath": 1, "CallRef": 1, "list": 1,
+        "tuple": 4.1, "float": 5, "int": 5.6, "str": 1.1}) < 1930
 
 
 def test_everything_attached_keeps_what_is_held_on_purpose():
-    def attach(world, stack):
-        stack.enter_context(world.watch())
-        stack.enter_context(world.observe())
-
-    assert _bytes_kept_per_call(attach) < 6300
+    assert _bytes_kept_per_call("everything", {
+        "CallPath": 1, "CallRef": 1, "list": 1, "ExecutionStarted": 3,
+        "_Sketch": 1, "dict": 1, "tuple": 23.1, "float": 13,
+        "int": 36.7, "str": 1.1, "dict entries": 16.1}) < 6180
 
 
 def test_the_monitors_and_recorder_alone_keep_less_still():
-    def attach(world, stack):
-        stack.enter_context(world.watch())
-
-    assert _bytes_kept_per_call(attach) < 4400
+    assert _bytes_kept_per_call("watch", {
+        "ExecutionStarted": 3, "tuple": 19.1, "float": 3, "int": 29.6,
+        "dict entries": 8.1}) < 3980
 
 
 def test_what_is_held_shares_its_stamps_and_thread_ids():

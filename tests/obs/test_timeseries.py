@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench import scenarios
-from repro.core import ExportedModule
 from repro.harness import World
 from repro.obs import (MetricsCollector, MetricsRegistry, WindowedCounter,
                        WindowedGauge, WindowedHistogram)
@@ -107,16 +106,9 @@ def test_registry_snapshot_is_points_per_series():
 
 # -- the collector over a real run -----------------------------------------
 
-def _echo_module():
-    def echo(ctx, args):
-        yield from ctx.compute(1.0)
-        return b"echo:" + args
-    return ExportedModule("echo", {0: echo})
-
-
 def _run_collected(calls=4, seed=21):
     world = World(machines=4, seed=seed)
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=3)
+    troupe, _ = world.make_troupe("echo", scenarios.echo_module, degree=3)
     client = world.make_client()
 
     def body():
@@ -152,7 +144,7 @@ def test_collector_detaches_and_run_stays_virtual_time_identical():
 
     # The same seeded run, unobserved: byte-identical virtual time.
     world2 = World(machines=4, seed=21)
-    troupe, _ = world2.make_troupe("echo", _echo_module, degree=3)
+    troupe, _ = world2.make_troupe("echo", scenarios.echo_module, degree=3)
     client = world2.make_client()
 
     def body():

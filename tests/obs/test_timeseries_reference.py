@@ -20,16 +20,12 @@ import collections
 import contextlib
 
 from repro.bench import scenarios
-from repro.core import ExportedModule
-from repro.core.runtime import RuntimeConfig
-from repro.harness import World
-from repro.net.network import NetworkConfig
 from repro.obs import MetricsCollector, monitor
 from repro.obs import events as ev
 from repro.obs.metrics import (BUCKET_MS, CAPACITY, Handles, WindowedCounter,
                                WindowedGauge, WindowedHistogram,
                                _labelset, _render_key, _WindowedSeries)
-from repro.pairedmsg.endpoint import PairedMessageConfig
+from tests.obs.test_clocks import _bulk_lossy_world
 
 #: the series the reference windows as one unlabelled sum.
 _SPLIT = ("net.packets_dropped", "pm.retransmits", "pm.crashes_declared")
@@ -193,13 +189,6 @@ def _run_beside(world, body):
     return collector.registry, reference
 
 
-def _echo_module():
-    def echo(ctx, args):
-        yield from ctx.compute(1.0)
-        return b"echo:" + args
-    return ExportedModule("echo", {0: echo})
-
-
 def test_circus_forty_calls():
     world, body = scenarios.circus(40)
     registry, reference = _run_beside(world, body)
@@ -214,15 +203,7 @@ def test_circus_forty_calls():
 
 
 def test_thirteen_segment_calls_under_loss_and_duplication():
-    world = World(
-        machines=4, seed=11,
-        net_config=NetworkConfig(loss_probability=0.10,
-                                 duplicate_probability=0.02),
-        runtime_config=RuntimeConfig(paired=PairedMessageConfig(
-            max_segment_data=512, retransmit_interval=30.0,
-            max_retries=64)))
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=3)
-    client = world.make_client()
+    world, troupe, client = _bulk_lossy_world()
     payload = bytes(range(256)) * 24            # 6 KiB: 13 segments
 
     def body():

@@ -2,23 +2,16 @@
 
 import pytest
 
-from repro.core import ExportedModule
+from repro.bench.scenarios import echo_module
 from repro.harness import World
 from repro.obs import CritPathAnalyzer, MetricsCollector, TopModel
 from repro.obs.export import ProgressChannel
 from repro.obs.top import live_top, render_frame
 
 
-def _echo_module():
-    def echo(ctx, args):
-        yield from ctx.compute(1.0)
-        return b"echo:" + args
-    return ExportedModule("echo", {0: echo})
-
-
 def _world(seed=21, calls=4):
     world = World(machines=4, seed=seed)
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=3)
+    troupe, _ = world.make_troupe("echo", echo_module, degree=3)
     client = world.make_client()
 
     def body():

@@ -10,6 +10,7 @@ Regenerate after an intentional protocol/timing change with:
 import json
 import pathlib
 
+from repro.bench.scenarios import echo_module
 from repro.core import ExportedModule
 from repro.harness import World
 from repro.obs import trace_calls
@@ -17,19 +18,12 @@ from repro.obs import trace_calls
 GOLDEN = pathlib.Path(__file__).with_name("golden_call_span.json")
 
 
-def _echo_module():
-    def echo(ctx, args):
-        yield from ctx.compute(1.0)
-        return b"echo:" + args
-    return ExportedModule("echo", {0: echo})
-
-
 def _one_call_world():
     """One replicated call to a 2-member troupe — the quickstart shape,
     pinned to named machines so the golden file reads naturally."""
     world = World(machines=3, seed=5,
                   machine_names=["client", "server-1", "server-2"])
-    troupe, _ = world.make_troupe("echo", _echo_module, degree=2,
+    troupe, _ = world.make_troupe("echo", echo_module, degree=2,
                                   on_machines=["server-1", "server-2"])
     client = world.make_client("client")
 
@@ -108,7 +102,7 @@ def test_chrome_export_covers_call_executions_and_collation():
 
 def test_nested_calls_attach_under_the_issuing_execution():
     world = World(machines=5, seed=9)
-    inner_troupe, _ = world.make_troupe("inner", _echo_module, degree=2)
+    inner_troupe, _ = world.make_troupe("inner", echo_module, degree=2)
 
     def outer_module():
         def relay(ctx, args):

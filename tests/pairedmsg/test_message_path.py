@@ -17,23 +17,7 @@ from repro.pairedmsg import (
 from repro.pairedmsg.segments import PLEASE_ACK, Segment, decode, split_message
 from repro.sim import Simulator, Sleep
 from repro.sim.sharded import PacketDigest, merge_digests
-
-
-def make_world(n_machines=2, seed=0, **net_config):
-    sim = Simulator()
-    net = Network(sim, seed=seed, config=NetworkConfig(**net_config))
-    machines = [Machine(sim, net, "m%d" % i) for i in range(n_machines)]
-    procs = [m.spawn_process() for m in machines]
-    return sim, net, machines, procs
-
-
-def echo_server(endpoint):
-    def body():
-        while True:
-            msg = yield from endpoint.next_call()
-            yield from endpoint.send_return(msg.peer, msg.call_number,
-                                            b"echo:" + msg.data)
-    return body
+from tests.pairedmsg.test_endpoint import echo_server, make_world
 
 
 # ---------------------------------------------------------------------------

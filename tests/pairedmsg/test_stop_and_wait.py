@@ -2,18 +2,9 @@
 
 import pytest
 
-from repro.host import Machine
-from repro.net import Network, NetworkConfig
 from repro.pairedmsg import PairedEndpoint, PairedMessageConfig
-from repro.sim import Simulator, Sleep
-
-
-def make_world(seed=0, **net_config):
-    sim = Simulator()
-    net = Network(sim, seed=seed, config=NetworkConfig(**net_config))
-    machines = [Machine(sim, net, "m%d" % i) for i in range(2)]
-    procs = [m.spawn_process() for m in machines]
-    return sim, net, machines, procs
+from repro.sim import Sleep
+from tests.pairedmsg.test_endpoint import make_world
 
 
 def echo_server(endpoint):

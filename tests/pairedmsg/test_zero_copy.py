@@ -16,20 +16,11 @@ Any hidden copy on the receive path (``bytes(view)``, a per-segment
 join, a defensive slice copy) breaks the equality.
 """
 
-from repro.host import Machine
-from repro.net import LinkFault, Network, NetworkConfig
+from repro.net import LinkFault
 from repro.pairedmsg import PairedEndpoint, PairedMessageConfig
 from repro.pairedmsg import endpoint as endpoint_mod
 from repro.pairedmsg import segments as seg
-from repro.sim import Simulator
-
-
-def make_world(seed=0, **net_config):
-    sim = Simulator()
-    net = Network(sim, seed=seed, config=NetworkConfig(**net_config))
-    machines = [Machine(sim, net, "m%d" % i) for i in range(2)]
-    procs = [m.spawn_process() for m in machines]
-    return sim, net, machines, procs
+from tests.pairedmsg.test_endpoint import make_world
 
 
 def echo_server(endpoint, served=None):

@@ -254,6 +254,9 @@ def test_top_plain_renders_frames_and_summary(capsys):
     assert "final:" in out
 
 
+_SCHEDULE = '{"scenario": "echo", "seed": 1, "horizon": 100, "actions": %s}'
+
+
 @pytest.mark.parametrize("argv, content, complaint", [
     (["postmortem", "PATH"], "not json", "not JSON"),
     (["postmortem", "PATH"], None, "No such file"),
@@ -270,6 +273,13 @@ def test_top_plain_renders_frames_and_summary(capsys):
      "12 machines do not split into 5 cells"),
     (["shard", "--degree", "5"], None,
      "cell size 3 cannot host a 5-member troupe"),
+    (["lincheck", "PATH"], "[1, 2]", "not an operation history"),
+    (["fuzz", "--replay", "PATH"], "[1, 2]", "not a fault schedule"),
+    (["fuzz", "--replay", "PATH"], _SCHEDULE % '[{"kind": "crash", '
+     '"at": "x", "machine": "m0"}]',
+     "crash action: field 'at' is 'x', expected float"),
+    (["fuzz", "--replay", "PATH"], _SCHEDULE % '"zz"',
+     "field 'actions' is 'zz', expected a list"),
 ])
 def test_bad_input_is_a_message_not_a_traceback(
         argv, content, complaint, capsys, tmp_path):

@@ -1,12 +1,13 @@
 """What a capacity-shaped world holds in flight, counted with ``gc``.
 
 A 40-host world of ``capacity_builder``'s shape, run past its first
-calls, is searched object by object: a transfer holds an acknowledged
-prefix and no ``Condition``, a one-segment send its own bytes, a queue's
-getters a list, every machine the one cost model, and a link stream its
-draws and no string.  An idle host holds only what it uses: no instance
-dict, one shared control module, and no waiter list, deque, timer
-service or table before its first entry or after it drains."""
+calls, is searched object by object (``tests/census.py``'s ``tracked``):
+a transfer holds an acknowledged prefix and no ``Condition``, a
+one-segment send its own bytes, a queue's getters a list, every machine
+the one cost model, and a link stream its draws and no string.  An idle
+host holds only what it uses: no instance dict, one shared control
+module, and no waiter list, deque, timer service or table before its
+first entry or after it drains."""
 
 import gc
 from collections import deque
@@ -32,6 +33,7 @@ from repro.sim.kernel import AnyOf, Simulator, Sleep
 from repro.sim.rng import LinkStream
 from repro.sim.sharded import ShardedWorld
 from repro.sim.timers import TimerService
+from tests.census import tracked
 
 
 def _world_in_flight(payload=b"w", until=90.0):
@@ -43,15 +45,14 @@ def _world_in_flight(payload=b"w", until=90.0):
 
 
 def _held(world, cls):
-    gc.collect()
-    return [o for o in gc.get_objects()
+    return [o for o in tracked()
             if type(o) is cls and getattr(o, "sim", None) is world.sim]
 
 
 def test_a_world_holds_only_what_is_in_flight():
     world = _world_in_flight()
     assert world.counters["calls_completed"] > 0
-    transfers = [o for o in gc.get_objects()
+    transfers = [o for o in tracked()
                  if type(o) is _OutgoingTransfer
                  and o.endpoint.sim is world.sim]
     assert len(transfers) > 20
@@ -113,8 +114,7 @@ def test_an_idle_host_holds_only_what_it_uses():
                            for r in clients)
     # no timer service: the capacity world arms none
     assert all(p._timers is None for p in processes)
-    assert not [o for o in gc.get_objects()
-                if type(o) is TimerService and o.sim is world.sim]
+    assert not _held(world, TimerService)
     # a waiter list, a deque: shared while nothing waits
     no_waiters = events_mod._NO_WAITERS
     waitables = _held(world, Event) + _held(world, Condition)
