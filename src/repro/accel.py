@@ -1,71 +1,8 @@
-"""Accelerated-build introspection.
+"""The build ``python3 -m wallbench`` records in its fingerprint.
 
-The optional *accel* build compiles the three hottest modules —
-``repro.sim.kernel``, ``repro.sim.events`` and
-``repro.pairedmsg.segments`` — to C extensions with `mypyc
-<https://mypyc.readthedocs.io/>`_:
-
-    REPRO_ACCEL=1 pip install -e .[accel]
-
-The pure-Python modules are always the source of truth: the compiled
-build must produce byte-identical virtual time, which CI proves by
-running ``benchmarks/compare.py`` (zero-delta gate vs
-``BENCH_BASELINE.json``) under both builds.  When the toolchain is
-missing the build silently stays pure-Python — acceleration is an
-optimization, never a requirement.
-
-This module answers "which build am I running?" at runtime: a
-mypyc-compiled module is imported from a shared library instead of its
-``.py`` source, so the check is just the module's ``__file__`` suffix.
+Every module runs interpreted; there is no compiled build.
 """
-
-from __future__ import annotations
-
-import importlib
-from typing import Dict
-
-#: the modules the accel build compiles (mirrored in setup.py).
-ACCEL_MODULES = (
-    "repro.sim.kernel",
-    "repro.sim.events",
-    "repro.pairedmsg.segments",
-)
-
-_COMPILED_SUFFIXES = (".so", ".pyd")
-
-
-def _is_compiled(module) -> bool:
-    origin = getattr(module, "__file__", None) or ""
-    return origin.endswith(_COMPILED_SUFFIXES)
-
-
-def compiled_modules() -> Dict[str, bool]:
-    """Per-module compilation status, importing each hot module."""
-    return {name: _is_compiled(importlib.import_module(name))
-            for name in ACCEL_MODULES}
-
-
-def enabled() -> bool:
-    """True when every hot module is running compiled."""
-    return all(compiled_modules().values())
 
 
 def describe() -> str:
-    """One-line build description for banners and bench reports."""
-    modules = compiled_modules()
-    if all(modules.values()):
-        return "accelerated (mypyc)"
-    if any(modules.values()):
-        partial = ", ".join(sorted(n for n, c in modules.items() if c))
-        return "partially accelerated (mypyc: %s)" % partial
     return "pure-Python"
-
-
-def status() -> Dict[str, object]:
-    """JSON-friendly build report (used by ``repro perf --json``)."""
-    modules = compiled_modules()
-    return {
-        "build": describe(),
-        "accelerated": all(modules.values()),
-        "modules": modules,
-    }

@@ -174,18 +174,15 @@ MESSAGE_PATH = TableSpec(
     measure=_message_path, check=_check_message_path)
 
 
-def lossy_transfer_metrics(delayed_acks: bool = False, transfers: int = 8,
-                           loss: float = 0.15,
+def lossy_transfer_metrics(transfers: int = 8, loss: float = 0.15,
                            seed: int = 11) -> Dict[str, float]:
     """The deterministic lossy paired-message exchange (13-segment call
-    messages, seeded loss) with or without ack coalescing — the
-    ``pm-loss15`` workload."""
+    messages, seeded loss) — the ``pm-loss15`` workload."""
     message = bytes(range(256)) * 24          # 6144 bytes -> 13 segments
     world = World(machines=2, seed=seed,
                   net_config=NetworkConfig(loss_probability=loss))
     config = PairedMessageConfig(max_segment_data=512,
-                                 retransmit_interval=30.0,
-                                 delayed_acks=delayed_acks)
+                                 retransmit_interval=30.0)
     client_proc = world.machines[0].spawn_process("pm-client")
     server_proc = world.machines[1].spawn_process("pm-server")
     client = PairedEndpoint(client_proc, config=config)
@@ -214,37 +211,32 @@ def lossy_transfer_metrics(delayed_acks: bool = False, transfers: int = 8,
         "ms_per_transfer": latency,
         "packets_per_transfer": world.net.packets_sent / transfers,
         "acks_per_transfer": per_transfer("acks_sent"),
-        "acks_coalesced_per_transfer": per_transfer("acks_coalesced"),
         "bytes_copied_per_transfer": per_transfer("bytes_copied"),
     }
 
 
-def _delayed_ack(_iterations):
+def _lossy_transfer(_iterations):
+    row = lossy_transfer_metrics()
     return [[row["ms_per_transfer"], row["packets_per_transfer"],
-             row["acks_per_transfer"], row["acks_coalesced_per_transfer"]]
-            for row in (lossy_transfer_metrics(delayed_acks=False),
-                        lossy_transfer_metrics(delayed_acks=True))]
+             row["acks_per_transfer"]]]
 
 
-def _check_delayed_ack(rows):
-    (_, ms, packets, acks, _), (_, _, on_packets, on_acks, _) = rows
-    # Delayed acks are opt-in: the default row is the seed protocol
-    # stack's reading to the bit.
+def _check_lossy_transfer(rows):
+    ((_, ms, packets, _),) = rows
+    # The seed protocol stack's reading, to the bit.
     assert (ms, packets) == (226.52244269964925, 23.125)
-    assert on_acks < acks and on_packets < packets
 
 
-DELAYED_ACK = TableSpec(
-    "Message-path: delayed-ack coalescing (pm-loss15, deterministic)",
+LOSSY_TRANSFER = TableSpec(
+    "Message-path: lossy transfer (pm-loss15, deterministic)",
     columns=("configuration", "ms/transfer", "packets/transfer",
-             "acks/transfer", "acks coalesced/transfer"),
-    formats=(None, "%.4f", "%.3f", "%.3f", "%.3f"),
-    notes="13-segment (6 KB) calls at 15% seeded loss.  delayed_acks "
-          "holds the highest cumulative ack per message and flushes "
-          "one batch per 10 ms interval; probe replies stay "
-          "immediate so crash detection is unchanged.",
-    rows=("immediate-acks", "delayed-acks"),
-    measure=_delayed_ack, check=_check_delayed_ack)
+             "acks/transfer"),
+    formats=(None, "%.4f", "%.3f", "%.3f"),
+    notes="13-segment (6 KB) calls at 15% seeded loss.  Explicit acks "
+          "go out when a segment asks for one or reveals a gap; "
+          "otherwise the next CALL or RETURN acknowledges (§4.2.4).",
+    rows=("immediate-acks",),
+    measure=_lossy_transfer, check=_check_lossy_transfer)
 
 
 def _zero_copy(iterations):
@@ -454,8 +446,8 @@ ELASTIC = TableSpec(
 
 
 #: every work table, in ``repro perf`` order.
-GATED_TABLES = (KERNEL_PROXY, DISPATCH, MESSAGE_PATH, DELAYED_ACK, ZERO_COPY,
-                OBSERVABILITY, SHARDED_EXCHANGE, ELASTIC)
+GATED_TABLES = (KERNEL_PROXY, DISPATCH, MESSAGE_PATH, LOSSY_TRANSFER,
+                ZERO_COPY, OBSERVABILITY, SHARDED_EXCHANGE, ELASTIC)
 
 
 def all_gated_tables(iterations: int = ITERATIONS) -> List[Table]:

@@ -410,17 +410,14 @@ def cmd_perf(args) -> None:
     ``benchmarks/compare.py`` gates.  No wall clock is read (that is
     ``python3 -m wallbench``'s job): two runs of ``--json`` are
     byte-identical."""
-    from repro import accel
     from repro.bench import gated
     from repro.obs.export import SCHEMA_VERSION
 
     tables = gated.all_gated_tables(args.iterations)
     if args.json:
         _print_json({"schema_version": SCHEMA_VERSION,
-                     "build": accel.status(),
                      "tables": [table.to_dict() for table in tables]})
     else:
-        print("build: %s" % accel.describe())
         for table in tables:
             print(table.render())
     if args.profile:
@@ -505,8 +502,8 @@ def cmd_elastic(args) -> None:
     """Run the §6.4.2 availability experiment under the autoscaler and
     report measured vs predicted (M/M/n/n) availability.  The ``--json``
     payload is wholly virtual-time-deterministic: two runs of the same
-    seed serialize byte-identically (the CI elastic-smoke job ``cmp``'s
-    them)."""
+    seed serialize byte-identically under any ``PYTHONHASHSEED``
+    (``tests/test_determinism_end_to_end.py``)."""
     from repro.elastic.scenario import payload_json, run_elastic
 
     if args.pool < 2:

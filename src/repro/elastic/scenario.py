@@ -23,8 +23,8 @@ one live member — shows the reconfiguration lag the machine-level model
 cannot see.
 
 Everything in the returned payload is virtual-time-deterministic: the
-same seed produces byte-identical JSON, which the CI ``elastic-smoke``
-job checks with ``cmp``.
+same seed produces byte-identical JSON under any ``PYTHONHASHSEED``, which
+``tests/test_determinism_end_to_end.py`` checks in three fresh processes.
 """
 
 from __future__ import annotations

@@ -185,11 +185,6 @@ class ScheduleDriver(FailureModel):
             self.applied.append(
                 (self.sim.now, "expired %s" % entry["action"].describe()))
 
-    def armed_fire_counts(self) -> Tuple[int, int]:
-        """(fired, expired-or-pending) over the armed actions."""
-        fired = sum(1 for e in self._armed if e["fired"])
-        return fired, len(self._armed) - fired
-
     def _on_bind_event(self, event) -> None:
         kind = event.kind
         if kind == "bind.get_state":

@@ -19,7 +19,7 @@ linearly with troupe size.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from repro.host.machine import Machine, MachineCrashed
 from repro.net.addresses import ProcessAddress
@@ -155,10 +155,6 @@ class OsProcess:
         """(user ms, kernel ms), as getrusage reports (charged: 0.7 ms)."""
         self._account("getrusage", self.machine.cost_model.cost("getrusage"))
         return (self.user_time, self.kernel_time)
-
-    def cpu_time(self) -> float:
-        """Total CPU consumed so far, without charging anything."""
-        return self.user_time + self.kernel_time
 
     # -- sockets and syscall wrappers ---------------------------------------
 

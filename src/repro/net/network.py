@@ -212,9 +212,6 @@ class Network:
         if fault in self._faults:
             self._faults.remove(fault)
 
-    def clear_faults(self) -> None:
-        self._faults = []
-
     # -- ports -------------------------------------------------------------
 
     def bind(self, addr: ProcessAddress,

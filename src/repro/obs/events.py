@@ -54,9 +54,8 @@ from typing import Any, ClassVar, Dict, Optional, Tuple
 #: needs 3.10): no per-event ``__dict__``, so a flight-recorder ring of
 #: them is smaller and the collector has half as many objects to visit.
 #: On 3.9 they are ordinary dataclasses; nothing else differs.  (Spelled
-#: as keyword arguments to the real decorator, so type checkers — and the
-#: mypyc build of ``sim/kernel.py``, which constructs two of these — still
-#: see dataclasses.)
+#: as keyword arguments to the real decorator, so type checkers still see
+#: dataclasses.)
 _SLOTS: Dict[str, bool] = (
     {"slots": True} if sys.version_info >= (3, 10) else {})
 

@@ -58,9 +58,9 @@ from repro.sim.kernel import AnyOf, Sleep, SleepUntil
 _watch_order = attrgetter("watch_seq")
 
 #: what an endpoint's keyed tables (``_sends``, ``_assemblies``,
-#: ``_completed_returns``, ``_return_waiters``, ``_held_acks``) hold before
-#: their first entry and again once they drain: CPython never shrinks a
-#: dict.  Shared, so never written: an insert swaps in a dict of its own
+#: ``_completed_returns``, ``_return_waiters``) hold before their first
+#: entry and again once they drain: CPython never shrinks a dict.  Shared,
+#: so never written: an insert swaps in a dict of its own
 #: (``is _NO_ENTRIES``) first.
 _NO_ENTRIES: Dict = {}
 
@@ -87,14 +87,6 @@ class PairedMessageConfig:
     #: network."  True trades extra packets for fewer retransmission
     #: rounds on very lossy links.
     retransmit_all: bool = False
-    #: opt-in ack coalescing: instead of transmitting every explicit
-    #: acknowledgment immediately, hold the highest cumulative ack per
-    #: (peer, message) and flush them in one batch per flush interval.
-    #: Off by default — coalescing trades ack latency (and therefore
-    #: some extra retransmissions on lossy links) for fewer control
-    #: packets, so the paper-faithful tables keep it disabled.
-    delayed_acks: bool = False
-    ack_flush_interval: float = 10.0
     probe_interval: float = 150.0   # silence before probing a peer
     crash_timeout: float = 800.0    # silence before declaring a crash
     delivered_memory: int = 128     # completed call numbers kept per peer
@@ -259,7 +251,7 @@ class PairedEndpoint:
                  "_discarded_returns", "_last_heard", "_pending_control",
                  "counters", "_header_scratch", "_watched", "_watch_seq",
                  "_finished", "_due", "_sched_wake", "_scheduler",
-                 "_held_acks", "_ack_flush_at", "closed", "_receiver")
+                 "closed", "_receiver")
 
     def __init__(self, process: OsProcess, port: Optional[int] = None,
                  config: Optional[PairedMessageConfig] = None):
@@ -299,9 +291,7 @@ class PairedEndpoint:
             "packets_sent": 0,       # datagrams handed to sendmsg
             "daemons_spawned": 0,    # helper processes this endpoint made
             "retransmit_rounds": 0,
-            "acks_queued": 0,
             "acks_sent": 0,
-            "acks_coalesced": 0,
             "bytes_copied": 0,       # payload+header bytes written into
                                      # fresh message-path buffers (see
                                      # docs/PERFORMANCE.md): one wire per
@@ -327,12 +317,6 @@ class PairedEndpoint:
         self._due: List[Tuple[float, int]] = []
         self._sched_wake = Condition(self.sim, "pm-sched-wake")
         self._scheduler = None
-        #: coalesced explicit acks (config.delayed_acks): the highest
-        #: cumulative ack per (peer, msg_type, call_number), flushed in
-        #: one batch per ack_flush_interval by the scheduler.
-        self._held_acks: Dict[Tuple[ProcessAddress, int, int],
-                              Segment] = _NO_ENTRIES
-        self._ack_flush_at: Optional[float] = None
         self.closed = False
         self.counters["daemons_spawned"] += 1
         self._receiver = process.spawn(self._receive_loop(), name="pm-recv",
@@ -645,17 +629,10 @@ class PairedEndpoint:
                         self._spawn_helper(self._round_worker(transfer),
                                            name="pm-rexmit")
                 continue
-            if (self._ack_flush_at is not None
-                    and self._ack_flush_at <= now):
-                yield from self._flush_held_acks()
-                continue
-            wake = self._ack_flush_at
-            if due_heap and (wake is None or due_heap[0][0] < wake):
-                wake = due_heap[0][0]
-            if wake is None:
+            if not due_heap:
                 yield self._sched_wake
                 continue
-            yield AnyOf(self._sched_wake, Sleep(wake - now))
+            yield AnyOf(self._sched_wake, Sleep(due_heap[0][0] - now))
 
     def _cancel_timer(self, transfer: _OutgoingTransfer):
         # Cancelling the retransmission timer is one more setitimer.
@@ -705,16 +682,6 @@ class PairedEndpoint:
             if transfer.done.fired:
                 self._finished.append(transfer)
             self._sched_wake.signal()
-
-    def _flush_held_acks(self):
-        """Transmit the coalesced cumulative acks (config.delayed_acks)
-        in one batch — one control segment per held (peer, message)."""
-        held = self._held_acks
-        self._held_acks = _NO_ENTRIES
-        self._ack_flush_at = None
-        for (dst, _msg_type, _call_number), control in held.items():
-            self.counters["acks_sent"] += 1
-            yield from self._transmit(self._wire(control), dst)
 
     # ------------------------------------------------------------------
     # Waiting for a return message (client side)
@@ -848,7 +815,8 @@ class PairedEndpoint:
     def _handle_segment(self, src: ProcessAddress, segment: Segment) -> None:
         self._last_heard[src] = self.sim.now
         if segment.msg_type == MSG_PROBE:
-            self._queue_control(seg.make_probe_reply(segment.call_number), src)
+            self._pending_control.append(
+                (seg.make_probe_reply(segment.call_number), src))
             return
         if segment.msg_type == MSG_PROBE_REPLY:
             return  # its only effect is updating _last_heard
@@ -913,10 +881,10 @@ class PairedEndpoint:
                     msg_type=segment.msg_type,
                     call_number=segment.call_number,
                     proc=self.process.name))
-            self._queue_control(
-                seg.make_ack(segment.msg_type, segment.call_number,
-                             segment.total_segments, segment.total_segments),
-                src)
+            self._pending_control.append(
+                (seg.make_ack(segment.msg_type, segment.call_number,
+                              segment.total_segments, segment.total_segments),
+                 src))
             return
 
         key = (src, segment.msg_type, segment.call_number)
@@ -943,18 +911,14 @@ class PairedEndpoint:
                 assemblies = self._assemblies = {}
             assemblies[key] = assembly
 
-        if out_of_order:
-            # §4.2.4: a gap was revealed; ack immediately so the sender
-            # retransmits the first lost segment rather than an earlier one.
-            self._queue_control(
-                seg.make_ack(segment.msg_type, segment.call_number,
-                             segment.total_segments, assembly.ack_number),
-                src)
-        elif segment.please_ack:
-            self._queue_control(
-                seg.make_ack(segment.msg_type, segment.call_number,
-                             segment.total_segments, assembly.ack_number),
-                src)
+        if out_of_order or segment.please_ack:
+            # §4.2.4: a revealed gap is acked at once, unasked, so the
+            # sender retransmits the first lost segment rather than an
+            # earlier one.
+            self._pending_control.append(
+                (seg.make_ack(segment.msg_type, segment.call_number,
+                              segment.total_segments, assembly.ack_number),
+                 src))
 
     def _deliver(self, assembly: _IncomingAssembly, requested_ack: bool) -> None:
         src = assembly.peer
@@ -983,9 +947,9 @@ class PairedEndpoint:
             if requested_ack:
                 # A return completed by a retransmission: ack promptly so
                 # the server stops retransmitting.
-                self._queue_control(
-                    seg.make_ack(MSG_RETURN, assembly.call_number,
-                                 assembly.total, assembly.total), src)
+                self._pending_control.append(
+                    (seg.make_ack(MSG_RETURN, assembly.call_number,
+                                  assembly.total, assembly.total), src))
             key = (src, assembly.call_number)
             marks = self._discarded_returns
             if key in marks:
@@ -1020,35 +984,7 @@ class PairedEndpoint:
         while len(per_peer) > self.config.delivered_memory:
             del per_peer[next(iter(per_peer))]   # the oldest: insertion order
 
-    def _queue_control(self, segment: Segment, dst: ProcessAddress) -> None:
-        if segment.ack:
-            self.counters["acks_queued"] += 1
-            if (self.config.delayed_acks
-                    and segment.msg_type in (MSG_CALL, MSG_RETURN)):
-                # Coalesce: keep only the highest cumulative ack per
-                # (peer, message); the scheduler flushes the batch after
-                # ack_flush_interval.  Probe replies stay immediate so
-                # crash detection is unaffected.
-                key = (dst, segment.msg_type, segment.call_number)
-                held = self._held_acks.get(key)
-                if held is not None:
-                    self.counters["acks_coalesced"] += 1
-                    if held.segment_number > segment.segment_number:
-                        segment = held
-                if self._held_acks is _NO_ENTRIES:
-                    self._held_acks = {}
-                self._held_acks[key] = segment
-                if self._ack_flush_at is None:
-                    self._ack_flush_at = (self.sim.now
-                                          + self.config.ack_flush_interval)
-                    self._ensure_scheduler()
-                return
-        self._pending_control.append((segment, dst))
-
     # ------------------------------------------------------------------
-
-    def last_heard_from(self, peer: ProcessAddress) -> Optional[float]:
-        return self._last_heard.get(peer)
 
     def stats(self) -> dict:
         """Protocol state occupancy — the §4.2.4 bookkeeping a
@@ -1061,7 +997,6 @@ class PairedEndpoint:
             "delivered_call_memory": sum(
                 len(v) for v in self._delivered_calls.values()),
             "watched_transfers": len(self._watched),
-            "held_acks": len(self._held_acks),
         }
         stats.update(self.counters)
         return stats
@@ -1103,8 +1038,6 @@ class PairedEndpoint:
                 self._scheduler.kill()
             self._watched.clear()
             del self._finished[:], self._due[:]
-            self._held_acks = _NO_ENTRIES
-            self._ack_flush_at = None
             self.sock.close()
 
     def _require_open(self) -> None:

@@ -68,10 +68,6 @@ class Transaction:
     def __repr__(self) -> str:
         return "<Transaction %s (%s)>" % (self.txn_id, self.status)
 
-    @property
-    def is_top_level(self) -> bool:
-        return self.parent is None
-
     def ancestors(self) -> Set["Transaction"]:
         result = set()
         node = self.parent

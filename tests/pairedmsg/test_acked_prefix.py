@@ -156,11 +156,10 @@ def _stats(acks, copied, encodes, hits, patches, packets, rounds, memory):
         "outgoing_transfers": left, "incoming_assemblies": 0,
         "buffered_returns": 0, "peers_heard": 1,
         "delivered_call_memory": memory, "watched_transfers": left,
-        "held_acks": 0, "segment_encodes": encodes, "wire_patches": patches,
+        "segment_encodes": encodes, "wire_patches": patches,
         "wire_cache_hits": hits, "packets_sent": packets,
         "daemons_spawned": 2, "retransmit_rounds": rounds,
-        "acks_queued": acks, "acks_sent": acks, "acks_coalesced": 0,
-        "bytes_copied": copied}
+        "acks_sent": acks, "bytes_copied": copied}
 
 
 #: (sim.now, packet digest, client stats, server stats), taken from the

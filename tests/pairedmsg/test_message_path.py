@@ -1,6 +1,5 @@
 """Tests for the optimized message path: encode-once segment caching,
-the per-endpoint retransmit scheduler, shared multicast segments, and
-opt-in delayed-ack coalescing."""
+the per-endpoint retransmit scheduler and shared multicast segments."""
 
 import dataclasses
 
@@ -206,11 +205,10 @@ def test_busy_scheduler_keeps_every_decision():
         "outgoing_transfers": 2, "incoming_assemblies": 0,
         "buffered_returns": 0, "peers_heard": 241,
         "delivered_call_memory": 480, "watched_transfers": 2,
-        "held_acks": 0, "segment_encodes": 3575, "wire_patches": 604,
+        "segment_encodes": 3575, "wire_patches": 604,
         "wire_cache_hits": 2431, "packets_sent": 6610,
         "daemons_spawned": 3067, "retransmit_rounds": 3035,
-        "acks_queued": 1925, "acks_sent": 1925, "acks_coalesced": 0,
-        "bytes_copied": 1826132}
+        "acks_sent": 1925, "bytes_copied": 1826132}
     assert sum(c.stats()["packets_sent"] for c in clients) == 6200
     assert [p.syscall_counts for p in procs[:5]] == [
         {"gettimeofday": 510, "recvmsg": 5609, "select": 5610,
@@ -281,58 +279,3 @@ def test_multicast_transfers_share_segment_tuple():
 
     # Both returns implicitly acknowledge the multicast call.
     assert sim.run_process(body()) == ["acked", "acked"]
-
-
-# ---------------------------------------------------------------------------
-# Delayed-ack coalescing (opt-in)
-# ---------------------------------------------------------------------------
-
-def test_delayed_acks_deliver_correctly_and_coalesce():
-    sim, net, machines, (client_p, server_p) = make_world(
-        seed=11, loss_probability=0.15)
-    config = PairedMessageConfig(max_segment_data=128,
-                                 retransmit_interval=30.0,
-                                 delayed_acks=True)
-    client = PairedEndpoint(client_p, config=config)
-    server = PairedEndpoint(server_p, port=500, config=config)
-    server_p.spawn(echo_server(server)(), daemon=True)
-    data = bytes(range(256)) * 4   # several segments, lossy link
-
-    def body():
-        replies = []
-        for number in range(1, 6):
-            reply = yield from client.call(server.addr, number, data)
-            replies.append(reply)
-        return replies
-
-    assert sim.run_process(body()) == [b"echo:" + data] * 5
-    totals = {key: client.counters[key] + server.counters[key]
-              for key in client.counters}
-    assert totals["acks_queued"] > 0
-    # Coalescing transmitted fewer acks than were generated.
-    assert totals["acks_sent"] < totals["acks_queued"]
-    assert totals["acks_coalesced"] > 0
-
-
-def test_delayed_acks_send_fewer_packets_than_immediate():
-    from repro.bench.gated import lossy_transfer_metrics
-
-    off = lossy_transfer_metrics(delayed_acks=False, transfers=4)
-    on = lossy_transfer_metrics(delayed_acks=True, transfers=4)
-    assert on["acks_per_transfer"] < off["acks_per_transfer"]
-    assert on["packets_per_transfer"] < off["packets_per_transfer"]
-
-
-def test_probe_replies_stay_immediate_under_delayed_acks():
-    """Crash detection must not be delayed by ack coalescing."""
-    sim, net, machines, (client_p, server_p) = make_world()
-    config = PairedMessageConfig(delayed_acks=True)
-    client = PairedEndpoint(client_p, config=config)
-    server = PairedEndpoint(server_p, port=500, config=config)
-
-    def body():
-        answered = yield from client.ping(server.addr, timeout=200.0)
-        return answered
-
-    assert sim.run_process(body()) is True
-    assert server.stats()["held_acks"] == 0

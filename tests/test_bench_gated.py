@@ -39,7 +39,7 @@ def test_perf_json_is_byte_identical_and_reads_no_wall_clock(capsys):
     first = run()
     assert first == run()
     payload = json.loads(first)
-    assert sorted(payload) == ["build", "schema_version", "tables"]
+    assert sorted(payload) == ["schema_version", "tables"]
     names = list(payload)
     for table in payload["tables"]:
         names += list(table) + [table["title"]] + table["columns"]

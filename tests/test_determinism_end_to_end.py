@@ -7,6 +7,7 @@ twice must produce byte-identical packet traces and timings — and must not
 depend on ``PYTHONHASHSEED``, which reorders every ``set`` of strings.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -73,13 +74,16 @@ def test_different_seed_different_trace():
     (["shard", "--shards", "2", "--json"], b'"digest"'),
     (["metrics", "circus", "--iterations", "10", "--openmetrics"],
      b"# EOF"),
-], ids=["shard", "metrics-openmetrics"])
+    (["elastic", "--pool", "4", "--duration", "20000", "--seed", "11",
+      "--json"], b'"predicted_mmnn"'),
+], ids=["shard", "metrics-openmetrics", "elastic"])
 def test_cli_output_is_the_same_under_any_hash_seed(argv, marker):
     """``repro shard --shards 2 --json`` (digest, counters, per-shard
-    event counts) and the OpenMetrics exposition of the circus scenario,
-    byte for byte under three string-hash seeds: nothing on those paths
-    may iterate a set or lean on hash order.  (``bank-transfer`` seeds
-    334 / 338 still do — ROADMAP item 1.)"""
+    event counts), the OpenMetrics exposition of the circus scenario and
+    the autoscaled availability report, byte for byte under three
+    string-hash seeds: nothing on those paths may iterate a set or lean
+    on hash order.  (``bank-transfer`` seeds 334 / 338 still do —
+    ROADMAP item 1.)"""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = set()
@@ -88,4 +92,18 @@ def test_cli_output_is_the_same_under_any_hash_seed(argv, marker):
         outputs.add(subprocess.run(
             [sys.executable, "-m", "repro"] + argv,
             env=env, check=True, timeout=120, stdout=subprocess.PIPE).stdout)
-    assert len(outputs) == 1 and marker in outputs.pop()
+    assert len(outputs) == 1
+    out = outputs.pop()
+    assert marker in out
+    if argv[0] == "elastic":
+        _check_elastic_report(json.loads(out))
+
+
+def _check_elastic_report(report):
+    """The measured-vs-M/M/n/n comparison is well formed, the troupe was
+    founded (two joins at least) and calls got through."""
+    avail = report["availability"]
+    assert 0.0 < avail["predicted_mmnn"] <= 1.0, avail
+    assert 0.0 <= avail["measured_machine"] <= 1.0, avail
+    assert report["membership"]["joins"] >= 2, report["membership"]
+    assert report["calls"]["ok"] > 0, report["calls"]

@@ -132,7 +132,7 @@ def test_an_idle_host_holds_only_what_it_uses():
     drained = 0
     for e in endpoints:
         for table in (e._sends, e._assemblies, e._completed_returns,
-                      e._return_waiters, e._held_acks):
+                      e._return_waiters):
             assert table or table is empty
         assert e._discarded_returns or e._discarded_returns is marks
         drained += e._sends is empty and e.counters["packets_sent"] > 0
