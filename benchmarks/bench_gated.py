@@ -9,13 +9,14 @@ holds every cell to ``BENCH_BASELINE.json`` exactly.
 
 import pytest
 
-from repro.bench.gated import GATED_TABLES
+from repro.bench.gated import GATED_TABLES, forget_runs
 from repro.bench.report import register_table
 
 
 @pytest.mark.parametrize("spec", GATED_TABLES, ids=lambda spec: spec.title)
 def test_gated_table(spec):
     table = spec.build()
+    forget_runs()       # the second build runs its worlds again
     assert spec.build().rows == table.rows, "rows must be deterministic"
     spec.check(table.rows)
     register_table(table)

@@ -20,7 +20,9 @@ numbers come from ``python3 -m wallbench`` (docs/PERFORMANCE.md).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Tuple, Union
+import functools
+import types
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.bench import scenarios
 from repro.bench.report import Table
@@ -68,10 +70,26 @@ class TableSpec:
         return table
 
 
-def _run_circus(iterations: int):
+@dataclasses.dataclass(frozen=True)
+class _CircusReadings:
+    """What the work tables read of one unobserved circus run."""
+
+    perf: Mapping[str, int]             # the kernel's perf_snapshot()
+    endpoints: Mapping[str, float]      # the world's endpoint_stats()
+    packets: int
+    end: float                          # virtual time at the end
+
+
+@functools.lru_cache(maxsize=1)
+def _circus(iterations: int) -> _CircusReadings:
+    """The circus world is deterministic: five tables read one run of
+    it.  The readings are read-only, so no table sees another's use."""
     world, body = scenarios.circus(iterations)
     world.run(body())
-    return world
+    return _CircusReadings(
+        types.MappingProxyType(world.sim.perf_snapshot()),
+        types.MappingProxyType(world.endpoint_stats()),
+        world.net.packets_sent, world.sim.now)
 
 
 # -- kernel -----------------------------------------------------------------
@@ -80,7 +98,7 @@ def _kernel_proxy(iterations):
     """Kernel callbacks executed and ``_ScheduledCall`` handles allocated
     per replicated call: what the hot-path pass targets (freelist hits,
     no spurious callbacks)."""
-    snapshot = _run_circus(iterations).sim.perf_snapshot()
+    snapshot = _circus(iterations).perf
     callbacks = snapshot["callbacks_run"] / iterations
     allocs = snapshot["calls_allocated"] / iterations
     return [[callbacks, allocs, callbacks + allocs]]
@@ -110,7 +128,7 @@ KERNEL_PROXY = TableSpec(
 def _dispatch(iterations):
     """Ready-lane entries drained per call (the same-timestamp batching
     path that bypasses the heap) and the lane's share of all dispatches."""
-    snapshot = _run_circus(iterations).sim.perf_snapshot()
+    snapshot = _circus(iterations).perf
     callbacks, ready = snapshot["callbacks_run"], snapshot["ready_dispatched"]
     share = 100.0 * ready / callbacks if callbacks else 0.0
     return [[callbacks / iterations, ready / iterations, round(share, 4)]]
@@ -144,12 +162,10 @@ DISPATCH = TableSpec(
 def _message_path(iterations):
     """Segment encodes, endpoint helper daemons spawned and packets per
     replicated call; ``msg proxy`` is encodes + daemons."""
-    world = _run_circus(iterations)
-    totals = world.endpoint_stats()
-    encodes = totals["segment_encodes"] / iterations
-    daemons = totals["daemons_spawned"] / iterations
-    return [[encodes, daemons, world.net.packets_sent / iterations,
-             encodes + daemons]]
+    run = _circus(iterations)
+    encodes = run.endpoints["segment_encodes"] / iterations
+    daemons = run.endpoints["daemons_spawned"] / iterations
+    return [[encodes, daemons, run.packets / iterations, encodes + daemons]]
 
 
 def _check_message_path(rows):
@@ -215,8 +231,15 @@ def lossy_transfer_metrics(transfers: int = 8, loss: float = 0.15,
     }
 
 
+@functools.lru_cache(maxsize=1)
+def _pm_loss15() -> Mapping[str, float]:
+    """``lossy_transfer_metrics()``, run once for the two tables that
+    read it."""
+    return types.MappingProxyType(lossy_transfer_metrics())
+
+
 def _lossy_transfer(_iterations):
-    row = lossy_transfer_metrics()
+    row = _pm_loss15()
     return [[row["ms_per_transfer"], row["packets_per_transfer"],
              row["acks_per_transfer"]]]
 
@@ -244,9 +267,9 @@ def _zero_copy(iterations):
     message-path buffers (one wire per segment, one marked wire per
     retransmitted segment, one join per delivered message — decode and
     reassembly are views and contribute zero)."""
-    totals = _run_circus(iterations).endpoint_stats()
+    totals = _circus(iterations).endpoints
     return [[totals["bytes_copied"] / iterations],
-            [lossy_transfer_metrics()["bytes_copied_per_transfer"]]]
+            [_pm_loss15()["bytes_copied_per_transfer"]]]
 
 
 def _check_zero_copy(rows):
@@ -313,7 +336,7 @@ def _observability(iterations):
     it catches an observer that perturbs the simulation even when its
     work counters happen to match.  The ``+history`` row additionally
     attaches an :class:`~repro.obs.history.OperationHistoryRecorder`."""
-    unobserved_end = _run_circus(iterations).sim.now
+    unobserved_end = _circus(iterations).end
     recorders = []
 
     def attach_recorder(world):
@@ -450,5 +473,14 @@ GATED_TABLES = (KERNEL_PROXY, DISPATCH, MESSAGE_PATH, LOSSY_TRANSFER,
                 ZERO_COPY, OBSERVABILITY, SHARDED_EXCHANGE, ELASTIC)
 
 
+def forget_runs() -> None:
+    """Drop the memoized circus and pm-loss15 readings: the next table
+    that reads one runs its world again."""
+    _circus.cache_clear()
+    _pm_loss15.cache_clear()
+
+
 def all_gated_tables(iterations: int = ITERATIONS) -> List[Table]:
+    """Every table, from fresh runs: one of each deterministic world."""
+    forget_runs()
     return [spec.build(iterations) for spec in GATED_TABLES]

@@ -23,6 +23,7 @@ from repro.net.addresses import (
     validate_port,
 )
 from repro.obs import events as obs_events
+from repro.obs.events import _SLOTS
 from repro.sim.kernel import Simulator
 from repro.sim.rng import LinkStream, RandomStream
 
@@ -64,7 +65,7 @@ class NetworkConfig:
         return delay
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(**_SLOTS)
 class Datagram:
     """A packet in flight: source, destination, and uninterpreted payload."""
 

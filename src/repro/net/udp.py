@@ -75,10 +75,8 @@ class UdpSocket:
     def recv_nowait(self) -> Optional[Datagram]:
         """The next queued datagram, or ``None`` if the queue is empty."""
         self._check_open()
-        try:
-            return self._incoming.get_nowait()
-        except LookupError:
-            return None
+        incoming = self._incoming
+        return incoming.get_nowait() if incoming else None
 
     def pending(self) -> int:
         return len(self._incoming)

@@ -23,6 +23,7 @@ import collections
 import functools
 import math
 import operator
+from array import array
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.bus import EventBus
@@ -58,12 +59,13 @@ class Gauge:
 
 
 class Histogram:
-    """Exact distribution of virtual-time observations (ms)."""
+    """Exact distribution of virtual-time observations (ms), each kept
+    as one unboxed double."""
 
     __slots__ = ("values",)
 
     def __init__(self):
-        self.values: List[float] = []
+        self.values = array("d")
 
     def observe(self, value: float) -> None:
         self.values.append(value)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.net import Network, NetworkConfig, PortInUse, ProcessAddress, UdpSocket
 from repro.sim import Simulator, Sleep
+from repro.sim.events import Queue
 
 
 def make_net(**config):
@@ -97,6 +98,20 @@ def test_recv_nowait_and_pending():
     assert b.pending() == 2
     assert b.recv_nowait().payload == b"one"
     assert b.recv_nowait().payload == b"two"
+    assert b.recv_nowait() is None
+
+
+def test_recv_nowait_on_an_empty_socket_raises_nothing(monkeypatch):
+    """The receive loop polls before it parks: an empty socket answers
+    ``None`` without asking its queue for an item that is not there."""
+    sim, net = make_net()
+    b = UdpSocket(net, "b", 200)
+
+    def refuse(queue):
+        raise AssertionError("get_nowait on %r" % queue)
+
+    monkeypatch.setattr(Queue, "get_nowait", refuse)
+    assert b.recv_nowait() is None
     assert b.recv_nowait() is None
 
 

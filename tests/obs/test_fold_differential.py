@@ -29,6 +29,7 @@ from repro.obs.bus import EventBus
 from repro.obs.clocks import host_of, vc_leq
 from repro.obs.critpath import (_TIMELINE_CAP, STAGES, CallPath,
                                 CritPathAnalyzer, _msg_codes)
+from repro.obs.metrics import Histogram
 from repro.obs.trace import (CallKey, CallSpan, CallTracer, ClientKey,
                              ExecSpan)
 from repro.pairedmsg.endpoint import PairedMessageConfig
@@ -159,8 +160,9 @@ class _ReferenceCallPath(CallPath):
 class _ReferenceCritPath(CritPathAnalyzer):
     """``CritPathAnalyzer`` as it was: every timeline and (through its
     tracer) every span kept, every completed call analysed on demand —
-    again from scratch whenever a ``pm.send`` had arrived since.  The
-    reporting half is the real analyzer's."""
+    again from scratch whenever a ``pm.send`` had arrived since — and
+    every report read from those paths.  Only ``render`` is the real
+    analyzer's."""
 
     def __init__(self, sim, tracer: Optional[_ReferenceTracer] = None):
         self.sim = sim
@@ -346,6 +348,50 @@ class _ReferenceCritPath(CritPathAnalyzer):
                 violations += 1
         return violations
 
+    # -- reporting ---------------------------------------------------------
+
+    def stage_histograms(self) -> Dict[str, Histogram]:
+        hists: Dict[str, Histogram] = {}
+        for path in self.paths():
+            for name, dur in path.stages:
+                hists.setdefault(name, Histogram()).observe(dur)
+        return hists
+
+    def report(self) -> Dict[str, Any]:
+        paths = self.paths()
+        total = sum(p.duration for p in paths)
+        attributed = sum(dur for p in paths for _, dur in p.stages)
+        dominant: Dict[str, int] = {}
+        for p in paths:
+            dominant[p.dominant] = dominant.get(p.dominant, 0) + 1
+        stages: Dict[str, Any] = {}
+        for name, hist in sorted(self.stage_histograms().items(),
+                                 key=lambda kv: STAGES.index(kv[0])
+                                 if kv[0] in STAGES else len(STAGES)):
+            stages[name] = {
+                "count": hist.count,
+                "total_ms": round(hist.total, 3),
+                "share_pct": round(100.0 * hist.total / total, 2)
+                if total else 0.0,
+                "p50_ms": round(hist.percentile(50), 3),
+                "p90_ms": round(hist.percentile(90), 3),
+                "max_ms": round(max(hist.values), 3),
+            }
+        return {
+            "calls": len(paths),
+            "degraded_calls": sum(1 for p in paths if p.degraded),
+            "causal_violations": sum(p.causal_violations for p in paths),
+            "total_latency_ms": round(total, 3),
+            "attributed_ms": round(attributed, 3),
+            "attributed_pct": round(100.0 * attributed / total, 2)
+            if total else 100.0,
+            "residual_ms": round(total - attributed, 3),
+            "residual_pct": round(100.0 * (total - attributed) / total, 2)
+            if total else 0.0,
+            "dominant": {k: dominant[k] for k in sorted(dominant)},
+            "stages": stages,
+        }
+
 
 # ---------------------------------------------------------------------------
 # both generations on one bus
@@ -369,10 +415,11 @@ class _SideBySide:
         for analyzer in (self.owning, self.sharing):
             assert [p.to_dict() for p in analyzer.paths()] == expected
             assert analyzer.report() == reference.report()
-            assert [(p.call.thread_id, p.call.call_number)
-                    for p in analyzer.paths()] == \
-                   [(p.call.thread_id, p.call.call_number)
-                    for p in reference.paths()]
+            assert analyzer.render() == reference.render()
+            assert [(p.call.thread_id, p.call.call_number,
+                     p.causal_violations) for p in analyzer.paths()] == \
+                   [(p.call.thread_id, p.call.call_number,
+                     p.causal_violations) for p in reference.paths()]
         assert self.tracer.span_tree() == reference.tracer.span_tree()
         assert self.tracer.to_chrome() == reference.tracer.to_chrome()
         return len(expected)
@@ -411,6 +458,8 @@ def test_sequential_circus_calls_asked_midway_and_at_the_end():
     # without having been folded.
     assert both.check() == 15
     assert both.owning._ended
+    # ... and analysed into a row for each answer only.
+    assert len(both.owning._rows) == 14
     world.run(body(25))
     assert both.check() == 40
     both.close()
@@ -471,6 +520,37 @@ def test_first_come_collation_leaves_members_executing_after_the_call():
     assert len(both.tracer.execs) > sum(
         len(call.execs) for call in both.tracer.calls)
     world.sim.run()
+    both.close()
+    assert both.check() == 12
+
+
+def test_first_come_calls_after_their_members_crash():
+    """The fastest member crashes after four calls, the other two after
+    eight: the middle calls stall on retransmissions to the dead one and
+    the last four find no member at all — their paths are degraded."""
+    world = World(machines=4, seed=31)
+    speeds = iter((1.0, 45.0, 90.0))
+    troupe, _ = world.make_troupe(
+        "echo", lambda: _echo_module(next(speeds)), degree=3)
+    client = world.make_client()
+    hosts = [member.process.host for member in troupe.members]
+
+    def body():
+        for i in range(12):
+            for host in {4: hosts[:1], 8: hosts[1:]}.get(i, ()):
+                world.machine(host).crash()
+            try:
+                yield from client.call_troupe(troupe, 0, 0, b"fc %d" % i,
+                                              collator=FirstComeCollator())
+            except TroupeFailure:
+                pass
+
+    both = _SideBySide(world.sim)
+    world.run(body())
+    assert both.check() == 12
+    report = both.reference.report()
+    assert report["degraded_calls"] == 4
+    assert report["stages"]["retransmit_stall"]["count"] > 4
     both.close()
     assert both.check() == 12
 

@@ -2,9 +2,11 @@
 their rows of the committed ``BENCH_BASELINE.json`` through the gate
 ``benchmarks/compare.py`` applies, and pins ``repro perf``."""
 
+import collections
 import json
 
 from benchmarks import compare
+from repro.bench import gated, scenarios
 from repro.bench.gated import GATED_TABLES, all_gated_tables
 from repro.cli import main
 
@@ -29,6 +31,26 @@ def test_gated_tables_match_the_committed_baseline():
     baseline = [committed[table["title"]] for table in built]
     lines = compare.differences({"tables": baseline}, {"tables": built})
     assert not lines, "\n".join(lines)
+
+
+def test_one_gated_build_simulates_each_deterministic_world_once(
+        monkeypatch):
+    built = collections.Counter()
+
+    def counted(name, make):
+        def build(*args, **kwargs):
+            built[name] += 1
+            return make(*args, **kwargs)
+        return build
+
+    monkeypatch.setattr(scenarios, "circus",
+                        counted("circus", scenarios.circus))
+    monkeypatch.setattr(gated, "lossy_transfer_metrics",
+                        counted("pm-loss15", gated.lossy_transfer_metrics))
+    all_gated_tables(20)
+    # One unobserved circus world, read by five tables, and the two the
+    # observability table observes; one pm-loss15 world for two tables.
+    assert built == {"circus": 3, "pm-loss15": 1}
 
 
 def test_perf_json_is_byte_identical_and_reads_no_wall_clock(capsys):

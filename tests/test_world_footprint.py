@@ -23,6 +23,8 @@ from repro.core.runtime import (
 )
 from repro.host.process import OsProcess
 from repro.host.syscalls import SyscallCostModel
+from repro.net.network import Datagram
+from repro.obs.events import _SLOTS
 from repro.net.udp import UdpSocket
 from repro.pairedmsg import endpoint as endpoint_mod
 from repro.pairedmsg.endpoint import PairedEndpoint, _OutgoingTransfer
@@ -74,6 +76,11 @@ def test_a_world_holds_only_what_is_in_flight():
     assert isinstance(world.machines[0].cost_model, SyscallCostModel)
     with pytest.raises(TypeError):   # shared, so replaced, never mutated
         world.machines[0].cost_model.costs["sendmsg"] = 0.0
+    # a datagram in flight is three slots, no instance dict (where the
+    # interpreter slots a dataclass)
+    datagrams = [o for o in tracked() if type(o) is Datagram]
+    assert len(datagrams) > 10
+    assert not _SLOTS or not any(hasattr(d, "__dict__") for d in datagrams)
     # a link stream holds draws and the network's own key, no string
     links = list(world.net._link_rngs.items())
     assert len(links) > 20
