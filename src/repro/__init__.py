@@ -27,7 +27,7 @@ Packages
 --------
 
 =====================  ====================================================
-``repro.sim``          discrete-event kernel (processes, events, timers)
+``repro.sim``          discrete-event kernel (processes, events, queues)
 ``repro.net``          simulated wire, UDP and TCP analogues
 ``repro.host``         machines, OS processes, the Table 4.2 cost model
 ``repro.pairedmsg``    the Circus paired message protocol (§4.2)

@@ -113,9 +113,9 @@ def run_udp_echo(iterations: int = 50, seed: int = 0) -> EchoResult:
         for _ in range(iterations):
             yield from client_proc.sendmsg(client_sock, ECHO_PAYLOAD,
                                            server_sock.addr)
-            yield from client_proc.syscall("setitimer")   # alarm(timeout)
+            yield client_proc.charge("setitimer")        # alarm(timeout)
             yield from client_proc.recvmsg(client_sock)
-            yield from client_proc.syscall("setitimer")   # alarm(0)
+            yield client_proc.charge("setitimer")        # alarm(0)
             yield from client_proc.compute(0.8)           # loop body
         return (world.sim.now - start_real,
                 client_proc.user_time - start_user,
@@ -139,8 +139,8 @@ def run_tcp_echo(iterations: int = 50, seed: int = 0) -> EchoResult:
         conn = yield listener.accept()
         while True:
             msg = yield from conn.receive()
-            yield from server_proc.syscall("read")
-            yield from server_proc.syscall("write")
+            yield server_proc.charge("read")
+            yield server_proc.charge("write")
             yield from conn.send(msg)
 
     world.sim.spawn(server(), name="tcp-server", daemon=True)
@@ -151,10 +151,10 @@ def run_tcp_echo(iterations: int = 50, seed: int = 0) -> EchoResult:
         start_real = world.sim.now
         start_user, start_kernel = client_proc.user_time, client_proc.kernel_time
         for _ in range(iterations):
-            yield from client_proc.syscall("write")
+            yield client_proc.charge("write")
             yield from sock.send(ECHO_PAYLOAD)
             yield from sock.receive()
-            yield from client_proc.syscall("read")
+            yield client_proc.charge("read")
             yield from client_proc.compute(0.5)
         result = (world.sim.now - start_real,
                   client_proc.user_time - start_user,
@@ -277,7 +277,7 @@ def table_4_2(repetitions: int = 100):
         def body():
             start = world.sim.now
             for _ in range(repetitions):
-                yield from proc.syscall(name)
+                yield proc.charge(name)
             return (world.sim.now - start) / repetitions
 
         results[name] = (world.run(body()), proc)

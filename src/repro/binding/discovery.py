@@ -37,7 +37,7 @@ def discover_ringmaster(process: OsProcess, port: int = RINGMASTER_PORT,
     probe = seg.make_probe(0).encode()
     try:
         for _attempt in range(retries):
-            yield from process.syscall("sendmsg")
+            yield process.charge("sendmsg")
             sock.broadcast(probe, port)
             responders = set()
             deadline = process.sim.now + window
@@ -46,7 +46,7 @@ def discover_ringmaster(process: OsProcess, port: int = RINGMASTER_PORT,
                 index, value = yield AnyOf(sock.recv(), Sleep(remaining))
                 if index == 1:
                     break
-                yield from process.syscall("recvmsg")
+                yield process.charge("recvmsg")
                 try:
                     segment = seg.decode(value.payload)
                 except seg.SegmentFormatError:

@@ -925,10 +925,11 @@ class _ResultStream:
         return result
 
     def cancel(self) -> None:
-        """Stop waiting for the remaining members (early loop exit, §7.4)."""
-        for waiter in self._waiters:
+        """Stop waiting for the remaining members (early loop exit, §7.4).
+        Only the returns still pending are forgotten: a taken return's
+        discard mark would never be cleared."""
+        for member, waiter in zip(self.members, self._waiters):
             if waiter.alive:
                 waiter.kill()
-        for member in self.members:
-            self.runtime.endpoint.forget_return(member, self.call_number)
+                self.runtime.endpoint.forget_return(member, self.call_number)
         self._remaining = 0

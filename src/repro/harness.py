@@ -37,9 +37,8 @@ class World:
                  runtime_config: Optional[RuntimeConfig] = None,
                  cost_model: Optional[SyscallCostModel] = None,
                  machine_names: Optional[List[str]] = None,
-                 monitors=None,
                  troupe_id_base: Optional[int] = None):
-        self.sim = Simulator(monitors=monitors)
+        self.sim = Simulator()
         self.runtime_config = runtime_config or RuntimeConfig()
         if machine_names is None:
             machine_names = ["host%d" % i for i in range(machines)]

@@ -13,7 +13,7 @@ used by the troupe configuration language.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.net.network import Network
 from repro.sim.kernel import Simulator
@@ -42,8 +42,6 @@ class Machine:
         self.processes: List = []  # live OsProcess objects
         self._next_pid = 1
         self.crash_count = 0
-        self._crash_listeners: List[Callable[["Machine"], None]] = []
-        self._restart_listeners: List[Callable[["Machine"], None]] = []
 
     def __repr__(self) -> str:
         return "<Machine %s (%s, %d procs)>" % (
@@ -79,8 +77,6 @@ class Machine:
         for proc in list(self.processes):
             proc._terminate(crashed=True)
         self.processes = []
-        for listener in list(self._crash_listeners):
-            listener(self)
 
     def restart(self) -> None:
         """Bring the machine back up, empty."""
@@ -88,14 +84,6 @@ class Machine:
             return
         self.up = True
         self.network.set_host_up(self.name, True)
-        for listener in list(self._restart_listeners):
-            listener(self)
-
-    def on_crash(self, listener: Callable[["Machine"], None]) -> None:
-        self._crash_listeners.append(listener)
-
-    def on_restart(self, listener: Callable[["Machine"], None]) -> None:
-        self._restart_listeners.append(listener)
 
     def require_up(self) -> None:
         if not self.up:

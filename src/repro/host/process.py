@@ -9,8 +9,7 @@ Table 4.1.  It provides:
 - *syscall wrappers* (``sendmsg``, ``recvmsg``, ``select``, ...) that
   charge the calibrated kernel-CPU cost, advance the simulated clock, and
   record per-syscall totals for the Table 4.3 execution profile;
-- ``compute(ms)`` for user-mode CPU;
-- ``rusage()`` — the ``getrusage`` analogue returning (user, kernel) ms.
+- ``compute(ms)`` for user-mode CPU.
 
 Because a syscall occupies the CPU, repeated ``sendmsg`` calls to simulate
 a multicast serialize — which is precisely why the paper's Figure 4.8 grows
@@ -25,7 +24,6 @@ from repro.host.machine import Machine, MachineCrashed
 from repro.net.addresses import ProcessAddress
 from repro.net.udp import UdpSocket
 from repro.sim.kernel import AnyOf, Process, Simulator, Sleep
-from repro.sim.timers import TimerService
 
 
 class OsProcess:
@@ -33,7 +31,7 @@ class OsProcess:
 
     __slots__ = ("machine", "sim", "pid", "name", "alive", "user_time",
                  "kernel_time", "syscall_times", "syscall_counts",
-                 "_threads", "_spawned", "_sockets", "_timers")
+                 "_threads", "_spawned", "_sockets")
 
     def __init__(self, machine: Machine, pid: int, name: str):
         self.machine = machine
@@ -52,17 +50,6 @@ class OsProcess:
         #: threads ever spawned — default names count these, not the table.
         self._spawned = 0
         self._sockets: List[UdpSocket] = []
-        self._timers: Optional[TimerService] = None
-
-    @property
-    def timers(self) -> TimerService:
-        """The single 4.2BSD interval timer, multiplexed (§4.2.4); built
-        on first read.  Each re-arm charges a setitimer without advancing
-        the clock (the protocol code is not suspended by the hook)."""
-        if self._timers is None:
-            self._timers = TimerService(self.sim,
-                                        on_arm=self._charge_setitimer)
-        return self._timers
 
     def __repr__(self) -> str:
         return "<OsProcess %s/%s pid=%d>" % (self.machine.name, self.name, self.pid)
@@ -94,8 +81,6 @@ class OsProcess:
         if not self.alive:
             return
         self.alive = False
-        if self._timers is not None:
-            self._timers.cancel_all()
         for thread in list(self._threads):
             thread.kill(MachineCrashed("%s crashed" % self.machine.name)
                         if crashed else None)
@@ -127,11 +112,6 @@ class OsProcess:
         counts[name] = counts.get(name, 0) + 1
         return sleep
 
-    def syscall(self, name: str):
-        """Generator: perform a system call (``yield from`` spelling of
-        :meth:`charge`)."""
-        yield self.charge(name)
-
     def compute(self, ms: float):
         """Generator: user-mode computation for ``ms`` milliseconds."""
         self._require_alive()
@@ -139,22 +119,6 @@ class OsProcess:
             raise ValueError("negative compute time: %r" % ms)
         self.user_time += ms
         yield Sleep(ms)
-
-    def _account(self, name: str, cost: float) -> None:
-        self.kernel_time += cost
-        self.syscall_times[name] = self.syscall_times.get(name, 0.0) + cost
-        self.syscall_counts[name] = self.syscall_counts.get(name, 0) + 1
-
-    def _charge_setitimer(self) -> None:
-        # Timer re-arms happen inside callbacks where we cannot suspend;
-        # the cost is accounted but the clock is not advanced.
-        if self.alive:
-            self._account("setitimer", self.machine.cost_model.cost("setitimer"))
-
-    def rusage(self) -> tuple:
-        """(user ms, kernel ms), as getrusage reports (charged: 0.7 ms)."""
-        self._account("getrusage", self.machine.cost_model.cost("getrusage"))
-        return (self.user_time, self.kernel_time)
 
     # -- sockets and syscall wrappers ---------------------------------------
 
@@ -176,20 +140,14 @@ class OsProcess:
         yield self.charge("sendmsg")
         sock.multicast(payload, destinations)
 
-    def recvmsg(self, sock: UdpSocket, timeout: Optional[float] = None):
-        """Generator: the next datagram (or None on timeout).
+    def recvmsg(self, sock: UdpSocket):
+        """Generator: the next datagram.
 
         The recvmsg kernel cost is charged when data is actually copied
         out, matching how CPU time is attributed by getrusage.
         """
         self._require_alive()
-        if timeout is None:
-            datagram = yield sock.recv()
-        else:
-            index, value = yield AnyOf(sock.recv(), Sleep(timeout))
-            if index == 1:
-                return None
-            datagram = value
+        datagram = yield sock.recv()
         yield self.charge("recvmsg")
         return datagram
 
@@ -216,11 +174,6 @@ class OsProcess:
         sock = socks[inner_index]
         sock._incoming.push_front(datagram)
         return [sock]
-
-    def gettimeofday(self):
-        """Generator: the simulated wall-clock time (charged: 0.7 ms)."""
-        yield self.charge("gettimeofday")
-        return self.sim.now
 
     def sigblock(self):
         """Generator: enter a critical region (mask software interrupts)."""

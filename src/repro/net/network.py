@@ -23,7 +23,6 @@ from repro.net.addresses import (
     validate_port,
 )
 from repro.obs import events as obs_events
-from repro.obs.events import _SLOTS
 from repro.sim.kernel import Simulator
 from repro.sim.rng import LinkStream, RandomStream
 
@@ -65,7 +64,7 @@ class NetworkConfig:
         return delay
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class Datagram:
     """A packet in flight: source, destination, and uninterpreted payload."""
 

@@ -11,7 +11,8 @@ the call's critical path:
 stage                   covers
 ======================  ====================================================
 ``encode_send``         call issued -> last CALL segment handed to the wire
-                        (argument encoding + kernel send queueing)
+                        for the critical replica (argument encoding +
+                        kernel send queueing)
 ``gather_wait``         CALL on the wire -> the *critical replica* starts
                         executing (network flight, reassembly, the §4.3.2
                         many-to-one gather, server scheduling)
@@ -35,9 +36,10 @@ The stage intervals telescope — consecutive milestones are clamped
 monotonically into ``[start, end]`` — so per-call stage durations sum to
 the call's latency *exactly*; a missing milestone (crashed replica,
 degraded trace) merges its interval into the following stage and marks
-the call ``degraded`` rather than leaking time.  Residual is therefore
-zero for every attributed call, and attribution is deterministic: two
-same-seed runs produce identical stage sums.
+the call ``degraded`` rather than leaking time; so does a milestone out
+of order, which is clamped and counted (``clamped_milestones``).
+Residual is therefore zero for every attributed call, and attribution
+is deterministic: two same-seed runs produce identical stage sums.
 
 When a :class:`~repro.obs.clocks.ClockDomain` is installed the analyzer
 also checks each adjacent milestone pair against the recorded vector
@@ -177,13 +179,13 @@ class _Rows:
     A row holds its call's start and end, its critical-path stages (a
     code into :data:`STAGES` and a duration each, at
     ``stages_at[row]:stages_at[row + 1]`` of the two stage columns), its
-    retransmission count and degraded flag, and — as places in two small
-    tables that every row shares — who called what and the critical
-    replica's node (-1: none).
+    retransmission count, degraded flag and clamped milestones, and — as
+    places in two small tables that every row shares — who called what
+    and the critical replica's node (-1: none).
     """
 
     __slots__ = ("start", "end", "call_number", "caller", "exec_node",
-                 "retransmits", "degraded", "stages_at", "codes",
+                 "retransmits", "degraded", "clamps", "stages_at", "codes",
                  "durations", "callers", "exec_nodes", "_caller_at",
                  "_node_at")
 
@@ -195,6 +197,7 @@ class _Rows:
         self.exec_node = array("i")
         self.retransmits = array("I")
         self.degraded = array("B")
+        self.clamps = array("B")
         self.stages_at = array("I", [0])
         self.codes = array("B")
         self.durations = array("d")
@@ -207,7 +210,7 @@ class _Rows:
         return len(self.start)
 
     def add(self, call: CallSpan, stages: List[Tuple[int, float]],
-            retransmits: int, degraded: bool,
+            retransmits: int, degraded: bool, clamps: int,
             exec_node: Optional[str]) -> int:
         """Append one call's row; returns its number."""
         caller = (call.host, call.proc, call.thread_id, call.troupe,
@@ -229,6 +232,7 @@ class _Rows:
         self.exec_node.append(node)
         self.retransmits.append(retransmits)
         self.degraded.append(degraded)
+        self.clamps.append(clamps)
         for code, duration in stages:
             self.codes.append(code)
             self.durations.append(duration)
@@ -239,7 +243,8 @@ class _Rows:
         """Forget every row from number ``rows`` on."""
         stages = self.stages_at[rows]
         for column in (self.start, self.end, self.call_number, self.caller,
-                       self.exec_node, self.retransmits, self.degraded):
+                       self.exec_node, self.retransmits, self.degraded,
+                       self.clamps):
             del column[rows:]
         del self.stages_at[rows + 1:]
         del self.codes[stages:], self.durations[stages:]
@@ -460,13 +465,6 @@ class CritPathAnalyzer:
         start, end = call.start, call.end
         degraded = False
 
-        # Milestone 1: the last CALL segment batch the client handed to
-        # the wire for this call (multicast emits one pm.send per peer).
-        sends = self._sends.get(call.call_number, {})
-        call_sends = sends.get((call.host, call.proc, self._msg_call), ())
-        call_sends = [t for t, _peer in call_sends if start <= t <= end]
-        m_sent = max(call_sends) if call_sends else None
-
         # The critical replica: whose result completed the collation set.
         collate_t = call.collation[0] if call.collation is not None else end
         critical = None
@@ -475,6 +473,15 @@ class CritPathAnalyzer:
                 critical = (t, member)
         m_result = critical[0] if critical is not None else None
         crit_host = host_of(critical[1]) if critical is not None else None
+
+        # Milestone 1: the last CALL segment batch the client handed to
+        # the wire for the critical replica's host (multicast emits one
+        # pm.send per peer; with no critical replica, for any member).
+        sends = self._sends.get(call.call_number, {})
+        call_sends = sends.get((call.host, call.proc, self._msg_call), ())
+        call_sends = [t for t, peer in call_sends if start <= t <= end
+                      and (crit_host is None or peer == crit_host)]
+        m_sent = max(call_sends) if call_sends else None
 
         # Its execution span (latest exec on that host within the call).
         crit_exec = None
@@ -514,13 +521,19 @@ class CritPathAnalyzer:
 
         # Telescoping partition with monotone clamping: each stage covers
         # [previous milestone, its own]; a missing milestone contributes a
-        # zero-width stage and its time merges into the next stage.
+        # zero-width stage and its time merges into the next stage.  A
+        # milestone out of order (before its predecessor, or after the
+        # end) is clamped, counted and marks the call degraded.
         intervals: List[Tuple[str, float, float]] = []
         cursor = start
+        clamps = 0
         for name, t in milestones:
             if t is None:
                 degraded = True
                 t = cursor
+            elif not cursor <= t <= end:
+                clamps += 1
+                degraded = True
             t = min(max(t, cursor), end)
             intervals.append((name, cursor, t))
             cursor = t
@@ -553,7 +566,8 @@ class CritPathAnalyzer:
             stages = [(_CODE["complete"], 0.0)]
         exec_node = "%s/%s" % (crit_exec.host, crit_exec.proc) \
             if crit_exec is not None else None
-        return self._rows.add(call, stages, len(retx), degraded, exec_node)
+        return self._rows.add(call, stages, len(retx), degraded, clamps,
+                              exec_node)
 
     def _retransmit_times(self, call: CallSpan, crit_exec) -> List[float]:
         """Retransmission instants on this call's critical path: the
@@ -643,6 +657,7 @@ class CritPathAnalyzer:
         return {
             "calls": len(order),
             "degraded_calls": sum(rows.degraded[row] for row in order),
+            "clamped_milestones": sum(rows.clamps[row] for row in order),
             "causal_violations": sum(self._causal_violations(order)),
             "total_latency_ms": round(total, 3),
             "attributed_ms": round(attributed, 3),
@@ -675,8 +690,11 @@ class CritPathAnalyzer:
             lines.append("dominant stages: " + ", ".join(
                 "%s=%d" % kv for kv in rep["dominant"].items()))
         if rep["degraded_calls"]:
-            lines.append("degraded calls (missing milestones): %d"
+            lines.append("degraded calls (missing or clamped milestones): %d"
                          % rep["degraded_calls"])
+        if rep["clamped_milestones"]:
+            lines.append("clamped milestones (out of order): %d"
+                         % rep["clamped_milestones"])
         if rep["causal_violations"]:
             lines.append("CAUSAL VIOLATIONS on critical path: %d"
                          % rep["causal_violations"])

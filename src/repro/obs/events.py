@@ -7,7 +7,7 @@ documented in ``docs/OBSERVABILITY.md``.
 =========  ==========================================================
 prefix     layer
 =========  ==========================================================
-``sim.``   simulation kernel: process spawn/exit, timer fires
+``sim.``   simulation kernel: process spawn/exit
 ``net.``   the wire: per-datagram send/deliver/drop/duplicate
 ``pm.``    paired messages: sends, retransmits, acks, probes, crashes
 ``rpc.``   replicated calls: one-to-many start, per-replica results,
@@ -47,17 +47,7 @@ three things; a custom monitor should cite causal kinds as evidence.
 from __future__ import annotations
 
 import dataclasses
-import sys
 from typing import Any, ClassVar, Dict, Optional, Tuple
-
-#: Events are slotted where the interpreter can do it (``slots=True``
-#: needs 3.10): no per-event ``__dict__``, so a flight-recorder ring of
-#: them is smaller and the collector has half as many objects to visit.
-#: On 3.9 they are ordinary dataclasses; nothing else differs.  (Spelled
-#: as keyword arguments to the real decorator, so type checkers still see
-#: dataclasses.)
-_SLOTS: Dict[str, bool] = (
-    {"slots": True} if sys.version_info >= (3, 10) else {})
 
 
 class _Stamped:
@@ -83,7 +73,7 @@ class _Stamped:
         self._vt = tuple(vc.values())
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class ObsEvent(_Stamped):
     """Base class: a kind tag plus the virtual time of emission."""
 
@@ -97,14 +87,14 @@ class ObsEvent(_Stamped):
 # sim.* — the discrete-event kernel
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class ProcessSpawned(ObsEvent):
     kind: ClassVar[str] = "sim.spawn"
     name: str = ""
     daemon: bool = False
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class ProcessExited(ObsEvent):
     kind: ClassVar[str] = "sim.exit"
     name: str = ""
@@ -112,17 +102,11 @@ class ProcessExited(ObsEvent):
     failed: bool = False     # terminated by an unhandled exception
 
 
-@dataclasses.dataclass(**_SLOTS)
-class TimerFired(ObsEvent):
-    kind: ClassVar[str] = "sim.timer"
-    due: int = 0             # timers dispatched by this alarm
-
-
 # ---------------------------------------------------------------------------
 # net.* — the simulated wire
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class PacketSent(ObsEvent):
     """One datagram handed to the wire (multicast emits one per
     destination, mirroring per-recipient delivery)."""
@@ -137,7 +121,7 @@ class PacketSent(ObsEvent):
         return len(self.payload)
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class PacketDelivered(ObsEvent):
     kind: ClassVar[str] = "net.deliver"
     src: Any = None
@@ -145,7 +129,7 @@ class PacketDelivered(ObsEvent):
     size: int = 0
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class PacketDropped(ObsEvent):
     kind: ClassVar[str] = "net.drop"
     src: Any = None
@@ -155,7 +139,7 @@ class PacketDropped(ObsEvent):
     reason: str = "loss"
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class PacketDuplicated(ObsEvent):
     kind: ClassVar[str] = "net.dup"
     src: Any = None
@@ -166,7 +150,7 @@ class PacketDuplicated(ObsEvent):
 # pm.* — the paired message protocol (§4.2)
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class MessageSent(ObsEvent):
     """A call/return message began transmission (all initial segments)."""
 
@@ -181,7 +165,7 @@ class MessageSent(ObsEvent):
     proc: str = ""           # owning process name (causal attribution)
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class SegmentRetransmitted(ObsEvent):
     kind: ClassVar[str] = "pm.retransmit"
     causal: ClassVar[bool] = True
@@ -193,7 +177,7 @@ class SegmentRetransmitted(ObsEvent):
     proc: str = ""
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class DuplicateSuppressed(ObsEvent):
     """A segment of an already-delivered message arrived again (§4.2.4)."""
 
@@ -205,7 +189,7 @@ class DuplicateSuppressed(ObsEvent):
     proc: str = ""
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class ExplicitAckReceived(ObsEvent):
     kind: ClassVar[str] = "pm.ack_explicit"
     endpoint: Any = None
@@ -216,7 +200,7 @@ class ExplicitAckReceived(ObsEvent):
     proc: str = ""
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class ImplicitAck(ObsEvent):
     """A data segment served as the acknowledgment of an earlier
     transfer: a return acks its call, a call acks earlier returns."""
@@ -229,7 +213,7 @@ class ImplicitAck(ObsEvent):
     proc: str = ""
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class ProbeSent(ObsEvent):
     kind: ClassVar[str] = "pm.probe"
     causal: ClassVar[bool] = True
@@ -239,7 +223,7 @@ class ProbeSent(ObsEvent):
     proc: str = ""
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class PeerCrashDeclared(ObsEvent):
     kind: ClassVar[str] = "pm.crash"
     causal: ClassVar[bool] = True
@@ -250,7 +234,7 @@ class PeerCrashDeclared(ObsEvent):
     proc: str = ""
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class TransferTimedOut(ObsEvent):
     kind: ClassVar[str] = "pm.timeout"
     endpoint: Any = None
@@ -259,7 +243,7 @@ class TransferTimedOut(ObsEvent):
     proc: str = ""
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class MessageDelivered(ObsEvent):
     """A fully reassembled message was handed to the layer above."""
 
@@ -277,7 +261,7 @@ class MessageDelivered(ObsEvent):
 # rpc.* — replicated procedure calls (§4.3)
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class CallStarted(ObsEvent):
     """One-to-many multicast begins: the client half of a replicated
     call.  ``(thread_id, call_number)`` is the propagated trace context —
@@ -296,7 +280,7 @@ class CallStarted(ObsEvent):
     procedure: int = 0
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class ReplicaResult(ObsEvent):
     """One member's return message arrived at (or crash was declared to)
     the calling client."""
@@ -311,7 +295,7 @@ class ReplicaResult(ObsEvent):
     status: str = "ok"       # 'ok' | 'crashed'
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class Collated(ObsEvent):
     """The collator's verdict over the result set."""
 
@@ -329,7 +313,7 @@ class Collated(ObsEvent):
     responses: int = 0
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class CallCompleted(ObsEvent):
     kind: ClassVar[str] = "rpc.call_end"
     causal: ClassVar[bool] = True
@@ -343,7 +327,7 @@ class CallCompleted(ObsEvent):
     outcome: str = "ok"
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class GatherStarted(ObsEvent):
     """Server half: the first call message of a replicated call arrived
     and the many-to-one gather began (§4.3.2)."""
@@ -356,7 +340,7 @@ class GatherStarted(ObsEvent):
     expected: int = -1       # -1: client troupe membership unknown
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class ExecutionStarted(ObsEvent):
     kind: ClassVar[str] = "rpc.exec_start"
     causal: ClassVar[bool] = True
@@ -371,7 +355,7 @@ class ExecutionStarted(ObsEvent):
     group_complete: bool = True
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class ExecutionFinished(ObsEvent):
     kind: ClassVar[str] = "rpc.exec_end"
     host: str = ""
@@ -383,7 +367,7 @@ class ExecutionFinished(ObsEvent):
     outcome: str = "ok"      # 'ok' | the RemoteError kind
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class ReturnSent(ObsEvent):
     """Many-to-one completion: results go to the client troupe."""
 
@@ -396,7 +380,7 @@ class ReturnSent(ObsEvent):
     recipients: int = 0
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class StaleCallRejected(ObsEvent):
     """A member rejected a call bearing a stale destination troupe ID
     (§6.2) — the server side of binding invalidation."""
@@ -412,7 +396,7 @@ class StaleCallRejected(ObsEvent):
 # txn.* — transactions (Chapter 5)
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class LockWait(ObsEvent):
     kind: ClassVar[str] = "txn.lock_wait"
     txn: str = ""
@@ -421,7 +405,7 @@ class LockWait(ObsEvent):
     holders: Tuple[str, ...] = ()
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class LockGranted(ObsEvent):
     """A blocked acquisition finally succeeded; ``waited`` is the time
     spent in the queue (ms)."""
@@ -433,14 +417,14 @@ class LockGranted(ObsEvent):
     waited: float = 0.0
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class DeadlockDetected(ObsEvent):
     kind: ClassVar[str] = "txn.deadlock"
     cycle: Tuple[str, ...] = ()
     victim: str = ""
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class CommitVote(ObsEvent):
     """One server member's ready_to_commit vote, as seen by the
     coordinator (§5.3)."""
@@ -454,7 +438,7 @@ class CommitVote(ObsEvent):
     ready: bool = True
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class CommitOutcome(ObsEvent):
     kind: ClassVar[str] = "txn.commit"
     causal: ClassVar[bool] = True
@@ -470,7 +454,7 @@ class CommitOutcome(ObsEvent):
 # bind.* — the Ringmaster binding agent (Chapter 6)
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class BindingLookup(ObsEvent):
     kind: ClassVar[str] = "bind.lookup"
     host: str = ""
@@ -480,7 +464,7 @@ class BindingLookup(ObsEvent):
     found: bool = True
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class MembershipChanged(ObsEvent):
     kind: ClassVar[str] = "bind.member"
     causal: ClassVar[bool] = True
@@ -493,7 +477,7 @@ class MembershipChanged(ObsEvent):
     old_id: int = 0          # incarnation being replaced (0: fresh)
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class StaleBindingInvalidated(ObsEvent):
     """Client side: a cached binding was discovered stale and must be
     refreshed via rebind (§6.1)."""
@@ -504,7 +488,7 @@ class StaleBindingInvalidated(ObsEvent):
     troupe: str = ""
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class StateTransferred(ObsEvent):
     """A get_state call externalized a member's state for a joining
     replica (§6.4.1)."""
@@ -518,7 +502,7 @@ class StateTransferred(ObsEvent):
 # mon.* — the invariant monitors (repro.obs.monitor)
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class InvariantViolation(ObsEvent):
     """An online monitor caught the protocol breaking one of the paper's
     correctness claims.  ``evidence`` holds the bus events (in emission
@@ -536,7 +520,7 @@ class InvariantViolation(ObsEvent):
     evidence: Tuple[Any, ...] = ()
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class MonitorError(ObsEvent):
     """A bus subscriber raised; the exception was contained by the bus
     instead of unwinding into (and killing) the emitting protocol code."""
@@ -547,7 +531,7 @@ class MonitorError(ObsEvent):
     error: str = ""          # repr of the exception
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class MonitorWarning(ObsEvent):
     """Degraded observability, announced on the bus itself — e.g. the
     flight-recorder ring overflowed, so the eventual post-mortem only
@@ -566,7 +550,7 @@ class MonitorWarning(ObsEvent):
 ALL_EVENTS = {
     cls.kind: cls
     for cls in (
-        ProcessSpawned, ProcessExited, TimerFired,
+        ProcessSpawned, ProcessExited,
         PacketSent, PacketDelivered, PacketDropped, PacketDuplicated,
         MessageSent, SegmentRetransmitted, DuplicateSuppressed,
         ExplicitAckReceived, ImplicitAck, ProbeSent, PeerCrashDeclared,

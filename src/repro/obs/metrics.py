@@ -462,7 +462,6 @@ _SITE_COUNTED = {
 #: simply counted, as they arrive, labelled by the event fields of the
 #: same names.
 _COUNTED = {
-    "sim.timer": ("sim.timer_fires", ()),
     "net.drop": ("net.packets_dropped", ("reason",)),
     "pm.retransmit": ("pm.retransmits", ("endpoint",)),
     "pm.ack_explicit": ("pm.explicit_acks", ("endpoint",)),

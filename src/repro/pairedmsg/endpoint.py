@@ -537,7 +537,8 @@ class PairedEndpoint:
     # The per-endpoint retransmit scheduler
     # ------------------------------------------------------------------
     #
-    # One timer-wheel process per endpoint walks the due transfers,
+    # §4.2.4's "general timer package" over the single interval timer:
+    # one timer-wheel process per endpoint walks the due transfers,
     # replacing the old design of one ``pm-rexmit-%d`` daemon per call:
     # O(calls) process spawns and kernel timer wake-ups collapse to O(1)
     # per endpoint.  The scheduler is timing-exact with the old daemons:

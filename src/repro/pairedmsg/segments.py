@@ -19,7 +19,6 @@ import dataclasses
 import struct
 from typing import Final, List, Optional, Union
 
-from repro.obs.events import _SLOTS
 
 #: Anything the wire layer may hand us or we may hand it.  Payload slices
 #: travel as :class:`memoryview` so reassembly never copies them; the
@@ -51,7 +50,7 @@ class MessageTooLarge(Exception):
     """The message needs more than 255 segments (§4.2.1's byte-wide field)."""
 
 
-@dataclasses.dataclass(**_SLOTS)
+@dataclasses.dataclass(slots=True)
 class Segment:
     """One protocol segment, decoded.
 

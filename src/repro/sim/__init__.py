@@ -12,7 +12,6 @@ broken by insertion order.
 
 from repro.sim.kernel import (
     AnyOf,
-    Interrupted,
     Process,
     ProcessKilled,
     SimulationError,
@@ -22,13 +21,11 @@ from repro.sim.kernel import (
 )
 from repro.sim.events import Condition, Event, Queue, QueueClosed
 from repro.sim.rng import RandomStream
-from repro.sim.timers import Timer, TimerService
 
 __all__ = [
     "AnyOf",
     "Condition",
     "Event",
-    "Interrupted",
     "Process",
     "ProcessKilled",
     "Queue",
@@ -38,6 +35,4 @@ __all__ = [
     "Simulator",
     "Sleep",
     "SleepUntil",
-    "Timer",
-    "TimerService",
 ]

@@ -90,14 +90,6 @@ class ProcessKilled(Exception):
     """Raised inside a process when it is killed (e.g. its host crashed)."""
 
 
-class Interrupted(Exception):
-    """Raised inside a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Sleep:
     """Waitable: suspend the yielding process for ``delay`` time units."""
 
@@ -318,7 +310,7 @@ class Process:
             exc = ProcessKilled("%s killed" % self.name)
         try:
             self.gen.throw(exc)
-        except (StopIteration, ProcessKilled, Interrupted):
+        except (StopIteration, ProcessKilled):
             pass
         except BaseException:
             # A finally block misbehaved; the process is dead regardless.
@@ -331,13 +323,6 @@ class Process:
         # process.  A kill is delivered, not raised: there is no "where".
         exc.__traceback__ = None
         self._finish(result=None, exception=exc, killed=True)
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Deliver an :class:`Interrupted` exception to a waiting process."""
-        if not self.alive:
-            return
-        self._cancel_waits()
-        self.sim._schedule_now(self._step_throw, Interrupted(cause))
 
     def join(self) -> "Process":
         """A process is itself a waitable; joining is just yielding it."""
@@ -490,7 +475,7 @@ class Process:
 class Simulator:
     """The event loop: a virtual clock and a priority queue of callbacks."""
 
-    def __init__(self, monitors=None):
+    def __init__(self):
         self.now: float = 0.0
         #: the heap holds (time, seq, call) tuples so every comparison is
         #: a C-level tuple comparison (seq is unique; call never compares).
@@ -528,17 +513,6 @@ class Simulator:
         #: the bus's site counts of spawns and exits (EventBus.counts).
         self._spawns = self.bus.counts["sim.spawn"]
         self._exits = self.bus.counts["sim.exit"]
-        #: invariant monitoring (repro.obs.monitor).  ``monitors=True``
-        #: attaches the default suite; a sequence attaches those
-        #: monitors.  Imported only then: of ``repro.obs`` the kernel
-        #: imports the event taxonomy and the bus alone (the package
-        #: loads an observer on first use), so an unobserved simulation
-        #: imports no observer (tests/test_import_footprint.py).
-        self.monitor_suite: Optional[Any] = None
-        if monitors:
-            from repro.obs.monitor import MonitorSuite
-            self.monitor_suite = MonitorSuite(
-                self, None if monitors is True else monitors)
 
     # -- scheduling --------------------------------------------------------
 
@@ -673,11 +647,10 @@ class Simulator:
     # -- running -----------------------------------------------------------
 
     def run(self, until: Optional[float] = None,
-            max_events: Optional[int] = None,
             stop_when: Optional[Callable[[], bool]] = None) -> float:
         """Process events until the queue drains, ``until`` is reached,
-        ``max_events`` callbacks have run, or ``stop_when()`` becomes true
-        (checked after each callback).  Returns the final clock value.
+        or ``stop_when()`` becomes true (checked after each callback).
+        Returns the final clock value.
 
         If any non-daemon process terminated with an unhandled exception and
         nobody joined it, the first such exception is re-raised here: errors
@@ -693,7 +666,7 @@ class Simulator:
         count = 0
         drained = 0
         try:
-            if until is None and max_events is None and stop_when is None:
+            if until is None and stop_when is None:
                 # The hot path: no bound checks, no stop_when() polling —
                 # run_process stops the loop via the _stop flag instead.
                 # The _live counter is settled once in the finally block
@@ -736,7 +709,7 @@ class Simulator:
                         break
                 return self.now
             # The bounded/polled slow path: same merge, with the until /
-            # max_events / stop_when checks of the original loop.
+            # stop_when checks of the original loop.
             while queue or ready:
                 if ready:
                     if queue and queue[0] < ready[0]:
@@ -775,8 +748,6 @@ class Simulator:
                     del failures[:]
                     raise SimulationError(
                         "process %s died: %r" % (proc.name, exc)) from exc
-                if max_events is not None and count >= max_events:
-                    break
                 if stop_when is not None and stop_when():
                     break
                 if self._stop:

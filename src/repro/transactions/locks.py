@@ -143,8 +143,11 @@ class LockTable:
 
     def release_all(self, txn) -> None:
         """Release every lock held by ``txn`` (commit or abort of a
-        top-level transaction): strict two-phase locking."""
-        for key in self._held_by.pop(txn, set()):
+        top-level transaction): strict two-phase locking.  Keys go in
+        ``repr`` order, never set order, so which waiter wakes first does
+        not depend on the string-hash seed (keys of mixed types sort
+        too)."""
+        for key in sorted(self._held_by.pop(txn, set()), key=repr):
             lock = self._locks.get(key)
             if lock is None:
                 continue
@@ -153,7 +156,7 @@ class LockTable:
 
     def inherit_all(self, child, parent) -> None:
         """Moss: a committing subtransaction's locks pass to its parent."""
-        for key in self._held_by.pop(child, set()):
+        for key in sorted(self._held_by.pop(child, set()), key=repr):
             lock = self._locks.get(key)
             if lock is None:
                 continue

@@ -381,6 +381,27 @@ def test_result_stream_explicit_replication():
     assert all(status == "ok" for status, _ in results)
 
 
+def test_cancelled_result_streams_leave_no_discard_marks():
+    """Cancelling a stream forgets only the returns still pending: a
+    member whose return the stream already took leaves no discard mark
+    (nothing would ever clear it)."""
+    world = World(machines=4)
+    troupe, _ = world.make_troupe("echo", echo_module, degree=3)
+    client = world.make_client()
+
+    def body():
+        for _ in range(20):
+            stream = yield from client.call_troupe_stream(
+                troupe, 0, 0, b"x")
+            result = yield from stream.next()
+            assert result.status == "ok"
+            stream.cancel()
+
+    world.run(body())
+    world.sim.run()
+    assert len(client.endpoint._discarded_returns) == 0
+
+
 def test_multicast_reduces_send_operations():
     """§4.3.3: with multicast, sending a call to an n-member troupe costs
     one sendmsg instead of n."""

@@ -81,16 +81,6 @@ def test_spawn_on_crashed_machine_rejected():
         m0.spawn_process()
 
 
-def test_crash_listener_fires():
-    sim, net, (m0, _) = make_world()
-    events = []
-    m0.on_crash(lambda m: events.append(("crash", m.name)))
-    m0.on_restart(lambda m: events.append(("restart", m.name)))
-    m0.crash()
-    m0.restart()
-    assert events == [("crash", "m0"), ("restart", "m0")]
-
-
 def test_attributes():
     sim = Simulator()
     net = Network(sim)

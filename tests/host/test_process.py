@@ -19,7 +19,7 @@ def test_syscall_charges_kernel_time_and_advances_clock():
     sim, net, proc, _ = make_proc()
 
     def body():
-        yield from proc.syscall("sendmsg")
+        yield proc.charge("sendmsg")
         return sim.now
 
     assert sim.run_process(body()) == pytest.approx(8.1)
@@ -32,7 +32,7 @@ def test_unknown_syscall_rejected():
     sim, net, proc, _ = make_proc()
 
     def body():
-        yield from proc.syscall("forkbomb")
+        yield proc.charge("forkbomb")
 
     with pytest.raises(KeyError):
         sim.run_process(body())
@@ -49,21 +49,6 @@ def test_compute_charges_user_time():
     assert proc.kernel_time == 0.0
 
 
-def test_rusage_reports_user_and_kernel():
-    sim, net, proc, _ = make_proc()
-
-    def body():
-        yield from proc.compute(2.0)
-        yield from proc.syscall("select")
-        user, kernel = proc.rusage()
-        return user, kernel
-
-    user, kernel = sim.run_process(body())
-    assert user == pytest.approx(2.0)
-    # select (1.8) plus the getrusage charge itself (0.7).
-    assert kernel == pytest.approx(1.8 + 0.7)
-
-
 def test_sendmsg_recvmsg_roundtrip():
     sim, net, client, server = make_proc()
     client_sock = client.udp_socket(100)
@@ -75,28 +60,13 @@ def test_sendmsg_recvmsg_roundtrip():
 
     def client_body():
         yield from client.sendmsg(client_sock, b"ping", server_sock.addr)
-        dgram = yield from client.recvmsg(client_sock, timeout=1000.0)
+        dgram = yield from client.recvmsg(client_sock)
         return dgram.payload
 
     sim.spawn(server_body())
     assert sim.run_process(client_body()) == b"pong"
     assert client.syscall_counts == {"sendmsg": 1, "recvmsg": 1}
     assert server.syscall_counts == {"sendmsg": 1, "recvmsg": 1}
-
-
-def test_recvmsg_timeout_returns_none():
-    sim, net, client, _ = make_proc()
-    sock = client.udp_socket(100)
-
-    def body():
-        dgram = yield from client.recvmsg(sock, timeout=10.0)
-        return dgram, sim.now
-
-    dgram, now = sim.run_process(body())
-    assert dgram is None
-    assert now == pytest.approx(10.0)
-    # No data was copied out, so no recvmsg charge.
-    assert "recvmsg" not in client.syscall_counts
 
 
 def test_select_returns_ready_socket_without_consuming():
@@ -129,24 +99,6 @@ def test_select_timeout_returns_empty():
     assert sim.run_process(body()) == []
 
 
-def test_gettimeofday_returns_sim_time():
-    sim, net, proc, _ = make_proc()
-
-    def body():
-        t = yield from proc.gettimeofday()
-        return t
-
-    # gettimeofday itself takes 0.7ms; it returns the time when it completes.
-    assert sim.run_process(body()) == pytest.approx(0.7)
-
-
-def test_timer_rearm_charges_setitimer():
-    sim, net, proc, _ = make_proc()
-    proc.timers.after(5.0, lambda: None)
-    sim.run()
-    assert proc.syscall_counts.get("setitimer", 0) >= 1
-
-
 def test_cost_model_scaling():
     model = SyscallCostModel(TABLE_4_2_COSTS, scale=0.5)
     assert model.cost("sendmsg") == pytest.approx(4.05)
@@ -164,7 +116,7 @@ def test_dead_process_rejects_syscalls():
     proc.machine.crash()
 
     def body():
-        yield from proc.syscall("sendmsg")
+        yield proc.charge("sendmsg")
 
     from repro.host import MachineCrashed
     with pytest.raises(MachineCrashed):

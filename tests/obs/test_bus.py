@@ -47,14 +47,14 @@ def test_unsubscribe_is_idempotent():
 
 def test_emit_without_subscribers_is_a_no_op():
     bus = EventBus()
-    bus.emit(_event(events.TimerFired, due=1))   # must not raise
+    bus.emit(_event(events.ProcessExited, name="p1"))   # must not raise
 
 
 def test_subscribe_all_receives_everything():
     bus = EventBus()
     got = []
     bus.subscribe(got.append)
-    e1 = _event(events.TimerFired, due=1)
+    e1 = _event(events.ProcessExited, name="p1")
     e2 = _event(events.ProcessSpawned, name="p", daemon=False)
     bus.emit(e1)
     bus.emit(e2)
@@ -65,27 +65,27 @@ def test_kind_prefix_filtering():
     bus = EventBus()
     sim_only, exact, multi = [], [], []
     bus.subscribe(sim_only.append, kinds="sim.")
-    bus.subscribe(exact.append, kinds="sim.timer")
+    bus.subscribe(exact.append, kinds="sim.exit")
     bus.subscribe(multi.append, kinds=("sim.spawn", "net."))
-    timer = _event(events.TimerFired, due=1)
+    exited = _event(events.ProcessExited, name="p1")
     spawn = _event(events.ProcessSpawned, name="p", daemon=False)
     drop = _event(events.PacketDropped, src="a", dst="b", reason="loss")
-    for e in (timer, spawn, drop):
+    for e in (exited, spawn, drop):
         bus.emit(e)
-    assert sim_only == [timer, spawn]
-    assert exact == [timer]
+    assert sim_only == [exited, spawn]
+    assert exact == [exited]
     assert multi == [spawn, drop]
 
 
 def test_inactive_bus_emit_builds_no_kind_index():
     bus = EventBus()
-    bus.emit(_event(events.TimerFired, due=1))
+    bus.emit(_event(events.ProcessExited, name="p1"))
     # The no-subscriber fast path returns before touching the per-kind
     # index: nothing is allocated or cached for an unobserved emit.
     assert bus._by_kind == {}
     sub = bus.subscribe(lambda e: None, kinds="sim.")
-    bus.emit(_event(events.TimerFired, due=1))
-    assert "sim.timer" in bus._by_kind
+    bus.emit(_event(events.ProcessExited, name="p1"))
+    assert "sim.exit" in bus._by_kind
     bus.unsubscribe(sub)
     # Detaching the last subscriber drops the index with it.
     assert bus._by_kind == {}
@@ -95,10 +95,10 @@ def test_inactive_bus_emit_builds_no_kind_index():
 def test_kind_index_is_invalidated_on_subscribe():
     bus = EventBus()
     first, second = [], []
-    bus.subscribe(first.append, kinds="sim.timer")
-    bus.emit(_event(events.TimerFired, due=1))       # caches sim.timer
+    bus.subscribe(first.append, kinds="sim.exit")
+    bus.emit(_event(events.ProcessExited, name="p1"))       # caches sim.exit
     bus.subscribe(second.append, kinds="sim.")
-    bus.emit(_event(events.TimerFired, due=2))
+    bus.emit(_event(events.ProcessExited, name="p2"))
     assert len(first) == 2
     assert len(second) == 1                          # saw the rebuild
 
@@ -108,7 +108,7 @@ def test_handlers_run_in_subscription_order():
     order = []
     bus.subscribe(lambda e: order.append("first"))
     bus.subscribe(lambda e: order.append("second"))
-    bus.emit(_event(events.TimerFired, due=1))
+    bus.emit(_event(events.ProcessExited, name="p1"))
     assert order == ["first", "second"]
 
 
@@ -116,8 +116,8 @@ def test_handler_may_unsubscribe_during_emit():
     bus = EventBus()
     got = []
     sub = bus.subscribe(lambda e: (got.append(e), bus.unsubscribe(sub)))
-    bus.emit(_event(events.TimerFired, due=1))
-    bus.emit(_event(events.TimerFired, due=2))
+    bus.emit(_event(events.ProcessExited, name="p1"))
+    bus.emit(_event(events.ProcessExited, name="p2"))
     assert len(got) == 1
     assert not bus.wanted
 
@@ -133,17 +133,17 @@ def test_raising_handler_does_not_abort_emission():
     bus.subscribe(bad, kinds="sim.")
     bus.subscribe(after.append)
     bus.subscribe(errors.append, kinds="mon.error")
-    event = _event(events.TimerFired, due=1)
+    event = _event(events.ProcessExited, name="p1")
     bus.emit(event)               # must not raise
     # Handlers after the broken one still saw the event (they also get
     # the follow-up mon.error, being catch-all subscribers).
     assert before[0] is event
     assert after[0] is event
-    assert [e.kind for e in after] == ["sim.timer", "mon.error"]
+    assert [e.kind for e in after] == ["sim.exit", "mon.error"]
     # The failure surfaced as a mon.error event instead of an exception.
     (error,) = errors
     assert error.kind == "mon.error"
-    assert error.event_kind == "sim.timer"
+    assert error.event_kind == "sim.exit"
     assert "RuntimeError: broken probe" in error.error
     assert "bad" in error.handler
 
@@ -162,12 +162,12 @@ def test_raising_stamper_is_contained_like_a_raising_handler():
                 raise AttributeError("no such field on %s" % event.kind)
 
     bus.stamper = BrokenStamper()
-    event = _event(events.TimerFired, due=1)
+    event = _event(events.ProcessExited, name="p1")
     bus.emit(event)               # must not raise
     assert got[-1] is event       # delivery still happened, unstamped
     assert not hasattr(event, "lamport")
     (error,) = errors
-    assert error.event_kind == "sim.timer"
+    assert error.event_kind == "sim.exit"
     assert "AttributeError" in error.error
 
 
@@ -181,8 +181,8 @@ def test_stamper_failing_on_monitor_error_does_not_recurse():
             raise ValueError("stamps nothing, mon.error included")
 
     bus.stamper = AlwaysBroken()
-    bus.emit(_event(events.TimerFired, due=1))     # must terminate
-    assert [e.kind for e in got] == ["mon.error", "sim.timer"]
+    bus.emit(_event(events.ProcessExited, name="p1"))     # must terminate
+    assert [e.kind for e in got] == ["mon.error", "sim.exit"]
 
 
 def test_handler_failing_on_monitor_error_does_not_recurse():
@@ -194,9 +194,9 @@ def test_handler_failing_on_monitor_error_does_not_recurse():
         raise ValueError("fails on everything, mon.error included")
 
     bus.subscribe(always_bad)
-    bus.emit(_event(events.TimerFired, due=1))     # must terminate
+    bus.emit(_event(events.ProcessExited, name="p1"))     # must terminate
     kinds = [e.kind for e in got]
-    assert kinds == ["sim.timer", "mon.error"]
+    assert kinds == ["sim.exit", "mon.error"]
 
 
 def test_events_are_dataclasses_with_kind_and_time():
@@ -308,10 +308,10 @@ def test_handler_may_subscribe_during_emit():
             bus.subscribe(late.append)
 
     bus.subscribe(recruiting)
-    first = _event(events.TimerFired, due=1)
+    first = _event(events.ProcessExited, name="p1")
     bus.emit(first)               # delivered to the membership at emit time
     assert late == []
-    second = _event(events.TimerFired, due=2)
+    second = _event(events.ProcessExited, name="p2")
     bus.emit(second)
     assert late == [second]
 

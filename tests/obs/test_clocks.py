@@ -129,8 +129,8 @@ def test_a_cut_takes_a_passive_event_with_the_next_causal_event_on_its_node():
 
 def test_kernel_events_never_tick():
     bus, domain = _stamped_bus()
-    e1 = events.TimerFired(t=1.0, due=1)
-    e2 = events.TimerFired(t=2.0, due=1)
+    e1 = events.ProcessExited(t=1.0, name="p")
+    e2 = events.ProcessExited(t=2.0, name="p")
     bus.emit(e1)
     bus.emit(e2)
     assert e1.node == e2.node == "kernel"
@@ -157,7 +157,7 @@ def test_pm_send_deliver_edge_carries_causality():
 def test_clock_entries_appear_dynamically():
     bus, domain = _stamped_bus()
     assert domain.nodes() == ()
-    bus.emit(events.TimerFired(t=0.0, due=1))
+    bus.emit(events.ProcessExited(t=0.0, name="p"))
     assert domain.nodes() == ("kernel",)
     bus.emit(_send())
     assert domain.nodes() == ("a/p", "kernel")
@@ -204,7 +204,7 @@ def test_uninstall_restores_the_bus():
     assert bus.stamper is domain
     domain.uninstall()
     assert bus.stamper is None
-    event = events.TimerFired(t=0.0, due=1)
+    event = events.ProcessExited(t=0.0, name="p")
     bus.emit(event)
     assert not hasattr(event, "vc")
 

@@ -142,16 +142,19 @@ class _ReferenceTracer(CallTracer):
 
 class _ReferenceCallPath(CallPath):
     """``CallPath`` as it was: the decomposition and the whole span, the
-    causal cross-check read when the path was built."""
+    causal cross-check read when the path was built, and how many of its
+    milestones were clamped."""
 
-    __slots__ = ()
+    __slots__ = ("clamps",)
 
     def __init__(self, call: CallSpan, stages: List[Tuple[str, float]],
-                 retransmits: int, degraded: bool, causal_violations: int):
+                 retransmits: int, degraded: bool, clamps: int,
+                 causal_violations: int):
         self.call = call
         self.stages = stages
         self.retransmits = retransmits
         self.degraded = degraded
+        self.clamps = clamps
         self.causal_violations = causal_violations
         self.dominant = max(stages, key=lambda s: (s[1], -stages.index(s)))[0] \
             if stages else "unattributed"
@@ -221,13 +224,6 @@ class _ReferenceCritPath(CritPathAnalyzer):
         start, end = call.start, call.end
         degraded = False
 
-        # Milestone 1: the last CALL segment batch the client handed to
-        # the wire for this call (multicast emits one pm.send per peer).
-        call_sends = self._sends.get(
-            (call.host, call.proc, call.call_number, self._msg_call), ())
-        call_sends = [t for t, _peer in call_sends if start <= t <= end]
-        m_sent = max(call_sends) if call_sends else None
-
         # The critical replica: whose result completed the collation set.
         collate_t = call.collation[0] if call.collation is not None else end
         critical = None
@@ -236,6 +232,15 @@ class _ReferenceCritPath(CritPathAnalyzer):
                 critical = (t, member)
         m_result = critical[0] if critical is not None else None
         crit_host = host_of(critical[1]) if critical is not None else None
+
+        # Milestone 1: the last CALL segment batch the client handed to
+        # the wire for the critical replica's host (multicast emits one
+        # pm.send per peer; with no critical replica, for any member).
+        call_sends = self._sends.get(
+            (call.host, call.proc, call.call_number, self._msg_call), ())
+        call_sends = [t for t, peer in call_sends if start <= t <= end
+                      and (crit_host is None or peer == crit_host)]
+        m_sent = max(call_sends) if call_sends else None
 
         # Its execution span (latest exec on that host within the call).
         crit_exec = None
@@ -279,10 +284,14 @@ class _ReferenceCritPath(CritPathAnalyzer):
         # zero-width stage and its time merges into the next stage.
         intervals: List[Tuple[str, float, float]] = []
         cursor = start
+        clamps = 0
         for name, t in milestones:
             if t is None:
                 degraded = True
                 t = cursor
+            elif not cursor <= t <= end:
+                clamps += 1
+                degraded = True
             t = min(max(t, cursor), end)
             intervals.append((name, cursor, t))
             cursor = t
@@ -313,7 +322,7 @@ class _ReferenceCritPath(CritPathAnalyzer):
         if not stages:               # zero-latency call: all stages empty
             stages = [("complete", 0.0)]
         return _ReferenceCallPath(call, stages, retransmits=len(retx),
-                        degraded=degraded,
+                        degraded=degraded, clamps=clamps,
                         causal_violations=self._causal_check(call, crit_exec))
 
     def _retransmit_times(self, call: CallSpan, crit_exec) -> List[float]:
@@ -380,6 +389,7 @@ class _ReferenceCritPath(CritPathAnalyzer):
         return {
             "calls": len(paths),
             "degraded_calls": sum(1 for p in paths if p.degraded),
+            "clamped_milestones": sum(p.clamps for p in paths),
             "causal_violations": sum(p.causal_violations for p in paths),
             "total_latency_ms": round(total, 3),
             "attributed_ms": round(attributed, 3),
@@ -527,7 +537,8 @@ def test_first_come_collation_leaves_members_executing_after_the_call():
 def test_first_come_calls_after_their_members_crash():
     """The fastest member crashes after four calls, the other two after
     eight: the middle calls stall on retransmissions to the dead one and
-    the last four find no member at all — their paths are degraded."""
+    the last four find no member at all — their paths are degraded.
+    Milestone 1 is the last CALL send to the critical replica's host."""
     world = World(machines=4, seed=31)
     speeds = iter((1.0, 45.0, 90.0))
     troupe, _ = world.make_troupe(
@@ -550,7 +561,18 @@ def test_first_come_calls_after_their_members_crash():
     assert both.check() == 12
     report = both.reference.report()
     assert report["degraded_calls"] == 4
+    assert report["clamped_milestones"] == 0
     assert report["stages"]["retransmit_stall"]["count"] > 4
+    # Calls 1-4: the fastest member, sent to first, answered first; its
+    # 1 ms execution is on the path (not clamped away by later sends).
+    for path in both.owning.paths()[:4]:
+        stages = dict(path.stages)
+        assert list(stages) == ["gather_wait", "execute", "return_wait"]
+        assert round(stages["gather_wait"], 1) == 18.3
+        assert stages["execute"] == 1.0
+        assert not path.degraded
+    assert [round(dict(p.stages)["return_wait"], 1)
+            for p in both.owning.paths()[:3]] == [20.9] * 3
     both.close()
     assert both.check() == 12
 

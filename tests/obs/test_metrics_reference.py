@@ -30,7 +30,6 @@ from tests.obs.test_clocks import _bulk_lossy_world
 _REFERENCE_COUNTED = {
     "sim.spawn": ("sim.processes_spawned", ()),
     "sim.exit": ("sim.processes_exited", ()),
-    "sim.timer": ("sim.timer_fires", ()),
     "net.deliver": ("net.packets_delivered", ()),
     "net.drop": ("net.packets_dropped", ("reason",)),
     "net.dup": ("net.packets_duplicated", ()),

@@ -340,14 +340,6 @@ def test_suite_attaches_defaults_and_detaches_cleanly():
     assert sim.bus.stamper is None
 
 
-def test_simulator_monitors_kwarg_installs_suite():
-    from repro.sim.kernel import Simulator
-    sim = Simulator(monitors=True)
-    assert sim.monitor_suite is not None
-    assert len(sim.monitor_suite.monitors) == 6
-    assert Simulator().monitor_suite is None
-
-
 def test_watch_records_crash_and_reraises():
     sim = types.SimpleNamespace(bus=EventBus(), now=42.0)
     with pytest.raises(RuntimeError):

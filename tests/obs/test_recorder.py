@@ -16,7 +16,7 @@ def _bus():
 
 
 def _tick(bus, t):
-    event = events.TimerFired(t=t, due=int(t))
+    event = events.ProcessExited(t=t, name="p")
     bus.emit(event)
     return event
 

@@ -5,8 +5,8 @@ FIFO lane that bypasses the heap (no push+pop per immediate callback).
 These tests pin the guarantees that make the optimization invisible:
 seq order is preserved exactly across batch boundaries and across the
 lane/heap split, handles keep the cancel-at-most-once + freelist
-contract, and the bounded ``run()`` variants (``until``/``max_events``/
-``stop_when``) behave exactly as before.
+contract, and the bounded ``run()`` variants (``until``/``stop_when``)
+behave exactly as before.
 """
 
 from repro.sim import Event, Simulator, Sleep
@@ -176,18 +176,6 @@ def test_run_until_stops_between_events_with_lane_pending():
     assert ran == ["immediate", "t5", "t10"]
 
 
-def test_run_max_events_counts_lane_and_heap_dispatches():
-    sim = Simulator()
-    order = []
-    for i in range(4):
-        _now(sim, order.append, i)
-    sim.schedule(0.0, order.append, "heap")
-    sim.run(max_events=3)
-    assert order == [0, 1, 2]
-    sim.run()
-    assert order == [0, 1, 2, 3, "heap"]
-
-
 def test_run_stop_when_checks_after_each_callback():
     sim = Simulator()
     order = []
@@ -213,7 +201,7 @@ def test_run_until_then_unbounded_drains_stale_lane_entries():
 
     sim.schedule(5.0, at_five)
     sim.schedule(9.0, order.append, "t9")
-    sim.run(max_events=1)
+    sim.run(stop_when=lambda: order)
     assert order == ["t5"]
     sim.run(until=7.0)
     assert order == ["t5", "t5-immediate-1", "t5-immediate-2"]
@@ -238,7 +226,7 @@ def test_schedule_now_after_clock_rewind_falls_back_to_heap():
         _now(sim, order.append, "t5-immediate")
 
     sim.schedule(5.0, at_five)
-    sim.run(max_events=1)          # lane now holds an entry stamped t=5
+    sim.run(stop_when=lambda: order)   # lane holds an entry stamped t=5
     assert sim.now == 5.0
     # The lane's tail is t=5; an immediate at t=5 appends in seq order.
     _now(sim, order.append, "second-immediate")

@@ -5,7 +5,6 @@ import pytest
 from repro.sim import (
     AnyOf,
     Event,
-    Interrupted,
     ProcessKilled,
     SimulationError,
     Simulator,
@@ -385,39 +384,19 @@ def test_killed_process_does_not_fail_run():
     assert not proc.alive
 
 
-def test_interrupt_raises_in_waiting_process():
-    sim = Simulator()
-
-    def body():
-        try:
-            yield Sleep(100.0)
-        except Interrupted as exc:
-            return ("interrupted", exc.cause, sim.now)
-
-    proc = sim.spawn(body())
-    sim.schedule(2.0, proc.interrupt, "reason")
-    sim.run()
-    assert proc.result == ("interrupted", "reason", 2.0)
-
-
-def test_kill_and_interrupt_cancel_a_sleep_until():
+def test_kill_cancels_a_sleep_until():
     sim = Simulator()
     log = []
 
-    def body(tag):
-        try:
-            yield SleepUntil(100.0)
-            log.append((tag, "woke"))
-        except Interrupted as exc:
-            log.append((tag, exc.cause, sim.now))
+    def body():
+        yield SleepUntil(100.0)
+        log.append("woke")
 
-    killed = sim.spawn(body("killed"))
-    interrupted = sim.spawn(body("interrupted"))
+    killed = sim.spawn(body())
     sim.schedule(1.0, killed.kill)
-    sim.schedule(2.0, interrupted.interrupt, "reason")
-    assert sim.run() == 2.0                 # both timers died with their waits
-    assert log == [("interrupted", "reason", 2.0)]
-    assert killed.killed and not interrupted.alive
+    assert sim.run() == 1.0                 # the timer died with its wait
+    assert log == []
+    assert killed.killed
     assert sim.pending_events() == 0
 
 
@@ -507,10 +486,7 @@ def test_finished_processes_and_waits_leave_no_cyclic_garbage():
             return delay
 
         def sleeper():
-            try:
-                yield AnyOf(Event(sim, "never"), Sleep(1e6))
-            except Interrupted:
-                pass
+            yield AnyOf(Event(sim, "never"), Sleep(1e6))
 
         def main():
             for _ in range(3):
@@ -524,11 +500,9 @@ def test_finished_processes_and_waits_leave_no_cyclic_garbage():
             assert (yield AnyOf(Sleep(5.0), event, slow)) == (1, "v")
             assert (yield AnyOf(Sleep(100.0), Event(sim, "never"),
                                 slow)) == (2, 50.0)
-            victim, interrupted = sim.spawn(sleeper()), sim.spawn(sleeper())
+            victim = sim.spawn(sleeper())
             yield Sleep(1.0)
             victim.kill()
-            interrupted.interrupt("stop")
-            yield interrupted
 
         world.run(main())
         return world

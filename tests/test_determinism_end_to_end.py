@@ -76,14 +76,15 @@ def test_different_seed_different_trace():
      b"# EOF"),
     (["elastic", "--pool", "4", "--duration", "20000", "--seed", "11",
       "--json"], b'"predicted_mmnn"'),
-], ids=["shard", "metrics-openmetrics", "elastic"])
+    (["fuzz", "--scenario", "bank-transfer", "--seeds", "5",
+      "--base-seed", "334", "--jobs", "1", "--json"], b'"digest"'),
+], ids=["shard", "metrics-openmetrics", "elastic", "fuzz-bank-transfer"])
 def test_cli_output_is_the_same_under_any_hash_seed(argv, marker):
     """``repro shard --shards 2 --json`` (digest, counters, per-shard
     event counts), the OpenMetrics exposition of the circus scenario and
     the autoscaled availability report, byte for byte under three
     string-hash seeds: nothing on those paths may iterate a set or lean
-    on hash order.  (``bank-transfer`` seeds 334 / 338 still do —
-    ROADMAP item 1.)"""
+    on hash order."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = set()

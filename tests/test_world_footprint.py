@@ -24,7 +24,6 @@ from repro.core.runtime import (
 from repro.host.process import OsProcess
 from repro.host.syscalls import SyscallCostModel
 from repro.net.network import Datagram
-from repro.obs.events import _SLOTS
 from repro.net.udp import UdpSocket
 from repro.pairedmsg import endpoint as endpoint_mod
 from repro.pairedmsg.endpoint import PairedEndpoint, _OutgoingTransfer
@@ -34,7 +33,6 @@ from repro.sim.events import Condition, Event, Queue
 from repro.sim.kernel import AnyOf, Simulator, Sleep
 from repro.sim.rng import LinkStream
 from repro.sim.sharded import ShardedWorld
-from repro.sim.timers import TimerService
 from tests.census import tracked
 
 
@@ -76,11 +74,10 @@ def test_a_world_holds_only_what_is_in_flight():
     assert isinstance(world.machines[0].cost_model, SyscallCostModel)
     with pytest.raises(TypeError):   # shared, so replaced, never mutated
         world.machines[0].cost_model.costs["sendmsg"] = 0.0
-    # a datagram in flight is three slots, no instance dict (where the
-    # interpreter slots a dataclass)
+    # a datagram in flight is three slots, no instance dict
     datagrams = [o for o in tracked() if type(o) is Datagram]
     assert len(datagrams) > 10
-    assert not _SLOTS or not any(hasattr(d, "__dict__") for d in datagrams)
+    assert not any(hasattr(d, "__dict__") for d in datagrams)
     # a link stream holds draws and the network's own key, no string
     links = list(world.net._link_rngs.items())
     assert len(links) > 20
@@ -119,9 +116,6 @@ def test_an_idle_host_holds_only_what_it_uses():
     clients = [r for r in runtimes if len(r.exports) == 1]
     assert clients and all(r.exports is runtime_mod._CONTROL_ONLY
                            for r in clients)
-    # no timer service: the capacity world arms none
-    assert all(p._timers is None for p in processes)
-    assert not _held(world, TimerService)
     # a waiter list, a deque: shared while nothing waits
     no_waiters = events_mod._NO_WAITERS
     waitables = _held(world, Event) + _held(world, Condition)
