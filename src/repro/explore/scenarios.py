@@ -30,8 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.bench.scenarios import echo_module
 from repro.core import (CollationError, ExportedModule, FirstComeCollator,
                         ReplicatedCallError, RuntimeConfig,
-                        StaleBindingError, TroupeDescriptor, TroupeRuntime,
-                        new_troupe_id)
+                        StaleBindingError, TroupeDescriptor, TroupeRuntime)
 from repro.explore.schedule import (
     ADVERSARIAL_PROFILE,
     DEFAULT_PROFILE,
@@ -115,12 +114,19 @@ class Scenario:
         return HistoryOracle(run.history, self.checker)
 
 
+#: Where a seed's world numbers its troupes from: a troupe ID shows in
+#: the events a post-mortem cites, so it must not depend on what else
+#: the process built before (the process-wide counter would).
+TROUPE_ID_BASE = 1
+
+
 def _make_echo(seed: int, degree: int = 3,
                net_config: Optional[NetworkConfig] = None) -> ScenarioRun:
     """A ``degree``-member echo troupe answering a client's replicated
     calls; the workload length and pacing are themselves seed-derived
     (the client-workload knob of the schedule)."""
-    world = World(machines=degree + 2, seed=seed, net_config=net_config)
+    world = World(machines=degree + 2, seed=seed, net_config=net_config,
+                  troupe_id_base=TROUPE_ID_BASE)
     troupe, _runtimes = world.make_troupe("echo-svc", echo_module,
                                           degree=degree)
     servers = sorted({m.process.host for m in troupe.members})
@@ -219,7 +225,7 @@ def _store_troupe(world: World, name: str, degree: int, build_procs,
     global state — a silently diverging replica.
     """
     machines = world.machines[:degree]
-    troupe_id = new_troupe_id()
+    troupe_id = world._new_troupe_id()
     members = []
     for index, machine in enumerate(machines):
         process = machine.spawn_process(name)
@@ -326,7 +332,8 @@ def _make_register(seed: int, degree: int = 3, clients: int = 2,
     the linearizability checker rejects.
     """
     READ, WRITE = 0, 1
-    world = World(machines=degree + clients, seed=seed)
+    world = World(machines=degree + clients, seed=seed,
+                  troupe_id_base=TROUPE_ID_BASE)
 
     def build_procs(participant, store, _index):
         def read(ctx, args):
@@ -410,7 +417,8 @@ def _make_bank(seed: int, degree: int = 3, clients: int = 2) -> ScenarioRun:
     XFER, AUDIT = 0, 1
     accounts = (b"a", b"b", b"c")
     initial = {key: b"100@init" for key in accounts}
-    world = World(machines=degree + clients + 1, seed=seed)
+    world = World(machines=degree + clients + 1, seed=seed,
+                  troupe_id_base=TROUPE_ID_BASE)
 
     def build_procs(participant, store, _index):
         def xfer(ctx, args):
@@ -518,7 +526,8 @@ def _make_list_append(seed: int, degree: int = 3,
     would lose one element, which the linearizability checker rejects."""
     APPEND, READ = 0, 1
     KEY = b"log"
-    world = World(machines=degree + clients, seed=seed)
+    world = World(machines=degree + clients, seed=seed,
+                  troupe_id_base=TROUPE_ID_BASE)
 
     def build_procs(participant, store, _index):
         def append(ctx, args):

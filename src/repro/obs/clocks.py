@@ -11,8 +11,14 @@ is stamped, *at emission time*, with three extra attributes:
     the node's Lamport clock at the event;
 ``event.vc``
     the node's vector clock at the event, a ``{node: count}`` dict built
-    *on read* from the stamp tuple ``event._vt`` that every holder of the
-    stamp shares: a fresh dict per read, so read it once.
+    *on read*: a fresh dict per read, so read it once.
+
+Both are read from one stamp tuple, ``event._vt``, that every holder of
+the stamp shares: entry 0 is the Lamport clock and entry ``i + 1``
+counts the domain's node ``i``.  A node's clock is that tuple's list
+form, so one pointwise max with an incoming edge merges the Lamport
+clock and the vector alike, and an edge table holds the sender's tuple
+itself.
 
 The vector clocks are *dynamic*: there is no fixed process count, and a
 node's entry appears in other clocks only once it has emitted an event
@@ -101,8 +107,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 #: module helpers to compare.
 VC = Dict[str, int]
 
-#: A vector clock as a domain stores it: entry ``i`` counts node
-#: ``ClockDomain._names[i]`` (none past its end); every holder shares it.
+#: A stamp as a domain stores it: entry 0 is the Lamport clock, entry
+#: ``i + 1`` counts node ``ClockDomain._names[i]`` (none past its end);
+#: every holder shares it.
 VT = Tuple[int, ...]
 
 
@@ -138,7 +145,8 @@ def concurrent(a: VC, b: VC) -> bool:
 
 
 def vt_join(a: VT, b: VT) -> VT:
-    """Pointwise max of two stamps of one domain."""
+    """Pointwise max of two stamps of one domain (Lamport clocks
+    included)."""
     if len(a) < len(b):
         a, b = b, a
     return tuple(map(max, a, b)) + a[len(b):]
@@ -171,10 +179,6 @@ class _Bounded(dict):
             del self[old]
 
 
-#: An edge payload: (vector clock snapshot, lamport value).
-Stamp = Tuple[VT, int]
-
-
 def host_of(addr) -> str:
     """The host part of a ProcessAddress (or an ``"host:port"`` string —
     synthetic events in tests carry plain strings)."""
@@ -188,17 +192,17 @@ _host_of = host_of
 
 
 class _Clock:
-    """One node's clocks.  ``v`` is ticked in place (entry ``i`` is the
-    node's own); ``ahead`` is ``tuple(v)`` with the own entry one ahead,
-    shared by the passive events before the next tick."""
+    """One node's clocks, as a stamp's list form: ``v[0]`` is its Lamport
+    clock and ``v[i]`` its own count, both ticked in place; ``ahead`` is
+    ``tuple(v)`` with the own count one ahead, shared by the passive
+    events before the next tick."""
 
-    __slots__ = ("node", "i", "v", "lamport", "ahead")
+    __slots__ = ("node", "i", "v", "ahead")
 
     def __init__(self, node: str, i: int):
         self.node = node
         self.i = i
         self.v: List[int] = [0] * (i + 1)
-        self.lamport = 0
         self.ahead: Optional[VT] = None
 
 
@@ -269,8 +273,8 @@ class ClockDomain:
         clock = self._clocks.get(node)
         if clock is None:
             return {}
-        names = self._names
-        return {names[i]: count for i, count in enumerate(clock.v) if count}
+        return {name: count for name, count in zip(self._names, clock.v[1:])
+                if count}
 
     # -- stamping ----------------------------------------------------------
 
@@ -296,29 +300,23 @@ class ClockDomain:
                 v = clock.v.copy()
                 v[clock.i] += 1
                 ahead = clock.ahead = tuple(v)
-            event.lamport = clock.lamport
             event._vt = ahead
             return
         v = clock.v
-        lamport = clock.lamport
         if incoming is not None:
             edge = incoming(event)
             if edge is not None:
-                src, src_lamport = edge
-                n = len(src)
+                n = len(edge)
                 if len(v) < n:
                     v.extend([0] * (n - len(v)))
-                v[:n] = map(max, v, src)
-                if src_lamport > lamport:
-                    lamport = src_lamport
+                v[:n] = map(max, v, edge)
+        v[0] += 1
         v[clock.i] += 1
-        clock.lamport = lamport = lamport + 1
         clock.ahead = None
-        event.lamport = lamport
         # One tuple serves the event and any edge recorded from it.
         event._vt = vt = tuple(v)
         if outgoing is not None:
-            outgoing(event, vt, lamport)
+            outgoing(event, vt)
 
     # -- node attribution --------------------------------------------------
 
@@ -329,10 +327,11 @@ class ClockDomain:
         return clock
 
     def _index_of(self, node: str) -> int:
+        """``node``'s entry in a stamp (past the Lamport clock's)."""
         i = self._index.get(node)
         if i is None:
-            i = self._index[node] = len(self._names)
             self._names.append(node)
+            i = self._index[node] = len(self._names)
         return i
 
     def _clock_plan(self, kind: str) -> Callable[[Any], _Clock]:
@@ -394,21 +393,21 @@ class ClockDomain:
 
     # -- happens-before edges ---------------------------------------------
 
-    def _in_pm_deliver(self, event) -> Optional[Stamp]:
+    def _in_pm_deliver(self, event) -> Optional[VT]:
         # The sender recorded under its own (endpoint, peer) roles;
         # swap them to look the edge up from the receiving side.
         return self._pm_edges.pop(
             (event.peer, event.msg_type, event.call_number,
              event.endpoint), None)
 
-    def _in_exec_start(self, event) -> Optional[Stamp]:
+    def _in_exec_start(self, event) -> Optional[VT]:
         return self._call_edges.get(
             (event.thread_id, event.call_number, event.troupe_id))
 
-    def _in_result(self, event) -> Optional[Stamp]:
+    def _in_result(self, event) -> Optional[VT]:
         return self._return_edges.get((event.thread_id, event.call_number))
 
-    def _in_violation(self, event) -> Optional[Stamp]:
+    def _in_violation(self, event) -> Optional[VT]:
         frontier: VC = {}
         lamport = 0
         for cause in getattr(event, "evidence", ()):
@@ -422,34 +421,30 @@ class ClockDomain:
         # new here gets an entry but no clock (nodes() is unchanged).
         for node in frontier:
             self._index_of(node)
-        return tuple(frontier.get(n, 0) for n in self._names), lamport
+        return (lamport,) + tuple(frontier.get(n, 0) for n in self._names)
 
-    def _out_pm_send(self, event, vt: VT, lamport: int) -> None:
+    def _out_pm_send(self, event, vt: VT) -> None:
         # A retransmission refreshes the edge: the delivery that
         # finally completes the message has seen the latest segment.
         self._pm_edges.put(
             (event.endpoint, event.msg_type, event.call_number, event.peer),
-            (vt, lamport))
+            vt)
 
-    def _out_call_start(self, event, vt: VT, lamport: int) -> None:
+    def _out_call_start(self, event, vt: VT) -> None:
         # Many-to-many: every client troupe member records; the
         # execution depends on the whole calling frontier.
         _join_edge(self._call_edges,
-                   (event.thread_id, event.call_number, event.troupe_id),
-                   vt, lamport)
+                   (event.thread_id, event.call_number, event.troupe_id), vt)
 
-    def _out_return(self, event, vt: VT, lamport: int) -> None:
+    def _out_return(self, event, vt: VT) -> None:
         _join_edge(self._return_edges,
-                   (event.thread_id, event.call_number), vt, lamport)
+                   (event.thread_id, event.call_number), vt)
 
 
-def _join_edge(table: _Bounded, key, vt: VT, lamport: int) -> None:
+def _join_edge(table: _Bounded, key, vt: VT) -> None:
     """Record ``vt`` under ``key``, joined with what is already there."""
     prior = table.get(key)
-    if prior is not None:
-        vt = vt_join(prior[0], vt)
-        lamport = max(prior[1], lamport)
-    table.put(key, (vt, lamport))
+    table.put(key, vt if prior is None else vt_join(prior, vt))
 
 
 def causal_sort_key(event) -> Tuple[int, float, int]:
@@ -460,7 +455,6 @@ def causal_sort_key(event) -> Tuple[int, float, int]:
     sorts after the causal event it follows and before the next one; the
     passive events in between tie, and a stable sort keeps them in the
     order given."""
-    vt = getattr(event, "_vt", None)
-    return (getattr(event, "lamport", 0),
-            getattr(event, "t", 0.0),
-            sum(vt) if vt else 0)
+    vt = getattr(event, "_vt", ())
+    return (vt[0] if vt else 0, getattr(event, "t", 0.0),
+            sum(vt[1:]))

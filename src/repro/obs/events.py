@@ -42,6 +42,10 @@ Everything else (``net.*``, ``sim.*``, acks, duplicates, lock traffic,
 …) is passive: built only when somebody subscribed to it, and stamped
 without moving a clock.  A new kind is causal only if it is one of those
 three things; a custom monitor should cite causal kinds as evidence.
+
+A stamped event holds its stamp as one tuple it shares with every other
+holder of that stamp: the Lamport clock first, then one count per node
+of the domain; ``lamport`` and ``vc`` are read from it.
 """
 
 from __future__ import annotations
@@ -53,24 +57,33 @@ from typing import Any, ClassVar, Dict, Optional, Tuple
 class _Stamped:
     """The causal stamp a :class:`~repro.obs.clocks.ClockDomain` sets at
     emission time.  Slots rather than fields: an event that was never
-    stamped has none of them (``getattr(event, "vc", None)``).  ``vc``
-    is built on every read from the domain's shared tuple ``_vt``, whose
-    entry ``i`` counts node ``_names[i]``."""
+    stamped has none of them (``getattr(event, "vc", None)``).  Both
+    clocks are read from the domain's shared stamp tuple ``_vt``: entry
+    0 is ``lamport``, entry ``i + 1`` counts node ``_names[i]``, and
+    ``vc`` is built on every read.  The setters are for hand-built
+    evidence."""
 
-    __slots__ = ("node", "lamport", "_vt", "_names")
+    __slots__ = ("node", "_vt", "_names")
 
     node: str
-    lamport: int
+
+    @property
+    def lamport(self) -> int:
+        return self._vt[0]
+
+    @lamport.setter
+    def lamport(self, lamport: int) -> None:
+        self._vt = (lamport,) + getattr(self, "_vt", (0,))[1:]
 
     @property
     def vc(self) -> Dict[str, int]:
-        names = self._names
-        return {names[i]: count for i, count in enumerate(self._vt) if count}
+        return {name: count for name, count in zip(self._names, self._vt[1:])
+                if count}
 
     @vc.setter
     def vc(self, vc: Dict[str, int]) -> None:
         self._names = tuple(vc)
-        self._vt = tuple(vc.values())
+        self._vt = (getattr(self, "_vt", (0,))[0],) + tuple(vc.values())
 
 
 @dataclasses.dataclass(slots=True)

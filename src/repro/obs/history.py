@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.export import SCHEMA_VERSION
 
@@ -221,7 +221,8 @@ class OperationHistoryRecorder:
     identity and causal stamps of each declared operation; the workload
     declares semantics through :meth:`client` handles.  Detach (or
     :meth:`finalize`) when the run ends; operations still open become
-    ``info``.
+    ``info``.  The events an operation's stamps came from are kept
+    beside it, for :meth:`events_of` to cite.
     """
 
     def __init__(self, sim, scenario: str = "", seed: int = 0,
@@ -236,6 +237,9 @@ class OperationHistoryRecorder:
         self._seq = 0
         #: node -> the one open (invoked, unresponded) operation there.
         self._open_by_node: Dict[str, Operation] = {}
+        #: (operation index, the event it took a stamp from), in
+        #: emission order.
+        self._events: List[Tuple[int, Any]] = []
         self._sub = self.bus.subscribe(
             self._observe, kinds=("rpc.call_start", "rpc.call_end"))
 
@@ -289,8 +293,17 @@ class OperationHistoryRecorder:
                 operation.call_number = event.call_number
                 operation.thread_id = event.thread_id
                 operation.vc_invoke = dict(getattr(event, "vc", {}) or {})
+                self._events.append((operation.index, event))
         elif operation.call_number == event.call_number:
             operation.vc_return = dict(getattr(event, "vc", {}) or {})
+            self._events.append((operation.index, event))
+
+    def events_of(self, operations: Iterable[Operation]) -> Tuple[Any, ...]:
+        """The ``rpc.call_start`` / ``rpc.call_end`` events whose stamps
+        ``operations`` carry, in emission order."""
+        wanted = {operation.index for operation in operations}
+        return tuple(event for index, event in self._events
+                     if index in wanted)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -423,6 +423,9 @@ class HistoryOracle(InvariantMonitor):
     """Adapt an offline checker verdict to the invariant-monitor
     protocol, so the explorer treats a consistency violation exactly
     like an online monitor firing (shrinking, post-mortems, triage).
+    The violation cites the ``rpc.call_start`` / ``rpc.call_end`` events
+    of every operation in the minimal violating sub-history, so its
+    causal cut explains those calls.
 
     Not bus-driven: call :meth:`check` once the run is over.
     """
@@ -452,5 +455,7 @@ class HistoryOracle(InvariantMonitor):
                                  self.result.key
                                  if self.result.key is not None
                                  else "history")
-            self.report(self.result.reason, subject=subject, evidence=())
+            self.report(self.result.reason, subject=subject,
+                        evidence=self.recorder.events_of(
+                            self.result.violation))
         return self.result

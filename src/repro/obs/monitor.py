@@ -33,11 +33,18 @@ Monitors deduplicate per subject: once an entity (a call, a troupe, a
 transfer) has fired, further breaches of the *same* invariant by the
 same entity are suppressed — a single divergence would otherwise flood
 the bus with one violation per subsequent event.
+
+The two monitors that must remember executions for the whole run keep
+each one as a row of flat columns (:class:`_Executions`), not as the
+event: what they hold per call is numbers, and a row is rebuilt into
+the same stamped event only when a report cites it.
 """
 
 from __future__ import annotations
 
 import contextlib
+from array import array
+from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import events as obs_events
@@ -101,6 +108,76 @@ class InvariantMonitor:
             self._bus.emit(violation)
 
 
+class _Executions:
+    """``rpc.exec_start`` events as rows of flat columns.
+
+    A row holds the event's time, its six integer fields, the index of
+    its ``(host, proc, thread_id, node, names)`` in a table shared by
+    every row, and where its stamp tuple (Lamport clock and vector)
+    starts in one flat array of length-prefixed stamps (length -1: the
+    event was never stamped).  :meth:`event` rebuilds the stamped event
+    a row was made from."""
+
+    __slots__ = ("t", "fields", "where", "stamps", "_table", "_index")
+
+    #: the integer fields of a row, in column order.
+    FIELDS = ("call_number", "troupe_id", "module", "procedure", "callers",
+              "group_complete")
+
+    def __init__(self):
+        self.t = array("d")
+        self.fields = array("q")        # len(FIELDS) per row
+        self.where = array("q")         # per row: table index, stamp offset
+        self.stamps = array("q")
+        self._table: List[Tuple[str, str, str, Any, Any]] = []
+        self._index: Dict[Tuple[str, str, str, Any, int], int] = {}
+
+    def add(self, event) -> int:
+        """Remember ``event``; returns its row."""
+        row = len(self.t)
+        self.t.append(event.t)
+        self.fields.extend((event.call_number, event.troupe_id, event.module,
+                            event.procedure, event.callers,
+                            event.group_complete))
+        node = getattr(event, "node", None)
+        names = getattr(event, "_names", None)
+        key = (event.host, event.proc, event.thread_id, node, id(names))
+        index = self._index.get(key)
+        if index is None:
+            index = self._index[key] = len(self._table)
+            self._table.append(
+                (event.host, event.proc, event.thread_id, node, names))
+        stamps = self.stamps
+        self.where.extend((index, len(stamps)))
+        vt = getattr(event, "_vt", None)
+        if vt is None:
+            stamps.append(-1)
+        else:
+            stamps.append(len(vt))
+            stamps.extend(vt)
+        return row
+
+    def event(self, row: int) -> obs_events.ExecutionStarted:
+        """The stamped event ``row`` was made from."""
+        host, proc, thread_id, node, names = self._table[self.where[2 * row]]
+        width = len(self.FIELDS)
+        fields = dict(zip(self.FIELDS,
+                          self.fields[width * row:width * (row + 1)]))
+        fields["group_complete"] = bool(fields["group_complete"])
+        event = obs_events.ExecutionStarted(
+            t=self.t[row], host=host, proc=proc, thread_id=thread_id,
+            **fields)
+        if node is not None:
+            event.node = node
+        if names is not None:
+            event._names = names
+        at = self.where[2 * row + 1]
+        length = self.stamps[at]
+        if length >= 0:
+            event._vt = tuple(self.stamps[at + 1:at + 1 + length])
+        return event
+
+
 class ExactlyOnceMonitor(InvariantMonitor):
     """§4.3: duplicate suppression means a call body runs at most once
     per replica, no matter how many times its segments are retransmitted
@@ -112,23 +189,33 @@ class ExactlyOnceMonitor(InvariantMonitor):
 
     def __init__(self):
         super().__init__()
-        #: (host, proc, thread_id) -> {call_number: first execution}
-        self._seen: Dict[Tuple[str, str, str],
-                         Dict[int, obs_events.ObsEvent]] = {}
+        self._rows = _Executions()
+        #: (host, proc, thread_id) -> (the call numbers executed there,
+        #: sorted; the row of each one's first execution).  Calls come in
+        #: call order, so a new one is appended; anything else is bisected.
+        self._seen: Dict[Tuple[str, str, str], Tuple[array, array]] = {}
 
     def observe(self, event) -> None:
         thread = (event.host, event.proc, event.thread_id)
-        calls = self._seen.setdefault(thread, {})
-        first = calls.get(event.call_number)
-        if first is None:
-            calls[event.call_number] = event
+        seen = self._seen.get(thread)
+        if seen is None:
+            seen = self._seen[thread] = (array("q"), array("q"))
+        calls, rows = seen
+        number = event.call_number
+        if not calls or number > calls[-1]:
+            calls.append(number)
+            rows.append(self._rows.add(event))
+            return
+        i = bisect_left(calls, number)
+        if calls[i] != number:
+            calls.insert(i, number)
+            rows.insert(i, self._rows.add(event))
             return
         self.report(
             "call (thread=%s, #%d) executed twice at %s/%s" % (
-                event.thread_id, event.call_number,
-                event.host, event.proc),
-            subject="%s/%s:%s#%d" % (thread + (event.call_number,)),
-            evidence=(first, event))
+                event.thread_id, number, event.host, event.proc),
+            subject="%s/%s:%s#%d" % (thread + (number,)),
+            evidence=(self._rows.event(rows[i]), event))
 
 
 class TroupeDeterminismMonitor(InvariantMonitor):
@@ -151,10 +238,11 @@ class TroupeDeterminismMonitor(InvariantMonitor):
 
     def __init__(self):
         super().__init__()
-        #: (troupe_id, thread_id) -> [(call_number, module, procedure)]
-        self._canonical: Dict[Tuple[int, str], List[Tuple[int, int, int]]] = {}
-        #: evidence for each canonical position (the defining event).
-        self._defined_by: Dict[Tuple[int, str], List[obs_events.ObsEvent]] = {}
+        self._rows = _Executions()
+        #: (troupe_id, thread_id) -> (the canonical stream as flat
+        #: (call_number, module, procedure) triples; the row of the
+        #: execution that defined each position, the evidence).
+        self._canonical: Dict[Tuple[int, str], Tuple[array, array]] = {}
         #: (troupe_id, thread_id, host, proc) -> next stream position.
         self._pos: Dict[Tuple[int, str, str, str], int] = {}
 
@@ -166,24 +254,26 @@ class TroupeDeterminismMonitor(InvariantMonitor):
         member = stream + (event.host, event.proc)
         pos = self._pos.get(member, 0)
         self._pos[member] = pos + 1
-        canonical = self._canonical.setdefault(stream, [])
-        witnesses = self._defined_by.setdefault(stream, [])
-        if pos == len(canonical):
-            canonical.append(call)
-            witnesses.append(event)
+        got = self._canonical.get(stream)
+        if got is None:
+            got = self._canonical[stream] = (array("q"), array("q"))
+        canonical, witnesses = got
+        if pos == len(witnesses):
+            canonical.extend(call)
+            witnesses.append(self._rows.add(event))
             return
-        if canonical[pos] == call:
+        there = tuple(canonical[3 * pos:3 * pos + 3])
+        if there == call:
             return
         self.report(
             "troupe %d: member %s/%s saw call #%d (module %d proc %d) at "
             "position %d of thread %s, but the troupe's canonical stream "
             "has call #%d (module %d proc %d) there" % (
-                event.troupe_id, event.host, event.proc,
-                call[0], call[1], call[2], pos, event.thread_id,
-                canonical[pos][0], canonical[pos][1], canonical[pos][2]),
+                (event.troupe_id, event.host, event.proc) + call
+                + (pos, event.thread_id) + there),
             subject="troupe=%d member=%s/%s" % (
                 event.troupe_id, event.host, event.proc),
-            evidence=(witnesses[pos], event))
+            evidence=(self._rows.event(witnesses[pos]), event))
 
 
 class CollationMonitor(InvariantMonitor):
@@ -193,9 +283,10 @@ class CollationMonitor(InvariantMonitor):
     and a unanimous collator reporting ``disagreement`` means replicas
     returned conflicting answers (a determinism breach surfacing at the
     client).  ``decided_early`` verdicts are the sanctioned early exit
-    of first-come / majority collators."""
+    of first-come / majority collators.  A call's entry goes at its
+    final verdict or, failing one, at its ``rpc.call_end``."""
 
-    kinds = ("rpc.call_start", "rpc.result", "rpc.collate")
+    kinds = ("rpc.call_start", "rpc.result", "rpc.collate", "rpc.call_end")
     invariant = "collation-completeness"
     section = "4.3.3"
 
@@ -211,11 +302,15 @@ class CollationMonitor(InvariantMonitor):
 
     def observe(self, event) -> None:
         key = self._key(event)
-        if event.kind == "rpc.call_start":
+        kind = event.kind
+        if kind == "rpc.call_start":
             self._calls[key] = (event, [])
             return
+        if kind == "rpc.call_end":
+            self._calls.pop(key, None)
+            return
         entry = self._calls.get(key)
-        if event.kind == "rpc.result":
+        if kind == "rpc.result":
             if entry is not None:
                 entry[1].append(event)
             return

@@ -329,7 +329,7 @@ def test_every_event_class_is_in_the_vocabulary():
 
 def test_installed_stamper_wants_the_causal_kinds_and_nothing_more(
         constructed):
-    """A MonitorSuite with no recorder subscribes to ten kinds; its clocks
+    """A MonitorSuite with no recorder subscribes to eleven kinds; its clocks
     also need both ends of every happens-before edge (pm.send ->
     pm.deliver), so under a stamper the bus wants what was subscribed to
     plus the causal vocabulary — and leaves every other kind unbuilt."""
@@ -357,7 +357,7 @@ def test_installed_stamper_wants_the_causal_kinds_and_nothing_more(
     suite.clocks.uninstall()
     assert bus.wanted == {
         "rpc.exec_start", "rpc.call_start", "rpc.result", "rpc.collate",
-        "txn.vote", "txn.commit", "pm.crash", "pm.retransmit", "pm.probe",
+        "rpc.call_end", "txn.vote", "txn.commit", "pm.crash", "pm.retransmit", "pm.probe",
         "bind.member"}
     suite.detach()
     assert not bus.wanted

@@ -415,6 +415,11 @@ class _DictClockDomain(ClockDomain):
             lamport = max(lamport, cause_lamport)
         return (frontier, lamport) if frontier else None
 
+    def _out_pm_send(self, event, snapshot, lamport: int) -> None:
+        self._pm_edges.put(
+            (event.endpoint, event.msg_type, event.call_number, event.peer),
+            (snapshot, lamport))
+
     def _out_call_start(self, event, snapshot, lamport: int) -> None:
         # Many-to-many: every member records; the edge is their join.
         self._join(self._call_edges,

@@ -129,7 +129,11 @@ def _causal_cuts() -> str:
 
 
 def _produce() -> dict:
+    from tests.obs.test_monitors import (determinism_postmortem,
+                                         exactly_once_postmortem)
     files = {
+        "determinism_postmortem.json": determinism_postmortem(),
+        "exactly_once_postmortem.json": exactly_once_postmortem(),
         "causal_cuts.txt": _causal_cuts(),
         "check_all.txt": _check_all(),
         "critpath_circus.json": _critpath_json(),

@@ -297,6 +297,9 @@ class _FakeRecorder:
     def history(self):
         return self._history
 
+    def events_of(self, operations):
+        return ()
+
 
 def test_oracle_reports_violations_through_the_monitor_protocol():
     recorder = _FakeRecorder(hist([

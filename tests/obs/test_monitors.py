@@ -9,6 +9,8 @@ Two families:
   whose post-mortem contains the causally ordered offending events.
 """
 
+import json
+import pathlib
 import types
 
 import pytest
@@ -21,6 +23,8 @@ from repro.obs.monitor import (CollationMonitor, CommitMonitor,
                                IncarnationMonitor, MonitorSuite,
                                TroupeDeterminismMonitor, watch)
 from repro.obs.recorder import FlightRecorder
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
 
 
 # ---------------------------------------------------------------------------
@@ -92,15 +96,50 @@ def _exec(t, host, proc, thread="th1", call=1, troupe=9, module=0,
         group_complete=True)
 
 
-def test_exactly_once_fires_on_duplicate_execution():
+def _postmortem_text(recorder) -> str:
+    return json.dumps(recorder.postmortem(), indent=2) + "\n"
+
+
+def _exactly_once_rig():
+    """A duplicate execution, found by bisection: call #3 executes after
+    #5 (a first execution out of call order), then #1 again."""
     monitor = ExactlyOnceMonitor()
     bus, recorder = _rig(monitor)
     bus.emit(_exec(1.0, "h1", "echo"))
     bus.emit(_exec(1.0, "h2", "echo"))       # other replica: fine
+    bus.emit(_exec(1.5, "h1", "echo", call=5))
+    bus.emit(_exec(1.7, "h1", "echo", call=3))   # out of order: fine
     bus.emit(_exec(2.0, "h1", "echo"))       # same replica again: breach
+    return monitor, recorder
+
+
+def _determinism_rig():
+    monitor = TroupeDeterminismMonitor()
+    bus, recorder = _rig(monitor)
+    # Member A sees calls 1 then 2; member B sees procedure 1 at
+    # position 1 where the canonical stream has procedure 0.
+    bus.emit(_exec(1.0, "h1", "m", call=1, procedure=0))
+    bus.emit(_exec(2.0, "h1", "m", call=2, procedure=0))
+    bus.emit(_exec(3.0, "h2", "m", call=1, procedure=0))
+    bus.emit(_exec(4.0, "h2", "m", call=2, procedure=1))
+    return monitor, recorder
+
+
+def exactly_once_postmortem() -> str:
+    return _postmortem_text(_exactly_once_rig()[1])
+
+
+def determinism_postmortem() -> str:
+    return _postmortem_text(_determinism_rig()[1])
+
+
+def test_exactly_once_fires_on_duplicate_execution():
+    monitor, recorder = _exactly_once_rig()
     vdict = _assert_postmortem(recorder, monitor, "exactly-once")
     assert "executed twice" in vdict["message"]
     assert len(vdict["evidence"]) == 2
+    assert _postmortem_text(recorder) == \
+        (GOLDEN / "exactly_once_postmortem.json").read_text()
 
 
 def test_exactly_once_silent_on_distinct_calls():
@@ -112,16 +151,11 @@ def test_exactly_once_silent_on_distinct_calls():
 
 
 def test_determinism_fires_on_diverging_member_streams():
-    monitor = TroupeDeterminismMonitor()
-    bus, recorder = _rig(monitor)
-    # Member A sees calls 1 then 2; member B sees procedure 1 at
-    # position 1 where the canonical stream has procedure 0.
-    bus.emit(_exec(1.0, "h1", "m", call=1, procedure=0))
-    bus.emit(_exec(2.0, "h1", "m", call=2, procedure=0))
-    bus.emit(_exec(3.0, "h2", "m", call=1, procedure=0))
-    bus.emit(_exec(4.0, "h2", "m", call=2, procedure=1))
+    monitor, recorder = _determinism_rig()
     vdict = _assert_postmortem(recorder, monitor, "troupe-determinism")
     assert "canonical stream" in vdict["message"]
+    assert _postmortem_text(recorder) == \
+        (GOLDEN / "determinism_postmortem.json").read_text()
 
 
 def test_determinism_ignores_unreplicated_and_control_traffic():

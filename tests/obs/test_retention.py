@@ -14,19 +14,29 @@ none of it a leak.  The window straddles the end of CPython's shared
 small ints (0 to 256): each server runtime's 256 remembered results and
 each endpoint's 128 delivered call numbers per peer come to be keyed by
 call numbers with an int object of their own, 4.6 ints a call; over
-calls 1,000 to 3,000 the world keeps 0.4 B a call.  What is left under
-``watch()`` + ``observe()`` is held on purpose (``ExactlyOnceMonitor``'s
-evidence, the clock domain's bounded edge tables, the time-series
-rings, still filling in this window).
+calls 1,000 to 3,000 the world keeps 0.4 B a call.  A world whose calls
+take the first reply keeps the same in this window (256 B).  What is
+left under ``watch()`` + ``observe()`` is held on purpose: the rows
+``ExactlyOnceMonitor`` and ``TroupeDeterminismMonitor`` keep of each
+execution (flat arrays, so bytes but no object), the clock domain's
+bounded edge tables (a key tuple and the sender's stamp tuple an entry)
+and the time-series rings, still filling in this window.
 
 Over the bare world, the analyzer adds 72 B a call (708 while it kept a
-``CallPath`` per call), ``watch()`` 3,129 and both 4,382 (5,063);
-absolute, the analyzer keeps 338 (984) and both 4,647 (5,329).  The
-bounds: 300 for the world, 200 and 4,600 for the analyzer and for both,
-and for ``watch()`` the 3,980 it had before the world was subtracted,
-less the world's 265.  Traced, the analyzer read 4,846 alone and 11,121
-under both before it folded; while a stamp was a dict per event, 7,398
-under both and 5,726 under ``watch()``.
+``CallPath`` per call), ``watch()`` 2,405 and both 3,660; absolute, the
+analyzer keeps 338 (984) and both 3,925.  While the two monitors kept
+the events themselves and an edge held a ``(vector, lamport)`` pair,
+``watch()`` added 3,129 and both 4,382 (5,063 before the analyzer
+folded), 4,647 absolute.  Calls decided by their first reply add 1,265
+under ``watch()`` over their own bare world, as the collation monitor
+lets such a call go at its ``rpc.call_end``; they added 2,598 while it
+kept a ``CallStarted``, a ``ReplicaResult`` and a list of each waiting
+for a final verdict that never comes (and the monitors above kept the
+execution events).  The bounds are at most 10 % above those
+figures: 300 for the world, 200 for the analyzer, 2,600 for ``watch()``,
+4,000 for both and 1,390 for first-reply calls.  Traced, the analyzer
+read 4,846 alone and 11,121 under both before it folded; while a stamp
+was a dict per event, 7,398 under both and 5,726 under ``watch()``.
 """
 
 import contextlib
@@ -38,6 +48,7 @@ import sys
 
 import repro
 from repro.bench import scenarios
+from repro.core import first_come
 from repro.harness import World
 from repro.obs import CritPathAnalyzer
 from repro.sim import Sleep
@@ -46,24 +57,31 @@ from tests.census import census
 WARM_UP, WINDOW = 250, 250
 
 
-def _circus_world():
+def _circus_world(collator=None):
+    """The circus shape; ``collator`` makes each call's collator (None:
+    the default unanimous one)."""
     world = World(machines=4, seed=7)
     troupe, _ = world.make_troupe("echo", scenarios.echo_module, degree=3)
     client = world.make_client()
 
     def body(calls):
         for i in range(calls):
-            yield from client.call_troupe(troupe, 0, 0, b"ping %d" % i)
+            yield from client.call_troupe(
+                troupe, 0, 0, b"ping %d" % i,
+                collator=None if collator is None else collator())
 
     return world, body
 
 
-#: probe -> the observers it puts on the bus, from before the warm-up on
+#: probe -> (the observers it puts on the bus, from before the warm-up
+#: on; the collator its calls use, None for the unanimous one)
 _PROBES = {
-    "world": lambda world: [],
-    "analyzer": lambda world: [CritPathAnalyzer(world.sim)],
-    "watch": lambda world: [world.watch()],
-    "everything": lambda world: [world.watch(), world.observe()],
+    "world": (lambda world: [], None),
+    "analyzer": (lambda world: [CritPathAnalyzer(world.sim)], None),
+    "watch": (lambda world: [world.watch()], None),
+    "everything": (lambda world: [world.watch(), world.observe()], None),
+    "first-come world": (lambda world: [], first_come),
+    "first-come": (lambda world: [world.watch()], first_come),
 }
 
 
@@ -71,9 +89,10 @@ def _probe(name):
     """What each call of the window left behind under ``name``'s
     observers: objects by type name, ``"dict entries"`` and
     ``"heap bytes"``."""
-    world, body = _circus_world()
+    observers, collator = _PROBES[name]
+    world, body = _circus_world(collator)
     with contextlib.ExitStack() as stack:
-        for observer in _PROBES[name](world):
+        for observer in observers(world):
             stack.enter_context(observer)
         world.run(body(WARM_UP))
         before = census()
@@ -103,13 +122,13 @@ def _probed():
     return json.loads(out)
 
 
-def _bytes_kept_per_call(name, keeps):
+def _bytes_kept_per_call(name, keeps, over="world"):
     """Check what ``name``'s observers added to each call of the window
-    over the bare world (for ``"world"``, what the world kept) against
-    ``keeps`` (type name -> objects, and ``"dict entries"``), to within
-    half an object; return those bytes."""
+    over the bare probe ``over`` (None: what ``name`` kept itself)
+    against ``keeps`` (type name -> objects, and ``"dict entries"``), to
+    within half an object; return those bytes."""
     probed = _probed()
-    kept, bare = probed[name], {} if name == "world" else probed["world"]
+    kept, bare = probed[name], {} if over is None else probed[over]
     added = {kind: kept.get(kind, 0) - bare.get(kind, 0)
              for kind in kept.keys() | bare.keys()}
     size = added.pop("heap bytes")
@@ -120,8 +139,9 @@ def _bytes_kept_per_call(name, keeps):
 
 
 def test_the_world_alone_keeps_only_call_numbers_past_the_small_ints():
-    assert _bytes_kept_per_call("world", {
-        "int": 4.6, "tuple": 0.1, "dict entries": 0.1}) < 300
+    for bare in ("world", "first-come world"):
+        assert _bytes_kept_per_call(bare, {
+            "int": 4.6, "tuple": 0.1, "dict entries": 0.1}, over=None) < 300
 
 
 def test_the_analyzer_alone_keeps_no_object_per_call():
@@ -130,20 +150,28 @@ def test_the_analyzer_alone_keeps_no_object_per_call():
 
 def test_everything_attached_keeps_what_is_held_on_purpose():
     assert _bytes_kept_per_call("everything", {
-        "ExecutionStarted": 3, "_Sketch": 1, "dict": 1, "tuple": 19,
-        "float": 5, "int": 32.1, "dict entries": 16}) < 4600
+        "_Sketch": 1, "dict": 1, "tuple": 10, "float": 2, "int": 26.1,
+        "dict entries": 13}) < 4000
 
 
 def test_the_monitors_and_recorder_alone_keep_less_still():
     assert _bytes_kept_per_call("watch", {
-        "ExecutionStarted": 3, "tuple": 19, "float": 3, "int": 25,
-        "dict entries": 8}) < 3715
+        "tuple": 10, "int": 19, "dict entries": 5}) < 2600
+
+
+def test_a_call_decided_by_its_first_reply_is_let_go_at_its_end():
+    """A first-come verdict is ``decided_early``, never final: what such
+    a call leaves under ``watch()`` is its two call-level edges, and
+    nothing of the collation monitor's."""
+    assert _bytes_kept_per_call("first-come", {
+        "tuple": 4, "int": 10, "dict entries": 2},
+        over="first-come world") < 1390
 
 
 def test_what_is_held_shares_its_stamps_and_thread_ids():
     """A passive event between two ticks shares its node's one ``ahead``
-    tuple; a ``pm.send``'s edge entry *is* its event's tuple; every rpc
-    event of one thread carries the one thread-id string."""
+    tuple; a ``pm.send``'s edge value *is* its event's stamp tuple; every
+    rpc event of one thread carries the one thread-id string."""
     world, body = _circus_world()
     seen = []
     edges = []
@@ -154,7 +182,7 @@ def test_what_is_held_shares_its_stamps_and_thread_ids():
             e.endpoint, e.msg_type, e.call_number, e.peer])), "pm.send")
         world.run(body(6))
     assert len(edges) > 30
-    assert all(edge[0] is e._vt for e, edge in edges)
+    assert all(edge is e._vt for e, edge in edges)
     between_ticks = {}                  # node -> its passive events since
     for e in seen:
         if e.causal:
