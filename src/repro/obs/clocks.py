@@ -17,8 +17,9 @@ Both are read from one stamp tuple, ``event._vt``, that every holder of
 the stamp shares: entry 0 is the Lamport clock and entry ``i + 1``
 counts the domain's node ``i``.  A node's clock is that tuple's list
 form, so one pointwise max with an incoming edge merges the Lamport
-clock and the vector alike, and an edge table holds the sender's tuple
-itself.
+clock and the vector alike.  An edge table holds numbers: the sender's
+stamp packed into one ``bytes`` (``array('q')`` form) under one int, the
+call number over the domain's number for the rest of the edge's identity.
 
 The vector clocks are *dynamic*: there is no fixed process count, and a
 node's entry appears in other clocks only once it has emitted an event
@@ -101,6 +102,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from array import array
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 #: A vector clock as readers see it: node name -> event count.  Use the
@@ -232,9 +234,20 @@ class ClockDomain:
         self._addr_clock: Dict[Any, _Clock] = {}
         self._pm_clocks: Dict[Tuple[Any, str], _Clock] = {}
         self._proc_clocks: Dict[Tuple[str, str], _Clock] = {}
+        #: edge key -> the sender's stamp, packed; a key is
+        #: ``call_number << 32 | number``, ``number`` naming the channel
+        #: (``_channels``) or the thread (``_callers`` / ``_returners``).
         self._pm_edges = _Bounded(inflight_cap)
         self._call_edges = _Bounded(inflight_cap)
         self._return_edges = _Bounded(inflight_cap)
+        #: (sender, msg_type, receiver) -> its number; one per channel.
+        self._channels: Dict[Tuple[Any, int, Any], int] = {}
+        #: thread -> (its number,), put with every put to the edge table
+        #: beside it and at its cap: a thread is dropped only after its
+        #: last edge, and with it when each call has a thread of its own.
+        self._callers = _Bounded(inflight_cap)
+        self._returners = _Bounded(inflight_cap)
+        self._numbers = itertools.count()
         #: kind -> (clock_of, causal, incoming or None, outgoing or None)
         self._plans: Dict[str, Tuple[Callable, bool, Optional[Callable],
                                      Optional[Callable]]] = {}
@@ -313,7 +326,7 @@ class ClockDomain:
         v[0] += 1
         v[clock.i] += 1
         clock.ahead = None
-        # One tuple serves the event and any edge recorded from it.
+        # One tuple serves the event; an edge recorded from it packs it.
         event._vt = vt = tuple(v)
         if outgoing is not None:
             outgoing(event, vt)
@@ -393,19 +406,22 @@ class ClockDomain:
 
     # -- happens-before edges ---------------------------------------------
 
-    def _in_pm_deliver(self, event) -> Optional[VT]:
+    def _in_pm_deliver(self, event) -> Optional[array]:
         # The sender recorded under its own (endpoint, peer) roles;
         # swap them to look the edge up from the receiving side.
-        return self._pm_edges.pop(
-            (event.peer, event.msg_type, event.call_number,
-             event.endpoint), None)
+        channel = self._channels.get(
+            (event.peer, event.msg_type, event.endpoint))
+        return None if channel is None else _unpack(self._pm_edges.pop(
+            event.call_number << 32 | channel, None))
 
-    def _in_exec_start(self, event) -> Optional[VT]:
-        return self._call_edges.get(
-            (event.thread_id, event.call_number, event.troupe_id))
+    def _in_exec_start(self, event) -> Optional[array]:
+        return self._edge(self._call_edges, self._callers,
+                          (event.thread_id, event.troupe_id),
+                          event.call_number)
 
-    def _in_result(self, event) -> Optional[VT]:
-        return self._return_edges.get((event.thread_id, event.call_number))
+    def _in_result(self, event) -> Optional[array]:
+        return self._edge(self._return_edges, self._returners,
+                          event.thread_id, event.call_number)
 
     def _in_violation(self, event) -> Optional[VT]:
         frontier: VC = {}
@@ -426,25 +442,49 @@ class ClockDomain:
     def _out_pm_send(self, event, vt: VT) -> None:
         # A retransmission refreshes the edge: the delivery that
         # finally completes the message has seen the latest segment.
-        self._pm_edges.put(
-            (event.endpoint, event.msg_type, event.call_number, event.peer),
-            vt)
+        # (A channel number is a dict entry: it never reaches 2 ** 32.)
+        channels = self._channels
+        channel = channels.setdefault(
+            (event.endpoint, event.msg_type, event.peer), len(channels))
+        self._pm_edges.put(event.call_number << 32 | channel,
+                           array("q", vt).tobytes())
 
     def _out_call_start(self, event, vt: VT) -> None:
         # Many-to-many: every client troupe member records; the
         # execution depends on the whole calling frontier.
-        _join_edge(self._call_edges,
-                   (event.thread_id, event.call_number, event.troupe_id), vt)
+        self._join(self._call_edges, self._callers,
+                   (event.thread_id, event.troupe_id), event.call_number, vt)
 
     def _out_return(self, event, vt: VT) -> None:
-        _join_edge(self._return_edges,
-                   (event.thread_id, event.call_number), vt)
+        self._join(self._return_edges, self._returners, event.thread_id,
+                   event.call_number, vt)
+
+    @staticmethod
+    def _edge(table: _Bounded, threads: _Bounded, thread,
+              call_number: int) -> Optional[array]:
+        held = threads.get(thread)
+        return None if held is None else _unpack(
+            table.get(call_number << 32 | held[0]))
+
+    def _join(self, table: _Bounded, threads: _Bounded, thread,
+              call_number: int, vt: VT) -> None:
+        """Record ``vt`` under ``thread``'s call ``call_number``, joined
+        with what is already there.  The thread's entry moves up with
+        its edge, a new tuple each time (``_Bounded`` tells a moved
+        entry by identity), so it outlives every edge of its own."""
+        held = threads.get(thread)
+        number = next(self._numbers) if held is None else held[0]
+        threads.put(thread, (number,))
+        key = call_number << 32 | number
+        prior = table.get(key)
+        if prior is not None:
+            vt = vt_join(vt, tuple(array("q", prior)))
+        table.put(key, array("q", vt).tobytes())
 
 
-def _join_edge(table: _Bounded, key, vt: VT) -> None:
-    """Record ``vt`` under ``key``, joined with what is already there."""
-    prior = table.get(key)
-    table.put(key, vt if prior is None else vt_join(prior, vt))
+def _unpack(edge: Optional[bytes]) -> Optional[array]:
+    """A packed stamp as the ``array('q')`` a tick merges."""
+    return None if edge is None else array("q", edge)
 
 
 def causal_sort_key(event) -> Tuple[int, float, int]:

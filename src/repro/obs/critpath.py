@@ -34,8 +34,9 @@ execution span and RETURN transmission bound the server-side stages.
 
 The stage intervals telescope — consecutive milestones are clamped
 monotonically into ``[start, end]`` — so per-call stage durations sum to
-the call's latency *exactly*; a missing milestone (crashed replica,
-degraded trace) merges its interval into the following stage and marks
+the call's latency (to float rounding: each stage is a difference of
+two instants); a missing milestone (crashed replica, degraded trace)
+merges its interval into the following stage and marks
 the call ``degraded`` rather than leaking time; so does a milestone out
 of order, which is clamped and counted (``clamped_milestones``).
 Residual is therefore zero for every attributed call, and attribution
@@ -139,7 +140,7 @@ class CallPath:
                  exec_node: Optional[str], causal_violations: int = 0):
         self.call = call
         #: ``[(stage, duration_ms), ...]`` in path order; durations >= 0
-        #: and summing exactly to ``call.end - call.start``.
+        #: and summing to ``call.end - call.start`` (to float rounding).
         self.stages = stages
         self.retransmits = retransmits
         self.degraded = degraded

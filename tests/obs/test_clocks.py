@@ -346,8 +346,9 @@ class _Bounded(collections.OrderedDict):
 
 class _DictClockDomain(ClockDomain):
     """The clock domain with a dict per stamp: the specification of the
-    real one.  Node attribution and the edge lookups are the real
-    domain's; the clocks, edge tables and joins are its own.  ``ticks``
+    real one.  Node attribution is the real domain's; the clocks, the
+    edge tables (tuple keys, ``(vc, lamport)`` values), their lookups
+    and the joins are its own.  ``ticks``
     names the kinds that tick (``None``: every kind, as while the bus
     built every kind under a stamper; a passive event gets its node's
     clock one ahead, shared until the next tick), ``cap`` the edge
@@ -414,6 +415,17 @@ class _DictClockDomain(ClockDomain):
             vc_merge(frontier, cause_vc or {})
             lamport = max(lamport, cause_lamport)
         return (frontier, lamport) if frontier else None
+
+    def _in_pm_deliver(self, event):
+        return self._pm_edges.pop((event.peer, event.msg_type,
+                                   event.call_number, event.endpoint), None)
+
+    def _in_exec_start(self, event):
+        return self._call_edges.get(
+            (event.thread_id, event.call_number, event.troupe_id))
+
+    def _in_result(self, event):
+        return self._return_edges.get((event.thread_id, event.call_number))
 
     def _out_pm_send(self, event, snapshot, lamport: int) -> None:
         self._pm_edges.put(

@@ -9,12 +9,15 @@ event of a run, the two must agree on each event's ``(node, lamport,
 vc)``, on every node's clock at the end and on every causal cut
 (``check_stamps``); run alone in its place, on the explorer's history
 digest and post-mortem (``test_clocks``' fault tests).  Here: the edges
-evicted at a cap of 2, a many-to-many call's joined edges, foreign
-evidence, and the tuple join and edge table against their dict and
-``OrderedDict`` originals.
+evicted at a cap of 2 (lossy calls) and of 16 (the circus shape's dead
+RETURN edges), a thread per call at a cap of 2, a many-to-many call's
+joined edges, foreign evidence, and the tuple join, the edge table and
+the thread-numbered edge keys against their dict, ``OrderedDict`` and
+tuple-keyed originals.
 """
 
 import random
+import types
 
 import pytest
 
@@ -26,21 +29,33 @@ from tests.obs.test_clocks import (_Bounded, _bulk_lossy,
                                    _DifferentialDomain, differential)
 
 
-@pytest.mark.parametrize("cap", [2], ids=["bulk-lossy-2"])
+@pytest.mark.parametrize("shape,cap", [("bulk-lossy", 2), ("circus", 16)],
+                         ids=["bulk-lossy-2", "circus-16"])
 def test_every_stamp_is_the_parents_on_the_echo_shapes(differential,
-                                                       monkeypatch, cap):
-    """The 13-segment lossy calls with both domains' edge tables capped
-    at ``cap``: edges are evicted all the time."""
+                                                       monkeypatch, shape,
+                                                       cap):
+    """Both domains' edge tables capped at ``cap``.  The 13-segment lossy
+    calls at 2: edges are evicted all the time.  The circus shape at 16:
+    each call's RETURN retransmissions reach a client that has already
+    delivered, so their edges are never taken and the table fills with
+    dead ones, evicted as ``observed`` evicts them in its steady state."""
+    from repro.bench import scenarios
     monkeypatch.setattr(_DifferentialDomain, "cap", cap)
-    world, body = _bulk_lossy()
+    world, body = {"bulk-lossy": _bulk_lossy,
+                   "circus": lambda: scenarios.circus(40)}[shape]()
     with world.watch() as probe:
         world.run(body())
     assert probe.violations == []
     (domain,) = differential
     assert len(domain.stream) > 1000
     domain.check_stamps()
-    assert {"pm.retransmit", "pm.dup", "net.drop", "net.dup"} \
-        <= domain.kinds
+    if shape == "bulk-lossy":
+        assert {"pm.retransmit", "pm.dup", "net.drop", "net.dup"} \
+            <= domain.kinds
+    else:
+        assert {"pm.retransmit", "pm.dup"} <= domain.kinds
+        assert len(domain._pm_edges) == len(domain.parent._pm_edges)
+        assert sum(e.kind == "pm.send" for e in domain.stream) > 10 * cap
 
 
 def test_a_many_to_many_call_joins_its_callers_edges(differential):
@@ -73,6 +88,29 @@ def test_a_many_to_many_call_joins_its_callers_edges(differential):
     domain.check()
 
 
+def test_a_thread_per_call_leaves_no_thread_behind_its_edges(differential,
+                                                             monkeypatch):
+    """Open-loop arrivals, each call on a fresh thread id and overlapping
+    its neighbours, with every table capped at 2: a thread's number
+    outlives each edge of its own (every stamp is still the parent's),
+    and a thread whose edges have all been evicted is gone."""
+    from repro.bench.workloads import OpenLoopGenerator, echo_troupe
+    monkeypatch.setattr(_DifferentialDomain, "cap", 2)
+    world = World(machines=4, seed=5)
+    troupe = echo_troupe(world, degree=3)
+    with world.watch() as probe:
+        result = OpenLoopGenerator(world, troupe, rate=200.0,
+                                   total_calls=40, seed=5).run()
+    assert probe.violations == [] and len(result.latencies) == 40
+    (domain,) = differential
+    domain.check_stamps()
+    for edges, threads in ((domain._call_edges, domain._callers),
+                           (domain._return_edges, domain._returners)):
+        assert len(edges) == 2
+        assert {key & 0xFFFFFFFF for key in edges} \
+            == {number for (number,) in threads.values()}
+
+
 def test_the_tuple_join_is_the_dict_merge():
     names = ["n%d" % i for i in range(6)]
     rng = random.Random(6)
@@ -101,6 +139,35 @@ def test_an_edge_table_evicts_what_the_ordered_dict_evicted(cap):
             table.put(key, value)
             parent.put(key, value)
         assert list(table.items()) == list(parent.items())
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 40])
+def test_a_thread_numbered_edge_is_the_tuple_keyed_one(cap):
+    """Returns (joined) and results in any mix, from long-lived threads
+    and fresh ones: every lookup reads what a table keyed by ``(thread,
+    call number)`` holds at the same cap, and every live edge's thread
+    still has its number."""
+    rng = random.Random(cap)
+    domain, parent = clocks.ClockDomain(cap), _Bounded(cap)
+    threads = ["t0", "t1"]
+    for _ in range(20000):
+        if rng.random() < 0.02:
+            threads.append("t%d" % len(threads))
+        event = types.SimpleNamespace(
+            thread_id=rng.choice(threads[:2] + threads[-3:]),
+            call_number=rng.randrange(5))
+        key = (event.thread_id, event.call_number)
+        if rng.random() < 0.5:
+            vt = tuple(rng.randrange(4) for _ in range(rng.randint(1, 4)))
+            domain._out_return(event, vt)
+            prior = parent.get(key)
+            parent.put(key, vt if prior is None else vt_join(prior, vt))
+        else:
+            edge = domain._in_result(event)
+            assert (edge if edge is None else tuple(edge)) \
+                == parent.get(key), key
+    assert {key & 0xFFFFFFFF for key in domain._return_edges} \
+        <= {number for (number,) in domain._returners.values()}
 
 
 def test_a_violation_citing_a_foreign_stamp_merges_it_by_name(differential):

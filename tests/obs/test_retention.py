@@ -19,24 +19,28 @@ take the first reply keeps the same in this window (256 B).  What is
 left under ``watch()`` + ``observe()`` is held on purpose: the rows
 ``ExactlyOnceMonitor`` and ``TroupeDeterminismMonitor`` keep of each
 execution (flat arrays, so bytes but no object), the clock domain's
-bounded edge tables (a key tuple and the sender's stamp tuple an entry)
-and the time-series rings, still filling in this window.
+bounded edge tables (an int key and the sender's stamp packed into one
+``bytes`` an entry: three RETURN edges, a call edge and a return edge a
+call) and the time-series rings, still filling in this window.
 
 Over the bare world, the analyzer adds 72 B a call (708 while it kept a
-``CallPath`` per call), ``watch()`` 2,405 and both 3,660; absolute, the
-analyzer keeps 338 (984) and both 3,925.  While the two monitors kept
-the events themselves and an edge held a ``(vector, lamport)`` pair,
-``watch()`` added 3,129 and both 4,382 (5,063 before the analyzer
-folded), 4,647 absolute.  Calls decided by their first reply add 1,265
-under ``watch()`` over their own bare world, as the collation monitor
-lets such a call go at its ``rpc.call_end``; they added 2,598 while it
-kept a ``CallStarted``, a ``ReplicaResult`` and a list of each waiting
-for a final verdict that never comes (and the monitors above kept the
-execution events).  The bounds are at most 10 % above those
-figures: 300 for the world, 200 for the analyzer, 2,600 for ``watch()``,
-4,000 for both and 1,390 for first-reply calls.  Traced, the analyzer
-read 4,846 alone and 11,121 under both before it folded; while a stamp
-was a dict per event, 7,398 under both and 5,726 under ``watch()``.
+``CallPath`` per call), ``watch()`` 1,671 and both 2,926; absolute, the
+analyzer keeps 338 (984) and both 3,191.  While an edge was a key tuple
+and the sender's stamp tuple, ``watch()`` added 2,405 and both 3,660
+(10 tuples and 19 ints a call where 5 ``bytes`` and 5.3 ints are now);
+while the two monitors kept the events themselves and an edge held a
+``(vector, lamport)`` pair, 3,129 and 4,382 (5,063 before the analyzer
+folded), 4,647 absolute.  Calls decided by their first reply add 927
+under ``watch()`` over their own bare world (1,265 with tuple edges), as
+the collation monitor lets such a call go at its ``rpc.call_end``; they
+added 2,598 while it kept a ``CallStarted``, a ``ReplicaResult`` and a
+list of each waiting for a final verdict that never comes (and the
+monitors above kept the execution events).  The bounds are at most 10 %
+above those figures: 300 for the world, 200 for the analyzer, 1,800 for
+``watch()``, 3,200 for both and 1,010 for first-reply calls.  Traced,
+the analyzer read 4,846 alone and 11,121 under both before it folded;
+while a stamp was a dict per event, 7,398 under both and 5,726 under
+``watch()``.
 """
 
 import contextlib
@@ -45,6 +49,7 @@ import json
 import os
 import subprocess
 import sys
+from array import array
 
 import repro
 from repro.bench import scenarios
@@ -150,13 +155,13 @@ def test_the_analyzer_alone_keeps_no_object_per_call():
 
 def test_everything_attached_keeps_what_is_held_on_purpose():
     assert _bytes_kept_per_call("everything", {
-        "_Sketch": 1, "dict": 1, "tuple": 10, "float": 2, "int": 26.1,
-        "dict entries": 13}) < 4000
+        "_Sketch": 1, "dict": 1, "bytes": 5, "float": 2, "int": 12.4,
+        "dict entries": 13}) < 3200
 
 
 def test_the_monitors_and_recorder_alone_keep_less_still():
     assert _bytes_kept_per_call("watch", {
-        "tuple": 10, "int": 19, "dict entries": 5}) < 2600
+        "bytes": 5, "int": 5.3, "dict entries": 5}) < 1800
 
 
 def test_a_call_decided_by_its_first_reply_is_let_go_at_its_end():
@@ -164,25 +169,29 @@ def test_a_call_decided_by_its_first_reply_is_let_go_at_its_end():
     a call leaves under ``watch()`` is its two call-level edges, and
     nothing of the collation monitor's."""
     assert _bytes_kept_per_call("first-come", {
-        "tuple": 4, "int": 10, "dict entries": 2},
-        over="first-come world") < 1390
+        "bytes": 2, "int": 2.4, "dict entries": 2},
+        over="first-come world") < 1010
 
 
 def test_what_is_held_shares_its_stamps_and_thread_ids():
     """A passive event between two ticks shares its node's one ``ahead``
-    tuple; a ``pm.send``'s edge value *is* its event's stamp tuple; every
+    tuple; a ``pm.send``'s edge value is its event's stamp, packed; every
     rpc event of one thread carries the one thread-id string."""
     world, body = _circus_world()
     seen = []
     edges = []
     with world.watch() as probe:
         world.sim.bus.subscribe(seen.append)
-        pm_edges = probe.clocks._pm_edges
-        world.sim.bus.subscribe(lambda e: edges.append((e, pm_edges[
-            e.endpoint, e.msg_type, e.call_number, e.peer])), "pm.send")
+        domain = probe.clocks
+
+        def edge_of(e):
+            channel = domain._channels[e.endpoint, e.msg_type, e.peer]
+            return domain._pm_edges[e.call_number << 32 | channel]
+        world.sim.bus.subscribe(lambda e: edges.append((e, edge_of(e))),
+                                "pm.send")
         world.run(body(6))
     assert len(edges) > 30
-    assert all(edge is e._vt for e, edge in edges)
+    assert all(edge == array("q", e._vt).tobytes() for e, edge in edges)
     between_ticks = {}                  # node -> its passive events since
     for e in seen:
         if e.causal:
