@@ -15,8 +15,10 @@ bits:
 
 Programmers define application-specific collators by subclassing
 :class:`Collator` or by wrapping a plain function over the complete set
-(:class:`FunctionCollator`); §7.4's generator-based scheme is provided by
-the explicit-replication stubs in :mod:`repro.stubs.explicit`.
+(:class:`FunctionCollator`).  The runtime feeds a collator from §7.4's
+generator of messages from a troupe, the one reply stream every call form
+reads; the explicit-replication stubs (:mod:`repro.stubs.explicit`) run
+the same collators over decoded values.
 """
 
 from __future__ import annotations

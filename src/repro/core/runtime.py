@@ -37,6 +37,7 @@ from repro.core.collators import (
     UnanimousCollator,
 )
 from repro.core.troupe import NO_TROUPE, TroupeDescriptor, TroupeId
+from repro.host.machine import MachineCrashed
 from repro.host.process import OsProcess
 from repro.net.addresses import ModuleAddress, ProcessAddress
 from repro.obs import events as obs_events
@@ -58,7 +59,7 @@ from repro.rpc.messages import (
 )
 from repro.rpc.threads import ThreadContext, ThreadId
 from repro.sim.events import Queue
-from repro.sim.kernel import AnyOf
+from repro.sim.kernel import ProcessKilled
 
 STALE_BINDING_ERROR = "StaleBinding"
 BAD_MODULE_ERROR = "BadModule"
@@ -619,11 +620,9 @@ class TroupeRuntime:
                 module=-1 if module is None else module,
                 procedure=procedure))
         try:
-            members, payloads = self._build_payloads(
-                troupe, module, procedure, args, thread_id)
-            yield from self._send_call(members, call_number, payloads)
-            outcome = yield from self._collect(troupe, members, call_number,
-                                               collator, thread_id)
+            gather = yield from self._start_call(
+                troupe, module, procedure, args, thread_id, call_number)
+            outcome = yield from self._collect(gather, collator, thread_id)
             return_header, body = decode_return(outcome)
             try:
                 result = raise_if_error(return_header, body)
@@ -662,10 +661,12 @@ class TroupeRuntime:
             return "remote_error:%s" % exc.kind
         return type(exc).__name__
 
-    def _build_payloads(self, troupe: TroupeDescriptor, module: Optional[int],
-                        procedure: int, args: bytes, thread_id: ThreadId):
-        """Per-member call payloads.  When ``module`` is None, each call
-        message carries the member's own module number (members of a
+    def _start_call(self, troupe: TroupeDescriptor, module: Optional[int],
+                    procedure: int, args: bytes, thread_id: ThreadId,
+                    call_number: int):
+        """Generator: send the call message to every member and return the
+        :class:`_Gather` of their replies.  When ``module`` is None, each
+        call message carries the member's own module number (members of a
         troupe may export the interface under different indices)."""
         members = []
         payloads = {}
@@ -675,10 +676,6 @@ class TroupeRuntime:
                                 member_module, procedure)
             members.append(member.process)
             payloads[member.process] = encode_call(header, args)
-        return members, payloads
-
-    def _send_call(self, members: List[ProcessAddress], call_number: int,
-                   payloads: Dict[ProcessAddress, bytes]):
         distinct = set(payloads.values())
         if (self.config.use_multicast and len(members) > 1
                 and len(distinct) == 1):
@@ -688,69 +685,48 @@ class TroupeRuntime:
             for member in members:
                 yield from self.endpoint.send_message(
                     member, MSG_CALL, call_number, payloads[member])
+        return _Gather(self, troupe, members, call_number)
 
-    def _collect(self, troupe: TroupeDescriptor,
-                 members: List[ProcessAddress], call_number: int,
-                 collator: Collator, thread_id: Optional[ThreadId] = None):
-        """Wait for return messages, feeding the collator as they arrive."""
+    def _collect(self, gather: "_Gather", collator: Collator,
+                 thread_id: ThreadId):
+        """Feed the replies to the collator as they arrive."""
         bus = self.sim.bus
-        tid = _thread_name(thread_id) if thread_id is not None else ""
-        collator.reset(expected=len(members))
-        waiters = {}
-        for member in members:
-            waiters[member] = self.process.spawn(
-                self._await_one(member, call_number),
-                name="await-return", daemon=True)
-        pending = dict(waiters)
-        #: deterministic wake order, sorted once — removing the fired
-        #: member keeps the remainder sorted, so each round avoids the
-        #: old per-iteration re-sort.
-        order = sorted(pending.keys())
-        crashed = []
+        tid = _thread_name(thread_id)
+        troupe = gather.troupe
+        call_number = gather.call_number
+        collator.reset(expected=gather.expected)
+        crashed = 0
         responses = 0
-        decided = False
-        result = None
-        while pending:
-            index, value = yield AnyOf(*[pending[m] for m in order])
-            member = order.pop(index)
-            del pending[member]
-            if value is None:
-                # The waiter was killed out from under us: our own host
-                # process fail-stopped mid-call (a killed process resolves
-                # joins with None).  The reply's fate is unknowable.
-                raise CallerCrashed(troupe.name)
-            status, data = value
+        while True:
+            got = yield from gather.reply()
+            if got is None:
+                break
+            member, reply = got
             if "rpc.result" in bus.wanted:
                 bus.emit(obs_events.ReplicaResult(
                     t=self.sim.now, host=self.process.host,
                     proc=self.process.name, thread_id=tid,
                     call_number=call_number, member=member,
-                    status="crashed" if status == "crashed" else "ok"))
-            if status == "crashed":
-                crashed.append(member)
+                    status="crashed" if reply is None else "ok"))
+            if reply is None:
+                crashed += 1
                 continue
             responses += 1
             try:
-                done, early = collator.add(member, data)
+                done, early = collator.add(member, reply)
             except CollationError:
                 if "rpc.collate" in bus.wanted:
                     bus.emit(self._collation_event(
                         tid, call_number, troupe, "disagreement", responses))
                 raise
             if done and not collator.needs_all:
-                decided = True
-                result = early
-                break
-        if decided:
-            if "rpc.collate" in bus.wanted:
-                bus.emit(self._collation_event(
-                    tid, call_number, troupe, "decided_early", responses))
-            # Tell the endpoint to drop the stragglers' returns.
-            for member, waiter in pending.items():
-                waiter.kill()
-                self.endpoint.forget_return(member, call_number)
-            return result
-        if len(crashed) == len(members):
+                if "rpc.collate" in bus.wanted:
+                    bus.emit(self._collation_event(
+                        tid, call_number, troupe, "decided_early", responses))
+                # Tell the endpoint to drop the stragglers' returns.
+                gather.cancel()
+                return early
+        if crashed == gather.expected:
             raise TroupeFailure(troupe.name)
         try:
             final = collator.finish()
@@ -772,13 +748,6 @@ class TroupeRuntime:
             thread_id=tid, call_number=call_number, troupe=troupe.name,
             verdict=verdict, responses=responses)
 
-    def _await_one(self, member: ProcessAddress, call_number: int):
-        try:
-            data = yield from self.endpoint.wait_return(member, call_number)
-            return ("ok", data)
-        except PeerCrashed:
-            return ("crashed", None)
-
     # ------------------------------------------------------------------
     # The watchdog scheme (§4.3.4)
     # ------------------------------------------------------------------
@@ -796,42 +765,41 @@ class TroupeRuntime:
         transaction and aborting it on an inconsistency report is the
         paper's full recipe; the report hook is the mechanism.
         """
-        stream = yield from self.call_troupe_stream(
+        gather = yield from self.call_troupe_stream(
             troupe, module, procedure, args, thread_id=thread_id)
         report = WatchdogReport(self.sim, len(troupe.members))
-        first = None
         while True:
-            result = yield from stream.next()
-            if result is None:
+            got = yield from gather.reply()
+            if got is None:
                 report.consistent = True
                 report.done.fire(True)
                 raise TroupeFailure(troupe.name)
-            if result.status == "crashed":
-                report.crashed.append(result.member)
-                continue
-            first = result
-            break
-        self.process.spawn(
-            self._watchdog(stream, _response_signature(first), report),
-            name="watchdog", daemon=True)
-        if first.status == "error":
-            raise first.error
-        return first.data, report
+            member, first = got
+            if first is not None:
+                break
+            report.crashed.append(member)
+        self.process.spawn(self._watchdog(gather, first, report),
+                           name="watchdog", daemon=True)
+        return raise_if_error(*decode_return(first)), report
 
-    def _watchdog(self, stream: "_ResultStream", signature,
+    def _watchdog(self, gather: "_Gather", first: bytes,
                   report: WatchdogReport):
+        """Compare every later reply with the first.  Raw return messages
+        compare as their decoded results do: ``encode_return`` and
+        ``encode_error`` are deterministic."""
         consistent = True
         while True:
-            result = yield from stream.next()
-            if result is None:
+            got = yield from gather.reply()
+            if got is None:
                 break
-            if result.status == "crashed":
-                report.crashed.append(result.member)
+            member, reply = got
+            if reply is None:
+                report.crashed.append(member)
                 continue
             report.compared += 1
-            if _response_signature(result) != signature:
+            if reply != first:
                 consistent = False
-                report.mismatches.append(result.member)
+                report.mismatches.append(member)
         report.consistent = consistent
         report.done.fire(consistent)
 
@@ -853,11 +821,9 @@ class TroupeRuntime:
             raise TroupeFailure(troupe.name)
         if thread_id is None:
             thread_id = self.threads.current
-        call_number = self.threads.next_call_number()
-        members, payloads = self._build_payloads(troupe, module, procedure,
-                                                 args, thread_id)
-        yield from self._send_call(members, call_number, payloads)
-        return _ResultStream(self, troupe, members, call_number)
+        return (yield from self._start_call(
+            troupe, module, procedure, args, thread_id,
+            self.threads.next_call_number()))
 
 
 class WatchdogReport:
@@ -874,62 +840,76 @@ class WatchdogReport:
         self.compared = 0
 
 
-def _response_signature(result: CallResult):
-    if result.status == "ok":
-        return ("ok", result.data)
-    if result.status == "error":
-        return ("error", result.error.kind, result.error.detail)
-    return ("crashed",)
+class _Gather:
+    """The replies of one replicated call in arrival order: Figure 7.11's
+    "generator of messages from a troupe" (§7.4), which every call form
+    reads.  One waiter thread per member runs ``wait_return`` and puts
+    ``(member, reply)`` on one queue, ``reply`` being the return message
+    or None for a member declared crashed."""
 
-
-class _ResultStream:
-    """Lazily yields per-member results of an in-progress replicated call."""
+    __slots__ = ("troupe", "call_number", "expected", "_endpoint", "_queue",
+                 "_waiters", "_remaining")
 
     def __init__(self, runtime: TroupeRuntime, troupe: TroupeDescriptor,
                  members: List[ProcessAddress], call_number: int):
-        self.runtime = runtime
         self.troupe = troupe
-        self.members = members
         self.call_number = call_number
-        self._queue = Queue(runtime.sim, "result-stream")
-        self._remaining = len(members)
-        self._waiters = []
-        for member in members:
-            waiter = runtime.process.spawn(self._pump(member),
-                                           name="stream-%s" % (member,),
-                                           daemon=True)
-            self._waiters.append(waiter)
+        self.expected = self._remaining = len(members)
+        self._endpoint = runtime.endpoint
+        self._queue = Queue(runtime.sim, "replies")
+        spawn = runtime.process.spawn
+        self._waiters = {member: spawn(self._wait(member),
+                                       name="await-return", daemon=True)
+                         for member in members}
 
-    def _pump(self, member: ProcessAddress):
+    def _wait(self, member: ProcessAddress):
         try:
-            data = yield from self.runtime.endpoint.wait_return(
+            reply = yield from self._endpoint.wait_return(
                 member, self.call_number)
         except PeerCrashed:
-            self._queue.put(CallResult(member, "crashed"))
+            reply = None
+        except (MachineCrashed, ProcessKilled):
+            # Killed with the calling process (cancel() zeroes _remaining
+            # first): the reply's fate is unknowable.
+            if self._remaining:
+                self._queue.put(CallerCrashed(self.troupe.name))
             return
-        return_header, body = decode_return(data)
-        if return_header.is_error:
-            try:
-                raise_if_error(return_header, body)
-            except RemoteError as exc:
-                self._queue.put(CallResult(member, "error", error=exc))
-        else:
-            self._queue.put(CallResult(member, "ok", data=body))
+        self._queue.put((member, reply))
 
-    def next(self):
-        """Generator: the next CallResult, or None when exhausted."""
+    def reply(self):
+        """Generator: the next ``(member, reply)``, or None once every
+        member's has been read.  Raises :class:`CallerCrashed` if the
+        calling process failed first."""
         if self._remaining == 0:
             return None
-        result = yield self._queue.get()
+        got = yield self._queue.get()
+        if got.__class__ is CallerCrashed:
+            raise got
         self._remaining -= 1
-        return result
+        return got
+
+    def next(self):
+        """Generator: the next :class:`CallResult`, or None when exhausted."""
+        got = yield from self.reply()
+        if got is None:
+            return None
+        member, reply = got
+        if reply is None:
+            return CallResult(member, "crashed")
+        try:
+            return CallResult(member, "ok",
+                              data=raise_if_error(*decode_return(reply)))
+        except RemoteError as exc:
+            return CallResult(member, "error", error=exc)
 
     def cancel(self) -> None:
-        """Stop waiting for the remaining members (early loop exit, §7.4).
-        Only the returns still pending are forgotten: a taken return's
-        discard mark would never be cleared."""
-        for member, waiter in zip(self.members, self._waiters):
+        """Stop waiting for the members still pending (an early decision
+        or loop exit, §4.3.4 / §7.4) and forget their returns.  A return
+        already taken is not forgotten: its discard mark would never be
+        cleared."""
+        self._remaining = 0
+        forget = self._endpoint.forget_return
+        for member, waiter in self._waiters.items():
             if waiter.alive:
                 waiter.kill()
-                self.runtime.endpoint.forget_return(member, self.call_number)
-        self._remaining = 0
+                forget(member, self.call_number)

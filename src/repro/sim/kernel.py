@@ -8,8 +8,6 @@ Processes are Python generators that yield *waitables*:
   resumes with the event's value.
 - ``AnyOf(w0, w1, ...)`` suspends until the first of several waitables
   fires and resumes with ``(index, value)``.
-- another :class:`Process` suspends until that process terminates and
-  resumes with its return value (a *join*).
 
 Composition uses plain ``yield from``: a protocol helper written as a
 generator can be called from any process.
@@ -39,11 +37,13 @@ single-heap kernel: it is the merge of two (time, seq)-sorted sequences,
 and (time, seq) is a total order over all scheduled entries.  Two
 invariants follow:
 
-1. A handle returned by :meth:`Simulator.schedule` may be cancelled *at
-   most once*, and **never after its callback has run** — by then the
-   handle may already be re-armed for an unrelated callback.  Every
-   holder in this repository either drops or nulls its reference when
-   the callback fires.
+1. A pooled handle may be cancelled *at most once*, and **never after
+   its callback has run** — by then it may already be re-armed for an
+   unrelated callback.  Only the kernel holds pooled handles (a process
+   drops its wait's handle when it resumes).  :meth:`Simulator.schedule`
+   and ``schedule_at`` hand out a :class:`Timer` instead, which is never
+   recycled: a ``cancel()`` that outlived its callback is a no-op that
+   returns False.
 2. Cancellation is O(1) (a flag) and lazily reclaimed; the kernel
    compacts the heap when dead entries outnumber live ones, so
    lazily-cancelled timers cannot bloat the queue.
@@ -67,7 +67,7 @@ from typing import (
     Tuple,
 )
 
-import repro.obs.events as obs_events
+from repro.obs import events as obs_events
 from repro.obs.bus import EventBus
 
 #: shared args tuple for timer resumes — every Sleep wake-up is
@@ -111,7 +111,7 @@ class SleepUntil:
     One wake-up for a run of back-to-back sleeps has to land on the float
     the chain would have reached, ``(now + a) + b``; ``Sleep(a + b)``
     wakes at ``now + (a + b)``, which can be an ulp away.  A time in the
-    past raises ``schedule_at``'s ``ValueError`` when the wait is armed."""
+    past raises ``ValueError`` when the wait is armed."""
 
     __slots__ = ("time",)
 
@@ -172,18 +172,30 @@ class _ScheduledCall:
                 sim._compact()
 
 
-class _JoinWait:
-    """A joiner entry on a process: tombstoned in place on cancellation."""
+class Timer:
+    """The handle :meth:`Simulator.schedule` returns.  It is not pooled, so
+    it names one scheduling for good: :meth:`cancel` returns True if it
+    stopped the callback, and False once the callback has run or been
+    cancelled (the pooled entry behind it may serve a stranger by then)."""
 
-    __slots__ = ("joiner", "resume")
+    __slots__ = ("fn", "args", "call")
 
-    def __init__(self, joiner: "Process", resume: Callable[[Any], None]):
-        self.joiner: Optional["Process"] = joiner
-        self.resume: Optional[Callable[[Any], None]] = resume
+    def __init__(self, fn: Callable, args: tuple):
+        self.fn = fn
+        self.args = args
+        self.call: Optional[_ScheduledCall] = None
 
-    def cancel(self) -> None:
-        self.joiner = None
-        self.resume = None
+    def __call__(self) -> None:
+        self.call = None
+        self.fn(*self.args)
+
+    def cancel(self) -> bool:
+        call = self.call
+        if call is None:
+            return False
+        self.call = None
+        call.cancel()
+        return True
 
 
 class _AnyOfWait:
@@ -257,8 +269,8 @@ class Process:
     """
 
     __slots__ = ("sim", "gen", "name", "alive", "result", "exception",
-                 "killed", "daemon", "observed", "group", "_joiners",
-                 "_wait_cancel", "_step", "_stop_on_exit")
+                 "killed", "daemon", "observed", "group", "_wait_cancel",
+                 "_step", "_stop_on_exit")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str):
         self.sim = sim
@@ -268,9 +280,6 @@ class Process:
         self.result: Any = None
         self.exception: Optional[BaseException] = None
         self.killed = False
-        # Joiner entries (_JoinWait); lazily allocated — most processes
-        # are never joined.
-        self._joiners: Optional[List[_JoinWait]] = None
         # The cancel handle for whatever this process is waiting on (a
         # process waits on exactly one waitable at a time; AnyOf manages
         # its branches internally).
@@ -324,10 +333,6 @@ class Process:
         exc.__traceback__ = None
         self._finish(result=None, exception=exc, killed=True)
 
-    def join(self) -> "Process":
-        """A process is itself a waitable; joining is just yielding it."""
-        return self
-
     # -- internals ---------------------------------------------------------
 
     def _cancel_waits(self) -> None:
@@ -345,7 +350,7 @@ class Process:
         self.killed = killed
         self._step = None
         # Retire: a finished process is reachable only through whoever
-        # still holds it (a joiner, run_process), not through the tables.
+        # still holds it (its spawner, run_process), not through the tables.
         sim._processes.pop(self, None)
         if self.group is not None:
             self.group.pop(self, None)
@@ -356,22 +361,9 @@ class Process:
                 failed=exception is not None and not killed))
         if self._stop_on_exit:
             sim._stop = True
-        joiners, self._joiners = self._joiners, None
-        delivered = 0
-        if joiners:
-            for entry in joiners:
-                joiner = entry.joiner
-                if joiner is None:
-                    continue
-                delivered += 1
-                if exception is not None and not killed:
-                    joiner._cancel_waits()
-                    sim._schedule_now(joiner._step_throw, exception)
-                else:
-                    sim._schedule_now(entry.resume, result)
-        if exception is not None and not killed and not delivered:
-            if not self.daemon and not self.observed:
-                sim._record_failure(self, exception)
+        if exception is not None and not killed and not self.daemon \
+                and not self.observed:
+            sim._record_failure(self, exception)
 
     def _step_send(self, value: Any) -> None:
         step = self._step
@@ -431,18 +423,18 @@ class Process:
         a cancellation handle (anything with a ``cancel()`` method)."""
         if isinstance(waitable, Sleep):
             # The fast path: a timer is one pooled heap entry, nothing else.
-            return self.sim.schedule(waitable.delay, resume, None)
+            sim = self.sim
+            return sim._schedule_at(sim.now + waitable.delay, resume,
+                                    _RESUME_NONE)
         subscribe = getattr(waitable, "_subscribe", None)
         if subscribe is not None:
             # Events, conditions and queue-gets provide the subscription
             # protocol; they are the next most common waitables.
             return subscribe(resume)
         if isinstance(waitable, SleepUntil):
-            return self.sim.schedule_at(waitable.time, resume, None)
+            return self.sim._schedule_at(waitable.time, resume, _RESUME_NONE)
         if isinstance(waitable, AnyOf):
             return self._arm_any(waitable, resume)
-        if isinstance(waitable, Process):
-            return self._arm_process(waitable, resume)
         raise SimulationError(
             "process %s yielded a non-waitable: %r" % (self.name, waitable))
 
@@ -457,19 +449,6 @@ class Process:
         for i, sub in enumerate(waitables):
             cancels.append(self._arm(sub, _AnyOfBranch(wait, i)))
         return wait
-
-    def _arm_process(self, proc: "Process",
-                           resume: Callable[[Any], None]):
-        if not proc.alive:
-            if proc.exception is not None and not proc.killed:
-                return self.sim.schedule(0.0, self._step_throw, proc.exception)
-            return self.sim.schedule(0.0, resume, proc.result)
-        entry = _JoinWait(self, resume)
-        if proc._joiners is None:
-            proc._joiners = [entry]
-        else:
-            proc._joiners.append(entry)
-        return entry
 
 
 class Simulator:
@@ -516,28 +495,16 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def schedule(self, delay: float, fn: Callable, *args: Any) -> _ScheduledCall:
-        """Run ``fn(*args)`` after ``delay`` units of virtual time.
-
-        The returned handle may be cancelled at most once, and never
-        after the callback has run (handles are pooled and recycled)."""
+    def schedule(self, delay: float, fn: Callable, *args: Any) -> Timer:
+        """Run ``fn(*args)`` after ``delay`` units of virtual time; the
+        returned :class:`Timer` cancels it."""
         if delay < 0:
             raise ValueError("cannot schedule in the past (delay=%r)" % delay)
-        free = self._free
-        if free:
-            call = free.pop()
-            call.fn = fn
-            call.args = args
-            call.cancelled = False
-        else:
-            self.calls_allocated += 1
-            call = _ScheduledCall(fn, args, self)
-        heappush(self._queue, (self.now + delay, next(self._seq), call))
-        self._live += 1
-        return call
+        timer = Timer(fn, args)
+        timer.call = self._schedule_at(self.now + delay, timer, ())
+        return timer
 
-    def schedule_at(self, time: float, fn: Callable,
-                    *args: Any) -> _ScheduledCall:
+    def schedule_at(self, time: float, fn: Callable, *args: Any) -> Timer:
         """Run ``fn(*args)`` at absolute virtual time ``time``.
 
         ``schedule(t - now)`` re-derives the absolute time as
@@ -545,6 +512,14 @@ class Simulator:
         in floats; cross-shard envelope injection needs the *exact*
         delivery timestamp the source shard computed, so this variant
         pins it."""
+        timer = Timer(fn, args)
+        timer.call = self._schedule_at(time, timer, ())
+        return timer
+
+    def _schedule_at(self, time: float, fn: Callable,
+                     args: tuple) -> _ScheduledCall:
+        # The kernel's own timer arm: a pooled handle, held only by the
+        # kernel (invariant 1).
         if time < self.now:
             raise ValueError("cannot schedule in the past (t=%r, now=%r)"
                              % (time, self.now))
@@ -652,9 +627,9 @@ class Simulator:
         or ``stop_when()`` becomes true (checked after each callback).
         Returns the final clock value.
 
-        If any non-daemon process terminated with an unhandled exception and
-        nobody joined it, the first such exception is re-raised here: errors
-        never pass silently.
+        If any non-daemon process other than a ``run_process`` one
+        terminated with an unhandled exception, the first such exception
+        is re-raised here: errors never pass silently.
         """
         queue = self._queue
         ready = self._ready

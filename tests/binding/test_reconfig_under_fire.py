@@ -11,6 +11,7 @@ deterministic unit test.
 import pytest
 
 from repro.binding import BindingError, join_troupe
+from repro.sim import Queue
 from tests.binding.test_ringmaster import (counter_module, echo_module,
                                            make_client, make_server,
                                            make_world)
@@ -27,15 +28,17 @@ def test_concurrent_adds_serialize_and_ids_stay_unique():
     rt_b, binding_b, member_b = make_server(
         world, world.machines[4], ringmaster, echo_module())
     ids = {}
+    done = Queue(world.sim, "adds-done")
 
     def add(label, binding, member):
         ids[label] = yield from binding.export_module("svc", member)
+        done.put(label)
 
     def body():
-        first = world.sim.spawn(add("a", binding_a, member_a), name="add-a")
-        second = world.sim.spawn(add("b", binding_b, member_b), name="add-b")
-        yield first
-        yield second
+        world.sim.spawn(add("a", binding_a, member_a), name="add-a")
+        world.sim.spawn(add("b", binding_b, member_b), name="add-b")
+        yield done.get()
+        yield done.get()
 
     world.run(body())
     assert set(ids) == {"a", "b"}

@@ -22,7 +22,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs.bus import COUNTED_KINDS
 from repro.obs.export import openmetrics
 from repro.obs.metrics import Handles
-from repro.sim import Sleep
+from repro.sim import Queue, Sleep
 from tests.obs.test_clocks import _bulk_lossy_world
 
 #: every kind the reference counts as it arrives (the collector's table
@@ -191,17 +191,19 @@ def test_many_to_many_call():
     world = World(machines=8, seed=17)
     servers, _ = world.make_troupe("echo", scenarios.echo_module, degree=3)
     _clients, runtimes = world.make_client_troupe("clients", degree=2)
+    done = Queue(world.sim, "callers-done")
 
     def caller(runtime, delay):
         yield Sleep(delay)
         for i in range(5):
             yield from runtime.call_troupe(servers, 0, 0, b"mm %d" % i)
+        done.put(runtime)
 
     def body():
-        first = world.sim.spawn(caller(runtimes[0], 0.0))
-        second = world.sim.spawn(caller(runtimes[1], 3.5))
-        yield first
-        yield second
+        world.sim.spawn(caller(runtimes[0], 0.0))
+        world.sim.spawn(caller(runtimes[1], 3.5))
+        yield done.get()
+        yield done.get()
 
     reg = _run_beside(world, body, every=3)
     # One gather per call per server member: both callers' messages

@@ -14,7 +14,7 @@ from repro.pairedmsg import (
     PeerCrashed,
 )
 from repro.pairedmsg.segments import PLEASE_ACK, Segment, decode, split_message
-from repro.sim import Simulator, Sleep
+from repro.sim import Queue, Simulator, Sleep
 from repro.sim.sharded import PacketDigest, merge_digests
 from tests.pairedmsg.test_endpoint import echo_server, make_world
 
@@ -165,6 +165,7 @@ def test_busy_scheduler_keeps_every_decision():
                for proc in procs[1:5] for _ in range(60)]
     outcomes = {"echoed": 0, "crashed": 0}
     most_watched = [0]
+    finished = Queue(sim, "finished")
 
     def reply(msg):
         yield from hub.send_return(msg.peer, msg.call_number, msg.data)
@@ -181,11 +182,13 @@ def test_busy_scheduler_keeps_every_decision():
             data = bytes([index % 251, number]) * 750       # 3 segments
             assert (yield from client.call(hub.addr, number, data)) == data
             outcomes["echoed"] += 1
+        finished.put(client)
 
     def doomed_call(number):
         with pytest.raises(PeerCrashed):
             yield from hub.call(dead.addr, number, b"d" * 1500)
         outcomes["crashed"] += 1
+        finished.put(number)
 
     def main():
         procs[0].spawn(serve(), daemon=True)
@@ -194,8 +197,8 @@ def test_busy_scheduler_keeps_every_decision():
                    for index, client in enumerate(clients)]
         threads += [procs[0].spawn(doomed_call(number))
                     for number in range(1, 31)]
-        for thread in threads:
-            yield thread
+        for _ in threads:
+            yield finished.get()
 
     sim.run_process(main())
     assert outcomes == {"echoed": 480, "crashed": 30}

@@ -6,6 +6,7 @@ from repro.sim import (
     AnyOf,
     Event,
     ProcessKilled,
+    Queue,
     SimulationError,
     Simulator,
     Sleep,
@@ -51,6 +52,28 @@ def test_cancelled_call_does_not_run():
     handle.cancel()
     sim.run()
     assert seen == []
+
+
+def test_a_cancel_that_outlived_its_callback_is_a_detected_no_op():
+    """A handle names one scheduling.  Its pooled entry serves the next
+    callback once this one has run, and a late cancel must not drop that
+    stranger: it does nothing and says so."""
+    sim = Simulator()
+    seen = []
+    stale = sim.schedule(1.0, seen.append, "f")
+    sim.run()
+    fresh = sim.schedule_at(2.0, seen.append, "g")
+    assert stale.cancel() is False
+    sim.run()
+    assert seen == ["f", "g"]
+    assert fresh.cancel() is False
+    assert sim.pending_events() == 0
+    pending = sim.schedule(1.0, seen.append, "h")
+    assert pending.cancel() is True
+    assert pending.cancel() is False
+    sim.run()
+    assert seen == ["f", "g"]
+    assert sim.pending_events() == 0
 
 
 def test_run_until_stops_clock_at_bound():
@@ -285,54 +308,6 @@ def test_sleep_until_as_an_anyof_branch_wins_or_is_cancelled():
     assert sim.pending_events() == 0
 
 
-def test_join_returns_child_result():
-    sim = Simulator()
-
-    def child():
-        yield Sleep(2.0)
-        return "done"
-
-    def parent():
-        proc = sim.spawn(child())
-        value = yield proc
-        return value, sim.now
-
-    assert sim.run_process(parent()) == ("done", 2.0)
-
-
-def test_join_already_dead_process():
-    sim = Simulator()
-
-    def child():
-        return "early"
-        yield  # pragma: no cover
-
-    def parent():
-        proc = sim.spawn(child())
-        yield Sleep(5.0)
-        value = yield proc
-        return value
-
-    assert sim.run_process(parent()) == "early"
-
-
-def test_child_exception_propagates_to_joiner():
-    sim = Simulator()
-
-    def child():
-        yield Sleep(1.0)
-        raise ValueError("boom")
-
-    def parent():
-        proc = sim.spawn(child())
-        try:
-            yield proc
-        except ValueError as exc:
-            return "caught %s" % exc
-
-    assert sim.run_process(parent()) == "caught boom"
-
-
 def test_unjoined_exception_fails_the_run():
     sim = Simulator()
 
@@ -460,9 +435,9 @@ def test_many_processes_deterministic():
 
 def test_finished_processes_and_waits_leave_no_cyclic_garbage():
     """Process and wait state dies by reference counting: with the cyclic
-    collector off, a world exercising join, multi-way AnyOf (each branch
-    winning), kill, interrupt and a replicated parallel call leaves
-    nothing of the kernel's for a collection to find."""
+    collector off, a world exercising multi-way AnyOf (each branch
+    winning), timers, kill, interrupt and a replicated parallel call
+    leaves nothing of the kernel's for a collection to find."""
     import gc
     import types
 
@@ -480,10 +455,7 @@ def test_finished_processes_and_waits_leave_no_cyclic_garbage():
         client = world.make_client(
             runtime_config=RuntimeConfig(execution="parallel"))
         event = Event(sim, "second-branch")
-
-        def child(delay):
-            yield Sleep(delay)
-            return delay
+        box = Queue(sim, "third-branch")
 
         def sleeper():
             yield AnyOf(Event(sim, "never"), Sleep(1e6))
@@ -492,14 +464,13 @@ def test_finished_processes_and_waits_leave_no_cyclic_garbage():
             for _ in range(3):
                 assert (yield from client.call_troupe(
                     troupe, 0, 0, b"x")) == b"x"
-            assert (yield sim.spawn(child(1.0))) == 1.0
-            slow = sim.spawn(child(50.0))
             sim.schedule(2.0, event.fire, "v")
+            sim.schedule(50.0, box.put, 50.0)
             # each branch of a three-way AnyOf wins once
-            assert (yield AnyOf(Sleep(1.0), event, slow))[0] == 0
-            assert (yield AnyOf(Sleep(5.0), event, slow)) == (1, "v")
+            assert (yield AnyOf(Sleep(1.0), event, box.get()))[0] == 0
+            assert (yield AnyOf(Sleep(5.0), event, box.get())) == (1, "v")
             assert (yield AnyOf(Sleep(100.0), Event(sim, "never"),
-                                slow)) == (2, 50.0)
+                                box.get())) == (2, 50.0)
             victim = sim.spawn(sleeper())
             yield Sleep(1.0)
             victim.kill()
@@ -518,8 +489,7 @@ def test_finished_processes_and_waits_leave_no_cyclic_garbage():
         gc.collect()
         kernel_types = (kernel.Process, types.GeneratorType,
                         kernel._AnyOfWait, kernel._AnyOfBranch,
-                        kernel._JoinWait, kernel._ScheduledCall,
-                        events._Waiter)
+                        kernel._ScheduledCall, kernel.Timer, events._Waiter)
         found = [obj for obj in gc.garbage if isinstance(obj, kernel_types)]
     finally:
         gc.set_debug(0)
