@@ -338,6 +338,8 @@ def cmd_fuzz(args) -> int:
                              oracles=oracles)
         print("replay %s: %s" % (args.replay, result.summary()))
         print("digest: %s" % result.digest())
+        for wait in result.stuck:
+            print("stuck: %s" % wait)
         if not result.ok and result.postmortem is not None:
             print(render_postmortem(result.postmortem))
         return 0 if result.ok else 1

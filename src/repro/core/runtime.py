@@ -668,23 +668,23 @@ class TroupeRuntime:
         :class:`_Gather` of their replies.  When ``module`` is None, each
         call message carries the member's own module number (members of a
         troupe may export the interface under different indices)."""
-        members = []
-        payloads = {}
-        for member in troupe.members:
-            member_module = member.module if module is None else module
-            header = CallHeader(thread_id, self.troupe_id, troupe.troupe_id,
-                                member_module, procedure)
-            members.append(member.process)
-            payloads[member.process] = encode_call(header, args)
-        distinct = set(payloads.values())
+        members = [member.process for member in troupe.members]
+        if module is None:
+            payloads = [encode_call(CallHeader(
+                thread_id, self.troupe_id, troupe.troupe_id, member.module,
+                procedure), args) for member in troupe.members]
+        else:   # one header for every member: encode it once
+            payloads = [encode_call(CallHeader(
+                thread_id, self.troupe_id, troupe.troupe_id, module,
+                procedure), args)] * len(members)
         if (self.config.use_multicast and len(members) > 1
-                and len(distinct) == 1):
+                and len(set(payloads)) == 1):
             yield from self.endpoint.send_message_multicast(
-                members, MSG_CALL, call_number, next(iter(distinct)))
+                members, MSG_CALL, call_number, payloads[0])
         else:
-            for member in members:
+            for member, payload in zip(members, payloads):
                 yield from self.endpoint.send_message(
-                    member, MSG_CALL, call_number, payloads[member])
+                    member, MSG_CALL, call_number, payload)
         return _Gather(self, troupe, members, call_number)
 
     def _collect(self, gather: "_Gather", collator: Collator,
@@ -786,10 +786,17 @@ class TroupeRuntime:
                   report: WatchdogReport):
         """Compare every later reply with the first.  Raw return messages
         compare as their decoded results do: ``encode_return`` and
-        ``encode_error`` are deterministic."""
+        ``encode_error`` are deterministic.  Killed with the calling
+        process, it still fires ``report.done``, with ``consistent`` left
+        None: whoever waits on the report elsewhere learns of the crash
+        at its instant."""
         consistent = True
         while True:
-            got = yield from gather.reply()
+            try:
+                got = yield from gather.reply()
+            except (CallerCrashed, MachineCrashed, ProcessKilled):
+                report.done.fire(None)
+                return
             if got is None:
                 break
             member, reply = got

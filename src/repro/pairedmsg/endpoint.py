@@ -37,7 +37,7 @@ import dataclasses
 import itertools
 from heapq import heappop, heappush
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 from repro.host.process import OsProcess
 from repro.net.addresses import ProcessAddress
@@ -66,6 +66,9 @@ _NO_ENTRIES: Dict = {}
 
 #: the same for ``_discarded_returns``, a set.
 _NO_MARKS: set = set()
+
+#: a peer's delivered call numbers stay a tuple up to this many.
+_TUPLE_MEMORY = 8
 
 
 @dataclasses.dataclass
@@ -270,10 +273,10 @@ class PairedEndpoint:
                           _OutgoingTransfer] = _NO_ENTRIES
         self._assemblies: Dict[Tuple[ProcessAddress, int, int],
                                _IncomingAssembly] = _NO_ENTRIES
-        #: per peer, the call numbers delivered upward (keys only: the
-        #: values are ``None``), oldest first.
-        self._delivered_calls: Dict[ProcessAddress, Dict[int, None]] = {}
-        self._delivered_returns: Dict[ProcessAddress, Dict[int, None]] = {}
+        #: per peer, the call numbers delivered upward, oldest first: a
+        #: tuple (most peers see one to three), a dict's keys past eight.
+        self._delivered_calls: Dict[ProcessAddress, Collection[int]] = {}
+        self._delivered_returns: Dict[ProcessAddress, Collection[int]] = {}
         self._completed_returns: Dict[Tuple[ProcessAddress, int],
                                       bytes] = _NO_ENTRIES
         self._return_waiters: Dict[Tuple[ProcessAddress, int],
@@ -592,6 +595,8 @@ class PairedEndpoint:
                 self._finished = []
                 for transfer in finished:
                     del watched[transfer.watch_seq]
+                if not watched:
+                    watched.clear()   # give back a grown table's slots
                 if len(finished) == 1:
                     yield from self._cancel_timer(finished[0])
                 else:
@@ -978,11 +983,16 @@ class PairedEndpoint:
                            call_number: int) -> None:
         """Remember a delivered call number long enough to suppress replays
         of delayed duplicates (§4.2.4), bounded in size."""
-        per_peer = table.get(src)
-        if per_peer is None:
-            per_peer = table[src] = {}
+        per_peer = table.get(src, ())
+        limit = self.config.delivered_memory
+        if per_peer.__class__ is tuple:
+            if call_number not in per_peer:
+                per_peer = (*per_peer, call_number)[-limit:] if limit else ()
+                table[src] = per_peer if len(per_peer) <= _TUPLE_MEMORY \
+                    else dict.fromkeys(per_peer)
+            return
         per_peer[call_number] = None
-        while len(per_peer) > self.config.delivered_memory:
+        while len(per_peer) > limit:
             del per_peer[next(iter(per_peer))]   # the oldest: insertion order
 
     # ------------------------------------------------------------------

@@ -6,21 +6,21 @@ that adding randomness to one component never perturbs another.  This is the
 standard common-random-numbers discipline for simulation experiments.
 
 :class:`RandomStream` is the general stream and owns a generator for life.
-:class:`LinkStream` is the same sequence of ``random()`` doubles for a
-component that exists by the thousand and draws a handful of times: it
-holds its next few draws instead of the generator.
+:class:`LinkDraws` is the same sequence for every link of a wire, links
+that exist by the thousand and draw a handful of times each: it holds
+their first few draws as numbers instead of generators.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from typing import Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-#: ``random()`` doubles a :class:`LinkStream` takes before it drops its
-#: generator.  Of the ~15,000 directed links the 1,000-host capacity world
-#: sends on, all but 24-35 are asked for at most four draws in their whole
-#: life (histogram in docs/PERFORMANCE.md); a Mersenne Twister is 2.5 KiB.
+#: ``random()`` doubles :class:`LinkDraws` holds per link.  Of the ~15,000
+#: directed links the 1,000-host capacity world sends on, all but 24-35
+#: are asked for at most four draws in their whole life (histogram in
+#: docs/PERFORMANCE.md); a Mersenne Twister is 2.5 KiB.
 _LINK_DRAWS_HELD = 4
 
 
@@ -70,58 +70,52 @@ class RandomStream:
         return child
 
 
-class LinkStream:
+class LinkDraws:
     """Draw for draw the ``random()`` sequence of ``RandomStream(seed,
-    "link:src>dst")``, at the size of the few draws a network link ever
-    makes.
+    "link:src>dst")`` for every directed link of a wire, as numbers.
 
-    It keeps the ``(src, dst)`` tuple it is given (the network's own key)
-    and no seeding string.  The first :data:`_LINK_DRAWS_HELD` doubles are
-    taken at construction into an ``array('d')`` and the generator dropped;
-    a draw past them seeds the same generator again, skips what was
-    handed out, and keeps it from then on.
-
-    Only ``random``, ``uniform`` and ``chance`` exist — each exactly one
-    underlying ``random()`` (``chance(0.0)`` / ``chance(1.0)``: none).  The
-    rest of :class:`RandomStream` consumes a varying number of generator
-    outputs per call and is left out on purpose: an ``AttributeError``,
-    not a silently different sequence.
+    A link is numbered on first use; its first :data:`_LINK_DRAWS_HELD`
+    doubles go into one ``array('d')`` for all links, and one
+    ``bytearray`` counts the draws each took.  A draw past the held ones
+    seeds the same generator again, skips what was handed out, and keeps
+    it.  :meth:`random` is the only draw: the rest of
+    :class:`RandomStream` takes a varying number of generator outputs per
+    call, and is left out on purpose.
     """
 
-    __slots__ = ("_seed", "_link", "_held", "_next", "_rng")
+    __slots__ = ("_seed", "numbers", "_keys", "_held", "_taken", "_rngs")
 
-    def __init__(self, seed: int, link: Tuple[str, str]):
+    def __init__(self, seed: int):
         self._seed = seed
-        self._link = link
-        rng = random.Random(self._key())
-        self._held = array("d", [rng.random()
-                                 for _ in range(_LINK_DRAWS_HELD)])
-        self._next = 0
-        self._rng: Optional[random.Random] = None
+        self.numbers: Dict[Tuple[str, str], int] = {}   # _keys: and back
+        self._keys: List[Tuple[str, str]] = []
+        self._held = array("d")
+        self._taken = bytearray()
+        self._rngs: Dict[int, random.Random] = {}   # past the held draws
 
-    def _key(self) -> str:   # RandomStream(seed, "link:src>dst")'s seed
-        return "%d\x00link:%s>%s" % ((self._seed,) + self._link)
+    def _generator(self, link: int) -> random.Random:
+        return random.Random("%d\x00link:%s>%s"
+                             % ((self._seed,) + self._keys[link]))
 
-    def random(self) -> float:
-        index = self._next
-        if index < _LINK_DRAWS_HELD:
-            self._next = index + 1
-            return self._held[index]
-        rng = self._rng
+    def number(self, src: str, dst: str) -> int:
+        key = (src, dst)
+        link = self.numbers.get(key)
+        if link is None:
+            link = self.numbers[key] = len(self._keys)
+            self._keys.append(key)
+            rng = self._generator(link)
+            self._held.extend(rng.random() for _ in range(_LINK_DRAWS_HELD))
+            self._taken.append(0)
+        return link
+
+    def random(self, link: int) -> float:
+        taken = self._taken[link]
+        if taken < _LINK_DRAWS_HELD:
+            self._taken[link] = taken + 1
+            return self._held[link * _LINK_DRAWS_HELD + taken]
+        rng = self._rngs.get(link)
         if rng is None:
-            rng = self._rng = random.Random(self._key())
+            rng = self._rngs[link] = self._generator(link)
             for _ in range(_LINK_DRAWS_HELD):
                 rng.random()
         return rng.random()
-
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        # random.Random.uniform's own expression, so the same double.
-        return low + (high - low) * self.random()
-
-    def chance(self, probability: float) -> bool:
-        """True with the given probability."""
-        if probability <= 0.0:
-            return False
-        if probability >= 1.0:
-            return True
-        return self.random() < probability

@@ -37,12 +37,11 @@ canonical packet-event digest (:class:`PacketDigest`) provably equal:
    workload sessions are ownership-gated (:meth:`World.spawn_on`), so a
    ghost never runs, sends, or draws.
 2. **Per-link RNG streams**: :class:`ShardNetwork` replaces the global
-   network stream with one ``LinkStream(seed, (src, dst))`` per
-   directed host pair — ``RandomStream(seed, "link:src>dst")``'s draws,
-   held as the next four doubles rather than a generator, because a
-   link rarely draws more.  All sends on a link originate on the source
-   host's owning shard, so each stream's draw sequence depends only on
-   that link's packet order — not on how sends interleave across hosts.
+   network stream with ``RandomStream(seed, "link:src>dst")``'s draws
+   for every directed host pair, held in one table (``LinkDraws``).  All
+   sends on a link originate on the source host's owning shard, so each
+   stream's draw sequence depends only on that link's packet order —
+   not on how sends interleave across hosts.
    (The global stream would entangle every host's timing with every
    other's, which no partition could reproduce.)  ``shards=1`` uses the
    same per-link streams and *is* the single-process reference.
@@ -92,12 +91,12 @@ import gc
 import hashlib
 import math
 import os
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.core.runtime import RuntimeConfig
 from repro.harness import World
 from repro.net.network import Datagram, Network, NetworkConfig
-from repro.sim.rng import LinkStream
+from repro.sim.rng import LinkDraws
 
 #: Troupe IDs in every shard replica are allocated from this base so the
 #: replicas agree; high enough to never collide with the process-global
@@ -230,20 +229,12 @@ class ShardNetwork(Network):
         self.owned = owned
         self.outbox: List[tuple] = []
         self.cross_shard_sent = 0
-        self._seed = seed
-        self._link_rngs: Dict[Tuple[str, str], LinkStream] = {}
-
-    def _link_rng(self, src: str, dst: str) -> LinkStream:
-        key = (src, dst)
-        rng = self._link_rngs.get(key)
-        if rng is None:
-            rng = LinkStream(self._seed, key)
-            self._link_rngs[key] = rng
-        return rng
+        self.links = LinkDraws(seed)   # the wire's draw path, bound
+        self._link, self._random = self.links.number, self.links.random
 
     def _carry(self, datagram: Datagram, delay: float) -> None:
         if self.owned is None or datagram.dst.host in self.owned:
-            self.sim.schedule(delay, self._deliver, datagram)
+            self.sim.call_at(self.sim.now + delay, self._deliver, datagram)
         else:
             self.cross_shard_sent += 1
             self.outbox.append((self.sim.now + delay, datagram.src,
@@ -257,11 +248,11 @@ class ShardNetwork(Network):
             raise RuntimeError(
                 "lookahead violated: envelope for t=%r arrived at t=%r"
                 % (env[0], self.sim.now))
-        # schedule_at, not schedule(env[0] - now): re-deriving the
-        # absolute time from a delta can drift by an ulp, and the digest
-        # demands the exact delivery timestamp the source shard computed.
-        self.sim.schedule_at(env[0], self._deliver,
-                             Datagram(env[1], env[2], env[3]))
+        # The absolute time, not a delta from now: re-deriving it from a
+        # delta can drift by an ulp, and the digest demands the exact
+        # delivery timestamp the source shard computed.
+        self.sim.call_at(env[0], self._deliver,
+                         Datagram(env[1], env[2], env[3]))
 
 
 class ShardedWorld(World):

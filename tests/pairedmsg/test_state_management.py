@@ -1,10 +1,14 @@
 """Tests for endpoint state bookkeeping and idle sweeping (§4.2.4)."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
 from repro.host import Machine
 from repro.net import Network
 from repro.pairedmsg import PairedEndpoint, PairedMessageConfig
+from repro.pairedmsg.segments import MSG_CALL
 from repro.sim import Simulator, Sleep
 
 
@@ -97,8 +101,46 @@ def test_delivery_memory_is_bounded_and_forgets_the_oldest_first():
     assert list(table[peer]) == [1, 2, 3]
     server._remember_delivery(table, peer, 4)
     assert list(table[peer]) == [2, 3, 4]
-    assert type(table[peer]) is dict
+    assert type(table[peer]) is tuple
     assert server.stats()["delivered_call_memory"] == 3
+
+
+def _fifo_remember(reference, peer, number, limit):
+    """The delivered-call memory as a plain dict per peer: insertion
+    order, a re-delivery keeps its place, the oldest evicted first."""
+    per_peer = reference.setdefault(peer, {})
+    per_peer[number] = None
+    while len(per_peer) > limit:
+        del per_peer[next(iter(per_peer))]
+
+
+@pytest.mark.parametrize("limit", [1, 3, 8, 9, 128])
+def test_delivery_memory_matches_a_dict_fifo_in_lockstep(limit):
+    """Random deliveries (repeats included) from three peers, remembered
+    by the endpoint and by a plain-dict FIFO: after every step both
+    answer "already delivered?" alike for every number and hold the same
+    numbers in the same order.  A peer's memory is a tuple up to eight
+    numbers and a dict past them."""
+    _sim, client, server = make_pair()
+    server.config = PairedMessageConfig(delivered_memory=limit)
+    table, reference = server._delivered_calls, {}
+    peers = [client.addr, server.addr, "elsewhere"]
+    rng = random.Random(limit)
+    for step in range(3000):
+        peer = rng.choice(peers)
+        # mostly fresh numbers, often one heard lately, now and then one
+        # long gone: repeats, re-deliveries and evicted numbers
+        number = rng.choice((step, step, rng.randrange(max(1, step)),
+                             step - rng.randrange(1, 12)))
+        server._remember_delivery(table, peer, number)
+        _fifo_remember(reference, peer, number, limit)
+        held = table[peer]
+        assert list(held) == list(reference[peer]), (step, peer)
+        assert (type(held) is tuple) == (len(held) <= 8), (step, peer)
+        for probe in range(step - 140, step + 2):
+            segment = SimpleNamespace(msg_type=MSG_CALL, call_number=probe)
+            assert server._already_delivered(peer, segment) \
+                == (probe in reference[peer]), (step, peer, probe)
 
 
 def test_sweep_drops_a_silent_peers_discarded_return_marks():

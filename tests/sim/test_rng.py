@@ -4,8 +4,10 @@ import itertools
 
 import pytest
 
-from repro.sim import RandomStream
-from repro.sim.rng import _LINK_DRAWS_HELD, LinkStream
+from repro.net.network import NetworkConfig
+from repro.sim import RandomStream, Simulator
+from repro.sim.rng import _LINK_DRAWS_HELD, LinkDraws
+from repro.sim.sharded import ShardNetwork
 
 
 def test_same_seed_same_stream():
@@ -60,7 +62,7 @@ def test_sample_and_choice_and_shuffle():
     assert sorted(shuffled) == population
 
 
-# --- LinkStream: RandomStream's draws without RandomStream's generator ----
+# --- LinkDraws: RandomStream's draws without RandomStream's generator -----
 
 _CHANCES = (0.0, 0.1, 1.0)
 
@@ -74,13 +76,35 @@ def _apply(stream, op, position):
     return stream.random()
 
 
+class _Link:
+    """One link of a :class:`ShardNetwork`'s table, spoken to the way the
+    wire speaks to it: ``Network._chance``, ``random.uniform``'s own
+    expression over ``_random``, and ``_random``."""
+
+    def __init__(self, net, pair):
+        self.net, self.link = net, net._link(*pair)
+
+    def uniform(self, low, high):
+        return low + (high - low) * self.net._random(self.link)
+
+    def chance(self, probability):
+        return self.net._chance(self.link, probability)
+
+    def random(self):
+        return self.net._random(self.link)
+
+
+def _network(seed):
+    return ShardNetwork(Simulator(), seed=seed, config=NetworkConfig())
+
+
 def _assert_same_draws(seed, pair, pattern):
     reference = RandomStream(seed, "link:%s>%s" % pair)
-    link = LinkStream(seed, pair)
+    link = _Link(_network(seed), pair)
     for position, op in enumerate(pattern):
         want, got = _apply(reference, op, position), _apply(link, op, position)
-        assert type(got) is type(want) and got == want, (seed, name, pattern)
-    assert link.random() == reference.random(), (seed, name, pattern)
+        assert type(got) is type(want) and got == want, (seed, pair, pattern)
+    assert link.random() == reference.random(), (seed, pair, pattern)
 
 
 def test_link_stream_is_random_stream_draw_for_draw():
@@ -106,18 +130,39 @@ def test_link_stream_every_short_interleaving_across_the_boundary():
             _assert_same_draws(length, ("", ""), pattern)
 
 
+def test_links_of_one_table_draw_independently():
+    """Links numbered in one table, drawn in an interleaving that takes
+    some past their held doubles: each still yields its own stream."""
+    table = LinkDraws(11)
+    pairs = [("h%d" % (i % 4), "h%d" % (i // 4)) for i in range(16)]
+    references = {pair: RandomStream(11, "link:%s>%s" % pair)
+                  for pair in pairs}
+    for step in range(200):
+        pair = pairs[(step * step) % 7 + (step % 3) * 3]
+        assert table.random(table.number(*pair)) \
+            == references[pair].random(), (step, pair)
+    assert sorted(table.numbers) == sorted(
+        {pairs[(s * s) % 7 + (s % 3) * 3] for s in range(200)})
+    assert list(table.numbers.values()) == list(range(len(table.numbers)))
+
+
 def test_link_stream_holds_a_generator_only_past_its_held_draws():
-    link = LinkStream(3, ("a", "b"))
-    assert link._rng is None
+    table = LinkDraws(3)
+    other, link = table.number("b", "a"), table.number("a", "b")
     for _ in range(_LINK_DRAWS_HELD):
-        link.random()
-        assert link._rng is None
-    link.random()
-    assert link._rng is not None
+        table.random(link)
+        assert not table._rngs
+    assert list(table._taken) == [0, _LINK_DRAWS_HELD]
+    # the fifth draw seeds the link's generator again and skips four
+    reference = RandomStream(3, "link:a>b")
+    assert table.random(link) == [reference.random() for _ in range(5)][-1]
+    assert list(table._rngs) == [link]
+    assert len(table._held) == 2 * _LINK_DRAWS_HELD and other == 0
 
 
 def test_link_stream_chance_extremes_draw_nothing():
-    link, reference = LinkStream(1, ("c", "d")), RandomStream(1, "link:c>d")
+    link, reference = _Link(_network(1), ("c", "d")), \
+        RandomStream(1, "link:c>d")
     assert link.chance(0.0) is False and link.chance(-0.5) is False
     assert link.chance(1.0) is True and link.chance(1.5) is True
     assert link.random() == reference.random()
@@ -128,4 +173,4 @@ def test_link_stream_chance_extremes_draw_nothing():
 def test_link_stream_has_no_call_that_draws_a_varying_number(method):
     assert hasattr(RandomStream(1, "x"), method)
     with pytest.raises(AttributeError):
-        getattr(LinkStream(1, ("x", "y")), method)
+        getattr(LinkDraws(1), method)

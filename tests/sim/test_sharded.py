@@ -280,8 +280,8 @@ def test_transit_time_never_undercuts_the_floor():
         assert floor == config.latency \
             + config.header_bytes / config.bandwidth
         for size in range(config.mtu + 1):
-            assert config.transit_time(size, rng) >= floor
-    assert NetworkConfig(jitter=0.0).transit_time(0, rng) \
+            assert config.transit_time(size, rng.random()) >= floor
+    assert NetworkConfig(jitter=0.0).transit_time(0, rng.random()) \
         == NetworkConfig().min_transit()
 
 
@@ -572,16 +572,15 @@ def test_a_link_that_drew_once_holds_draws_not_a_generator():
     handful of times; a Mersenne Twister each was 3 KiB a link.  Counting
     the two host names, the key and the table entry, a link that drew
     once measured 440 B while it held its draws as a list of floats and a
-    seeding string, and 347 B holding an ``array('d')`` and the table's
-    own key."""
+    seeding string, 347 B as an object holding an ``array('d')`` and the
+    table's own key, and 273 B as a row of one table for every link."""
     net = ShardNetwork(Simulator(), seed=5, config=NetworkConfig())
 
     def draw_once(i):
-        return net._link_rng("m%d" % (i // 50), "n%d" % (i % 50)) \
-            .uniform(0.0, 0.05)
+        return net._random(net._link("m%d" % (i // 50), "n%d" % (i % 50)))
 
-    assert _traced_bytes_each(2000, draw_once) < 400
-    assert len(net._link_rngs) == 2000
+    assert _traced_bytes_each(2000, draw_once) < 285
+    assert len(net.links.numbers) == 2000
 
 
 def test_a_queue_nothing_waited_in_holds_no_deque():

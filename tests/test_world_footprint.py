@@ -31,7 +31,7 @@ from repro.rpc.threads import ThreadContext
 from repro.sim import events as events_mod
 from repro.sim.events import Condition, Event, Queue
 from repro.sim.kernel import AnyOf, Simulator, Sleep
-from repro.sim.rng import LinkStream
+from repro.sim.rng import LinkDraws
 from repro.sim.sharded import ShardedWorld
 from tests.census import tracked
 
@@ -78,12 +78,15 @@ def test_a_world_holds_only_what_is_in_flight():
     datagrams = [o for o in tracked() if type(o) is Datagram]
     assert len(datagrams) > 10
     assert not any(hasattr(d, "__dict__") for d in datagrams)
-    # a link stream holds draws and the network's own key, no string
-    links = list(world.net._link_rngs.items())
-    assert len(links) > 20
-    for key, link in links:
-        assert type(link) is LinkStream and link._link is key
-        assert not any(isinstance(o, str) for o in gc.get_referents(link))
+    # the links' draws are rows of one table that keeps the network's
+    # own keys and no string of its own
+    table = world.net.links
+    assert type(table) is LinkDraws and len(table.numbers) > 20
+    assert [table._keys[n] for n in table.numbers.values()] \
+        == list(table.numbers)
+    assert all(table._keys[n] is key for key, n in table.numbers.items())
+    assert len(table._held) == 4 * len(table._keys) == 4 * len(table._taken)
+    assert not any(isinstance(o, str) for o in gc.get_referents(table))
 
 
 def _shared_empties_are_empty():
@@ -144,11 +147,15 @@ def test_an_idle_host_holds_only_what_it_uses():
     assert all(r._finished or r._finished is runtime_mod._NO_CALLS
                for r in runtimes)
     _shared_empties_are_empty()
-    # delivered-call memory keeps call numbers, not times
-    memory = [v for e in endpoints
+    # delivered-call memory keeps call numbers, not times: a tuple of
+    # them, or a dict's keys once a peer has more than eight
+    memory = [per_peer for e in endpoints
               for table in (e._delivered_calls, e._delivered_returns)
-              for per_peer in table.values() for v in per_peer.values()]
-    assert len(memory) > 50 and set(memory) == {None}
+              for per_peer in table.values()]
+    assert len(memory) > 50
+    assert all(type(m) is tuple and 0 < len(m) <= 8 or type(m) is dict
+               and len(m) > 8 and set(m.values()) == {None} for m in memory)
+    assert all(type(n) is int for m in memory for n in m)
 
 
 #: the methods through which the code could write into a shared empty
