@@ -49,8 +49,8 @@ from repro.rpc import RemoteError
 from repro.sim.kernel import Sleep
 from repro.sim.rng import RandomStream
 from repro.transactions import (BinaryExponentialBackoff, CommitCoordinator,
-                                CommitParticipant, TransactionalStore,
-                                TransactionManager)
+                                CommitParticipant, LockTable,
+                                TransactionalStore, TransactionManager)
 from repro.transactions.commit import TXN_ABORTED_ERROR
 
 
@@ -66,6 +66,11 @@ class ScenarioRun:
     #: workload records a client-visible operation history; the explorer
     #: finalizes it and runs the scenario's offline ``checker`` on it.
     history: Optional[object] = None
+    #: what a stuck run's waits are read from besides the world's
+    #: runtimes (:func:`repro.explore._stuck_waits`): bare endpoints and
+    #: the troupe members' lock tables.
+    endpoints: Tuple[PairedEndpoint, ...] = ()
+    lock_tables: Tuple[LockTable, ...] = ()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -196,7 +201,8 @@ def _make_pairs(seed: int) -> ScenarioRun:
     # The server machine only — crashing the client machine would kill
     # the observer, not the system under test.
     return ScenarioRun(world=world, body=body,
-                       fault_machines=[server_m.name])
+                       fault_machines=[server_m.name],
+                       endpoints=(client, server))
 
 
 # ---------------------------------------------------------------------------
@@ -223,16 +229,19 @@ def _store_troupe(world: World, name: str, degree: int, build_procs,
     ``divergence_bug`` plants the §5 bug the checker exists to catch:
     the last member acknowledges commits but never applies them to its
     global state — a silently diverging replica.
+
+    Returns the descriptor and the members' lock tables.
     """
     machines = world.machines[:degree]
     troupe_id = world._new_troupe_id()
-    members = []
+    members, lock_tables = [], []
     for index, machine in enumerate(machines):
         process = machine.spawn_process(name)
         runtime = TroupeRuntime(
             process, config=RuntimeConfig(execution="parallel"),
             resolver=world.resolver, troupe_id=troupe_id)
         manager = TransactionManager(world.sim)
+        lock_tables.append(manager.locks)
         store = TransactionalStore(manager, initial=dict(initial or {}))
         if divergence_bug and index == degree - 1:
             store._apply_to_global = lambda writes: None
@@ -243,7 +252,7 @@ def _store_troupe(world: World, name: str, degree: int, build_procs,
         world.runtimes.append(runtime)
     descriptor = TroupeDescriptor(name, troupe_id, tuple(members))
     world.register(descriptor)
-    return descriptor
+    return descriptor, tuple(lock_tables)
 
 
 def _txn_clients(world: World, recorder, first: int, names):
@@ -352,8 +361,9 @@ def _make_register(seed: int, degree: int = 3, clients: int = 2,
 
         return ExportedModule("register", {READ: read, WRITE: write})
 
-    troupe = _store_troupe(world, "register", degree, build_procs,
-                           divergence_bug=divergence_bug)
+    troupe, lock_tables = _store_troupe(world, "register", degree,
+                                        build_procs,
+                                        divergence_bug=divergence_bug)
     servers = [m.name for m in world.machines[:degree]]
     recorder = OperationHistoryRecorder(
         world.sim,
@@ -400,7 +410,7 @@ def _make_register(seed: int, degree: int = 3, clients: int = 2,
         return sorted(outcomes)
 
     return ScenarioRun(world=world, body=body, fault_machines=servers,
-                       history=recorder)
+                       history=recorder, lock_tables=lock_tables)
 
 
 def _make_bank(seed: int, degree: int = 3, clients: int = 2) -> ScenarioRun:
@@ -464,8 +474,8 @@ def _make_bank(seed: int, degree: int = 3, clients: int = 2) -> ScenarioRun:
 
         return ExportedModule("bank", {XFER: xfer, AUDIT: audit})
 
-    troupe = _store_troupe(world, "bank", degree, build_procs,
-                           initial=initial)
+    troupe, lock_tables = _store_troupe(world, "bank", degree,
+                                        build_procs, initial=initial)
     servers = [m.name for m in world.machines[:degree]]
     recorder = OperationHistoryRecorder(
         world.sim, scenario="bank-transfer", seed=seed, semantics="bank",
@@ -515,7 +525,7 @@ def _make_bank(seed: int, degree: int = 3, clients: int = 2) -> ScenarioRun:
         return sorted(outcomes)
 
     return ScenarioRun(world=world, body=body, fault_machines=servers,
-                       history=recorder)
+                       history=recorder, lock_tables=lock_tables)
 
 
 def _make_list_append(seed: int, degree: int = 3,
@@ -547,7 +557,7 @@ def _make_list_append(seed: int, degree: int = 3,
 
         return ExportedModule("list", {APPEND: append, READ: read})
 
-    troupe = _store_troupe(world, "list", degree, build_procs)
+    troupe, lock_tables = _store_troupe(world, "list", degree, build_procs)
     servers = [m.name for m in world.machines[:degree]]
     recorder = OperationHistoryRecorder(
         world.sim, scenario="list-append", seed=seed,
@@ -591,7 +601,7 @@ def _make_list_append(seed: int, degree: int = 3,
         return sorted(outcomes)
 
     return ScenarioRun(world=world, body=body, fault_machines=servers,
-                       history=recorder)
+                       history=recorder, lock_tables=lock_tables)
 
 
 # ---------------------------------------------------------------------------

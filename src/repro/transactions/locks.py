@@ -198,6 +198,11 @@ class LockTable:
     def held_keys(self, txn) -> Set[Hashable]:
         return set(self._held_by.get(txn, set()))
 
+    def waiting(self) -> Dict[Event, Any]:
+        """Each queued waiter's wake-up event -> its transaction."""
+        return {waiter.event: waiter.txn for lock in self._locks.values()
+                for waiter in lock.queue}
+
     def waits_for(self) -> Dict[Any, Set[Any]]:
         """The waits-for relation: waiter -> set of conflicting holders."""
         graph: Dict[Any, Set[Any]] = {}
